@@ -24,8 +24,6 @@ from .errors import (ConstraintUncertified, DimensionCap, Infeasible,
 from .freesets import FreeFamily
 from .opalg import DensityMatrix, HermitianOperator, eigh
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def _tr_prod(a: np.ndarray, b: np.ndarray) -> float:
     """Re Tr[a b] without forming the product."""
@@ -60,36 +58,6 @@ class OptResult:
     fw_gap: float
     iterations: int
     converged: bool
-
-
-def _golden(f, lo: float, hi: float, iters: int = 18):
-    """Golden-section scan of f on [lo, hi]; returns the best probe."""
-    best_x, best_v = lo, f(lo)
-    for x in (hi,):
-        v = f(x)
-        if v < best_v:
-            best_x, best_v = x, v
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for x, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_x, best_v = x, v
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-            if fc < best_v:
-                best_x, best_v = c, fc
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-            if fd < best_v:
-                best_x, best_v = d, fd
-    return best_x, best_v
 
 
 class _Tracker:
@@ -222,11 +190,14 @@ def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
 # positive-part minimization
 # ---------------------------------------------------------------------------
 
-def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float):
+def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float,
+                  offset: float = 0.0):
+    """Softplus surrogate of Tr[(rho - b sigma)_+]; ``offset`` shifts its
+    argument, which sets the slope at a zero eigenvalue to sigmoid(offset)."""
     def eval_fn(sigma: np.ndarray, need_grad: bool):
         w, V = eigh(rho_mat - b * sigma)
         exact = float(w[w > 0.0].sum())
-        x = w / tau
+        x = w / tau + offset
         # softplus, stable for large |x|
         smooth = float(tau * np.sum(np.logaddexp(0.0, x)))
         grad = None
@@ -387,31 +358,59 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
     return best_val
 
 
+def _dual_eval(eta_mat: np.ndarray, K: float, tau: float):
+    """Surrogate of Tr[(eta - X)_+] + Tr X / K.  The offset sets the slope
+    at a zero eigenvalue of eta - X to 1/K, as at an optimum X = eta; at
+    slope 1/2 the smoothed minimizer sits O(tau) off it, outside the cone
+    when eta has eigenvalues below tau."""
+    offset = -math.log(K - 1.0) if K > 1.0 else 0.0
+    pospart = _pospart_eval(eta_mat, 1.0, tau, offset)
+
+    def eval_fn(x: np.ndarray, need_grad: bool):
+        smooth, grad, exact = pospart(x, need_grad)
+        mass = float(np.trace(x).real) / K
+        if need_grad:
+            grad = grad + np.eye(len(x)) / K
+        return smooth + mass, grad, exact + mass
+    return eval_fn
+
+
 def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> float:
     """min over b in [0, K] and sigma of Tr[(eta - b sigma)_+] + b/K.
 
-    Any concrete (b, sigma) upper-bounds the primal, so the returned value is
-    a certified upper bound regardless of search quality.  Coarse grid on b
-    followed by a golden-section refinement.
+    One jointly convex solve in X = b sigma: annealed fully-corrective
+    Frank-Wolfe on Tr[(eta - X)_+] + Tr X / K over the hull of {0} and K
+    times the family.  The oracle at gradient g returns K s, s the family's
+    answer, if Tr[g s] < 0, else 0; so every probe is feasible (b = Tr X <=
+    K, X / b free by convexity) and the exact value at the best probe is a
+    certified upper bound on the primal.  Invariant multi-copy inputs use
+    the type-class oracle, as in ``min_positive_part``.
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
-    inner_settings = SolverSettings(max_iters=max(60, settings.max_iters // 4),
-                                    tol=settings.tol, seed=settings.seed,
-                                    restarts=settings.restarts)
+    eta_mat = eta.mat
+    try:
+        witness = family.full_rank_witness().mat
+    except NoFullRankMember:
+        witness = family.lmo(np.zeros_like(eta_mat), settings.seed).mat
+    x = min(1.0, K) * witness
+    member_lmo = _vertex_lmo(family, settings.seed)
+    if _symmetric_search(family, eta_mat, witness):
+        member_lmo = family.type_class_lmo
 
-    def value_at(b: float) -> float:
-        res = min_positive_part(eta, b, family, inner_settings)
-        return res.value + b / K
+    def lmo(grad: np.ndarray) -> np.ndarray:
+        s = K * member_lmo(grad)
+        return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
 
-    grid = np.linspace(0.0, K, 25)
-    vals = [value_at(b) for b in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(0, i - 1)]
-    hi = grid[min(len(grid) - 1, i + 1)]
-    b_best, v_best = _golden(value_at, float(lo), float(hi), iters=24)
-    return min(v_best, float(np.min(vals)))
+    tracker = _Tracker()
+    stage_iters = max(20, settings.max_iters // 3)
+    for tau in (1e-3, 1e-6, 1e-8):
+        x, it = _fcfw_minimize(_dual_eval(eta_mat, K, tau), lmo, x,
+                               stage_iters, settings.tol / 4.0, tracker)
+        if it <= 1:
+            break
+    return tracker.best_value
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,6 @@ def random_kraus_channel(rng: np.random.Generator, d: int,
     return [iso[k * d:(k + 1) * d, :] for k in range(n_kraus)]
 
 
-def random_prob_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(n))
-
-
 def random_perm_invariant_density(rng: np.random.Generator, d: int,
                                   copies: int) -> DensityMatrix:
     """Random permutation-invariant mixed state on (C^d)^{x copies}."""

@@ -122,6 +122,30 @@ def diagonal_threshold_optimum(N: int, y: float, p: float = 0.8,
     return best
 
 
+def diagonal_dual_optimum(N: int, K: float, p: float = 0.8) -> float:
+    """Type-class optimum of the hypothesis-test dual of the pure power
+    state against the diagonal family, min over b <= K and free sigma of
+    Tr[(psi psi^T - b sigma)_+] + b/K.
+
+    With X = b sigma = sum_k x_k P_k / C(N,k), psi psi^T - X is rank one
+    minus positive, so its positive part is its one eigenvalue lam >= 0,
+    the least lam with sum_k C(N,k)^2 q_k / (C(N,k) lam + x_k) <= 1, where
+    q_k = p^(N-k) (1-p)^k is the weight of one string of Hamming weight k.
+    Minimizing lam + sum_k x_k / K over (lam, x) is then a smooth convex
+    program, independent of the dense solvers.
+    """
+    c = np.array([comb(N, k) for k in range(N + 1)], dtype=float)
+    q = np.array([p ** (N - k) * (1.0 - p) ** k for k in range(N + 1)])
+    cons = [{"type": "ineq",
+             "fun": lambda z: 1.0 - np.sum(c * c * q / (c * z[0] + z[1:]))},
+            {"type": "ineq", "fun": lambda z: K - z[1:].sum()}]
+    z0 = np.concatenate([[1.0], K * c * q])
+    res = minimize(lambda z: z[0] + z[1:].sum() / K, z0, method="SLSQP",
+                   bounds=[(1e-12, None)] * (N + 2), constraints=cons,
+                   options={"maxiter": 1000, "ftol": 1e-15})
+    return float(res.fun)
+
+
 def max_product_overlap_bell(grid: int = 60) -> float:
     """Brute-force Bloch-grid maximum of |<Phi|a,b>|^2 for the 2x2 ray."""
     best = 0.0

@@ -183,6 +183,22 @@ family = iid:{sigma0_file}
 """)
         assert cli.main(["pn", "--config", cfg]) == 2
 
+    def test_singular_sigma0(self, tmp_path, capsys):
+        # a singular iid member has no full-rank witness; the exact value
+        # is 0.625 on both sides (b = 1/2)
+        path = tmp_path / "pure.op"
+        opalg.save_density(opalg.density(np.diag([1.0, 0.0])), str(path))
+        cfg = write_cfg(tmp_path, "pn3.cfg", f"""
+state = classical:0.5
+family = iid:{path}
+k = 4
+""")
+        assert cli.main(["pn", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "primal = 0.625" in out
+        dual = float(out.split("dual   = ")[1].split()[0])
+        assert abs(dual - 0.625) <= 1e-6
+
 
 class TestUsage:
     def test_unknown_command(self):

@@ -15,7 +15,7 @@ from qstein.optim import (SolverSettings, distance_to_family, frank_wolfe,
                           regularized_sequence, rel_ent_of_resource)
 
 from oracles import (classical_neyman_pearson, coherence_power_state,
-                     diagonal_threshold_optimum,
+                     diagonal_dual_optimum, diagonal_threshold_optimum,
                      robustness_qubit_diagonal_grid)
 
 RNG = np.random.default_rng(313)
@@ -160,6 +160,53 @@ class TestHypothesisTesting:
         eta = opalg.density(sigma0)
         val = hypothesis_dual(eta, 1e6, fam, FAST)
         assert val < 5e-6
+
+    def test_dual_singular_sigma0(self):
+        # the exact dual is attained at b = 1/2: 1/2 + (1/2)/4
+        fam = SingletonIIDFamily(2, 1, sigma0=np.diag([1.0, 0.0]))
+        eta = opalg.density(np.eye(2) / 2)
+        assert abs(hypothesis_dual(eta, 4.0, fam, FAST) - 0.625) < 1e-6
+
+    def test_dual_full_family_closed_form(self):
+        # for K >= 1, Tr[(eta - X)_+] >= Tr[eta - X] / K bounds the dual
+        # below by 1/K, attained at X = eta when eta is free
+        rng = np.random.default_rng(17)
+        for d in range(2, 7):
+            fam = FullSpaceFamily(d, 1)
+            for K in (1.5, 3.0, 5.0, 8.0):
+                eta = rand.random_density(rng, SystemShape((d,)))
+                dual = hypothesis_dual(eta, K, fam, FAST)
+                assert abs(dual - 1.0 / K) <= 1e-6
+
+    def test_dual_diagonal_closed_form(self):
+        # a diagonal eta is free, so the dual is 1/K as for the full family
+        rng = np.random.default_rng(19)
+        for d in range(2, 7):
+            fam = DiagonalFamily(d, 1)
+            for K in (2.0, 8.0):
+                eta = opalg.density(np.diag(rng.dirichlet(np.ones(d))))
+                dual = hypothesis_dual(eta, K, fam, FAST)
+                assert abs(dual - 1.0 / K) <= 1e-6
+
+    def test_dual_small_k_is_one(self):
+        # b <= K <= 1 gives Tr[(eta - b sigma)_+] + b/K >= 1 - b + b/K >= 1
+        rng = np.random.default_rng(23)
+        for d in (2, 3, 4):
+            eta = rand.random_density(rng, SystemShape((d,)))
+            sigma0 = rand.random_density(rng, SystemShape((d,))).mat
+            for fam in (FullSpaceFamily(d, 1), DiagonalFamily(d, 1),
+                        SingletonIIDFamily(d, 1, sigma0=sigma0)):
+                for K in (0.5, 1.0):
+                    dual = hypothesis_dual(eta, K, fam, FAST)
+                    assert abs(dual - 1.0) <= 1e-9
+
+    def test_dual_power_state_matches_type_class_oracle(self):
+        # an invariant input on 7 copies: the solve runs over invariant X
+        y = binary_entropy(0.8) + 0.1
+        K = 2.0 ** (y * 7)
+        eta = opalg.density(coherence_power_state(0.8, 7), (2,) * 7)
+        val = hypothesis_dual(eta, K, DiagonalFamily(2, 7), FAST)
+        assert abs(val - diagonal_dual_optimum(7, K)) < 1e-6
 
     def test_weak_duality_random(self):
         for i in range(12):
