@@ -93,10 +93,7 @@ def _settings_from(cfg: dict[str, str], args) -> SolverSettings:
     seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
     max_iters = (args.max_iters if getattr(args, "max_iters", None) is not None
                  else int(cfg.get("max_iters", "400")))
-    restarts = (args.restarts if getattr(args, "restarts", None) is not None
-                else int(cfg.get("restarts", "32")))
-    return SolverSettings(max_iters=max_iters, tol=tol, seed=seed,
-                          restarts=restarts)
+    return SolverSettings(max_iters=max_iters, tol=tol, seed=seed)
 
 
 def _floats(csv_text: str) -> list[float]:
@@ -273,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--max-iters", dest="max_iters", type=int,
                         default=None)
-        sp.add_argument("--restarts", type=int, default=None)
 
     pe = sub.add_parser("exponent", help="rate sweep of the threshold minimum")
     pe.add_argument("--config", required=True)

@@ -3,9 +3,11 @@
 Each family exposes the three capabilities every solver in this package
 needs: a membership test, a linear-minimization oracle (``lmo``), and a
 full-rank witness.  A family may also offer ``type_class_lmo``, the linear
-oracle restricted to its permutation-invariant members.  Families are
-immutable descriptors; oracles are pure given an explicit seed, so
-concurrent use is safe.
+oracle restricted to its permutation-invariant members.  Both oracles
+return a plain complex matrix, not a validated ``DensityMatrix``: solvers
+call them thousands of times, and validation belongs where a state leaves
+a solver.  Families are immutable descriptors; oracles are pure given an
+explicit seed, so concurrent use is safe.
 
 Supported kinds:
 
@@ -80,8 +82,8 @@ class FreeFamily:
                 f"dimension {self.total_dim}")
         return self.membership_defect(sigma) <= tol
 
-    def lmo(self, grad: np.ndarray, seed: int = 0) -> DensityMatrix:
-        """argmin over the family of Tr[grad sigma]."""
+    def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
+        """argmin over the family of Tr[grad sigma], as a plain matrix."""
         raise NotImplementedError
 
     def full_rank_witness(self) -> DensityMatrix:
@@ -93,6 +95,13 @@ class FreeFamily:
     @property
     def membership_check_tol(self) -> float:
         return EXACT_MEMBER_TOL
+
+
+def _ray(vec: np.ndarray) -> np.ndarray:
+    """Projector onto a unit vector, Hermitian to the last bit (an outer
+    product alone leaves rounding noise on the imaginary diagonal)."""
+    m = np.outer(vec, vec.conj())
+    return 0.5 * (m + m.conj().T)
 
 
 @lru_cache(maxsize=None)
@@ -119,11 +128,11 @@ class DiagonalFamily(FreeFamily):
         off = sigma.mat - np.diag(np.diag(sigma.mat))
         return opalg.trace_norm_mat(off)
 
-    def lmo(self, grad: np.ndarray, seed: int = 0) -> DensityMatrix:
+    def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         i = int(np.argmin(np.diag(grad).real))
         m = np.zeros((self.total_dim, self.total_dim), dtype=complex)
         m[i, i] = 1.0
-        return DensityMatrix(HermitianOperator(self.shape, m))
+        return m
 
     def type_class_lmo(self, grad: np.ndarray) -> np.ndarray:
         """argmin of Tr[grad sigma] over the permutation-invariant members.
@@ -162,26 +171,29 @@ class SingletonIIDFamily(FreeFamily):
         m.setflags(write=False)
         object.__setattr__(self, "sigma0", m)
 
-    def _power(self) -> DensityMatrix:
+    def _power(self) -> np.ndarray:
         out = self.sigma0
         for _ in range(self.copies - 1):
             out = np.kron(out, self.sigma0)
-        return DensityMatrix(HermitianOperator(self.shape, out))
+        return out
+
+    def _member(self) -> DensityMatrix:
+        return DensityMatrix(HermitianOperator(self.shape, self._power()))
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
-        return opalg.trace_norm_mat(sigma.mat - self._power().mat)
+        return opalg.trace_norm_mat(sigma.mat - self._power())
 
-    def lmo(self, grad: np.ndarray, seed: int = 0) -> DensityMatrix:
+    def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         return self._power()
 
     def full_rank_witness(self) -> DensityMatrix:
-        w = self._power()
+        w = self._member()
         if w.lambda_min() <= 0.0:
             raise NoFullRankMember("sigma0 is singular")
         return w
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
-        return self._power()
+        return self._member()
 
 
 @dataclass(frozen=True)
@@ -193,11 +205,8 @@ class FullSpaceFamily(FreeFamily):
     def membership_defect(self, sigma: DensityMatrix) -> float:
         return 0.0
 
-    def lmo(self, grad: np.ndarray, seed: int = 0) -> DensityMatrix:
-        w, V = opalg.eigh(grad)
-        v = V[:, 0]
-        return DensityMatrix(HermitianOperator(self.shape,
-                                               np.outer(v, v.conj())))
+    def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
+        return _ray(opalg.eigh(grad)[1][:, 0])
 
     def full_rank_witness(self) -> DensityMatrix:
         return opalg.maximally_mixed(self.shape)
@@ -258,7 +267,7 @@ class SeparableHullFamily(FreeFamily):
                                                              tol=1e-6))
         return res.value
 
-    def lmo(self, grad: np.ndarray, seed: int = 0) -> DensityMatrix:
+    def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         n = self.copies
         da, db = self.dim_a ** n, self.dim_b ** n
         g4 = self._to_blocks(grad).reshape(da, db, da, db)
@@ -285,9 +294,7 @@ class SeparableHullFamily(FreeFamily):
             if val < best_val:
                 best_val, best_pair = val, (a, b)
         a, b = best_pair
-        vec = self._vec_from_blocks(np.kron(a, b))
-        return DensityMatrix(HermitianOperator(self.shape,
-                                               np.outer(vec, vec.conj())))
+        return _ray(self._vec_from_blocks(np.kron(a, b)))
 
     def full_rank_witness(self) -> DensityMatrix:
         return opalg.maximally_mixed(self.shape)

@@ -1,20 +1,35 @@
 """Convex optimization over free families.
 
-Every minimization here is projection-free: a fully-corrective Frank-Wolfe
-loop discovers extreme points through the family's linear minimization
-oracle and re-optimizes the weights over the discovered hull after every
-new atom.  Nonsmooth spectral objectives (positive part, trace norm, top
-eigenvalue) are handled by annealing a smooth spectral surrogate for the
-search while tracking the exact objective at every point probed; reported
-values are always exact evaluations, and the reported duality gap is
-computed from the exact subgradient, so it upper-bounds the true
-suboptimality.
+Every minimization here is projection-free and runs through one routine,
+``_anneal``: a fully-corrective Frank-Wolfe loop discovers extreme points
+through a linear minimization oracle and re-optimizes the weights over the
+discovered hull after every new atom.  Nonsmooth spectral objectives
+(positive part, trace norm, top eigenvalue) are handled by annealing a
+smooth spectral surrogate over a schedule of temperatures tau while
+tracking the exact objective at every point probed; reported values are
+always exact evaluations, and the reported duality gap is computed from the
+exact subgradient, so it upper-bounds the true suboptimality.
+
+A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
+``exact`` runs on the exact objective and its subgradient):
+
+    solver                   tau schedule         atoms/stage     gap target
+    frank_wolfe              exact                max(12, m//8)   tol
+    rel_ent_of_resource      exact                max(12, m//8)   tol
+    min_positive_part        1e-3, 1e-6, 1e-8     max(12, m//24)  tol / 4
+    hypothesis_dual          1e-3, 1e-6, 1e-8     max(20, m//3)   tol / 4
+    generalized_robustness   1e-2, 1e-5, exact    max(12, m//24)  tol / 4
+    distance_to_family       1e-3, 1e-6, exact    max(12, m//24)  tol / 4
+
+Oracles and iterates are plain matrices; a ``DensityMatrix`` is built only
+for the minimizer a solver returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +52,6 @@ class SolverSettings:
     max_iters: int = 400
     tol: float = 1e-7
     seed: int = 0
-    restarts: int = 32
 
     def __post_init__(self):
         if self.tol <= 0.0 or self.max_iters < 1:
@@ -108,16 +122,15 @@ def _corrective_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
         entry[1] = float(wi)
 
 
-def _vertex_lmo(family: FreeFamily, seed: int):
-    """The family's linear oracle as a map from gradient to plain matrix."""
-    return lambda grad: family.lmo(grad, seed).mat
-
-
 def _fcfw_minimize(eval_fn, lmo, start: np.ndarray, max_outer: int,
                    gap_tol: float, tracker: _Tracker) -> tuple[np.ndarray, int]:
     """Fully-corrective Frank-Wolfe: grow the atom set through the linear
     oracle ``lmo(grad) -> matrix``, re-optimizing the hull weights after
-    every new atom."""
+    every new atom.
+
+    ``eval_fn(mat, need_grad)`` returns (surrogate value, gradient or None,
+    exact value).  Exact values of every probe go to the tracker.
+    """
     sigma = start.copy()
     atoms: list[list] = [[sigma.copy(), 1.0]]
     _, grad, exact = eval_fn(sigma, True)
@@ -143,21 +156,58 @@ def _fcfw_minimize(eval_fn, lmo, start: np.ndarray, max_outer: int,
     return sigma, iters
 
 
-def _fw_minimize(eval_fn, lmo, start: np.ndarray, max_iters: int,
-                 gap_tol: float, tracker: _Tracker) -> tuple[np.ndarray, int]:
-    """Frank-Wolfe driver; the outer budget scales down from max_iters.
+def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
+            gap_tol: float) -> tuple[_Tracker, int]:
+    """The one Frank-Wolfe routine: a fully-corrective solve per temperature.
 
-    ``eval_fn(mat, need_grad)`` returns (surrogate value, gradient or None,
-    exact value).  Exact values of every probe go to the tracker.
+    ``make_eval(tau)`` is the evaluator at temperature tau (``None`` for the
+    exact objective).  Each stage gets ``stage_atoms`` atoms and starts at
+    the last iterate of the one before; the schedule stops after a stage
+    whose first oracle call certifies its start.  Returns the tracker of
+    exact values and the iterations summed over the stages.
     """
-    return _fcfw_minimize(eval_fn, lmo, start, max(12, max_iters // 8),
-                          gap_tol, tracker)
+    tracker = _Tracker()
+    x, total = start, 0
+    for tau in taus:
+        x, it = _fcfw_minimize(make_eval(tau), lmo, x, stage_atoms, gap_tol,
+                               tracker)
+        total += it
+        if it <= 1:
+            break  # the oracle certifies the start point already
+    return tracker, total
 
 
-def _certified_gap(grad: np.ndarray, sigma: np.ndarray,
-                   family: FreeFamily, seed: int) -> float:
-    s = family.lmo(grad, seed).mat
-    return max(0.0, _tr_prod(grad, sigma - s))
+def _feasible_start(family: FreeFamily, seed: int,
+                    start: DensityMatrix | None = None) -> np.ndarray:
+    """``start`` if given, else the full-rank witness, else the oracle's
+    answer to a zero gradient (a singular IID member has no full-rank
+    witness)."""
+    if start is not None:
+        return start.mat
+    try:
+        return family.full_rank_witness().mat
+    except NoFullRankMember:
+        d = family.total_dim
+        return family.lmo(np.zeros((d, d), dtype=complex), seed)
+
+
+def _as_state(family: FreeFamily, mat: np.ndarray) -> DensityMatrix:
+    return DensityMatrix(HermitianOperator(family.shape, mat))
+
+
+def _certified(tracker: _Tracker, iters: int, subgrad, family: FreeFamily,
+               settings: SolverSettings,
+               minimizer: np.ndarray | None = None) -> OptResult:
+    """Result at the best probe, with the Frank-Wolfe gap of the exact
+    (sub)gradient ``subgrad(best)`` against the family's vertex oracle, so
+    the gap certifies against the whole family."""
+    best = tracker.best_mat
+    grad = subgrad(best)
+    gap = max(0.0, _tr_prod(grad, best - family.lmo(grad, settings.seed)))
+    return OptResult(tracker.best_value,
+                     _as_state(family, best if minimizer is None
+                               else minimizer),
+                     gap, iters, gap <= settings.tol)
 
 
 def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
@@ -168,22 +218,15 @@ def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
     ``value_fn`` and ``grad_fn`` act on plain matrices; the returned gap is
     evaluated with ``grad_fn`` at the minimizer and certifies suboptimality.
     """
-    tracker = _Tracker()
-
     def eval_fn(mat, need_grad):
         v = float(value_fn(mat))
-        g = grad_fn(mat) if need_grad else None
-        return v, g, v
+        return v, grad_fn(mat) if need_grad else None, v
 
-    init = start.mat if start is not None else family.full_rank_witness().mat
-    sigma, iters = _fw_minimize(eval_fn, _vertex_lmo(family, settings.seed),
-                                init, settings.max_iters, settings.tol,
-                                tracker)
-    best = tracker.best_mat
-    gap = _certified_gap(grad_fn(best), best, family, settings.seed)
-    return OptResult(tracker.best_value,
-                     DensityMatrix(HermitianOperator(family.shape, best)),
-                     gap, iters, gap <= settings.tol)
+    tracker, iters = _anneal(lambda _: eval_fn, (None,),
+                             partial(family.lmo, seed=settings.seed),
+                             _feasible_start(family, settings.seed, start),
+                             max(12, settings.max_iters // 8), settings.tol)
+    return _certified(tracker, iters, grad_fn, family, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -233,34 +276,25 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     subgradient -b P_+, with P_+ the projector onto the strictly positive
     eigenspace at the minimizer.
     """
-    rho_mat = rho.mat
-    witness = family.full_rank_witness().mat
     if b < 0.0:
         raise ValueError("b must be nonnegative")
-    tracker = _Tracker()
+    rho_mat = rho.mat
     if b == 0.0:
-        val = opalg.positive_part_trace(rho_mat)
-        return OptResult(val, DensityMatrix(HermitianOperator(family.shape,
-                                                              witness)),
+        return OptResult(opalg.positive_part_trace(rho_mat),
+                         _as_state(family,
+                                   _feasible_start(family, settings.seed)),
                          0.0, 0, True)
-    sigma = start.mat if start is not None else witness
-    lmo = _vertex_lmo(family, settings.seed)
-    if _symmetric_search(family, rho_mat, sigma):
-        lmo = family.type_class_lmo
-    total_iters = 0
-    stage_iters = max(20, settings.max_iters // 3)
-    for tau in (1e-3, 1e-6, 1e-8):
-        sigma, it = _fw_minimize(_pospart_eval(rho_mat, b, tau), lmo, sigma,
-                                 stage_iters, settings.tol / 4.0, tracker)
-        total_iters += it
-        if it <= 1:
-            break  # the oracle certifies the start point already
-    best = tracker.best_mat
-    g = -b * opalg.positive_eigenprojector(rho_mat - b * best)
-    gap = _certified_gap(g, best, family, settings.seed)
-    return OptResult(tracker.best_value,
-                     DensityMatrix(HermitianOperator(family.shape, best)),
-                     gap, total_iters, gap <= settings.tol)
+    sigma = _feasible_start(family, settings.seed, start)
+    lmo = (family.type_class_lmo if _symmetric_search(family, rho_mat, sigma)
+           else partial(family.lmo, seed=settings.seed))
+    tracker, iters = _anneal(partial(_pospart_eval, rho_mat, b),
+                             (1e-3, 1e-6, 1e-8), lmo, sigma,
+                             max(12, settings.max_iters // 24),
+                             settings.tol / 4.0)
+    return _certified(
+        tracker, iters,
+        lambda m: -b * opalg.positive_eigenprojector(rho_mat - b * m),
+        family, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +360,13 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
         raise ValueError("K must be positive")
     budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
-    try:
-        sigma_bar = family.full_rank_witness().mat
-    except NoFullRankMember:
-        sigma_bar = family.lmo(np.zeros_like(eta_mat), settings.seed).mat
+    sigma_bar = _feasible_start(family, settings.seed)
     best_val, best_E = 0.0, np.zeros_like(eta_mat)
     stale = 0
     rounds = min(max(40, settings.max_iters), 400)
     for t in range(1, rounds + 1):
         E = _np_test(eta_mat, sigma_bar, budget)
-        worst = family.lmo(-E, settings.seed).mat
+        worst = family.lmo(-E, settings.seed)
         m = _tr_prod(E, worst)
         val = _tr_prod(E, eta_mat)
         if m > budget:
@@ -351,7 +382,7 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
             if stale > 25:
                 break
         sigma_bar = ((t - 1) * sigma_bar + worst) / t
-    check = _tr_prod(best_E, family.lmo(-best_E, settings.seed).mat)
+    check = _tr_prod(best_E, family.lmo(-best_E, settings.seed))
     if check > budget + 1e-9:
         raise ConstraintUncertified(
             f"exit constraint {check:.3e} exceeds budget {budget:.3e}")
@@ -390,26 +421,18 @@ def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
     if K <= 0.0:
         raise ValueError("K must be positive")
     eta_mat = eta.mat
-    try:
-        witness = family.full_rank_witness().mat
-    except NoFullRankMember:
-        witness = family.lmo(np.zeros_like(eta_mat), settings.seed).mat
-    x = min(1.0, K) * witness
-    member_lmo = _vertex_lmo(family, settings.seed)
-    if _symmetric_search(family, eta_mat, witness):
-        member_lmo = family.type_class_lmo
+    member = _feasible_start(family, settings.seed)
+    member_lmo = (family.type_class_lmo
+                  if _symmetric_search(family, eta_mat, member)
+                  else partial(family.lmo, seed=settings.seed))
 
     def lmo(grad: np.ndarray) -> np.ndarray:
         s = K * member_lmo(grad)
         return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
 
-    tracker = _Tracker()
-    stage_iters = max(20, settings.max_iters // 3)
-    for tau in (1e-3, 1e-6, 1e-8):
-        x, it = _fcfw_minimize(_dual_eval(eta_mat, K, tau), lmo, x,
-                               stage_iters, settings.tol / 4.0, tracker)
-        if it <= 1:
-            break
+    tracker, _ = _anneal(partial(_dual_eval, eta_mat, K), (1e-3, 1e-6, 1e-8),
+                         lmo, min(1.0, K) * member,
+                         max(20, settings.max_iters // 3), settings.tol / 4.0)
     return tracker.best_value
 
 
@@ -453,17 +476,12 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
     witness = family.full_rank_witness().mat
     floor = 1e-9
     eval_fn = _relent_eval(rho.mat, witness, floor)
-    tracker = _Tracker()
-    sigma, iters = _fw_minimize(eval_fn, _vertex_lmo(family, settings.seed),
-                                witness, settings.max_iters, settings.tol,
-                                tracker)
-    best = tracker.best_mat
-    _, grad, _ = eval_fn(best, True)
-    gap = _certified_gap(grad, best, family, settings.seed)
-    mixed = (1.0 - floor) * best + floor * witness
-    return OptResult(tracker.best_value,
-                     DensityMatrix(HermitianOperator(family.shape, mixed)),
-                     gap, iters, gap <= settings.tol)
+    tracker, iters = _anneal(lambda _: eval_fn, (None,),
+                             partial(family.lmo, seed=settings.seed), witness,
+                             max(12, settings.max_iters // 8), settings.tol)
+    mixed = (1.0 - floor) * tracker.best_mat + floor * witness
+    return _certified(tracker, iters, lambda m: eval_fn(m, True)[1], family,
+                      settings, mixed)
 
 
 def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
@@ -509,21 +527,6 @@ def _lambda_max_eval(rho_mat: np.ndarray, scale: float, tau: float | None):
     return eval_fn
 
 
-def _min_lambda_max(rho_mat: np.ndarray, scale: float, family: FreeFamily,
-                    settings: SolverSettings) -> tuple[float, np.ndarray]:
-    tracker = _Tracker()
-    sigma = family.full_rank_witness().mat
-    stage_iters = max(20, settings.max_iters // 3)
-    lmo = _vertex_lmo(family, settings.seed)
-    for tau in (1e-2, 1e-5, None):
-        sigma, it = _fw_minimize(_lambda_max_eval(rho_mat, scale, tau), lmo,
-                                 sigma, stage_iters, settings.tol / 4.0,
-                                 tracker)
-        if it <= 1:
-            break
-    return tracker.best_value, tracker.best_mat
-
-
 def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
                            settings: SolverSettings = SolverSettings(),
                            s_tol: float = 1e-6,
@@ -535,15 +538,19 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
     rho - (1+s) sigma over the family; bisection on s.
     """
     feas_tol = 1e-9
+    start = _feasible_start(family, settings.seed)
+    lmo = partial(family.lmo, seed=settings.seed)
 
     def feasible(s: float):
-        val, mat = _min_lambda_max(rho.mat, 1.0 + s, family, settings)
-        return val <= feas_tol, mat
+        tracker, _ = _anneal(partial(_lambda_max_eval, rho.mat, 1.0 + s),
+                             (1e-2, 1e-5, None), lmo, start,
+                             max(12, settings.max_iters // 24),
+                             settings.tol / 4.0)
+        return tracker.best_value <= feas_tol, tracker.best_mat
 
     ok, mat = feasible(0.0)
     if ok:
-        out = (0.0, DensityMatrix(HermitianOperator(family.shape, mat)))
-        return out if return_witness else 0.0
+        return (0.0, _as_state(family, mat)) if return_witness else 0.0
     lo, hi = 0.0, 1.0
     mat_hi = None
     for _ in range(60):
@@ -562,7 +569,7 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
         else:
             lo = mid
     if return_witness:
-        return hi, DensityMatrix(HermitianOperator(family.shape, mat_hi))
+        return hi, _as_state(family, mat_hi)
     return hi
 
 
@@ -595,21 +602,12 @@ def distance_to_family(sigma_tilde: DensityMatrix, family: FreeFamily,
                        start: DensityMatrix | None = None) -> OptResult:
     """min over the family of || sigma_tilde - sigma ||_1."""
     target = sigma_tilde.mat
-    tracker = _Tracker()
-    sigma = (start.mat if start is not None
-             else family.full_rank_witness().mat)
-    stage_iters = max(20, settings.max_iters // 3)
-    total = 0
-    lmo = _vertex_lmo(family, settings.seed)
-    for tau in (1e-3, 1e-6, None):
-        sigma, it = _fw_minimize(_distance_eval(target, tau), lmo, sigma,
-                                 stage_iters, settings.tol / 4.0, tracker)
-        total += it
-        if it <= 1:
-            break
-    best = tracker.best_mat
-    _, grad, _ = _distance_eval(target, None)(best, True)
-    gap = _certified_gap(grad, best, family, settings.seed)
-    return OptResult(tracker.best_value,
-                     DensityMatrix(HermitianOperator(family.shape, best)),
-                     gap, total, gap <= settings.tol)
+    tracker, iters = _anneal(partial(_distance_eval, target),
+                             (1e-3, 1e-6, None),
+                             partial(family.lmo, seed=settings.seed),
+                             _feasible_start(family, settings.seed, start),
+                             max(12, settings.max_iters // 24),
+                             settings.tol / 4.0)
+    return _certified(tracker, iters,
+                      lambda m: _distance_eval(target, None)(m, True)[1],
+                      family, settings)

@@ -70,11 +70,18 @@ def mr_schedule(N: int) -> Schedule:
     return Schedule(N, M, R)
 
 
-def epsilon_schedule(N: int, M: int, R: int, y: float, mu: float) -> float:
-    """Mixing weight produced by the two approximation steps."""
+def _epsilon_terms(N: int, M: int, R: int, y: float,
+                   mu: float) -> tuple[float, float, float]:
+    """Mixing weight eps and the weights a (conditioning) and b (tail
+    truncation) of its two approximation steps."""
     a = 2.0 * math.sqrt(2.0) / (mu * math.exp(M * R / (2.0 * N)))
     b = 2.0 * math.sqrt(2.0 * R) / N
-    return 2.0 * mu ** 3 / (2.0 ** (y * N)) * (a + b)
+    return 2.0 * mu ** 3 / (2.0 ** (y * N)) * (a + b), a, b
+
+
+def epsilon_schedule(N: int, M: int, R: int, y: float, mu: float) -> float:
+    """Mixing weight produced by the two approximation steps."""
+    return _epsilon_terms(N, M, R, y, mu)[0]
 
 
 @dataclass
@@ -229,9 +236,7 @@ def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
     near-free state, and the final dominance certificate."""
     N, M, R = schedule.N, schedule.M, schedule.R
     mu, y = trace.mu_N, trace.y
-    a = 2.0 * math.sqrt(2.0) / (mu * math.exp(M * R / (2.0 * N)))
-    b = 2.0 * math.sqrt(2.0 * R) / N
-    eps = 2.0 * mu ** 3 / (2.0 ** (y * N)) * (a + b)
+    eps, a, b = _epsilon_terms(N, M, R, y, mu)
     trace.eps_N = eps
     trace.c_N = eps * 2.0 ** (y * N) / (2.0 * mu)
     blended = (a * delta_nm.mat + b * delta_nmr.mat) / (a + b)
@@ -326,7 +331,7 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
                           float(eigh(gap)[0][0]), 1e-9))
 
     # defect projector with respect to the base ray
-    comps_proj = _defect_projector(q, N - M, R)
+    comps_proj = symmetry.defect_projector(q, N - M, R)
     kept = comps_proj @ rho_nm.mat @ comps_proj
     p_keep = float(np.trace(kept).real)
     if p_keep <= 1e-12:
@@ -350,19 +355,6 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
                                     range(R))
     _assemble_sigma_tilde(trace, schedule, delta_nm, delta_nmr)
     return trace
-
-
-def _defect_projector(base: PureState, n: int, R: int) -> np.ndarray:
-    """Projector onto components with at most R factors off the base ray."""
-    d = base.shape.total_dim
-    U = symmetry._unitary_with_first_column(base.vec)
-    digits = np.array(np.unravel_index(np.arange(d ** n), (d,) * n))
-    defects = (digits != 0).sum(axis=0)
-    mask = (defects <= R).astype(float)
-    u_n = np.array([1.0 + 0j])
-    for _ in range(n):
-        u_n = np.kron(u_n, U)
-    return (u_n * mask) @ u_n.conj().T
 
 
 def relent_bound_certificate(trace: PipelineTrace,

@@ -70,13 +70,6 @@ def sym_residual(v: PureState) -> float:
     return float(np.linalg.norm(v.vec - basis @ coeff))
 
 
-def permutation_unitary_apply(vec: np.ndarray, dims: tuple[int, ...],
-                              perm: tuple[int, ...]) -> np.ndarray:
-    """Apply the unitary that sends factor perm[k] to slot k."""
-    t = vec.reshape(dims).transpose(perm)
-    return t.reshape(-1)
-
-
 def twirl(a: HermitianOperator) -> HermitianOperator:
     """Average of U_pi a U_pi^dag over all permutations of equal subsystems."""
     dims = a.shape.dims
@@ -230,6 +223,27 @@ def _unitary_with_first_column(b: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _rotate_factors(t: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Apply U to every tensor factor (every axis) of t."""
+    for ax in range(t.ndim):
+        t = np.moveaxis(np.tensordot(U, t, axes=(1, ax)), 0, ax)
+    return t
+
+
+def defect_projector(base: PureState, n: int, R: int) -> np.ndarray:
+    """Projector onto the components of n factors with at most R factors
+    off the base ray."""
+    d = base.shape.total_dim
+    U = _unitary_with_first_column(base.vec)
+    digits = np.array(np.unravel_index(np.arange(d ** n), (d,) * n))
+    defects = (digits != 0).sum(axis=0)
+    mask = (defects <= R).astype(float)
+    u_n = np.array([1.0 + 0j])
+    for _ in range(n):
+        u_n = np.kron(u_n, U)
+    return (u_n * mask) @ u_n.conj().T
+
+
 def grade_by_defect(v: PureState, base: PureState) -> list[np.ndarray]:
     """Split v into components with exactly r factors outside the base ray.
 
@@ -242,20 +256,12 @@ def grade_by_defect(v: PureState, base: PureState) -> list[np.ndarray]:
         raise ValueError("grading needs equal factor dimensions matching the base")
     n = len(dims)
     U = _unitary_with_first_column(base.vec)
-    Ud = U.conj().T
-    t = v.vec.reshape(dims)
-    for ax in range(n):
-        t = np.moveaxis(np.tensordot(Ud, t, axes=(1, ax)), 0, ax)
-    rotated = t.reshape(-1)
+    rotated = _rotate_factors(v.vec.reshape(dims), U.conj().T).reshape(-1)
     digits = np.array(np.unravel_index(np.arange(d ** n), dims))
     defects = (digits != 0).sum(axis=0)
-    out = []
-    for r in range(n + 1):
-        comp = np.where(defects == r, rotated, 0.0).reshape(dims)
-        for ax in range(n):
-            comp = np.moveaxis(np.tensordot(U, comp, axes=(1, ax)), 0, ax)
-        out.append(comp.reshape(-1))
-    return out
+    return [_rotate_factors(np.where(defects == r, rotated, 0.0).reshape(dims),
+                            U).reshape(-1)
+            for r in range(n + 1)]
 
 
 def extract_almost_power_spec(v: PureState, base: PureState,
@@ -265,10 +271,7 @@ def extract_almost_power_spec(v: PureState, base: PureState,
     d = dims[0]
     n = len(dims)
     U = _unitary_with_first_column(base.vec)
-    Ud = U.conj().T
-    t = v.vec.reshape(dims)
-    for ax in range(n):
-        t = np.moveaxis(np.tensordot(Ud, t, axes=(1, ax)), 0, ax)
+    t = _rotate_factors(v.vec.reshape(dims), U.conj().T)
     betas: list[complex] = []
     comps: list[PureState | None] = []
     for r in range(R + 1):
@@ -287,9 +290,7 @@ def extract_almost_power_spec(v: PureState, base: PureState,
             betas[-1] = 0.0
             continue
         psi_rot = math.sqrt(math.comb(n, r)) * flat / beta
-        psi = psi_rot.reshape((d,) * r)
-        for ax in range(r):
-            psi = np.moveaxis(np.tensordot(U, psi, axes=(1, ax)), 0, ax)
+        psi = _rotate_factors(psi_rot.reshape((d,) * r), U)
         comps.append(PureState(SystemShape((d,) * r), psi.reshape(-1)))
     total = sum(abs(b) ** 2 for b in betas)
     betas = [b / math.sqrt(total) for b in betas]
@@ -553,9 +554,7 @@ def random_almost_power(rng: np.random.Generator, base: PureState,
             acc += t.transpose(p)
         emb = np.zeros((d,) * r, dtype=complex)
         emb[(slice(1, None),) * r] = acc
-        for ax in range(r):
-            emb = np.moveaxis(np.tensordot(U, emb, axes=(1, ax)), 0, ax)
-        flat = emb.reshape(-1)
+        flat = _rotate_factors(emb, U).reshape(-1)
         comps.append(PureState(SystemShape((d,) * r),
                                flat / np.linalg.norm(flat)))
     spec = AlmostPowerSpec(base, n_factors, R, tuple(map(complex, betas)),

@@ -374,8 +374,8 @@ def check_almost_power_fixed_point(trials: int, seed: int) -> CheckResult:
         base = random_pure(rng, SystemShape((d,)))
         v = symmetry.random_almost_power(rng, base, n, R)
         perm = tuple(rng.permutation(n))
-        moved = symmetry.permutation_unitary_apply(v.vec, v.shape.dims, perm)
-        margins.append(-float(np.linalg.norm(moved - v.vec)))
+        moved = opalg.permute_pure(v, perm)
+        margins.append(-float(np.linalg.norm(moved.vec - v.vec)))
     return CheckResult("almost-power-fixed-point", np.array(margins), 1e-10)
 
 

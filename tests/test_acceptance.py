@@ -26,6 +26,9 @@ from oracles import (classical_neyman_pearson, classical_threshold_value,
                      coherence_power_state, diagonal_threshold_optimum,
                      robustness_qubit_diagonal_grid)
 
+# minutes of solver work in all; ``pytest -m "not slow"`` skips them
+pytestmark = pytest.mark.slow
+
 H08 = binary_entropy(0.8)
 
 

@@ -87,6 +87,29 @@ n_grid = 2,4
         for line in open(out).read().strip().splitlines()[1:]:
             assert float(line.split(",")[2]) == 0.0
 
+    def test_singular_sigma0(self, tmp_path):
+        # the only free state is pure, so each row is Tr[(rho^N - b s^N)_+]
+        path = tmp_path / "pure.op"
+        sigma0 = np.diag([1.0, 0.0])
+        opalg.save_density(opalg.density(sigma0), str(path))
+        out = str(tmp_path / "s.csv")
+        cfg = write_cfg(tmp_path, "s.cfg", f"""
+state = classical:0.75
+family = iid:{path}
+y_grid = 0.1,0.3
+n_grid = 2,3
+""")
+        assert cli.main(["exponent", "--config", cfg, "--out", out]) == 0
+        rho = np.diag([0.75, 0.25])
+        for line in open(out).read().strip().splitlines()[1:]:
+            n_s, y_s, e_s, _ = line.split(",")
+            n, y = int(n_s), float(y_s)
+            rho_n, sigma_n = rho, sigma0
+            for _ in range(n - 1):
+                rho_n, sigma_n = np.kron(rho_n, rho), np.kron(sigma_n, sigma0)
+            want = opalg.positive_part_trace(rho_n - 2.0 ** (y * n) * sigma_n)
+            assert abs(float(e_s) - want) < 1e-11
+
     def test_gnuplot_companion(self, tmp_path, sigma0_file):
         out = str(tmp_path / "g.csv")
         cfg = write_cfg(tmp_path, "g.cfg", f"""
@@ -227,6 +250,6 @@ max_iters = 400
 """)
         out = str(tmp_path / "f.csv")
         assert cli.main(["exponent", "--config", cfg, "--out", out,
-                         "--max-iters", "64", "--restarts", "8"]) == 0
+                         "--max-iters", "64"]) == 0
         assert cli.main(["exponent", "--config", cfg, "--out", out,
                          "--max-iters", "0"]) == 2

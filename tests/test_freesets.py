@@ -55,21 +55,21 @@ class TestLinearOracle:
         fam = DiagonalFamily(2, 2)
         g = np.diag([3.0, 1.0, 2.0, 5.0])
         out = fam.lmo(g)
-        assert abs(out.mat[1, 1] - 1.0) < 1e-14
+        assert abs(out[1, 1] - 1.0) < 1e-14
 
     def test_diagonal_exactness(self):
         fam = DiagonalFamily(3, 1)
         for _ in range(20):
             g = rand.random_hermitian(RNG, SystemShape((3,))).mat
             out = fam.lmo(g)
-            val = float(np.einsum("ij,ji->", g, out.mat).real)
+            val = float(np.einsum("ij,ji->", g, out).real)
             assert abs(val - float(np.diag(g).real.min())) < 1e-13
 
     def test_full_space_rayleigh(self):
         fam = FullSpaceFamily(4, 1)
         g = rand.random_hermitian(RNG, SystemShape((4,))).mat
         out = fam.lmo(g)
-        val = float(np.einsum("ij,ji->", g, out.mat).real)
+        val = float(np.einsum("ij,ji->", g, out).real)
         assert abs(val - float(np.linalg.eigvalsh(g)[0])) < 1e-10
 
     def test_separable_bell_overlap(self):
@@ -78,7 +78,7 @@ class TestLinearOracle:
         assert abs(grid - 0.5) < 1e-3
         fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=16)
         out = fam.lmo(-bell_state().mat, seed=0)
-        val = float(np.einsum("ij,ji->", -bell_state().mat, out.mat).real)
+        val = float(np.einsum("ij,ji->", -bell_state().mat, out).real)
         assert abs(val - (-0.5)) < 1e-9
 
     def test_lmo_outputs_are_members(self):
@@ -87,7 +87,8 @@ class TestLinearOracle:
         for fam in fams:
             for _ in range(200):
                 g = rand.random_hermitian(RNG, fam.shape).mat
-                assert fam.membership(fam.lmo(g), 1e-8)
+                out = opalg.density(fam.lmo(g), fam.shape.dims)
+                assert fam.membership(out, 1e-8)
 
     def test_seesaw_sweep_is_monotone(self):
         # each alternating step solves an eigenproblem exactly, so the
@@ -112,8 +113,36 @@ class TestLinearOracle:
         fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=4)
         for seed in range(3):
             g = rand.random_hermitian(RNG, fam.shape).mat
-            out = fam.lmo(g, seed=seed)
+            out = opalg.density(fam.lmo(g, seed=seed), fam.shape.dims)
             assert fam.membership(out, 1e-3)
+
+
+LMO_FAMILIES = {
+    "diagonal": DiagonalFamily(2, 2),
+    "iid": SingletonIIDFamily(2, 2, sigma0=np.diag([0.7, 0.3])),
+    "full": FullSpaceFamily(4, 1),
+    "sep": SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=8),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LMO_FAMILIES))
+def test_lmo_contract(kind):
+    # a plain matrix of the family's dimension that validates as a state,
+    # is a member, and is no worse than any member on the linear objective
+    fam = LMO_FAMILIES[kind]
+    rng = np.random.default_rng(29)
+    slack = fam.seesaw_tol if kind == "sep" else 1e-12
+    for _ in range(3):
+        g = rand.random_hermitian(rng, fam.shape).mat
+        out = fam.lmo(g, seed=0)
+        assert type(out) is np.ndarray
+        assert out.shape == (fam.total_dim, fam.total_dim)
+        assert fam.membership(opalg.density(out, fam.shape.dims),
+                              fam.membership_check_tol)
+        val = float(np.einsum("ij,ji->", g, out).real)
+        for _ in range(10):
+            m = fam.random_member(rng).mat
+            assert val <= float(np.einsum("ij,ji->", g, m).real) + slack
 
 
 class TestWitness:
@@ -213,6 +242,6 @@ class TestTypeClassOracle:
         for _ in range(20):
             g = symmetry.twirl(rand.random_hermitian(rng, fam.shape)).mat
             val = float(np.einsum("ij,ji->", g, fam.type_class_lmo(g)).real)
-            vertex = float(np.einsum("ij,ji->", g, fam.lmo(g).mat).real)
+            vertex = float(np.einsum("ij,ji->", g, fam.lmo(g)).real)
             assert abs(vertex - float(np.diag(g).real.min())) < 1e-13
             assert abs(val - vertex) < 1e-13

@@ -7,7 +7,7 @@ from qstein import opalg, rand
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
-from qstein.errors import DimensionCap
+from qstein.errors import DimensionCap, NoFullRankMember
 from qstein.opalg import SystemShape
 from qstein.optim import (SolverSettings, distance_to_family, frank_wolfe,
                           generalized_robustness, hypothesis_dual,
@@ -78,6 +78,15 @@ class TestMinPositivePart:
         rho = opalg.density(np.diag([0.75, 0.25]))
         res = min_positive_part(rho, 2.0, fam, FAST)
         assert res.value == 0.0  # Tr[(rho - I)_+] = 0
+
+    def test_singular_sigma0(self):
+        # the only member diag(1,0,0,0) has no full-rank witness; the value
+        # is Tr[(rho - 2 sigma)_+] = Tr[diag(-1.5, 0.5, 0, 0)_+]
+        fam = SingletonIIDFamily(2, 2, sigma0=np.diag([1.0, 0.0]))
+        rho = opalg.density(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
+        res = min_positive_part(rho, 2.0, fam, FAST)
+        assert res.value == 0.5
+        assert res.converged
 
     def test_matches_typeclass_oracle(self):
         p = 0.8
@@ -277,6 +286,17 @@ class TestResourceMeasures:
         got = generalized_robustness(rho, DiagonalFamily(2, 1), FAST)
         want = robustness_qubit_diagonal_grid(rho.mat)
         assert abs(got - want) < 5e-4
+
+    def test_singular_sigma0_family(self):
+        # distance and robustness start from the only member; the relative
+        # entropy needs a full-rank witness and still refuses
+        fam = SingletonIIDFamily(2, 1, sigma0=np.diag([1.0, 0.0]))
+        rho = opalg.density(np.eye(2) / 2)
+        assert abs(distance_to_family(rho, fam, FAST).value - 1.0) < 1e-12
+        member = opalg.density(np.diag([1.0, 0.0]))
+        assert generalized_robustness(member, fam, FAST) == 0.0
+        with pytest.raises(NoFullRankMember):
+            rel_ent_of_resource(rho, fam, FAST)
 
     def test_distance_member_zero(self):
         fam = DiagonalFamily(2, 1)
