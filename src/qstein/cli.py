@@ -211,14 +211,10 @@ def cmd_pipeline(args) -> int:
     try:
         trace = pipeline.run_direct_part(rho, y, n, family, settings)
     except PremiseOutOfInterval as exc:
+        if not args.expect_premise_fail:
+            raise
         print(f"premise out of interval: {exc}")
-        return EXIT_OK if args.expect_premise_fail else EXIT_PREMISE
-    except CertificateFailed as exc:
-        print(str(exc))
-        return EXIT_CERTIFICATE
-    except DimensionCap as exc:
-        print(f"dimension cap: {exc}")
-        return EXIT_DIMENSION
+        return EXIT_OK
     pipeline.save_trace(trace, outdir)
     for cert in trace.certificates:
         print(cert)
@@ -245,7 +241,7 @@ def cmd_pn(args) -> int:
         raise ConfigError("pn needs either 'k' or 'y' (with 'n') in the config")
     settings = _settings_from(cfg, args)
     family = parse_family_spec(cfg["family"], rho.total_dim, n)
-    eta = DensityMatrix(opalg.tensor_power(rho.op, n)) if n > 1 else rho
+    eta = DensityMatrix(opalg.tensor_power(rho.op, n))
     primal = hypothesis_primal(eta, K, family, settings)
     dual = hypothesis_dual(eta, K, family, settings)
     print(f"primal = {_fmt(primal)}")

@@ -171,20 +171,16 @@ class SingletonIIDFamily(FreeFamily):
         m.setflags(write=False)
         object.__setattr__(self, "sigma0", m)
 
-    def _power(self) -> np.ndarray:
-        out = self.sigma0
-        for _ in range(self.copies - 1):
-            out = np.kron(out, self.sigma0)
-        return out
-
     def _member(self) -> DensityMatrix:
-        return DensityMatrix(HermitianOperator(self.shape, self._power()))
+        return DensityMatrix(HermitianOperator(
+            self.shape, opalg.kron_power(self.sigma0, self.copies)))
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
-        return opalg.trace_norm_mat(sigma.mat - self._power())
+        return opalg.trace_norm_mat(
+            sigma.mat - opalg.kron_power(self.sigma0, self.copies))
 
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
-        return self._power()
+        return opalg.kron_power(self.sigma0, self.copies)
 
     def full_rank_witness(self) -> DensityMatrix:
         w = self._member()
@@ -242,25 +238,6 @@ class SeparableHullFamily(FreeFamily):
     def membership_check_tol(self) -> float:
         return SEP_MEMBER_TOL
 
-    def _to_blocks(self, mat: np.ndarray) -> np.ndarray:
-        """Reorder (A1 B1 A2 B2 ...) into (A-block, B-block)."""
-        n = self.copies
-        dims = (self.dim_a, self.dim_b) * n
-        order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-        t = mat.reshape(dims + dims)
-        t = t.transpose(order + [2 * n + i for i in order])
-        d = self.total_dim
-        return t.reshape(d, d)
-
-    def _vec_from_blocks(self, vec: np.ndarray) -> np.ndarray:
-        n = self.copies
-        da, db = self.dim_a ** n, self.dim_b ** n
-        dims = (self.dim_a,) * n + (self.dim_b,) * n
-        order = []
-        for k in range(n):
-            order += [k, n + k]
-        return vec.reshape(dims).transpose(order).reshape(-1)
-
     def membership_defect(self, sigma: DensityMatrix) -> float:
         from .optim import SolverSettings, distance_to_family
         res = distance_to_family(sigma, self, SolverSettings(max_iters=300,
@@ -270,7 +247,8 @@ class SeparableHullFamily(FreeFamily):
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         n = self.copies
         da, db = self.dim_a ** n, self.dim_b ** n
-        g4 = self._to_blocks(grad).reshape(da, db, da, db)
+        g4 = opalg.pairs_to_blocks(grad, self.dim_a, self.dim_b,
+                                   n).reshape(da, db, da, db)
         rng = np.random.default_rng(seed)
         best_val, best_pair = np.inf, None
         for _ in range(self.n_restarts):
@@ -294,7 +272,8 @@ class SeparableHullFamily(FreeFamily):
             if val < best_val:
                 best_val, best_pair = val, (a, b)
         a, b = best_pair
-        return _ray(self._vec_from_blocks(np.kron(a, b)))
+        return _ray(opalg.blocks_to_pairs(np.kron(a, b), self.dim_a,
+                                          self.dim_b, n))
 
     def full_rank_witness(self) -> DensityMatrix:
         return opalg.maximally_mixed(self.shape)
@@ -308,8 +287,9 @@ class SeparableHullFamily(FreeFamily):
         for w in weights:
             a = rng.standard_normal(da) + 1j * rng.standard_normal(da)
             b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-            vec = self._vec_from_blocks(np.kron(a / np.linalg.norm(a),
-                                                b / np.linalg.norm(b)))
+            vec = opalg.blocks_to_pairs(np.kron(a / np.linalg.norm(a),
+                                                b / np.linalg.norm(b)),
+                                        self.dim_a, self.dim_b, n)
             m += w * np.outer(vec, vec.conj())
         return DensityMatrix(HermitianOperator(self.shape, m))
 
@@ -348,10 +328,7 @@ def check_property(family: FreeFamily, property_id: int, trials: int,
             fam_lo = family.at_copies(n_hi - 1)
             member = fam_hi.random_member(rng)
             which = int(rng.integers(n_hi))
-            if fam_hi.kind == "sep":
-                red = _trace_out_pair(member, fam_hi, which)
-            else:
-                red = opalg.partial_trace(member.op, [which])
+            red = opalg.partial_trace(member.op, [which])
             margins.append(tol - fam_lo.membership_defect(DensityMatrix(red)))
         elif property_id == 4:
             fam_1 = family.at_copies(1)
@@ -366,15 +343,6 @@ def check_property(family: FreeFamily, property_id: int, trials: int,
             moved = opalg.permute_subsystems(member.op, perm)
             margins.append(tol - fam_hi.membership_defect(DensityMatrix(moved)))
     return PropertyReport(property_id, trials, float(min(margins)))
-
-
-def _trace_out_pair(member: DensityMatrix, fam: SeparableHullFamily,
-                    which: int) -> HermitianOperator:
-    dims = (fam.dim_a, fam.dim_b) * fam.copies
-    fine = HermitianOperator(SystemShape(dims), member.mat)
-    red = opalg.partial_trace(fine, [2 * which, 2 * which + 1])
-    return HermitianOperator(SystemShape((fam.base_dim,) * (fam.copies - 1)),
-                             red.mat)
 
 
 # ---------------------------------------------------------------------------

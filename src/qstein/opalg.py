@@ -42,10 +42,6 @@ class SystemShape:
     def total_dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
-    def num_subsystems(self) -> int:
-        return len(self.dims)
-
     def concat(self, other: "SystemShape") -> "SystemShape":
         return SystemShape(self.dims + other.dims)
 
@@ -54,10 +50,6 @@ class SystemShape:
         if not keep:
             keep = [1]
         return SystemShape(tuple(keep))
-
-
-def qubits(n: int) -> SystemShape:
-    return SystemShape((2,) * n)
 
 
 def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +114,6 @@ class HermitianOperator:
 
     def lambda_min(self) -> float:
         return float(self.eigvals()[0])
-
-    def lambda_max(self) -> float:
-        return float(self.eigvals()[-1])
 
     def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
         _require_same_shape(self, other)
@@ -245,24 +234,30 @@ def tensor(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
     return HermitianOperator(a.shape.concat(b.shape), np.kron(a.mat, b.mat))
 
 
+def kron_power(x: np.ndarray, n: int) -> np.ndarray:
+    """n-fold Kronecker power of a vector or matrix, folded from the left;
+    n = 0 gives ones of shape (1,) or (1, 1)."""
+    if n < 0:
+        raise ValueError("Kronecker power requires n >= 0")
+    x = np.asarray(x)
+    if n == 0:
+        return np.ones((1,) * x.ndim, dtype=x.dtype)
+    out = x
+    for _ in range(n - 1):
+        out = np.kron(out, x)
+    return out
+
+
 def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
-    out = a
-    for _ in range(n - 1):
-        out = tensor(out, a)
-    return out
-
-
-def tensor_pure(a: PureState, b: PureState) -> PureState:
-    return PureState(a.shape.concat(b.shape), np.kron(a.vec, b.vec))
+    return HermitianOperator(SystemShape(a.shape.dims * n), kron_power(a.mat, n))
 
 
 def pure_power(a: PureState, n: int) -> PureState:
-    out = a
-    for _ in range(n - 1):
-        out = tensor_pure(out, a)
-    return out
+    if n < 1:
+        raise ValueError("tensor power requires n >= 1")
+    return PureState(SystemShape(a.shape.dims * n), kron_power(a.vec, n))
 
 
 def partial_trace(a: HermitianOperator, subsystems: Iterable[int]) -> HermitianOperator:
@@ -310,6 +305,18 @@ def positive_part_trace(mat: np.ndarray) -> float:
     """Sum of the positive eigenvalues of a Hermitian matrix."""
     w, _ = eigh(mat)
     return float(w[w > 0.0].sum())
+
+
+def normalized_positive_part(mat: np.ndarray,
+                             fallback: np.ndarray) -> np.ndarray:
+    """Positive part of a Hermitian matrix scaled to unit trace, or
+    ``fallback`` when that trace is at most 1e-14."""
+    w, V = eigh(mat)
+    pos = np.where(w > 0.0, w, 0.0)
+    tr = float(pos.sum())
+    if tr <= 1e-14:
+        return fallback
+    return (V * pos) @ V.conj().T / tr
 
 
 def positive_eigenprojector(mat: np.ndarray) -> np.ndarray:
@@ -376,15 +383,6 @@ def fidelity(p: HermitianOperator | DensityMatrix,
     return trace_norm_mat(sp @ sq)
 
 
-def support_projector(a: HermitianOperator | np.ndarray,
-                      rel_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    mat = a.mat if not isinstance(a, np.ndarray) else a
-    w, V = eigh(mat)
-    cut = rel_cutoff * max(float(np.abs(w).max()), 0.0)
-    cols = V[:, np.abs(w) > cut]
-    return cols @ cols.conj().T
-
-
 def log2_on_support(a: HermitianOperator, rel_cutoff: float = SUPPORT_CUTOFF) -> HermitianOperator:
     """Base-2 matrix logarithm restricted to the support.
 
@@ -413,27 +411,46 @@ def apply_kraus(a: HermitianOperator, kraus: Sequence[np.ndarray],
     return HermitianOperator(a.shape, out)
 
 
+def permute_factors(x: np.ndarray, dims: Sequence[int],
+                    perm: Sequence[int]) -> np.ndarray:
+    """Reorder the tensor factors of a vector or square matrix over ``dims``.
+
+    Output factor k is input factor perm[k]; a matrix is conjugated by the
+    permutation unitary.
+    """
+    dims, p = tuple(dims), list(perm)
+    n = len(dims)
+    if sorted(p) != list(range(n)):
+        raise ValueError(f"{perm} is not a permutation of {n} subsystems")
+    x = np.asarray(x)
+    if x.ndim == 1:
+        return x.reshape(dims).transpose(p).reshape(-1)
+    t = x.reshape(dims + dims).transpose(p + [n + i for i in p])
+    return t.reshape(x.shape)
+
+
+def pairs_to_blocks(x: np.ndarray, da: int, db: int, n: int) -> np.ndarray:
+    """Regroup n (a, b) pair factors, a1 b1 a2 b2 ..., into the a-block
+    a1 ... an followed by the b-block b1 ... bn."""
+    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return permute_factors(x, (da, db) * n, order)
+
+
+def blocks_to_pairs(x: np.ndarray, da: int, db: int, n: int) -> np.ndarray:
+    """Inverse of :func:`pairs_to_blocks`: a1 ... an b1 ... bn to a1 b1 a2 b2 ..."""
+    order = [k + n * s for k in range(n) for s in (0, 1)]
+    return permute_factors(x, (da,) * n + (db,) * n, order)
+
+
 def permute_subsystems(a: HermitianOperator, perm: Sequence[int]) -> HermitianOperator:
     """Conjugate by the permutation unitary; output slot k holds input subsystem perm[k]."""
-    dims = a.shape.dims
-    p = list(perm)
-    if sorted(p) != list(range(len(dims))):
-        raise ValueError(f"{perm} is not a permutation of {len(dims)} subsystems")
-    n = len(dims)
-    t = a.mat.reshape(dims + dims)
-    t = np.transpose(t, p + [n + i for i in p])
-    new_shape = SystemShape(tuple(dims[i] for i in p))
-    d = new_shape.total_dim
-    return HermitianOperator(new_shape, t.reshape(d, d))
+    mat = permute_factors(a.mat, a.shape.dims, perm)
+    return HermitianOperator(SystemShape(tuple(a.shape.dims[i] for i in perm)), mat)
 
 
 def permute_pure(v: PureState, perm: Sequence[int]) -> PureState:
-    dims = v.shape.dims
-    p = list(perm)
-    if sorted(p) != list(range(len(dims))):
-        raise ValueError(f"{perm} is not a permutation of {len(dims)} subsystems")
-    t = v.vec.reshape(dims).transpose(p)
-    return PureState(SystemShape(tuple(dims[i] for i in p)), t.reshape(-1))
+    vec = permute_factors(v.vec, v.shape.dims, perm)
+    return PureState(SystemShape(tuple(v.shape.dims[i] for i in perm)), vec)
 
 
 # ---------------------------------------------------------------------------

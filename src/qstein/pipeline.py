@@ -189,24 +189,6 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     return trace
 
 
-def _trace_environments(op: HermitianOperator, d: int) -> HermitianOperator:
-    """Trace the environment half out of every (system, environment) pair."""
-    n = len(op.shape.dims)
-    fine = HermitianOperator(SystemShape((d, d) * n), op.mat)
-    red = opalg.partial_trace(fine, [2 * k + 1 for k in range(n)])
-    return HermitianOperator(SystemShape((d,) * n), red.mat)
-
-
-def _normalized_positive_part(diff: np.ndarray,
-                              fallback: np.ndarray) -> np.ndarray:
-    w, V = eigh(diff)
-    pos = np.where(w > 0.0, w, 0.0)
-    tr = float(pos.sum())
-    if tr <= 1e-14:
-        return fallback
-    return (V * pos) @ V.conj().T / tr
-
-
 def step2(trace: PipelineTrace, schedule: Schedule,
           dim_cap: int = PURIFIED_DIM_CAP) -> PipelineTrace:
     """Conditioning, tail truncation, and the assembled dominance certificate.
@@ -259,6 +241,32 @@ def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
     trace.add(Certificate("mixing-weight decay", decay_margin, 1e-12))
 
 
+def _truncation_certificates(trace: PipelineTrace, schedule: Schedule,
+                             overlap: float, dist: float, reduced: np.ndarray,
+                             before: np.ndarray,
+                             after: np.ndarray) -> np.ndarray:
+    """Certificates of the tail truncation shared by both routes.
+
+    ``before`` and ``after`` are the conditioned and the truncated state,
+    ``dist`` their trace distance, ``overlap`` the fidelity floor that
+    bounds it, and ``reduced`` the partial trace over the first M copies.
+    Returns the normalized positive part of ``after - before``.
+    """
+    N, M, R = schedule.N, schedule.M, schedule.R
+    mu = trace.mu_N
+
+    def weight(x: float) -> float:
+        return 2.0 * math.sqrt(2.0) / x * math.exp(-M * R / (2.0 * N))
+
+    trace.add(Certificate("tail-truncation distance bound",
+                          weight(overlap) - dist, CERT_TOL))
+    delta = opalg.normalized_positive_part(after - before, after)
+    gap = reduced / mu ** 2 + weight(mu) * delta - after
+    trace.add(Certificate("conditioned-to-truncated dominance",
+                          float(eigh(gap)[0][0]), CERT_TOL))
+    return delta
+
+
 def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     N, M, R = schedule.N, schedule.M, schedule.R
     d = trace.rho.total_dim
@@ -274,31 +282,25 @@ def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     trace.add(cert_cond)
 
     v2, dist = symmetry.truncate_to_almost_power(v1, pair.rho_pur, R)
-    bound = 2.0 * math.sqrt(2.0) / ovl * math.exp(-M * R / (2.0 * N))
-    trace.add(Certificate("tail-truncation distance bound", bound - dist,
-                          CERT_TOL))
-
-    proj1 = np.outer(v1.vec, v1.vec.conj())
-    proj2 = np.outer(v2.vec, v2.vec.conj())
-    delta_nm_mat = _normalized_positive_part(proj2 - proj1, proj2)
     reduced = opalg.partial_trace_pure(pair.rhoN_pur, range(M))
-    coeff = 2.0 * math.sqrt(2.0) / mu * math.exp(-M * R / (2.0 * N))
-    gap = reduced.mat / mu ** 2 + coeff * delta_nm_mat - proj2
-    trace.add(Certificate("conditioned-to-truncated dominance",
-                          float(eigh(gap)[0][0]), CERT_TOL))
+    delta_nm_mat = _truncation_certificates(
+        trace, schedule, ovl, dist, reduced.mat,
+        np.outer(v1.vec, v1.vec.conj()), np.outer(v2.vec, v2.vec.conj()))
 
     trace.add(symmetry.verify_power_inequality(v2, pair.rho_pur, N, M, R,
                                                CERT_TOL))
     delta_nmr_mat = symmetry.beta_truncation_delta(v2, pair.rho_pur, N)
 
-    pair_shape = v2.shape
-    delta_nm = _trace_environments(
-        opalg.partial_trace(HermitianOperator(pair_shape, delta_nm_mat),
-                            range(R)), d)
-    delta_nmr = _trace_environments(
-        opalg.partial_trace(HermitianOperator(pair_shape, delta_nmr_mat),
-                            range(R)), d)
-    _assemble_sigma_tilde(trace, schedule, delta_nm, delta_nmr)
+    pair_dims = (d, d) * schedule.reduced_copies
+
+    def system_marginal(mat: np.ndarray) -> HermitianOperator:
+        """Trace out the first R copy pairs, then every pair's environment."""
+        tail = opalg.partial_trace(HermitianOperator(v2.shape, mat), range(R))
+        return opalg.partial_trace(opalg.operator(tail.mat, pair_dims),
+                                   range(1, len(pair_dims), 2))
+
+    _assemble_sigma_tilde(trace, schedule, system_marginal(delta_nm_mat),
+                          system_marginal(delta_nmr_mat))
     return trace
 
 
@@ -312,12 +314,12 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
 
     w, V = trace.rho.eig()
     q = PureState(trace.rho.shape, V[:, -1])
-    q_m = opalg.pure_power(q, M) if M else None
     rho_N_mat = trace.rho_N.mat
     if M:
+        q_m = opalg.kron_power(q.vec, M)
         dm, dn = d ** M, d ** (N - M)
         t = rho_N_mat.reshape(dm, dn, dm, dn)
-        block = np.einsum("a,abcd,c->bd", q_m.vec.conj(), t, q_m.vec)
+        block = np.einsum("a,abcd,c->bd", q_m.conj(), t, q_m)
     else:
         block = rho_N_mat
     weight = float(np.trace(block).real)
@@ -338,16 +340,9 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
         raise PremiseFailed("tail truncation annihilated the state")
     rho_r = DensityMatrix(HermitianOperator(shape_nm, kept / p_keep))
     dist = opalg.trace_norm_mat(rho_r.mat - rho_nm.mat)
-    bound = 2.0 * math.sqrt(2.0) / mu * math.exp(-M * R / (2.0 * N))
-    trace.add(Certificate("tail-truncation distance bound", bound - dist,
-                          CERT_TOL))
-
-    delta_nm_mat = _normalized_positive_part(rho_r.mat - rho_nm.mat,
-                                             rho_r.mat)
-    coeff = 2.0 * math.sqrt(2.0) / mu * math.exp(-M * R / (2.0 * N))
-    gap = reduced.mat / mu ** 2 + coeff * delta_nm_mat - rho_r.mat
-    trace.add(Certificate("conditioned-to-truncated dominance",
-                          float(eigh(gap)[0][0]), CERT_TOL))
+    delta_nm_mat = _truncation_certificates(trace, schedule, mu, dist,
+                                            reduced.mat, rho_nm.mat,
+                                            rho_r.mat)
 
     delta_nm = opalg.partial_trace(HermitianOperator(shape_nm, delta_nm_mat),
                                    range(R))
@@ -391,10 +386,9 @@ class SandwichReport:
     """Two-sided finite-size bracket of the near-free minimization."""
 
     certificate: Certificate
-    free_value: float          # per-copy minimum over the family
     eps_value: float           # per-copy minimum allowing the eps ball
     lower_bound: float
-    upper_bound: float
+    upper_bound: float         # per-copy minimum over the family
 
 
 def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
@@ -437,7 +431,7 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     value = d_eps / N
     margin = min(value - lower, upper - value)
     cert = Certificate("near-free sandwich", margin, 1e-9)
-    return SandwichReport(cert, upper, value, lower, upper)
+    return SandwichReport(cert, value, lower, upper)
 
 
 def run_direct_part(rho: DensityMatrix, y: float, N: int, family: FreeFamily,

@@ -7,7 +7,9 @@ by the certificate pipeline.
 
 Conventions: purified systems store one (system, environment) pair per copy
 as a single subsystem of dimension d^2, so copy permutations act on whole
-pairs.
+pairs.  The pair order (s1 e1 s2 e2 ...) and the block order (system block,
+environment block) are converted by :func:`opalg.pairs_to_blocks` and
+:func:`opalg.blocks_to_pairs`.
 """
 
 from __future__ import annotations
@@ -155,10 +157,7 @@ def symmetrize_tail(base: PureState, psi_r: PureState | None,
     d = base.shape.total_dim
     shape = SystemShape((d,) * n_factors)
     if r == 0:
-        t = np.array([1.0 + 0j])
-        for _ in range(n_factors):
-            t = np.kron(t, base.vec)
-        return PureState(shape, t)
+        return PureState(shape, opalg.kron_power(base.vec, n_factors))
     if psi_r is None:
         raise ValueError("psi_r required for r >= 1")
     if r > n_factors:
@@ -167,10 +166,8 @@ def symmetrize_tail(base: PureState, psi_r: PureState | None,
     if ov > orth_tol:
         raise NotOrthogonal(f"tail component overlaps the base ray by {ov:.3e}")
     n_base = n_factors - r
-    base_block = np.array([1.0 + 0j])
-    for _ in range(n_base):
-        base_block = np.kron(base_block, base.vec)
-    prod = np.kron(base_block, psi_r.vec).reshape((d,) * n_factors)
+    prod = np.kron(opalg.kron_power(base.vec, n_base),
+                   psi_r.vec).reshape((d,) * n_factors)
     acc = np.zeros((d,) * n_factors, dtype=complex)
     for slots in itertools.combinations(range(n_factors), r):
         rest = [i for i in range(n_factors) if i not in slots]
@@ -238,9 +235,7 @@ def defect_projector(base: PureState, n: int, R: int) -> np.ndarray:
     digits = np.array(np.unravel_index(np.arange(d ** n), (d,) * n))
     defects = (digits != 0).sum(axis=0)
     mask = (defects <= R).astype(float)
-    u_n = np.array([1.0 + 0j])
-    for _ in range(n):
-        u_n = np.kron(u_n, U)
+    u_n = opalg.kron_power(U, n)
     return (u_n * mask) @ u_n.conj().T
 
 
@@ -343,21 +338,6 @@ def canonical_purification(rho: DensityMatrix) -> PureState:
     return PureState(SystemShape((d * d,)), vec)
 
 
-def _interleave_pairs(vec_sys_env: np.ndarray, d: int, n: int) -> np.ndarray:
-    """(sys block, env block) ordering to one (sys, env) pair per copy."""
-    t = vec_sys_env.reshape((d,) * (2 * n))
-    order = []
-    for k in range(n):
-        order += [k, n + k]
-    return t.transpose(order).reshape(-1)
-
-
-def _pairs_to_blocks(vec_pairs: np.ndarray, d: int, n: int) -> np.ndarray:
-    t = vec_pairs.reshape((d,) * (2 * n))
-    order = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    return t.transpose(order).reshape(-1)
-
-
 def _plane_rotation(q: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
     """Unitary mapping q to w_hat, acting only on their span."""
     dim = q.size
@@ -397,36 +377,26 @@ def perm_invariant_purification(rho: DensityMatrix, rho_N: DensityMatrix,
     rho_pow = opalg.tensor_power(rho.op, n)
     fid = opalg.fidelity(rho_N.op, rho_pow)
 
-    sqrt_pow = sqrt_psd(rho_pow.mat)
     sqrt_N = sqrt_psd(rho_N.mat)
-    w_pow = rho_pow.eigvals()
-    if w_pow[0] > opalg.SUPPORT_CUTOFF * max(w_pow[-1], 0.0):
-        B = sqrt_pow @ sqrt_N
-        P, _, Qh = np.linalg.svd(B)
-        V = Qh.conj().T @ P.conj().T
+    w_pow, vec_pow = rho_pow.eig()
+    if np.sum(w_pow > opalg.SUPPORT_CUTOFF * w_pow[-1]) == 1:
+        # rank-one power state: align along the ray pair
+        q = vec_pow[:, -1]
+        w_vec = sqrt_N @ q
+        nw = float(np.linalg.norm(w_vec))
+        if nw < 1e-14:
+            raise ZeroOverlap("rho_N has no weight on the power ray")
+        V = _plane_rotation(q, w_vec / nw)
     else:
-        # rank-deficient power state: align along the ray pair instead
-        w, Vec = eigh(rho_pow.mat)
-        if np.sum(w > opalg.SUPPORT_CUTOFF * w[-1]) != 1:
-            B = sqrt_pow @ sqrt_N
-            P, _, Qh = np.linalg.svd(B)
-            V = Qh.conj().T @ P.conj().T
-        else:
-            q = Vec[:, -1]
-            w_vec = sqrt_N @ q
-            nw = float(np.linalg.norm(w_vec))
-            if nw < 1e-14:
-                raise ZeroOverlap("rho_N has no weight on the power ray")
-            V = _plane_rotation(q, w_vec / nw)
+        P, _, Qh = np.linalg.svd(sqrt_psd(rho_pow.mat) @ sqrt_N)
+        V = Qh.conj().T @ P.conj().T
 
-    rho_pur_vec = canonical_purification(rho).vec
-    amps = (sqrt_N @ V).reshape(-1)
-    amps = _interleave_pairs(amps, d, n)
+    amps = opalg.blocks_to_pairs((sqrt_N @ V).reshape(-1), d, d, n)
     nrm = float(np.linalg.norm(amps))
     rhoN_pur = PureState(SystemShape((d * d,) * n), amps / nrm)
-    rho_pur = PureState(SystemShape((d * d,)), rho_pur_vec)
+    rho_pur = canonical_purification(rho)
 
-    iid_vec = opalg.pure_power(rho_pur, n).vec if n > 1 else rho_pur.vec
+    iid_vec = opalg.pure_power(rho_pur, n).vec
     overlap = abs(complex(np.vdot(iid_vec, rhoN_pur.vec)))
     if abs(overlap - fid) > 1e-8:
         raise ConstructionFailed(
@@ -444,8 +414,7 @@ def _check_purification_marginals(rho, rho_N, rho_pur, rhoN_pur,
     rec1 = m1 @ m1.conj().T
     if float(np.abs(rec1 - rho.mat).max()) > tol:
         raise ConstructionFailed("single-copy purification marginal mismatch")
-    blocks = _pairs_to_blocks(rhoN_pur.vec, d, n)
-    mN = blocks.reshape(d ** n, d ** n)
+    mN = opalg.pairs_to_blocks(rhoN_pur.vec, d, d, n).reshape(d ** n, d ** n)
     recN = mN @ mN.conj().T
     if float(np.abs(recN - rho_N.mat).max()) > tol:
         raise ConstructionFailed("N-copy purification marginal mismatch")
@@ -465,14 +434,12 @@ def conditioned_state(rho_N_pur: PureState, rho_pur: PureState,
     m = int(m_condition)
     if m < 0 or m > n:
         raise ValueError("conditioning count out of range")
-    iid = opalg.pure_power(rho_pur, n).vec if n > 1 else rho_pur.vec
+    iid = opalg.pure_power(rho_pur, n).vec
     overlap = abs(complex(np.vdot(iid, rho_N_pur.vec)))
     if m == 0:
         cond = rho_N_pur
     else:
-        bra = np.array([1.0 + 0j])
-        for _ in range(m):
-            bra = np.kron(bra, rho_pur.vec)
+        bra = opalg.kron_power(rho_pur.vec, m)
         mat = rho_N_pur.vec.reshape(D ** m, D ** (n - m))
         w = bra.conj() @ mat
         nrm = float(np.linalg.norm(w))
@@ -504,11 +471,8 @@ def beta_truncation_delta(v: PureState, base: PureState, N: int) -> np.ndarray:
     if knorm < 1e-12:
         return proj_v
     tilde = kept / knorm
-    diff = np.outer(tilde, tilde.conj()) - proj_v
-    w, Vc = eigh(diff)
-    pos = np.where(w > 0.0, w, 0.0)
-    tr = float(pos.sum())
-    return (Vc * pos) @ Vc.conj().T / tr if tr > 1e-14 else proj_v
+    return opalg.normalized_positive_part(
+        np.outer(tilde, tilde.conj()) - proj_v, proj_v)
 
 
 def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
@@ -530,8 +494,7 @@ def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
     inner = HermitianOperator(v.shape, proj_v + c * delta)
     reduced = opalg.partial_trace(inner, range(R)) if R > 0 else inner
     factor = 2.0 ** (N * binary_entropy(R / (N - M))) * N ** 2
-    lhs = opalg.pure_power(base, N - M - R).projector() if N - M - R > 1 \
-        else base.projector()
+    lhs = opalg.pure_power(base, N - M - R).projector()
     gap = factor * reduced.mat - lhs.mat
     margin = float(eigh(gap)[0][0])
     return Certificate("power-state tail bound", margin, tol)

@@ -175,6 +175,25 @@ max_iters = 192
                          str(out)]) == 0
         assert (out / "certificates.csv").exists()
 
+    def test_byte_identical_reruns(self, tmp_path):
+        cfg = write_cfg(tmp_path, "p5.cfg", """
+state = coherence:0.8
+family = diagonal
+y = 0.7219280948873623
+n = 4
+seed = 3
+""")
+        runs = [tmp_path / "run1", tmp_path / "run2"]
+        for out in runs:
+            assert cli.main(["pipeline", "--config", cfg, "--out",
+                             str(out)]) == 0
+        names = sorted(p.name for p in runs[0].iterdir())
+        assert "certificates.csv" in names and len(names) == 5
+        assert sorted(p.name for p in runs[1].iterdir()) == names
+        for name in names:
+            assert ((runs[0] / name).read_bytes()
+                    == (runs[1] / name).read_bytes())
+
     def test_dimension_cap_exit(self, tmp_path):
         cfg = write_cfg(tmp_path, "p4.cfg", """
 state = classical:0.75

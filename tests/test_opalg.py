@@ -248,6 +248,63 @@ class TestPermute:
             opalg.permute_subsystems(a, [0, 0])
 
 
+class TestKronPower:
+    @pytest.mark.parametrize("shape", [(3,), (2, 2)])
+    def test_equals_kron_loop(self, shape):
+        x = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+        want = np.ones((1,) * len(shape), dtype=complex)
+        for n in range(4):
+            assert np.array_equal(opalg.kron_power(x, n), want)
+            want = np.kron(want, x)
+
+
+class TestPairRegrouping:
+    # two (a, b) pairs with da = 2, db = 3: pair order a1 b1 a2 b2
+    DA, DB, N = 2, 3, 2
+    TO_BLOCKS = [0, 2, 1, 3]
+
+    def test_vector_roundtrip_and_permute_pure(self):
+        vec = RNG.standard_normal(36) + 1j * RNG.standard_normal(36)
+        blocks = opalg.pairs_to_blocks(vec, self.DA, self.DB, self.N)
+        assert np.array_equal(
+            opalg.blocks_to_pairs(blocks, self.DA, self.DB, self.N), vec)
+        v = opalg.pure(vec, (self.DA, self.DB) * self.N)
+        moved = opalg.permute_pure(v, self.TO_BLOCKS)
+        assert moved.shape.dims == (2, 2, 3, 3)
+        assert np.array_equal(moved.vec, blocks / np.linalg.norm(vec))
+
+    def test_matrix_roundtrip_and_permute_subsystems(self):
+        mat = rand_herm(36)
+        blocks = opalg.pairs_to_blocks(mat, self.DA, self.DB, self.N)
+        assert np.array_equal(
+            opalg.blocks_to_pairs(blocks, self.DA, self.DB, self.N), mat)
+        a = opalg.operator(mat, (self.DA, self.DB) * self.N)
+        assert np.array_equal(
+            opalg.permute_subsystems(a, self.TO_BLOCKS).mat, blocks)
+
+    def test_product_regrouping(self):
+        a = [RNG.standard_normal(self.DA) for _ in range(self.N)]
+        b = [RNG.standard_normal(self.DB) for _ in range(self.N)]
+        pairs = np.kron(np.kron(a[0], b[0]), np.kron(a[1], b[1]))
+        blocks = np.kron(np.kron(a[0], a[1]), np.kron(b[0], b[1]))
+        assert_allclose(
+            opalg.pairs_to_blocks(pairs, self.DA, self.DB, self.N), blocks)
+
+
+class TestNormalizedPositivePart:
+    def test_fallback_on_negative_semidefinite(self):
+        fallback = np.eye(3) / 3
+        neg = -rand_state(3)
+        assert opalg.normalized_positive_part(neg, fallback) is fallback
+        assert opalg.normalized_positive_part(np.zeros((3, 3)),
+                                              fallback) is fallback
+
+    def test_unit_trace_positive_part(self):
+        m = np.diag([0.5, -0.2, 1.5])
+        out = opalg.normalized_positive_part(m, None)
+        assert_allclose(out, np.diag([0.25, 0.0, 0.75]), atol=1e-15)
+
+
 class TestSerialization:
     def test_bit_exact_roundtrip(self, tmp_path):
         op = rand.random_hermitian(RNG, SystemShape((2, 3)))

@@ -210,7 +210,7 @@ class TestSandwich:
     def test_degenerate_eps_collapse(self):
         rep = pipeline.finite_n_sandwich(coherence_qubit(),
                                          DiagonalFamily(2, 3), 1e-12, SET)
-        assert abs(rep.eps_value - rep.free_value) < 1e-6
+        assert abs(rep.eps_value - rep.upper_bound) < 1e-6
 
     def test_lower_bound_formula(self):
         eps = 1e-4
@@ -221,7 +221,7 @@ class TestSandwich:
         cont = 3 * log_term ** 2 * math.sqrt(eps) / (
             1 - eps * lam ** 3 / (2 * (1 + 2 * eps)))
         penalty = (1 + 2 * eps) * cont + 2 * eps * (3 * math.log2(1 / lam) + 1)
-        want_lower = (rep.free_value * 3 - penalty) / 3
+        want_lower = (rep.upper_bound * 3 - penalty) / 3
         assert abs(rep.lower_bound - want_lower) < 1e-9
         assert rep.eps_value >= rep.lower_bound - 1e-9
 
