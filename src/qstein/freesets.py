@@ -56,7 +56,9 @@ class FreeFamily:
 
     kind = "abstract"
     # optional capability: (grad) -> argmin of Tr[grad sigma] over the
-    # permutation-invariant members, as a plain matrix
+    # permutation-invariant members, as a plain matrix; those members must
+    # be the mixtures of uniform states on type classes, the coordinates
+    # that optim's reduced search works in
     type_class_lmo = None
 
     @property

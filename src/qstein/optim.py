@@ -23,6 +23,18 @@ A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
 
 Oracles and iterates are plain matrices; a ``DensityMatrix`` is built only
 for the minimizer a solver returns.
+
+``min_positive_part`` and ``hypothesis_dual`` search the permutation-
+invariant members only when the family offers ``type_class_lmo`` on
+several copies and the inputs are invariant.  When the target operator
+(rho or eta) also lies on the symmetric subspace, as a pure power does,
+that search runs in type-class coordinates: the iterate is the T x T
+diagonal of class weights, T the number of type classes, and each
+evaluation is one T x T eigendecomposition instead of one of dimension
+d^N.  The surrogate, its gradient and the exact value there equal the
+dense ones to rounding, so the Frank-Wolfe path is the same.  The exit gap
+of ``min_positive_part`` stays dense: it is computed once at the dense
+minimizer against the family's vertex oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ import numpy as np
 from . import opalg, symmetry
 from .errors import (ConstraintUncertified, DimensionCap, Infeasible,
                      NoFullRankMember)
-from .freesets import FreeFamily
+from .freesets import FreeFamily, _type_classes
 from .opalg import DensityMatrix, HermitianOperator, eigh
 
 
@@ -233,22 +245,97 @@ def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
 # positive-part minimization
 # ---------------------------------------------------------------------------
 
+def _softplus(w: np.ndarray, tau: float, offset: float, mult=1.0):
+    """tau * sum_i mult_i softplus(w_i / tau + offset), and the sigmoids that
+    are its derivatives in w."""
+    x = w / tau + offset
+    # softplus, stable for large |x|
+    smooth = float(tau * np.sum(mult * np.logaddexp(0.0, x)))
+    return smooth, 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+
+
 def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float,
                   offset: float = 0.0):
     """Softplus surrogate of Tr[(rho - b sigma)_+]; ``offset`` shifts its
     argument, which sets the slope at a zero eigenvalue to sigmoid(offset)."""
     def eval_fn(sigma: np.ndarray, need_grad: bool):
         w, V = eigh(rho_mat - b * sigma)
-        exact = float(w[w > 0.0].sum())
-        x = w / tau + offset
-        # softplus, stable for large |x|
-        smooth = float(tau * np.sum(np.logaddexp(0.0, x)))
-        grad = None
-        if need_grad:
-            sig = 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
-            grad = -b * ((V * sig) @ V.conj().T)
-        return smooth, grad, exact
+        smooth, sig = _softplus(w, tau, offset)
+        grad = -b * ((V * sig) @ V.conj().T) if need_grad else None
+        return smooth, grad, float(w[w > 0.0].sum())
     return eval_fn
+
+
+@dataclass(frozen=True)
+class _TypeClassCoords:
+    """Type-class coordinates of a search over permutation-invariant
+    diagonal states, for a target operator on the symmetric subspace.
+
+    The member sum_t w_t P_t / |T_t|, with P_t the projector onto type class
+    t, is stored as the T x T matrix diag(w).  ``iso`` is the isometry D
+    whose column t is the normalized indicator of class t; its range is the
+    symmetric subspace, and ``small`` is D^T A D for the target A = D small
+    D^T.  So A - b sigma has the spectrum of small - b diag(w / |T|) plus
+    the eigenvalue -b w_t / |T_t| with multiplicity |T_t| - 1 (the rest of
+    class t), and one T x T eigendecomposition evaluates the objective.
+    Gradients are diag(g), g_t the class average of the dense gradient's
+    diagonal, so Tr[g (w - s)] is the dense Frank-Wolfe gap.
+    """
+
+    labels: np.ndarray
+    sizes: np.ndarray
+    small: np.ndarray
+
+    @classmethod
+    def of(cls, family: FreeFamily,
+           target: np.ndarray) -> "_TypeClassCoords | None":
+        """The coordinates, or None if ``target`` is not supported on the
+        symmetric subspace (||D D^T A D D^T - A||_max > 1e-12)."""
+        labels, sizes = _type_classes(family.base_dim, family.copies)
+        iso = np.zeros((labels.size, sizes.size))
+        iso[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
+        small = iso.T @ target @ iso
+        if float(np.abs(iso @ small @ iso.T - target).max()) > 1e-12:
+            return None
+        return cls(labels, sizes, small)
+
+    def weights(self, mat: np.ndarray) -> np.ndarray:
+        """diag(w) of an invariant diagonal matrix: class sums of its
+        diagonal."""
+        return np.diag(np.bincount(self.labels, weights=np.diag(mat).real,
+                                   minlength=self.sizes.size))
+
+    def dense(self, w_mat: np.ndarray) -> np.ndarray:
+        """The dense diagonal matrix with coordinates ``w_mat``."""
+        w = np.diag(w_mat)
+        return np.diag(w[self.labels] / self.sizes[self.labels]).astype(
+            complex)
+
+    def lmo(self, grad: np.ndarray) -> np.ndarray:
+        """The uniform state on the class of least average gradient, as
+        ``type_class_lmo`` answers."""
+        s = np.zeros(grad.shape)
+        k = int(np.argmin(np.diag(grad)))
+        s[k, k] = 1.0
+        return s
+
+    def pospart_eval(self, b: float, tau: float, offset: float = 0.0):
+        """``_pospart_eval`` of the target in these coordinates."""
+        rest = self.sizes - 1.0
+        mult = np.concatenate([np.ones(self.sizes.size), rest])
+
+        def eval_fn(w_mat: np.ndarray, need_grad: bool):
+            v = b * np.diag(w_mat) / self.sizes
+            w, V = eigh(self.small - np.diag(v))
+            smooth, sig = _softplus(np.concatenate([w, -v]), tau, offset,
+                                    mult)
+            grad = None
+            if need_grad:
+                t = self.sizes.size
+                grad = np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
+                                     + rest * sig[t:]) / self.sizes)
+            return smooth, grad, float(w[w > 0.0].sum())
+        return eval_fn
 
 
 def _symmetric_search(family: FreeFamily, *mats: np.ndarray) -> bool:
@@ -258,6 +345,25 @@ def _symmetric_search(family: FreeFamily, *mats: np.ndarray) -> bool:
         return False
     return all(symmetry.is_perm_invariant(HermitianOperator(family.shape, m))
                for m in mats)
+
+
+def _search(family: FreeFamily, seed: int, target: np.ndarray,
+            start: np.ndarray):
+    """Oracle, start point, surrogate ``pospart(b, tau, offset)`` of
+    Tr[(target - b sigma)_+] and type-class coordinates (None on dense
+    matrices) of a search over the family.
+
+    Invariant inputs search the invariant members only, in type-class
+    coordinates when ``target`` lies on the symmetric subspace; all other
+    inputs search the whole family with its vertex oracle.
+    """
+    dense = partial(_pospart_eval, target)
+    if not _symmetric_search(family, target, start):
+        return partial(family.lmo, seed=seed), start, dense, None
+    coords = _TypeClassCoords.of(family, target)
+    if coords is None:
+        return family.type_class_lmo, start, dense, None
+    return coords.lmo, coords.weights(start), coords.pospart_eval, coords
 
 
 def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
@@ -271,10 +377,12 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     the copies, the search runs over permutation-invariant sigma only: the
     objective is then convex and permutation invariant, so twirling a
     minimizer gives an invariant one, and Frank-Wolfe needs at most one
-    atom per type class.  The exit gap is certified against the whole
-    family either way: it uses the family's vertex oracle and the exact
-    subgradient -b P_+, with P_+ the projector onto the strictly positive
-    eigenspace at the minimizer.
+    atom per type class.  If rho also lies on the symmetric subspace, the
+    search runs in type-class coordinates (module docstring).  The exit
+    gap is certified against the whole family either way: it uses the
+    family's vertex oracle and the exact subgradient -b P_+ at the dense
+    minimizer, with P_+ the projector onto the strictly positive
+    eigenspace.
     """
     if b < 0.0:
         raise ValueError("b must be nonnegative")
@@ -284,13 +392,14 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
                          _as_state(family,
                                    _feasible_start(family, settings.seed)),
                          0.0, 0, True)
-    sigma = _feasible_start(family, settings.seed, start)
-    lmo = (family.type_class_lmo if _symmetric_search(family, rho_mat, sigma)
-           else partial(family.lmo, seed=settings.seed))
-    tracker, iters = _anneal(partial(_pospart_eval, rho_mat, b),
-                             (1e-3, 1e-6, 1e-8), lmo, sigma,
+    lmo, x0, pospart, coords = _search(
+        family, settings.seed, rho_mat,
+        _feasible_start(family, settings.seed, start))
+    tracker, iters = _anneal(partial(pospart, b), (1e-3, 1e-6, 1e-8), lmo, x0,
                              max(12, settings.max_iters // 24),
                              settings.tol / 4.0)
+    if coords is not None:
+        tracker.best_mat = coords.dense(tracker.best_mat)
     return _certified(
         tracker, iters,
         lambda m: -b * opalg.positive_eigenprojector(rho_mat - b * m),
@@ -397,13 +506,14 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
     return best_val
 
 
-def _dual_eval(eta_mat: np.ndarray, K: float, tau: float):
-    """Surrogate of Tr[(eta - X)_+] + Tr X / K.  The offset sets the slope
+def _dual_eval(pospart, K: float, tau: float):
+    """Surrogate of Tr[(eta - X)_+] + Tr X / K, with ``pospart(tau,
+    offset)`` the surrogate of the first term.  The offset sets the slope
     at a zero eigenvalue of eta - X to 1/K, as at an optimum X = eta; at
     slope 1/2 the smoothed minimizer sits O(tau) off it, outside the cone
     when eta has eigenvalues below tau."""
     offset = -math.log(K - 1.0) if K > 1.0 else 0.0
-    pospart = _pospart_eval(eta_mat, 1.0, tau, offset)
+    pospart = pospart(tau, offset)
 
     def eval_fn(x: np.ndarray, need_grad: bool):
         smooth, grad, exact = pospart(x, need_grad)
@@ -424,22 +534,21 @@ def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
     answer, if Tr[g s] < 0, else 0; so every probe is feasible (b = Tr X <=
     K, X / b free by convexity) and the exact value at the best probe is a
     certified upper bound on the primal.  Invariant multi-copy inputs use
-    the type-class oracle, as in ``min_positive_part``.
+    the type-class oracle, and type-class coordinates, as in
+    ``min_positive_part``.
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
     eta_mat = eta.mat
-    member = _feasible_start(family, settings.seed)
-    member_lmo = (family.type_class_lmo
-                  if _symmetric_search(family, eta_mat, member)
-                  else partial(family.lmo, seed=settings.seed))
+    member_lmo, member, pospart, _ = _search(
+        family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
 
     def lmo(grad: np.ndarray) -> np.ndarray:
         s = K * member_lmo(grad)
         return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
 
-    tracker, _ = _anneal(partial(_dual_eval, eta_mat, K), (1e-3, 1e-6, 1e-8),
-                         lmo, min(1.0, K) * member,
+    tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K),
+                         (1e-3, 1e-6, 1e-8), lmo, min(1.0, K) * member,
                          max(20, settings.max_iters // 3), settings.tol / 4.0)
     return tracker.best_value
 

@@ -278,11 +278,10 @@ def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     trace.overlap = ovl
     trace.add(Certificate("purification overlap floor", ovl - mu, CERT_TOL))
 
-    v1, cert_cond = symmetry.conditioned_state(pair.rhoN_pur, pair.rho_pur, M)
+    v1, reduced, cert_cond = symmetry.conditioned_state(pair, M)
     trace.add(cert_cond)
 
     v2, dist = symmetry.truncate_to_almost_power(v1, pair.rho_pur, R)
-    reduced = opalg.partial_trace_pure(pair.rhoN_pur, range(M))
     delta_nm_mat = _truncation_certificates(
         trace, schedule, ovl, dist, reduced.mat,
         np.outer(v1.vec, v1.vec.conj()), np.outer(v2.vec, v2.vec.conj()))

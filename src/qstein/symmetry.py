@@ -30,7 +30,6 @@ from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     eigh, partial_trace_pure, sqrt_psd)
 
 SYM_DIM_CAP = 4096
-TWIRL_FACTORIAL_CAP = 5040  # 7!
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -73,19 +72,27 @@ def sym_residual(v: PureState) -> float:
 
 
 def twirl(a: HermitianOperator) -> HermitianOperator:
-    """Average of U_pi a U_pi^dag over all permutations of equal subsystems."""
+    """Average of U_pi a U_pi^dag over all permutations of equal subsystems.
+
+    Every permutation of subsystems 0..k is, in one way, a transposition
+    (j k) with j <= k after a permutation that fixes k.  So the average over
+    them is (1/(k+1)) (e + sum_{j<k} (j k)) applied after the average over
+    the permutations of 0..k-1, and the twirl takes n(n-1)/2 transposes
+    instead of n!.
+    """
     dims = a.shape.dims
     n = len(dims)
     if any(x != dims[0] for x in dims):
         raise ValueError("twirl needs equal subsystem dimensions")
-    if math.factorial(n) > TWIRL_FACTORIAL_CAP:
-        raise DimensionCap(f"{n}! permutations exceed the twirl cap")
     t = a.mat.reshape(dims + dims)
-    acc = np.zeros_like(t)
-    for p in itertools.permutations(range(n)):
-        acc += t.transpose(p + tuple(n + i for i in p))
-    acc /= math.factorial(n)
-    return HermitianOperator(a.shape, acc.reshape(a.total_dim, a.total_dim))
+    for k in range(1, n):
+        acc = t.copy()
+        for j in range(k):
+            p = list(range(n))
+            p[j], p[k] = k, j
+            acc += t.transpose(p + [n + i for i in p])
+        t = acc / (k + 1)
+    return HermitianOperator(a.shape, t.reshape(a.total_dim, a.total_dim))
 
 
 def is_perm_invariant(a: HermitianOperator, tol: float = 1e-8) -> bool:
@@ -420,22 +427,22 @@ def _check_purification_marginals(rho, rho_N, rho_pur, rhoN_pur,
         raise ConstructionFailed("N-copy purification marginal mismatch")
 
 
-def conditioned_state(rho_N_pur: PureState, rho_pur: PureState,
-                      m_condition: int) -> tuple[PureState, Certificate]:
+def conditioned_state(pair: PurificationPair, m_condition: int
+                      ) -> tuple[PureState, HermitianOperator, Certificate]:
     """Project the first M copy-pairs of the purified state onto the IID ray.
 
-    Returns the renormalized conditioned state together with a certificate of
-    the dominance by the normalized partial trace, with normalization given by
-    the squared overlap with the IID purification.
+    Returns the renormalized conditioned state, the partial trace of the
+    purified N-copy state over those M pairs, and a certificate of the
+    dominance of the conditioned state by that partial trace divided by the
+    squared overlap ``pair.overlap`` with the IID purification.
     """
+    rho_N_pur, rho_pur = pair.rhoN_pur, pair.rho_pur
     dims = rho_N_pur.shape.dims
     D = dims[0]
     n = len(dims)
     m = int(m_condition)
     if m < 0 or m > n:
         raise ValueError("conditioning count out of range")
-    iid = opalg.pure_power(rho_pur, n).vec
-    overlap = abs(complex(np.vdot(iid, rho_N_pur.vec)))
     if m == 0:
         cond = rho_N_pur
     else:
@@ -446,13 +453,13 @@ def conditioned_state(rho_N_pur: PureState, rho_pur: PureState,
         if nrm < 1e-12:
             raise ZeroOverlap("conditioning annihilated the state")
         cond = PureState(SystemShape((D,) * (n - m)), w / nrm)
-    if overlap < 1e-12:
+    if pair.overlap < 1e-12:
         raise ZeroOverlap("zero overlap with the IID purification")
     reduced = partial_trace_pure(rho_N_pur, range(m))
-    gap = reduced.mat / overlap ** 2 - np.outer(cond.vec, cond.vec.conj())
+    gap = reduced.mat / pair.overlap ** 2 - np.outer(cond.vec, cond.vec.conj())
     margin = float(eigh(gap)[0][0])
     cert = Certificate("conditioned-state dominance", margin, 1e-9)
-    return cond, cert
+    return cond, reduced, cert
 
 
 def beta_truncation_delta(v: PureState, base: PureState, N: int) -> np.ndarray:

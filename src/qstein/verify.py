@@ -402,7 +402,7 @@ def check_conditioning_chain(trials: int, seed: int) -> CheckResult:
         pair = symmetry.perm_invariant_purification(rho, rho_n)
         if pair.overlap < 1e-6:
             continue
-        cond, cert = symmetry.conditioned_state(pair.rhoN_pur, pair.rho_pur, 1)
+        cond, _, cert = symmetry.conditioned_state(pair, 1)
         margins.append(cert.margin)
         trunc, dist = symmetry.truncate_to_almost_power(cond, pair.rho_pur, 1)
         bound = 2.0 * math.sqrt(2.0) / pair.overlap * math.exp(-1.0 / 6.0)

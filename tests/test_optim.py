@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qstein import opalg, rand
+from qstein import opalg, optim, rand
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
-                             SeparableHullFamily, SingletonIIDFamily)
+                             SeparableHullFamily, SingletonIIDFamily,
+                             _type_classes)
 from qstein.errors import DimensionCap, NoFullRankMember
 from qstein.opalg import SystemShape
 from qstein.optim import (SolverSettings, distance_to_family, frank_wolfe,
@@ -14,8 +15,9 @@ from qstein.optim import (SolverSettings, distance_to_family, frank_wolfe,
                           hypothesis_primal, min_positive_part,
                           regularized_sequence, rel_ent_of_resource)
 
-from oracles import (classical_neyman_pearson, coherence_power_state,
-                     diagonal_dual_optimum, diagonal_threshold_optimum,
+from oracles import (classical_neyman_pearson, classical_threshold_value,
+                     coherence_power_state, diagonal_dual_optimum,
+                     diagonal_threshold_optimum,
                      robustness_qubit_diagonal_grid)
 
 RNG = np.random.default_rng(313)
@@ -132,6 +134,97 @@ class TestMinPositivePart:
             prev = res.value
 
 
+def _pure_power(vec: np.ndarray, n: int) -> opalg.HermitianOperator:
+    power = opalg.kron_power(vec, n)
+    return opalg.operator(np.outer(power, power.conj()), (vec.size,) * n)
+
+
+def _dense_only(monkeypatch):
+    """Make every search skip type-class coordinates, as for an input off
+    the symmetric subspace."""
+    monkeypatch.setattr(optim._TypeClassCoords, "of",
+                        classmethod(lambda cls, family, target: None))
+
+
+class TestTypeClassCoordinates:
+    """The reduced path of ``min_positive_part`` and ``hypothesis_dual``
+    against the dense path it replaces."""
+
+    def _both(self, monkeypatch, power, b, fam):
+        assert optim._TypeClassCoords.of(fam, power.mat) is not None
+        reduced = min_positive_part(power, b, fam)
+        with monkeypatch.context() as m:
+            _dense_only(m)
+            dense = min_positive_part(power, b, fam)
+        return reduced.value, dense.value
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_coherence_sweep_matches_dense(self, monkeypatch, n):
+        # the five rates of the benchmark sweep, at default settings.  At
+        # N = 8, y = R + 0.1 the fully corrective step can stall 4.3e-8 above
+        # the type-class optimum on either path, depending on rounding (the
+        # BLAS thread count alone flips it), so there the paths agree to
+        # the gap target only
+        R = binary_entropy(0.8)
+        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        fam = DiagonalFamily(2, n)
+        for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
+            red, dense = self._both(monkeypatch, power, 2.0 ** ((R + dy) * n),
+                                    fam)
+            assert abs(red - dense) <= (1e-9 if n < 8 else 1e-7)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_qutrit_power_matches_dense(self, monkeypatch, n):
+        vec = rand.random_pure(np.random.default_rng(41),
+                               SystemShape((3,))).vec
+        probs = np.abs(vec) ** 2
+        R = float(-(probs * np.log2(probs)).sum())
+        fam = DiagonalFamily(3, n)
+        for dy in (-0.25, 0.0, 0.25):
+            red, dense = self._both(monkeypatch, _pure_power(vec, n),
+                                    2.0 ** ((R + dy) * n), fam)
+            assert abs(red - dense) <= 1e-9
+
+    @pytest.mark.parametrize("offset", (0.0, -math.log(3.0)))
+    def test_surrogate_matches_dense(self, offset):
+        # at a random invariant sigma, for each temperature of the schedule
+        rng = np.random.default_rng(43)
+        n = 5
+        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
+        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n), power)
+        labels, sizes = _type_classes(2, n)
+        w = np.diag(rng.dirichlet(np.ones(sizes.size)))
+        b = 2.0 ** (binary_entropy(0.8) * n)
+        for tau in (1e-3, 1e-6, 1e-8):
+            s_d, g_d, e_d = optim._pospart_eval(power, b, tau, offset)(
+                coords.dense(w), True)
+            s_r, g_r, e_r = coords.pospart_eval(b, tau, offset)(w, True)
+            class_avg = np.bincount(labels, weights=np.diag(g_d).real) / sizes
+            assert abs(s_r - s_d) <= 1e-12
+            assert abs(e_r - e_d) <= 1e-12
+            assert np.abs(np.diag(g_r) - class_avg).max() <= 1e-12
+
+    def test_mixed_power_keeps_dense_path(self):
+        # diag(0.7, 0.3)^{x4} is invariant but off the symmetric subspace; it
+        # is free, so the threshold value is the binomial sum at sigma0 = rho
+        # and the dual is 1/K, the Neyman-Pearson value against rho itself
+        n, p = 4, 0.7
+        fam = DiagonalFamily(2, n)
+        eta = opalg.density(np.diag([p, 1.0 - p]), (2,))
+        power = opalg.tensor_power(eta.op, n)
+        assert optim._symmetric_search(fam, power.mat)
+        assert optim._TypeClassCoords.of(fam, power.mat) is None
+        for y in (-0.25, -0.1, 0.1):
+            res = min_positive_part(power, 2.0 ** (y * n), fam, FAST)
+            assert abs(res.value - classical_threshold_value(n, y, p, p)) \
+                <= 1e-9
+        diag = np.diag(power.mat).real
+        for K in (2.0, 8.0):
+            dual = hypothesis_dual(opalg.DensityMatrix(power), K, fam, FAST)
+            want = classical_neyman_pearson(diag, diag, 1.0 / K)
+            assert abs(dual - want) <= 1e-6
+
+
 class TestHypothesisTesting:
     def test_k_one_is_trivial(self):
         fam = DiagonalFamily(2, 1)
@@ -209,12 +302,19 @@ class TestHypothesisTesting:
                     dual = hypothesis_dual(eta, K, fam, FAST)
                     assert abs(dual - 1.0) <= 1e-9
 
-    def test_dual_power_state_matches_type_class_oracle(self):
-        # an invariant input on 7 copies: the solve runs over invariant X
+    def test_dual_power_state_matches_type_class_oracle(self, monkeypatch):
+        # an invariant input on 7 copies, on the symmetric subspace: the
+        # solve runs over invariant X in type-class coordinates
+        calls = []
+        pospart = optim._TypeClassCoords.pospart_eval
+        monkeypatch.setattr(optim._TypeClassCoords, "pospart_eval",
+                            lambda self, *a: calls.append(a)
+                            or pospart(self, *a))
         y = binary_entropy(0.8) + 0.1
         K = 2.0 ** (y * 7)
         eta = opalg.density(coherence_power_state(0.8, 7), (2,) * 7)
         val = hypothesis_dual(eta, K, DiagonalFamily(2, 7), FAST)
+        assert calls
         assert abs(val - diagonal_dual_optimum(7, K)) < 1e-6
 
     def test_weak_duality_random(self):

@@ -193,7 +193,7 @@ class TestConditionedState:
         rho = rand.random_density(RNG, SystemShape((2,)))
         power = opalg.DensityMatrix(opalg.tensor_power(rho.op, 3))
         pair = symmetry.perm_invariant_purification(rho, power)
-        cond, cert = symmetry.conditioned_state(pair.rhoN_pur, pair.rho_pur, 2)
+        cond, _, cert = symmetry.conditioned_state(pair, 2)
         assert cert.passed
         assert abs(abs(np.vdot(cond.vec, pair.rho_pur.vec)) - 1.0) < 1e-9
 
@@ -201,7 +201,7 @@ class TestConditionedState:
         rho = rand.random_density(RNG, SystemShape((2,)))
         rho_n = rand.random_perm_invariant_density(RNG, 2, 3)
         pair = symmetry.perm_invariant_purification(rho, rho_n)
-        cond, cert = symmetry.conditioned_state(pair.rhoN_pur, pair.rho_pur, 0)
+        cond, _, cert = symmetry.conditioned_state(pair, 0)
         assert_allclose(cond.vec, pair.rhoN_pur.vec)
         assert cert.passed
 
@@ -210,8 +210,7 @@ class TestConditionedState:
             rho = rand.random_density(RNG, SystemShape((2,)))
             rho_n = rand.random_perm_invariant_density(RNG, 2, 4)
             pair = symmetry.perm_invariant_purification(rho, rho_n)
-            _, cert = symmetry.conditioned_state(pair.rhoN_pur,
-                                                 pair.rho_pur, 1)
+            _, _, cert = symmetry.conditioned_state(pair, 1)
             assert cert.margin >= -1e-9
 
     def test_zero_overlap(self):
@@ -220,7 +219,8 @@ class TestConditionedState:
         other = opalg.pure(np.array([0.0, 1.0]))
         v = opalg.pure_power(other, 2)
         with pytest.raises(ZeroOverlap):
-            symmetry.conditioned_state(v, base, 1)
+            symmetry.conditioned_state(
+                symmetry.PurificationPair(base, v, 0.0), 1)
 
 
 class TestPowerInequality:
@@ -246,6 +246,26 @@ class TestPowerInequality:
 
 def test_twirl_makes_invariant():
     a = rand.random_hermitian(RNG, SystemShape((2, 2, 2)))
+    t = symmetry.twirl(a)
+    assert symmetry.is_perm_invariant(t, 1e-12)
+    assert abs(t.trace() - a.trace()) < 1e-12
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3),
+                                 (3, 4)])
+def test_twirl_matches_permutation_sum(d, n):
+    # the coset recursion against the explicit sum over all n! permutations
+    a = rand.random_hermitian(np.random.default_rng(101), SystemShape((d,) * n))
+    t = a.mat.reshape((d,) * (2 * n))
+    acc = sum(t.transpose(p + tuple(n + i for i in p))
+              for p in itertools.permutations(range(n)))
+    want = acc.reshape(d ** n, d ** n) / math.factorial(n)
+    assert np.abs(symmetry.twirl(a).mat - want).max() <= 1e-12
+
+
+def test_twirl_eight_copies():
+    a = rand.random_hermitian(np.random.default_rng(103),
+                              SystemShape((2,) * 8))
     t = symmetry.twirl(a)
     assert symmetry.is_perm_invariant(t, 1e-12)
     assert abs(t.trace() - a.trace()) < 1e-12
