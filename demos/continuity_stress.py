@@ -30,7 +30,7 @@ def probe(m: float):
     t = m
     flip = np.diag([1.0 - m, m])
     s2 = opalg.density((1.0 - t) * s1.mat + t * flip)
-    eps = opalg.trace_norm_mat(s1.mat - s2.mat)
+    eps = opalg.trace_norm(s1.mat - s2.mat)
     d1 = relative_entropy(rho, s1).value
     d2 = relative_entropy(rho, s2).value
     lhs = abs(d1 - d2)

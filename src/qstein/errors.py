@@ -68,9 +68,5 @@ class NotPermutationInvariant(QSteinError):
     """Input state is not invariant under subsystem permutations within tolerance."""
 
 
-class ConstraintUncertified(QSteinError):
-    """The exit feasibility check of an optimizer could not be certified."""
-
-
 class Infeasible(QSteinError):
     """No parameter choice satisfies the requested constraints."""

@@ -128,7 +128,7 @@ class DiagonalFamily(FreeFamily):
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
         off = sigma.mat - np.diag(np.diag(sigma.mat))
-        return opalg.trace_norm_mat(off)
+        return opalg.trace_norm(off)
 
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         i = int(np.argmin(np.diag(grad).real))
@@ -178,7 +178,7 @@ class SingletonIIDFamily(FreeFamily):
             self.shape, opalg.kron_power(self.sigma0, self.copies)))
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
-        return opalg.trace_norm_mat(
+        return opalg.trace_norm(
             sigma.mat - opalg.kron_power(self.sigma0, self.copies))
 
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:

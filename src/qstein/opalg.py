@@ -326,14 +326,17 @@ def positive_eigenprojector(mat: np.ndarray) -> np.ndarray:
     return cols @ cols.conj().T
 
 
-def trace_norm(a: HermitianOperator) -> float:
-    """Sum of absolute eigenvalues."""
-    w = a.eigvals()
+def trace_norm(a: HermitianOperator | np.ndarray) -> float:
+    """Trace norm of a Hermitian operator or matrix: the sum of its absolute
+    eigenvalues."""
+    w, _ = eigh(a if isinstance(a, np.ndarray) else a.mat)
     return float(np.abs(w).sum())
 
 
 def trace_norm_mat(mat: np.ndarray) -> float:
-    """Trace norm of an arbitrary matrix, routed through the Hermitian backend.
+    """Trace norm of a matrix that need not be Hermitian, routed through the
+    Hermitian backend (for Hermitian input, :func:`trace_norm` needs one
+    eigendecomposition of half the size).
 
     Uses the Hermitian dilation [[0, X], [X^dag, 0]], whose spectrum is the
     singular values of X with both signs; this keeps full absolute accuracy

@@ -18,11 +18,14 @@ A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
     rel_ent_of_resource      exact                max(12, m//8)   tol
     min_positive_part        1e-3, 1e-6, 1e-8     max(12, m//24)  tol / 4
     hypothesis_dual          1e-3, 1e-6, 1e-8     max(20, m//3)   tol / 4
+    hypothesis_primal        1e-3, 1e-6           max(20, m//3)   tol / 4
     generalized_robustness   1e-2, 1e-5, exact    max(12, m//24)  tol / 4
     distance_to_family       1e-3, 1e-6, exact    max(12, m//24)  tol / 4
 
-Oracles and iterates are plain matrices; a ``DensityMatrix`` is built only
-for the minimizer a solver returns.
+``hypothesis_primal`` runs the first two stages of the dual's solve and
+reads its test off their last iterate with a cutting-plane linear program.
+Oracles and iterates are plain matrices; a ``DensityMatrix`` is built
+only for the minimizer a solver returns.
 
 ``min_positive_part`` and ``hypothesis_dual`` search the permutation-
 invariant members only when the family offers ``type_class_lmo`` on
@@ -46,8 +49,7 @@ from functools import partial
 import numpy as np
 
 from . import opalg, symmetry
-from .errors import (ConstraintUncertified, DimensionCap, Infeasible,
-                     NoFullRankMember)
+from .errors import DimensionCap, Infeasible, NoFullRankMember
 from .freesets import FreeFamily, _type_classes
 from .opalg import DensityMatrix, HermitianOperator, eigh
 
@@ -87,11 +89,13 @@ class OptResult:
 
 
 class _Tracker:
-    """Remembers the best exact objective value seen at any probed member."""
+    """Remembers the best exact objective value seen at any probed member,
+    and the last iterate of a solve."""
 
     def __init__(self):
         self.best_value = math.inf
         self.best_mat = None
+        self.last_mat = None
 
     def offer(self, mat: np.ndarray, exact: float) -> None:
         if exact < self.best_value:
@@ -176,7 +180,8 @@ def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
     exact objective).  Each stage gets ``stage_atoms`` atoms and starts at
     the last iterate of the one before; the schedule stops after a stage
     whose first oracle call certifies its start.  Returns the tracker of
-    exact values and the iterations summed over the stages.
+    exact values, whose ``last_mat`` is the last iterate, and the
+    iterations summed over the stages.
     """
     tracker = _Tracker()
     x, total = start, 0
@@ -186,6 +191,7 @@ def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
         total += it
         if it <= 1:
             break  # the oracle certifies the start point already
+    tracker.last_mat = x
     return tracker, total
 
 
@@ -292,8 +298,7 @@ class _TypeClassCoords:
         """The coordinates, or None if ``target`` is not supported on the
         symmetric subspace (||D D^T A D D^T - A||_max > 1e-12)."""
         labels, sizes = _type_classes(family.base_dim, family.copies)
-        iso = np.zeros((labels.size, sizes.size))
-        iso[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
+        iso = symmetry.sym_isometry(family.copies, family.base_dim)
         small = iso.T @ target @ iso
         if float(np.abs(iso @ small @ iso.T - target).max()) > 1e-12:
             return None
@@ -410,102 +415,6 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
 # composite hypothesis test: primal and dual
 # ---------------------------------------------------------------------------
 
-def _np_test(eta: np.ndarray, sigma: np.ndarray, budget: float) -> np.ndarray:
-    """Most powerful test against a single alternative at the given budget.
-
-    Maximizes Tr[E eta] over 0 <= E <= 1 with Tr[E sigma] <= budget by
-    thresholding the likelihood-ratio operator eta - b sigma, with a
-    fractional weight on the crossing eigenvector to use the budget exactly.
-    """
-    w, V = eigh(eta)
-    support = (V[:, w > 0.0] @ V[:, w > 0.0].conj().T)
-    if float(np.einsum("ij,ji->", support, sigma).real) <= budget + 1e-14:
-        return support
-
-    def used(bb: float) -> float:
-        proj = opalg.positive_eigenprojector(eta - bb * sigma)
-        return float(np.einsum("ij,ji->", proj, sigma).real)
-
-    lo, hi = 0.0, 1.0
-    while used(hi) > budget and hi < 1e12:
-        hi *= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if used(mid) > budget:
-            lo = mid
-        else:
-            hi = mid
-    w, V = eigh(eta - hi * sigma)
-    pos = w > 0.0
-    E = V[:, pos] @ V[:, pos].conj().T
-    spent = float(np.einsum("ij,ji->", E, sigma).real)
-    rest = budget - spent
-    if rest > 0.0:
-        # greedily add the eigenvectors at the threshold
-        order = np.argsort(-w)
-        for i in order:
-            if pos[i] or rest <= 1e-15:
-                continue
-            v = V[:, i]
-            cost = float(np.vdot(v, sigma @ v).real)
-            gain = float(np.vdot(v, eta @ v).real)
-            if gain <= 0.0:
-                break
-            frac = 1.0 if cost <= 1e-18 else min(1.0, rest / cost)
-            E = E + frac * np.outer(v, v.conj())
-            rest -= frac * cost
-    return E
-
-
-def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
-                      settings: SolverSettings = SolverSettings()) -> float:
-    """Heuristic lower bound on the best acceptance probability of eta under
-    worst-case free error <= 1/K.
-
-    Alternating ascent: a most-powerful test against the running average of
-    the worst-case free states, then a feasibility rescaling certified by
-    maximizing Tr[E sigma] over the family at exit.  The returned value is
-    attained by a feasible test (as far as the family's oracle is exact),
-    but the ascent can stop well short of the optimum.  On
-    ``FullSpaceFamily(4, 1)`` with K = 2 the exact value is 1/K = 0.5
-    (E = I/K), yet for eta = ``rand.random_density(default_rng(s), (4,))``,
-    s = 0..7, it returns 0.433 to 0.494 at max_iters = 200; the brackets
-    that ``steincli pn`` reports against :func:`hypothesis_dual` on the
-    full family are loose for that reason.
-    """
-    if K <= 0.0:
-        raise ValueError("K must be positive")
-    budget = min(1.0, 1.0 / K)
-    eta_mat = eta.mat
-    sigma_bar = _feasible_start(family, settings.seed)
-    best_val, best_E = 0.0, np.zeros_like(eta_mat)
-    stale = 0
-    rounds = min(max(40, settings.max_iters), 400)
-    for t in range(1, rounds + 1):
-        E = _np_test(eta_mat, sigma_bar, budget)
-        worst = family.lmo(-E, settings.seed)
-        m = _tr_prod(E, worst)
-        val = _tr_prod(E, eta_mat)
-        if m > budget:
-            val *= budget / m
-            E_feas = E * (budget / m)
-        else:
-            E_feas = E
-        if val > best_val + 1e-12:
-            best_val, best_E = val, E_feas
-            stale = 0
-        else:
-            stale += 1
-            if stale > 25:
-                break
-        sigma_bar = ((t - 1) * sigma_bar + worst) / t
-    check = _tr_prod(best_E, family.lmo(-best_E, settings.seed))
-    if check > budget + 1e-9:
-        raise ConstraintUncertified(
-            f"exit constraint {check:.3e} exceeds budget {budget:.3e}")
-    return best_val
-
-
 def _dual_eval(pospart, K: float, tau: float):
     """Surrogate of Tr[(eta - X)_+] + Tr X / K, with ``pospart(tau,
     offset)`` the surrogate of the first term.  The offset sets the slope
@@ -524,6 +433,26 @@ def _dual_eval(pospart, K: float, tau: float):
     return eval_fn
 
 
+def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
+                 settings: SolverSettings, taus) -> _Tracker:
+    """Annealed solve of the dual over X = b sigma at temperatures ``taus``;
+    the tracker's best probe and last iterate are dense matrices."""
+    member_lmo, member, pospart, coords = _search(
+        family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
+
+    def lmo(grad: np.ndarray) -> np.ndarray:
+        s = K * member_lmo(grad)
+        return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
+
+    tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K), taus,
+                         lmo, min(1.0, K) * member,
+                         max(20, settings.max_iters // 3), settings.tol / 4.0)
+    if coords is not None:
+        tracker.best_mat = coords.dense(tracker.best_mat)
+        tracker.last_mat = coords.dense(tracker.last_mat)
+    return tracker
+
+
 def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> float:
     """min over b in [0, K] and sigma of Tr[(eta - b sigma)_+] + b/K.
@@ -539,18 +468,61 @@ def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
+    return _dual_search(eta.mat, K, family, settings,
+                        (1e-3, 1e-6, 1e-8)).best_value
+
+
+def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
+                      settings: SolverSettings = SolverSettings()) -> float:
+    """Best acceptance probability Tr[E eta] of a test 0 <= E <= I whose
+    error Tr[E sigma] is at most min(1, 1/K) on every free sigma; a lower
+    bound attained by a feasible test, as far as the family's oracle is
+    exact.
+
+    The test is read off the dual's solve.  At the dual's smoothed
+    minimizer X* (the last iterate of its first two temperatures) the
+    surrogate's gradient is a nearly feasible, nearly optimal test, and an
+    optimal test is diagonal in the eigenbasis v_j of eta - X* by
+    complementary slackness.  (The best exact probe is no substitute: its
+    eigenbasis can sit far off along directions in which the dual is
+    flat.)  So E = sum_j e_j v_j v_j^dag, with e in [0, 1]^d maximizing
+    sum_j e_j <v_j|eta|v_j> by one linear program per round.  Its rows are
+    Kelley cutting planes sum_j e_j <v_j|s_k|v_j> <= budget, one per oracle
+    answer s_k to -E; a round adds the cut of the current answer until that
+    answer exceeds the budget by at most a relative 1e-9, for at most
+    ``max_iters`` rounds.  The rows are divided by the budget and solved to
+    HiGHS' tightest feasibility tolerance, 1e-10: at its default of 1e-7 a
+    cut the LP already holds can stay violated by more than the 1e-9, and
+    the same cut is added round after round.  The weights are clipped to
+    [0, 1] (the LP meets its bounds only to about 1e-9), and the value
+    Tr[E eta] is scaled by min(1, budget / Tr[E s]) at the last answer s.
+    """
+    from scipy.optimize import linprog
+
+    if K <= 0.0:
+        raise ValueError("K must be positive")
+    budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
-    member_lmo, member, pospart, _ = _search(
-        family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
+    x = _dual_search(eta_mat, K, family, settings, (1e-3, 1e-6)).last_mat
+    _, V = eigh(eta_mat - x)
 
-    def lmo(grad: np.ndarray) -> np.ndarray:
-        s = K * member_lmo(grad)
-        return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
+    def diag_in_basis(mat: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ij->j", V.conj(), mat @ V).real
 
-    tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K),
-                         (1e-3, 1e-6, 1e-8), lmo, min(1.0, K) * member,
-                         max(20, settings.max_iters // 3), settings.tol / 4.0)
-    return tracker.best_value
+    gain = diag_in_basis(eta_mat)
+    cuts: list[np.ndarray] = []
+    for _ in range(settings.max_iters):
+        res = linprog(-gain, A_ub=np.array(cuts) / budget if cuts else None,
+                      b_ub=np.ones(len(cuts)) if cuts else None,
+                      bounds=(0.0, 1.0), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10})
+        e = np.clip(res.x, 0.0, 1.0)
+        cost = diag_in_basis(family.lmo(-(V * e) @ V.conj().T, settings.seed))
+        if cost @ e <= budget * (1.0 + 1e-9):
+            break
+        cuts.append(cost)
+    used = float(cost @ e)
+    return float(gain @ e) * (budget / used if used > budget else 1.0)
 
 
 # ---------------------------------------------------------------------------

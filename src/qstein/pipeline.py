@@ -338,7 +338,7 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     if p_keep <= 1e-12:
         raise PremiseFailed("tail truncation annihilated the state")
     rho_r = DensityMatrix(HermitianOperator(shape_nm, kept / p_keep))
-    dist = opalg.trace_norm_mat(rho_r.mat - rho_nm.mat)
+    dist = opalg.trace_norm(rho_r.mat - rho_nm.mat)
     delta_nm_mat = _truncation_certificates(trace, schedule, mu, dist,
                                             reduced.mat, rho_nm.mat,
                                             rho_r.mat)

@@ -26,6 +26,7 @@ from .entropy import binary_entropy
 from .errors import (ConstructionFailed, DimensionCap, NotOrthogonal,
                      NotPermutationInvariant, PremiseFailed, ZeroNorm,
                      ZeroOverlap)
+from .freesets import _type_classes
 from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     eigh, partial_trace_pure, sqrt_psd)
 
@@ -39,25 +40,21 @@ def sym_dim(n: int, d: int) -> int:
     return math.comb(n + d - 1, n)
 
 
-def _multiset_basis(n: int, d: int) -> np.ndarray:
-    """Orthonormal basis of the symmetric subspace, one column per multiset."""
-    cols = []
-    radix = d ** np.arange(n - 1, -1, -1)
-    for combo in itertools.combinations_with_replacement(range(d), n):
-        arrangements = set(itertools.permutations(combo))
-        v = np.zeros(d ** n, dtype=complex)
-        for arr in arrangements:
-            v[int(np.dot(arr, radix))] = 1.0
-        cols.append(v / math.sqrt(len(arrangements)))
-    return np.column_stack(cols)
+def sym_isometry(n: int, d: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric subspace of (C^d)^{x n}: column t
+    is the normalized indicator of type class t of ``_type_classes``."""
+    labels, sizes = _type_classes(d, n)
+    iso = np.zeros((labels.size, sizes.size))
+    iso[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
+    return iso
 
 
 def sym_projector(n: int, d: int) -> HermitianOperator:
     """Projector onto the symmetric subspace of (C^d)^{x n}."""
     if d ** n > SYM_DIM_CAP:
         raise DimensionCap(f"d^n = {d ** n} exceeds cap {SYM_DIM_CAP}")
-    basis = _multiset_basis(n, d)
-    return HermitianOperator(SystemShape((d,) * n), basis @ basis.conj().T)
+    basis = sym_isometry(n, d)
+    return HermitianOperator(SystemShape((d,) * n), basis @ basis.T)
 
 
 def sym_residual(v: PureState) -> float:
@@ -66,8 +63,8 @@ def sym_residual(v: PureState) -> float:
     d = dims[0]
     if any(x != d for x in dims):
         raise ValueError("sym_residual needs equal subsystem dimensions")
-    basis = _multiset_basis(len(dims), d)
-    coeff = basis.conj().T @ v.vec
+    basis = sym_isometry(len(dims), d)
+    coeff = basis.T @ v.vec
     return float(np.linalg.norm(v.vec - basis @ coeff))
 
 

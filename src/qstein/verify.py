@@ -100,7 +100,7 @@ def check_trace_distance_dominance(trials: int, seed: int) -> CheckResult:
         rho = random_density(rng, shape)
         sigma = random_density(rng, shape)
         diff = rho.mat - sigma.mat
-        eps = opalg.trace_norm_mat(diff)
+        eps = opalg.trace_norm(diff)
         pos = opalg.positive_part(opalg.operator(diff, shape.dims))
         tr = pos.trace()
         if tr < 1e-12:
@@ -161,7 +161,7 @@ def check_entropy_continuity(trials: int, seed: int) -> CheckResult:
         t = float(rng.uniform(0.0, 0.2))
         sigma = DensityMatrix(HermitianOperator(
             shape, (1.0 - t) * rho.mat + t * tau.mat))
-        eps = opalg.trace_norm_mat(rho.mat - sigma.mat)
+        eps = opalg.trace_norm(rho.mat - sigma.mat)
         if eps > 0.5:
             continue
         bound = entropy_continuity_bound(shape.total_dim, eps)
@@ -186,7 +186,7 @@ def check_relent_continuity(trials: int, seed: int) -> CheckResult:
         t = float(rng.uniform(0.0, 0.3))
         s2 = DensityMatrix(HermitianOperator(
             shape, (1.0 - t) * s1.mat + t * tau.mat))
-        eps = opalg.trace_norm_mat(s1.mat - s2.mat)
+        eps = opalg.trace_norm(s1.mat - s2.mat)
         if eps <= 0.0:
             margins.append(0.0)
             continue
@@ -358,7 +358,7 @@ def check_sym_projector(trials: int, seed: int) -> CheckResult:
         if d ** n > 256:
             continue
         p = symmetry.sym_projector(n, d)
-        idem = opalg.trace_norm_mat(p.mat @ p.mat - p.mat)
+        idem = opalg.trace_norm(p.mat @ p.mat - p.mat)
         tr_gap = abs(p.trace() - symmetry.sym_dim(n, d))
         margins.append(-max(idem, tr_gap))
     return CheckResult("sym-projector", np.array(margins), 1e-8)

@@ -241,6 +241,29 @@ k = 4
         dual = float(out.split("dual   = ")[1].split()[0])
         assert abs(dual - 0.625) <= 1e-6
 
+    def test_diagonal_family_classical_state(self, tmp_path, capsys):
+        # diag(0.75, 0.25) is free, so the best test at budget 1/4 accepts
+        # it with probability 1/4
+        cfg = write_cfg(tmp_path, "pn4.cfg", """
+state = classical:0.75
+family = diagonal
+k = 4
+""")
+        assert cli.main(["pn", "--config", cfg]) == 0
+        assert "primal = 0.25\n" in capsys.readouterr().out
+
+    def test_coherence_power_gap(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "pn5.cfg", """
+state = coherence:0.8
+family = diagonal
+n = 6
+k = 8
+""")
+        assert cli.main(["pn", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        gap = float(out.split("gap    = ")[1].split()[0])
+        assert 0.0 <= gap <= 1e-7
+
 
 class TestUsage:
     def test_unknown_command(self):

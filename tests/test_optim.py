@@ -329,7 +329,29 @@ class TestHypothesisTesting:
             K = float(RNG.choice([2.0, 4.0, 8.0]))
             p = hypothesis_primal(eta, K, fam, FAST)
             du = hypothesis_dual(eta, K, fam, FAST)
-            assert p <= du + 1e-6
+            assert p <= du + 1e-12
+
+    def test_primal_full_family_closed_form(self):
+        # E = I/K is optimal on the full family, so the primal is 1/K
+        rng = np.random.default_rng(29)
+        for d in range(2, 7):
+            fam = FullSpaceFamily(d, 1)
+            for K in (1.5, 2.0, 8.0):
+                eta = rand.random_density(rng, SystemShape((d,)))
+                assert abs(hypothesis_primal(eta, K, fam, FAST) - 1.0 / K) \
+                    <= 1e-9
+
+    def test_primal_power_state_meets_type_class_dual(self):
+        # the primal is a lower bound on the exact dual optimum, and the
+        # test read off the dual's probe comes close to it
+        for n in range(2, 8):
+            eta = opalg.density(coherence_power_state(0.8, n), (2,) * n)
+            fam = DiagonalFamily(2, n)
+            for K in (1.5, 2.0, 8.0):
+                p = hypothesis_primal(eta, K, fam, FAST)
+                want = diagonal_dual_optimum(n, K)
+                assert p <= want + 1e-9
+                assert want - p <= 1e-6
 
 
 class TestResourceMeasures:

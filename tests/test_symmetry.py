@@ -35,7 +35,7 @@ class TestSymProjector:
 
     def test_idempotent(self):
         p = symmetry.sym_projector(3, 2).mat
-        assert opalg.trace_norm_mat(p @ p - p) < 1e-10
+        assert opalg.trace_norm(p @ p - p) < 1e-10
 
     def test_against_permutation_average(self):
         # independent oracle: (1/n!) sum of permutation unitaries
@@ -142,8 +142,8 @@ class TestTruncation:
         base = rand.random_pure(RNG, SystemShape((2,)))
         v = symmetry.random_almost_power(RNG, base, 4, 2)
         out, dist = symmetry.truncate_to_almost_power(v, base, 1)
-        want = opalg.trace_norm_mat(np.outer(v.vec, v.vec.conj())
-                                    - np.outer(out.vec, out.vec.conj()))
+        want = opalg.trace_norm(np.outer(v.vec, v.vec.conj())
+                                - np.outer(out.vec, out.vec.conj()))
         assert abs(dist - want) < 1e-9
 
     def test_rejects_asymmetric(self):
