@@ -18,12 +18,14 @@ A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
     rel_ent_of_resource      exact                max(12, m//8)   tol
     min_positive_part        1e-3, 1e-6, 1e-8     max(12, m//24)  tol / 4
     hypothesis_dual          1e-3, 1e-6, 1e-8     max(20, m//3)   tol / 4
-    hypothesis_primal        1e-3, 1e-6           max(20, m//3)   tol / 4
+    hypothesis_primal        reads stage 2's end of the dual's solve
     generalized_robustness   1e-2, 1e-5, exact    max(12, m//24)  tol / 4
     distance_to_family       1e-3, 1e-6, exact    max(12, m//24)  tol / 4
 
-``hypothesis_primal`` runs the first two stages of the dual's solve and
-reads its test off their last iterate with a cutting-plane linear program.
+``hypothesis_primal`` reads its test off the iterate at the end of the
+dual's second stage with a cutting-plane linear program.  Both ends of the
+bracket share one solve: the last dual solve is memoized, so a primal and
+a dual call on the same inputs, in either order, anneal once.
 Oracles and iterates are plain matrices; a ``DensityMatrix`` is built
 only for the minimizer a solver returns.
 
@@ -90,12 +92,12 @@ class OptResult:
 
 class _Tracker:
     """Remembers the best exact objective value seen at any probed member,
-    and the last iterate of a solve."""
+    and the iterate at the end of each annealing stage."""
 
     def __init__(self):
         self.best_value = math.inf
         self.best_mat = None
-        self.last_mat = None
+        self.stage_ends: list[np.ndarray] = []
 
     def offer(self, mat: np.ndarray, exact: float) -> None:
         if exact < self.best_value:
@@ -159,7 +161,10 @@ def _fcfw_minimize(eval_fn, lmo, start: np.ndarray, max_outer: int,
         if fw_gap <= gap_tol:
             break
         for entry in atoms:
-            if np.allclose(entry[0], s, atol=1e-13):
+            # np.allclose(entry[0], s, atol=1e-13) written out, for speed;
+            # its relative term 1e-5 |s| is kept, as dropping it would change
+            # which atoms merge and so every Frank-Wolfe path
+            if (np.abs(entry[0] - s) <= 1e-13 + 1e-5 * np.abs(s)).all():
                 break
         else:
             atoms.append([s, 0.0])
@@ -180,18 +185,18 @@ def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
     exact objective).  Each stage gets ``stage_atoms`` atoms and starts at
     the last iterate of the one before; the schedule stops after a stage
     whose first oracle call certifies its start.  Returns the tracker of
-    exact values, whose ``last_mat`` is the last iterate, and the
-    iterations summed over the stages.
+    exact values, whose ``stage_ends`` are the iterates at the end of the
+    stages run, and the iterations summed over the stages.
     """
     tracker = _Tracker()
     x, total = start, 0
     for tau in taus:
         x, it = _fcfw_minimize(make_eval(tau), lmo, x, stage_atoms, gap_tol,
                                tracker)
+        tracker.stage_ends.append(x)
         total += it
         if it <= 1:
             break  # the oracle certifies the start point already
-    tracker.last_mat = x
     return tracker, total
 
 
@@ -433,10 +438,32 @@ def _dual_eval(pospart, K: float, tau: float):
     return eval_fn
 
 
+# The last dual solve: (copy of eta, K, family, settings, best value,
+# primal iterate).
+_DUAL_MEMO = None
+
+
 def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
-                 settings: SolverSettings, taus) -> _Tracker:
-    """Annealed solve of the dual over X = b sigma at temperatures ``taus``;
-    the tracker's best probe and last iterate are dense matrices."""
+                 settings: SolverSettings) -> tuple[float, np.ndarray]:
+    """Annealed solve of the dual over X = b sigma: the exact value at its
+    best probe, and the dense iterate at the end of its second temperature
+    (of its first, if the schedule stops there), from which the primal
+    reads its test.
+
+    The last solve is kept in a one-entry memo, so that a primal and a dual
+    call on the same inputs share it, in either order.  A call reuses it
+    when ``family`` is the same object, K and ``settings`` are equal and
+    eta equals the memo's copy entry by entry.  Families are matched by
+    identity because not all of them can be hashed; the memo holds the
+    family, so its identity cannot pass to a new object.  Reading the memo
+    and replacing it are each one atomic step, so threads that race at
+    worst both solve.
+    """
+    global _DUAL_MEMO
+    memo = _DUAL_MEMO
+    if (memo is not None and memo[2] is family and memo[1] == K
+            and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
+        return memo[4], memo[5]
     member_lmo, member, pospart, coords = _search(
         family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
 
@@ -444,13 +471,14 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
         s = K * member_lmo(grad)
         return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
 
-    tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K), taus,
-                         lmo, min(1.0, K) * member,
+    tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K),
+                         (1e-3, 1e-6, 1e-8), lmo, min(1.0, K) * member,
                          max(20, settings.max_iters // 3), settings.tol / 4.0)
+    x = tracker.stage_ends[:2][-1]
     if coords is not None:
-        tracker.best_mat = coords.dense(tracker.best_mat)
-        tracker.last_mat = coords.dense(tracker.last_mat)
-    return tracker
+        x = coords.dense(x)
+    _DUAL_MEMO = (eta_mat.copy(), K, family, settings, tracker.best_value, x)
+    return tracker.best_value, x
 
 
 def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
@@ -464,12 +492,12 @@ def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
     K, X / b free by convexity) and the exact value at the best probe is a
     certified upper bound on the primal.  Invariant multi-copy inputs use
     the type-class oracle, and type-class coordinates, as in
-    ``min_positive_part``.
+    ``min_positive_part``.  A ``hypothesis_primal`` call on the same
+    inputs just before or after shares the solve (``_dual_search``).
     """
     if K <= 0.0:
         raise ValueError("K must be positive")
-    return _dual_search(eta.mat, K, family, settings,
-                        (1e-3, 1e-6, 1e-8)).best_value
+    return _dual_search(eta.mat, K, family, settings)[0]
 
 
 def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
@@ -479,23 +507,26 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
     bound attained by a feasible test, as far as the family's oracle is
     exact.
 
-    The test is read off the dual's solve.  At the dual's smoothed
-    minimizer X* (the last iterate of its first two temperatures) the
+    The test is read off the dual's solve, which a ``hypothesis_dual`` call
+    on the same inputs just before or after shares (``_dual_search`` keeps
+    the last solve in a one-entry memo).  So a caller that asks for the
+    primal alone pays for the dual's whole schedule.  At the dual's smoothed
+    minimizer X* (the iterate at the end of its second temperature) the
     surrogate's gradient is a nearly feasible, nearly optimal test, and an
     optimal test is diagonal in the eigenbasis v_j of eta - X* by
     complementary slackness.  (The best exact probe is no substitute: its
-    eigenbasis can sit far off along directions in which the dual is
-    flat.)  So E = sum_j e_j v_j v_j^dag, with e in [0, 1]^d maximizing
-    sum_j e_j <v_j|eta|v_j> by one linear program per round.  Its rows are
-    Kelley cutting planes sum_j e_j <v_j|s_k|v_j> <= budget, one per oracle
-    answer s_k to -E; a round adds the cut of the current answer until that
-    answer exceeds the budget by at most a relative 1e-9, for at most
-    ``max_iters`` rounds.  The rows are divided by the budget and solved to
-    HiGHS' tightest feasibility tolerance, 1e-10: at its default of 1e-7 a
-    cut the LP already holds can stay violated by more than the 1e-9, and
-    the same cut is added round after round.  The weights are clipped to
-    [0, 1] (the LP meets its bounds only to about 1e-9), and the value
-    Tr[E eta] is scaled by min(1, budget / Tr[E s]) at the last answer s.
+    eigenbasis can sit far off along directions in which the dual is flat.)
+    So E = sum_j e_j v_j v_j^dag, with e in [0, 1]^d maximizing sum_j e_j
+    <v_j|eta|v_j> by one linear program per round.  Its rows are Kelley
+    cutting planes sum_j e_j <v_j|s_k|v_j> <= budget, one per oracle answer
+    s_k to -E; a round adds the cut of the current answer until that answer
+    exceeds the budget by at most a relative 1e-9, for at most ``max_iters``
+    rounds.  The rows are divided by the budget and solved to HiGHS'
+    tightest feasibility tolerance, 1e-10: at its default of 1e-7 a cut the
+    LP already holds can stay violated by more than the 1e-9, and the same
+    cut is added round after round.  The weights are clipped to [0, 1] (the
+    LP meets its bounds only to about 1e-9), and the value Tr[E eta] is
+    scaled by min(1, budget / Tr[E s]) at the last answer s.
     """
     from scipy.optimize import linprog
 
@@ -503,7 +534,7 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
         raise ValueError("K must be positive")
     budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
-    x = _dual_search(eta_mat, K, family, settings, (1e-3, 1e-6)).last_mat
+    x = _dual_search(eta_mat, K, family, settings)[1]
     _, V = eigh(eta_mat - x)
 
     def diag_in_basis(mat: np.ndarray) -> np.ndarray:

@@ -305,17 +305,21 @@ class TestHypothesisTesting:
     def test_dual_power_state_matches_type_class_oracle(self, monkeypatch):
         # an invariant input on 7 copies, on the symmetric subspace: the
         # solve runs over invariant X in type-class coordinates
+        y = binary_entropy(0.8) + 0.1
+        K = 2.0 ** (y * 7)
+        eta = opalg.density(coherence_power_state(0.8, 7), (2,) * 7)
+        # a memo left on equal inputs but another family object must not
+        # stand in for the solve the spy watches
+        primal = hypothesis_primal(eta, K, DiagonalFamily(2, 7), FAST)
         calls = []
         pospart = optim._TypeClassCoords.pospart_eval
         monkeypatch.setattr(optim._TypeClassCoords, "pospart_eval",
                             lambda self, *a: calls.append(a)
                             or pospart(self, *a))
-        y = binary_entropy(0.8) + 0.1
-        K = 2.0 ** (y * 7)
-        eta = opalg.density(coherence_power_state(0.8, 7), (2,) * 7)
         val = hypothesis_dual(eta, K, DiagonalFamily(2, 7), FAST)
         assert calls
         assert abs(val - diagonal_dual_optimum(7, K)) < 1e-6
+        assert primal <= val
 
     def test_weak_duality_random(self):
         for i in range(12):
@@ -330,6 +334,68 @@ class TestHypothesisTesting:
             p = hypothesis_primal(eta, K, fam, FAST)
             du = hypothesis_dual(eta, K, fam, FAST)
             assert p <= du + 1e-12
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        """Empty the dual's memo and count the annealed solves from here."""
+        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+        calls = []
+        anneal = optim._anneal
+        monkeypatch.setattr(optim, "_anneal",
+                            lambda *a: calls.append(a) or anneal(*a))
+        return calls
+
+    def test_bracket_shares_one_solve(self, monkeypatch):
+        eta = rand.random_density(np.random.default_rng(41), SystemShape((3,)))
+        fam = DiagonalFamily(3, 1)
+        calls = self._count_solves(monkeypatch)
+        hypothesis_primal(eta, 4.0, fam, FAST)
+        hypothesis_dual(eta, 4.0, fam, FAST)
+        assert len(calls) == 1
+        hypothesis_dual(eta, 2.0, fam, FAST)
+        hypothesis_primal(eta, 2.0, fam, FAST)
+        assert len(calls) == 2
+
+    def test_bracket_memo_keys(self, monkeypatch):
+        # another K, an equal but distinct family, other settings or an eta
+        # changed in place after the solve: each solves anew
+        eta = rand.random_density(np.random.default_rng(43), SystemShape((3,)))
+        fam = DiagonalFamily(3, 1)
+        calls = self._count_solves(monkeypatch)
+        hypothesis_dual(eta, 4.0, fam, FAST)
+        hypothesis_dual(eta, 4.0, fam, FAST)
+        assert len(calls) == 1
+        hypothesis_dual(eta, 3.0, fam, FAST)
+        assert len(calls) == 2
+        hypothesis_dual(eta, 3.0, DiagonalFamily(3, 1), FAST)
+        assert len(calls) == 3
+        hypothesis_dual(eta, 3.0, fam, SolverSettings(max_iters=201))
+        assert len(calls) == 4
+        mat = eta.mat.copy()
+        optim._dual_search(mat, 3.0, fam, FAST)
+        assert len(calls) == 5
+        mat[0, 1] += 0.01
+        mat[1, 0] += 0.01
+        optim._dual_search(mat, 3.0, fam, FAST)
+        assert len(calls) == 6
+
+    def test_bracket_values_match_fresh_solves(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        shape = SystemShape((4,))
+        sigma0 = rand.random_density(rng, shape).mat
+        for fam in (FullSpaceFamily(4, 1), DiagonalFamily(4, 1),
+                    SingletonIIDFamily(4, 1, sigma0=sigma0)):
+            eta = rand.random_density(rng, shape)
+            monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+            p_alone = hypothesis_primal(eta, 3.0, fam, FAST)
+            monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+            d_alone = hypothesis_dual(eta, 3.0, fam, FAST)
+            for first, second in ((hypothesis_primal, hypothesis_dual),
+                                  (hypothesis_dual, hypothesis_primal)):
+                monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+                got = {f: f(eta, 3.0, fam, FAST) for f in (first, second)}
+                assert got[hypothesis_primal] == p_alone
+                assert got[hypothesis_dual] == d_alone
 
     def test_primal_full_family_closed_form(self):
         # E = I/K is optimal on the full family, so the primal is 1/K
