@@ -319,13 +319,6 @@ def normalized_positive_part(mat: np.ndarray,
     return (V * pos) @ V.conj().T / tr
 
 
-def positive_eigenprojector(mat: np.ndarray) -> np.ndarray:
-    """Projector onto the strictly positive eigenspace (zero eigenspace excluded)."""
-    w, V = eigh(mat)
-    cols = V[:, w > 0.0]
-    return cols @ cols.conj().T
-
-
 def trace_norm(a: HermitianOperator | np.ndarray) -> float:
     """Trace norm of a Hermitian operator or matrix: the sum of its absolute
     eigenvalues."""

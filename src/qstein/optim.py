@@ -8,19 +8,31 @@ discovered hull after every new atom.  Nonsmooth spectral objectives
 smooth spectral surrogate over a schedule of temperatures tau while
 tracking the exact objective at every point probed; reported values are
 always exact evaluations, and the reported duality gap is computed from the
-exact subgradient, so it upper-bounds the true suboptimality.
+exact subgradient, so it upper-bounds the true suboptimality.  Each stage
+starts from the atoms and weights the stage before ended with.
+
+The weights are re-optimized by Newton's method on the simplex when the
+evaluator carries its exact Hessian (``_newton_reweight``): the softplus
+surrogate of the positive part does, by the Daleckii-Krein formula, so
+``min_positive_part`` and the hypothesis test run without SLSQP.  The other
+evaluators re-optimize with SLSQP (``_corrective_reweight``).
 
 A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
-``exact`` runs on the exact objective and its subgradient):
+``exact`` runs on the exact objective and its subgradient; a stage makes at
+most "calls/stage" oracle calls and ends at the oracle's "gap" target):
 
-    solver                   tau schedule         atoms/stage     gap target
-    frank_wolfe              exact                max(12, m//8)   tol
-    rel_ent_of_resource      exact                max(12, m//8)   tol
-    min_positive_part        1e-3, 1e-6, 1e-8     max(12, m//24)  tol / 4
-    hypothesis_dual          1e-3, 1e-6, 1e-8     max(20, m//3)   tol / 4
-    hypothesis_primal        reads stage 2's end of the dual's solve
-    generalized_robustness   1e-2, 1e-5, exact    max(12, m//24)  tol / 4
-    distance_to_family       1e-3, 1e-6, exact    max(12, m//24)  tol / 4
+    solver                  tau schedule      calls/stage    gap   weights
+    frank_wolfe             exact             max(12, m//8)  tol   SLSQP
+    rel_ent_of_resource     exact             max(12, m//8)  tol   SLSQP
+    min_positive_part       1e-3, 1e-6, 1e-8  max(12, m//24) tol/4 Newton
+    hypothesis_dual         1e-3, 1e-6, 1e-8  max(20, m//3)  tol/4 Newton
+    hypothesis_primal       reads stage 2's end of the dual's solve
+    generalized_robustness  1e-2, 1e-5, exact max(12, m//24) tol/4 SLSQP
+    distance_to_family      1e-3, 1e-6, exact max(12, m//24) tol/4 SLSQP
+
+``min_positive_part`` reports as ``fw_gap`` its value minus the best
+Frank-Wolfe lower bound f(x) - gap(x) over its best probe and its stage
+ends, with the subgradient -b P_+ at each.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
 dual's second stage with a cutting-plane linear program.  Both ends of the
@@ -38,8 +50,8 @@ diagonal of class weights, T the number of type classes, and each
 evaluation is one T x T eigendecomposition instead of one of dimension
 d^N.  The surrogate, its gradient and the exact value there equal the
 dense ones to rounding, so the Frank-Wolfe path is the same.  The exit gap
-of ``min_positive_part`` stays dense: it is computed once at the dense
-minimizer against the family's vertex oracle.
+of ``min_positive_part`` stays dense: it is computed at the dense minimizer
+and stage ends against the family's vertex oracle.
 """
 
 from __future__ import annotations
@@ -78,9 +90,13 @@ class SolverSettings:
 class OptResult:
     """Outcome of a family minimization.
 
-    ``value`` is the exact objective at ``minimizer``; ``fw_gap`` is the
-    Frank-Wolfe gap computed with the exact (sub)gradient at the minimizer,
-    a certified bound on the suboptimality.
+    ``value`` is the exact objective at ``minimizer``.  ``fw_gap`` is a
+    certified bound on its suboptimality: value minus a Frank-Wolfe lower
+    bound f(x) - Tr[g (x - s)], with g an exact (sub)gradient at x and s the
+    family's oracle answer to g.  x is the minimizer; ``min_positive_part``
+    also tries its stage ends and keeps the best bound.  ``converged`` is
+    ``fw_gap <= tol``.  ``iterations`` counts the oracle calls of the
+    Frank-Wolfe stages.
     """
 
     value: float
@@ -105,13 +121,145 @@ class _Tracker:
             self.best_mat = mat.copy()
 
 
+def _newton_direction(w: np.ndarray, jac: np.ndarray,
+                      hess: np.ndarray) -> np.ndarray | None:
+    """Newton step on the weight simplex, or None if its KKT system is
+    singular.
+
+    The step solves min jac.d + d.hess.d / 2 subject to sum(d) = 0 on the
+    free set: the held atoms plus every atom whose gradient lies below the
+    least one held.  A free atom of weight 0 that the step would push
+    negative leaves the free set and the system is solved again.  A ridge
+    of 1e-12 times the larger of the Hessian's diagonal and the gradient
+    keeps the (n+1) x (n+1) system regular on flat directions.
+    """
+    held = w > 0.0
+    free = held | (jac < jac[held].min())
+    while True:
+        idx = np.flatnonzero(free)
+        n = idx.size
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[:n, :n] = hess[np.ix_(idx, idx)]
+        ridge = 1e-12 * max(float(np.abs(np.diag(kkt)).max()),
+                            float(np.abs(jac[idx]).max()))
+        kkt[:n, :n] += ridge * np.eye(n)
+        kkt[:n, n] = kkt[n, :n] = 1.0
+        with np.errstate(all="ignore"):
+            try:
+                sol = np.linalg.solve(kkt, np.append(-jac[idx], 0.0))
+            except np.linalg.LinAlgError:
+                return None
+        if not np.isfinite(sol).all():
+            return None
+        d = np.zeros_like(w)
+        d[idx] = sol[:n]
+        blocked = free & ~held & (d < 0.0)
+        if not blocked.any():
+            return d
+        free &= ~blocked
+
+
+def _pairwise_direction(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The pairwise step: weight from the held atom of largest gradient to
+    the atom of least gradient."""
+    held = np.flatnonzero(w > 0.0)
+    d = np.zeros_like(w)
+    d[np.argmin(jac)] += 1.0
+    d[held[np.argmax(jac[held])]] -= 1.0
+    return d
+
+
+def _backtrack(eval_fn, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
+               jac: np.ndarray, value: float, radius: float,
+               tracker: _Tracker):
+    """Backtracking along d on the weight simplex.
+
+    The first trial step is the nearer of the simplex boundary and the trust
+    radius (in the l1 norm of the weights); a boundary step sets the
+    blocking weight to exactly 0.  A step is accepted on the Armijo
+    condition, or, when the value has not risen beyond rounding, on a slope
+    along d at the step that is still <= 0: by convexity that step
+    descends, and near a hull optimum of a sharply curved surrogate the
+    decrease is below what the value resolves while the slope still shows
+    it.  Returns (weights, surrogate value, ``local``, next radius), or None
+    when no step of at least 1e-15 in the weights is accepted.  The radius
+    grows fourfold after a first trial that holds, and is twice the
+    accepted step after one that had to shrink.
+    """
+    slope = float(jac @ d)
+    shrink = np.flatnonzero(d < 0.0)
+    if slope >= 0.0 or not shrink.size:
+        return None
+    ratios = w[shrink] / -d[shrink]
+    hit = float(ratios.min())
+    size = float(np.abs(d).sum())
+    t = min(1.0, hit, radius / size)
+    for halvings in range(60):
+        if t * size <= 1e-15:
+            break
+        trial = np.clip(w + t * d, 0.0, None)
+        if t == hit:
+            trial[shrink[np.argmin(ratios)]] = 0.0
+        trial /= trial.sum()
+        x = np.tensordot(trial, mats, 1)
+        v, exact, local = eval_fn.newton(x, mats)
+        tracker.offer(x, exact)
+        grown = (max(radius, 4.0 * t * size) if halvings == 0
+                 else 2.0 * t * size)
+        if v < value and v <= value + 1e-4 * t * slope:
+            return trial, v, local, grown
+        if v <= value + 1e-15 * abs(value):
+            derivs = local()
+            if derivs[0] @ d <= 0.0:
+                return trial, v, lambda: derivs, grown
+        t *= 0.5
+    return None
+
+
+def _newton_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
+                     hull_tol: float, maxiter: int = 60) -> None:
+    """Fully-corrective step by Newton's method on the weight simplex.
+
+    For evaluators that carry their exact Hessian: ``eval_fn.newton(x,
+    mats)`` returns (surrogate value, exact value, ``local``) at x, and
+    ``local()`` the gradient and Hessian in the coordinates of the atoms
+    ``mats``.  Each step is backtracked to the Armijo condition
+    (``_backtrack``); when the Newton step does not descend, the pairwise
+    step is tried.  The solve stops at a hull gap jac.w - min(jac) of at
+    most ``hull_tol``, or when no step descends.  Every probe's exact value
+    goes to the tracker.
+    """
+    mats = np.array([a for a, _ in atoms])
+    w = np.array([v for _, v in atoms], dtype=float)
+    value, _, local = eval_fn.newton(np.tensordot(w, mats, 1), mats)
+    radius, moved = 1.0, False
+    for _ in range(maxiter):
+        jac, hess = local()
+        if jac @ w - jac.min() <= hull_tol:
+            break
+        for d in (_newton_direction(w, jac, hess),
+                  _pairwise_direction(w, jac)):
+            step = None if d is None else _backtrack(
+                eval_fn, mats, w, d, jac, value, radius, tracker)
+            if step is not None:
+                break
+        else:
+            break  # no step descends
+        w, value, local, radius = step
+        moved = True
+    if moved:
+        for entry, wi in zip(atoms, w):
+            entry[1] = float(wi)
+
+
 def _corrective_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
                          maxiter: int = 80) -> None:
     """Fully-corrective step: re-optimize the weights over the atom hull.
 
     The subproblem is smooth and low-dimensional (one variable per active
     atom), solved with SLSQP on the weight simplex; atoms themselves still
-    come only from the family's linear oracle.
+    come only from the family's linear oracle.  Evaluators that carry a
+    Hessian take ``_newton_reweight`` instead.
     """
     from scipy.optimize import minimize
 
@@ -140,41 +288,50 @@ def _corrective_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
         entry[1] = float(wi)
 
 
-def _fcfw_minimize(eval_fn, lmo, start: np.ndarray, max_outer: int,
-                   gap_tol: float, tracker: _Tracker) -> tuple[np.ndarray, int]:
-    """Fully-corrective Frank-Wolfe: grow the atom set through the linear
-    oracle ``lmo(grad) -> matrix``, re-optimizing the hull weights after
-    every new atom.
+def _fcfw_minimize(eval_fn, lmo, atoms: list[list], max_outer: int,
+                   gap_tol: float, tracker: _Tracker):
+    """Fully-corrective Frank-Wolfe from the hull ``atoms``, a list of
+    [matrix, weight]: grow the atom set through the linear oracle
+    ``lmo(grad) -> matrix``, re-optimizing the hull weights after every new
+    atom (by Newton's method to a hull gap of ``gap_tol / 2`` when the
+    evaluator carries a Hessian, else by SLSQP).
 
     ``eval_fn(mat, need_grad)`` returns (surrogate value, gradient or None,
-    exact value).  Exact values of every probe go to the tracker.
+    exact value).  Exact values of every probe go to the tracker.  The
+    solve ends when the oracle certifies the gap target, after
+    ``max_outer`` oracle calls, or when an iteration leaves the atoms and
+    weights bit for bit as they were, since every later one would repeat
+    it.  Returns the last iterate, its atoms, the oracle calls made and
+    whether the first call certified the start.
     """
-    sigma = start.copy()
-    atoms: list[list] = [[sigma.copy(), 1.0]]
+    if hasattr(eval_fn, "newton"):
+        reweight = partial(_newton_reweight, hull_tol=gap_tol / 2.0)
+    else:
+        reweight = _corrective_reweight
+    total = sum(e[1] for e in atoms)
+    sigma = sum(e[0] * (e[1] / total) for e in atoms)
     _, grad, exact = eval_fn(sigma, True)
     tracker.offer(sigma, exact)
-    iters = 0
     for k in range(max_outer):
-        iters = k + 1
         s = lmo(grad)
-        fw_gap = _tr_prod(grad, sigma - s)
-        if fw_gap <= gap_tol:
-            break
+        if _tr_prod(grad, sigma - s) <= gap_tol:
+            return sigma, atoms, k + 1, k == 0
+        before = [(m, v) for m, v in atoms]
         for entry in atoms:
-            # np.allclose(entry[0], s, atol=1e-13) written out, for speed;
-            # its relative term 1e-5 |s| is kept, as dropping it would change
-            # which atoms merge and so every Frank-Wolfe path
-            if (np.abs(entry[0] - s) <= 1e-13 + 1e-5 * np.abs(s)).all():
+            if (np.abs(entry[0] - s) <= 1e-13).all():
                 break
         else:
             atoms.append([s, 0.0])
-        _corrective_reweight(atoms, eval_fn, tracker)
+        reweight(atoms, eval_fn, tracker)
         atoms = [e for e in atoms if e[1] > 1e-14] or atoms[:1]
+        if len(atoms) == len(before) and all(
+                e[0] is m and e[1] == v for e, (m, v) in zip(atoms, before)):
+            return sigma, atoms, k + 1, False
         total = sum(e[1] for e in atoms)
         sigma = sum(e[0] * (e[1] / total) for e in atoms)
         _, grad, exact = eval_fn(sigma, True)
         tracker.offer(sigma, exact)
-    return sigma, iters
+    return sigma, atoms, max_outer, False
 
 
 def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
@@ -182,20 +339,21 @@ def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
     """The one Frank-Wolfe routine: a fully-corrective solve per temperature.
 
     ``make_eval(tau)`` is the evaluator at temperature tau (``None`` for the
-    exact objective).  Each stage gets ``stage_atoms`` atoms and starts at
-    the last iterate of the one before; the schedule stops after a stage
-    whose first oracle call certifies its start.  Returns the tracker of
-    exact values, whose ``stage_ends`` are the iterates at the end of the
-    stages run, and the iterations summed over the stages.
+    exact objective).  Each stage makes at most ``stage_atoms`` oracle calls
+    and starts from the atoms and weights the one before ended with; the
+    schedule stops after a stage whose first oracle call certifies its
+    start.  Returns the tracker of exact values, whose ``stage_ends`` are
+    the iterates at the end of the stages run, and the oracle calls summed
+    over the stages.
     """
     tracker = _Tracker()
-    x, total = start, 0
+    atoms, total = [[start.copy(), 1.0]], 0
     for tau in taus:
-        x, it = _fcfw_minimize(make_eval(tau), lmo, x, stage_atoms, gap_tol,
-                               tracker)
+        x, atoms, it, settled = _fcfw_minimize(make_eval(tau), lmo, atoms,
+                                               stage_atoms, gap_tol, tracker)
         tracker.stage_ends.append(x)
         total += it
-        if it <= 1:
+        if settled:
             break  # the oracle certifies the start point already
     return tracker, total
 
@@ -218,15 +376,20 @@ def _as_state(family: FreeFamily, mat: np.ndarray) -> DensityMatrix:
     return DensityMatrix(HermitianOperator(family.shape, mat))
 
 
+def _fw_gap(grad: np.ndarray, x: np.ndarray, family: FreeFamily,
+            seed: int) -> float:
+    """The Frank-Wolfe gap Tr[grad (x - s)] at x against the family's
+    vertex oracle answer s, so it certifies against the whole family."""
+    return max(0.0, _tr_prod(grad, x - family.lmo(grad, seed)))
+
+
 def _certified(tracker: _Tracker, iters: int, subgrad, family: FreeFamily,
                settings: SolverSettings,
                minimizer: np.ndarray | None = None) -> OptResult:
     """Result at the best probe, with the Frank-Wolfe gap of the exact
-    (sub)gradient ``subgrad(best)`` against the family's vertex oracle, so
-    the gap certifies against the whole family."""
+    (sub)gradient ``subgrad(best)`` there."""
     best = tracker.best_mat
-    grad = subgrad(best)
-    gap = max(0.0, _tr_prod(grad, best - family.lmo(grad, settings.seed)))
+    gap = _fw_gap(subgrad(best), best, family, settings.seed)
     return OptResult(tracker.best_value,
                      _as_state(family, best if minimizer is None
                                else minimizer),
@@ -265,15 +428,57 @@ def _softplus(w: np.ndarray, tau: float, offset: float, mult=1.0):
     return smooth, 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
+def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
+                          tau: float, dirs: np.ndarray):
+    """First and second derivatives of tau sum_i softplus(lam_i / tau + c)
+    at the spectrum (lam, V), along a stack of Hermitian directions.
+
+    With B_k = V^dag dirs_k V and s the sigmoids, they are s . diag(B_k) and
+    the Daleckii-Krein form sum_ij G_ij (B_k)_ij (B_l)_ji, where G_ij =
+    (s_i - s_j) / (lam_i - lam_j), or s (1 - s) / tau for eigenvalues closer
+    than 1e-6 tau.  B is formed by matrix products: one per direction when
+    every direction is diagonal, two otherwise.
+    """
+    if not V.imag.any() and not dirs.imag.any():
+        V, dirs = V.real, dirs.real
+    diag = np.diagonal(dirs, axis1=1, axis2=2)
+    if np.count_nonzero(dirs) == np.count_nonzero(diag):
+        B = (V.conj().T * diag[:, None, :]) @ V
+    else:
+        B = V.conj().T @ dirs @ V
+    slope = sig * (1.0 - sig) / tau
+    gaps = lam[:, None] - lam[None, :]
+    near = np.abs(gaps) <= 1e-6 * tau
+    G = np.where(near, 0.5 * (slope[:, None] + slope[None, :]),
+                 (sig[:, None] - sig[None, :]) / np.where(near, 1.0, gaps))
+    flat = B.reshape(len(dirs), -1)
+    first = np.diagonal(B, axis1=1, axis2=2).real @ sig
+    return first, ((flat * G.ravel()) @ flat.conj().T).real
+
+
 def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float,
                   offset: float = 0.0):
     """Softplus surrogate of Tr[(rho - b sigma)_+]; ``offset`` shifts its
-    argument, which sets the slope at a zero eigenvalue to sigmoid(offset)."""
-    def eval_fn(sigma: np.ndarray, need_grad: bool):
+    argument, which sets the slope at a zero eigenvalue to sigmoid(offset).
+    It carries its exact Hessian in the coordinates of a stack of atoms,
+    for ``_newton_reweight``."""
+    def spectrum(sigma: np.ndarray):
         w, V = eigh(rho_mat - b * sigma)
-        smooth, sig = _softplus(w, tau, offset)
+        return (w, V) + _softplus(w, tau, offset)
+
+    def eval_fn(sigma: np.ndarray, need_grad: bool):
+        w, V, smooth, sig = spectrum(sigma)
         grad = -b * ((V * sig) @ V.conj().T) if need_grad else None
         return smooth, grad, float(w[w > 0.0].sum())
+
+    def newton(sigma: np.ndarray, mats: np.ndarray):
+        w, V, smooth, sig = spectrum(sigma)
+
+        def local():
+            first, second = _softplus_derivatives(w, V, sig, tau, mats)
+            return -b * first, b * b * second
+        return smooth, float(w[w > 0.0].sum()), local
+    eval_fn.newton = newton
     return eval_fn
 
 
@@ -330,21 +535,42 @@ class _TypeClassCoords:
         return s
 
     def pospart_eval(self, b: float, tau: float, offset: float = 0.0):
-        """``_pospart_eval`` of the target in these coordinates."""
+        """``_pospart_eval`` of the target in these coordinates, with its
+        Hessian.  The complement eigenvalues -b w_t / |T_t| do not couple to
+        the rest, so they add b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to
+        the second derivative along the weight of class t."""
         rest = self.sizes - 1.0
         mult = np.concatenate([np.ones(self.sizes.size), rest])
+        t = self.sizes.size
 
-        def eval_fn(w_mat: np.ndarray, need_grad: bool):
+        def spectrum(w_mat: np.ndarray):
             v = b * np.diag(w_mat) / self.sizes
             w, V = eigh(self.small - np.diag(v))
             smooth, sig = _softplus(np.concatenate([w, -v]), tau, offset,
                                     mult)
+            return w, V, smooth, sig
+
+        def eval_fn(w_mat: np.ndarray, need_grad: bool):
+            w, V, smooth, sig = spectrum(w_mat)
             grad = None
             if need_grad:
-                t = self.sizes.size
                 grad = np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
                                      + rest * sig[t:]) / self.sizes)
             return smooth, grad, float(w[w > 0.0].sum())
+
+        def newton(w_mat: np.ndarray, mats: np.ndarray):
+            w, V, smooth, sig = spectrum(w_mat)
+
+            def local():
+                dirs = mats / self.sizes
+                first, second = _softplus_derivatives(w, V, sig[:t], tau,
+                                                      dirs)
+                cls = np.diagonal(dirs, axis1=1, axis2=2).real
+                first = first + cls @ (rest * sig[t:])
+                curv = rest * sig[t:] * (1.0 - sig[t:]) / tau
+                return -b * first, b * b * (second + (cls * curv) @ cls.T)
+            return smooth, float(w[w > 0.0].sum()), local
+        eval_fn.newton = newton
         return eval_fn
 
 
@@ -389,10 +615,15 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     minimizer gives an invariant one, and Frank-Wolfe needs at most one
     atom per type class.  If rho also lies on the symmetric subspace, the
     search runs in type-class coordinates (module docstring).  The exit
-    gap is certified against the whole family either way: it uses the
-    family's vertex oracle and the exact subgradient -b P_+ at the dense
-    minimizer, with P_+ the projector onto the strictly positive
-    eigenspace.
+    gap is certified against the whole family either way.  Each point x
+    tried gives the Frank-Wolfe lower bound f(x) - Tr[g (x - s)] on the
+    minimum, with g = -b P_+ the exact subgradient at x (P_+ the projector
+    onto the strictly positive eigenspace of rho - b x) and s the family's
+    vertex oracle answer to g; the gap is the value minus the best bound.
+    The points are the minimizer and then the stage ends, last first, for
+    as long as the gap exceeds tol.  At a non-smooth minimizer P_+ alone
+    can leave a gap of order 10; the end of a smoothed stage has a
+    subgradient that certifies.
     """
     if b < 0.0:
         raise ValueError("b must be nonnegative")
@@ -408,12 +639,27 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     tracker, iters = _anneal(partial(pospart, b), (1e-3, 1e-6, 1e-8), lmo, x0,
                              max(12, settings.max_iters // 24),
                              settings.tol / 4.0)
-    if coords is not None:
-        tracker.best_mat = coords.dense(tracker.best_mat)
-    return _certified(
-        tracker, iters,
-        lambda m: -b * opalg.positive_eigenprojector(rho_mat - b * m),
-        family, settings)
+    to_dense = (lambda m: m) if coords is None else coords.dense
+    best = to_dense(tracker.best_mat)
+
+    def fw_bound(x: np.ndarray) -> float:
+        """f(x) - gap(x) with the subgradient -b P_+ at x: a lower bound on
+        the minimum, by convexity."""
+        w, V = eigh(rho_mat - b * x)
+        pos = V[:, w > 0.0]
+        grad = -b * (pos @ pos.conj().T)
+        return float(w[w > 0.0].sum()) - _fw_gap(grad, x, family,
+                                                 settings.seed)
+
+    value = tracker.best_value
+    gap = value - fw_bound(best)
+    for x in reversed(tracker.stage_ends):
+        if gap <= settings.tol:
+            break
+        gap = min(gap, value - fw_bound(to_dense(x)))
+    gap = max(0.0, gap)
+    return OptResult(value, _as_state(family, best), gap, iters,
+                     gap <= settings.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +681,16 @@ def _dual_eval(pospart, K: float, tau: float):
         if need_grad:
             grad = grad + np.eye(len(x)) / K
         return smooth + mass, grad, exact + mass
+
+    def newton(x: np.ndarray, mats: np.ndarray):
+        smooth, exact, local = pospart.newton(x, mats)
+        mass = float(np.trace(x).real) / K
+
+        def with_mass():
+            jac, hess = local()
+            return jac + np.trace(mats, axis1=1, axis2=2).real / K, hess
+        return smooth + mass, exact + mass, with_mass
+    eval_fn.newton = newton
     return eval_fn
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,50 @@ class TestMinPositivePart:
                                                seed=0))
         assert abs(res.value - diagonal_threshold_optimum(8, y)) < 1e-4
 
+    def test_criterion_2_sweep_converges_at_n8(self):
+        # criterion 2's warm-started sweep at N = 8: the optima at R - 0.25
+        # and R are non-smooth, where the subgradient -b P_+ at the best
+        # probe alone leaves gaps of 10 and more
+        R = binary_entropy(0.8)
+        power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
+        fam = DiagonalFamily(2, 8)
+        settings = SolverSettings(max_iters=160, tol=1e-7, seed=0)
+        start = None
+        for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
+            res = min_positive_part(power, 2.0 ** ((R + dy) * 8), fam,
+                                    settings, start=start)
+            start = res.minimizer
+            assert res.converged, (dy, res.fw_gap)
+
+    def test_lower_bound_below_type_class_optimum(self):
+        # value - fw_gap is a Frank-Wolfe lower bound on the minimum, so it
+        # cannot exceed the optimum the type-class oracle finds
+        R = binary_entropy(0.8)
+        for n in range(2, 8):
+            power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+            fam = DiagonalFamily(2, n)
+            for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
+                res = min_positive_part(power, 2.0 ** ((R + dy) * n), fam)
+                want = diagonal_threshold_optimum(n, R + dy)
+                assert res.converged
+                assert res.value - res.fw_gap <= want + 1e-12
+                assert res.value <= want + res.fw_gap + 1e-12
+
+    def test_softplus_solvers_never_call_slsqp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SLSQP called")
+        monkeypatch.setattr("scipy.optimize.minimize", refuse)
+        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+        rng = np.random.default_rng(59)
+        for fam in (DiagonalFamily(2, 2), FullSpaceFamily(4, 1)):
+            rho = rand.random_density(rng, fam.shape)
+            min_positive_part(rho, 1.5, fam, FAST)
+            hypothesis_primal(rho, 3.0, fam, FAST)
+            hypothesis_dual(rho, 3.0, fam, FAST)
+        power = opalg.density(coherence_power_state(0.8, 4), (2,) * 4)
+        min_positive_part(power, 6.0, DiagonalFamily(2, 4), FAST)
+        hypothesis_dual(power, 6.0, DiagonalFamily(2, 4), FAST)
+
     def test_non_invariant_state_keeps_vertex_search(self):
         # psi psi^T <= b sigma for sigma ~ |psi_x| once b >= (sum |psi_x|)^2;
         # the best permutation-invariant sigma leaves about 0.0238
@@ -161,10 +206,10 @@ class TestTypeClassCoordinates:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_coherence_sweep_matches_dense(self, monkeypatch, n):
         # the five rates of the benchmark sweep, at default settings.  At
-        # N = 8, y = R + 0.1 the fully corrective step can stall 4.3e-8 above
-        # the type-class optimum on either path, depending on rounding (the
-        # BLAS thread count alone flips it), so there the paths agree to
-        # the gap target only
+        # N = 8 a stage can end anywhere within its gap target, and which
+        # probe it ends at turns on rounding (R - 0.1 ends 1.3e-9 above the
+        # type-class optimum on the reduced path, 4e-12 on the dense one),
+        # so there the paths agree to the gap target only
         R = binary_entropy(0.8)
         power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
         fam = DiagonalFamily(2, n)
@@ -183,7 +228,7 @@ class TestTypeClassCoordinates:
         for dy in (-0.25, 0.0, 0.25):
             red, dense = self._both(monkeypatch, _pure_power(vec, n),
                                     2.0 ** ((R + dy) * n), fam)
-            assert abs(red - dense) <= 1e-9
+            assert abs(red - dense) <= (1e-9 if n < 8 else 1e-7)
 
     @pytest.mark.parametrize("offset", (0.0, -math.log(3.0)))
     def test_surrogate_matches_dense(self, offset):
@@ -223,6 +268,69 @@ class TestTypeClassCoordinates:
             dual = hypothesis_dual(opalg.DensityMatrix(power), K, fam, FAST)
             want = classical_neyman_pearson(diag, diag, 1.0 / K)
             assert abs(dual - want) <= 1e-6
+
+
+class TestNewtonReweight:
+    """The Newton corrective step on the atom weights of a dual instance:
+    atoms 0 and K times family members, surrogate of Tr[(eta - X)_+] +
+    Tr X / K."""
+
+    K = 4.0
+
+    def _instance(self, seed, tau, duplicate=False):
+        rng = np.random.default_rng(seed)
+        d = 3
+        eta = rand.random_density(rng, SystemShape((d,))).mat
+        fam = FullSpaceFamily(d, 1)
+        mats = [np.zeros((d, d), dtype=complex)]
+        for _ in range(4):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            mats.append(self.K * fam.lmo(g + g.conj().T))
+        if duplicate:
+            mats.append(mats[1].copy())
+        eval_fn = optim._dual_eval(
+            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), self.K, tau)
+        return eval_fn, [[m, 1.0 / len(mats)] for m in mats]
+
+    def _hull_gap(self, eval_fn, atoms):
+        mats = np.array([m for m, _ in atoms])
+        w = np.array([v for _, v in atoms])
+        value, _, local = eval_fn.newton(np.tensordot(w, mats, 1), mats)
+        jac = local()[0]
+        return value, float(jac @ w - jac.min()), w
+
+    @pytest.mark.parametrize("duplicate", (False, True))
+    def test_meets_hull_gap(self, duplicate):
+        # a repeated atom makes the Hessian singular; the ridged KKT system
+        # still gives finite steps, with no floating-point warning
+        for seed in (61, 62, 63):
+            eval_fn, atoms = self._instance(seed, 1e-3, duplicate)
+            slsqp = [list(e) for e in atoms]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                optim._newton_reweight(atoms, eval_fn, optim._Tracker(), 1e-10)
+            value, gap, w = self._hull_gap(eval_fn, atoms)
+            assert np.isfinite(w).all() and w.min() >= 0.0
+            assert abs(w.sum() - 1.0) <= 1e-12
+            assert gap <= 1e-10
+            optim._corrective_reweight(slsqp, eval_fn, optim._Tracker())
+            assert value <= self._hull_gap(eval_fn, slsqp)[0] + 1e-12
+
+    def test_singular_kkt_gives_no_step(self):
+        # a zero Hessian and a constant gradient: the ridge is zero and the
+        # KKT system singular, which must not produce NaN
+        w = np.array([0.5, 0.5, 0.0])
+        d = optim._newton_direction(w, np.zeros(3), np.zeros((3, 3)))
+        assert d is None or (np.isfinite(d).all() and not d.any())
+
+    def test_tracker_sees_the_exact_values(self):
+        eval_fn, atoms = self._instance(64, 1e-6)
+        tracker = optim._Tracker()
+        optim._newton_reweight(atoms, eval_fn, tracker, 1e-10)
+        mats = np.array([m for m, _ in atoms])
+        w = np.array([v for _, v in atoms])
+        assert tracker.best_value <= eval_fn(np.tensordot(w, mats, 1),
+                                             False)[2] + 1e-15
 
 
 class TestHypothesisTesting:
