@@ -11,28 +11,31 @@ always exact evaluations, and the reported duality gap is computed from the
 exact subgradient, so it upper-bounds the true suboptimality.  Each stage
 starts from the atoms and weights the stage before ended with.
 
-The weights are re-optimized by Newton's method on the simplex when the
-evaluator carries its exact Hessian (``_newton_reweight``): the softplus
-surrogate of the positive part does, by the Daleckii-Krein formula, so
-``min_positive_part`` and the hypothesis test run without SLSQP.  The other
-evaluators re-optimize with SLSQP (``_corrective_reweight``).
+The weights are re-optimized by one corrective step, Newton's method on the
+simplex (``_newton_reweight``), with the evaluator's exact Hessian in the
+coordinates of the atoms: the Daleckii-Krein form of the softplus surrogate
+of the positive part, and its second-order form for the relative entropy.
+The evaluator of ``frank_wolfe`` has a gradient only and takes pairwise
+steps.
 
 A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
-``exact`` runs on the exact objective and its subgradient; a stage makes at
+``exact`` runs on the exact objective and its gradient; a stage makes at
 most "calls/stage" oracle calls and ends at the oracle's "gap" target):
 
-    solver                  tau schedule      calls/stage    gap   weights
-    frank_wolfe             exact             max(12, m//8)  tol   SLSQP
-    rel_ent_of_resource     exact             max(12, m//8)  tol   SLSQP
-    min_positive_part       1e-3, 1e-6, 1e-8  max(12, m//24) tol/4 Newton
-    hypothesis_dual         1e-3, 1e-6, 1e-8  max(20, m//3)  tol/4 Newton
+    solver                  tau schedule      calls/stage    gap
+    frank_wolfe             exact             max(12, m//8)  tol
+    rel_ent_of_resource     exact             max(12, m//8)  tol
+    min_positive_part       1e-3, 1e-6, 1e-8  max(12, m//24) tol/4
+    hypothesis_dual         1e-3, 1e-6, 1e-8  max(20, m//3)  tol/4
     hypothesis_primal       reads stage 2's end of the dual's solve
-    generalized_robustness  1e-2, 1e-5, exact max(12, m//24) tol/4 SLSQP
-    distance_to_family      1e-3, 1e-6, exact max(12, m//24) tol/4 SLSQP
 
-``min_positive_part`` reports as ``fw_gap`` its value minus the best
-Frank-Wolfe lower bound f(x) - gap(x) over its best probe and its stage
-ends, with the subgradient -b P_+ at each.
+Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
+lower bound f(x) - gap(x) over its best probe and its stage ends, with an
+exact (sub)gradient at each (-b P_+ for the positive part).  The trace
+distance and the robustness's feasibility test are positive-part problems
+and run through ``min_positive_part``: ||sigma~ - sigma||_1 = 2 Tr[(sigma~
+- sigma)_+] for unit-trace states, and (1+s) sigma >= rho iff Tr[(rho -
+(1+s) sigma)_+] = 0.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
 dual's second stage with a cutting-plane linear program.  Both ends of the
@@ -93,8 +96,9 @@ class OptResult:
     ``value`` is the exact objective at ``minimizer``.  ``fw_gap`` is a
     certified bound on its suboptimality: value minus a Frank-Wolfe lower
     bound f(x) - Tr[g (x - s)], with g an exact (sub)gradient at x and s the
-    family's oracle answer to g.  x is the minimizer; ``min_positive_part``
-    also tries its stage ends and keeps the best bound.  ``converged`` is
+    family's oracle answer to g.  x is the best probe and then, while the
+    gap exceeds tol, each stage end, and the best bound is kept (the trace
+    distance doubles its positive-part gap).  ``converged`` is
     ``fw_gap <= tol``.  ``iterations`` counts the oracle calls of the
     Frank-Wolfe stages.
     """
@@ -220,14 +224,14 @@ def _newton_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
                      hull_tol: float, maxiter: int = 60) -> None:
     """Fully-corrective step by Newton's method on the weight simplex.
 
-    For evaluators that carry their exact Hessian: ``eval_fn.newton(x,
-    mats)`` returns (surrogate value, exact value, ``local``) at x, and
-    ``local()`` the gradient and Hessian in the coordinates of the atoms
-    ``mats``.  Each step is backtracked to the Armijo condition
-    (``_backtrack``); when the Newton step does not descend, the pairwise
-    step is tried.  The solve stops at a hull gap jac.w - min(jac) of at
-    most ``hull_tol``, or when no step descends.  Every probe's exact value
-    goes to the tracker.
+    ``eval_fn.newton(x, mats)`` returns (surrogate value, exact value,
+    ``local``) at x, and ``local()`` the gradient and the exact Hessian in
+    the coordinates of the atoms ``mats`` (None for a gradient-only
+    evaluator, which takes pairwise steps only).  Each step is backtracked
+    to the Armijo condition (``_backtrack``); when the Newton step does not
+    descend, the pairwise step is tried.  The solve stops at a hull gap
+    jac.w - min(jac) of at most ``hull_tol``, or when no step descends.
+    Every probe's exact value goes to the tracker.
     """
     mats = np.array([a for a, _ in atoms])
     w = np.array([v for _, v in atoms], dtype=float)
@@ -237,8 +241,8 @@ def _newton_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
         jac, hess = local()
         if jac @ w - jac.min() <= hull_tol:
             break
-        for d in (_newton_direction(w, jac, hess),
-                  _pairwise_direction(w, jac)):
+        newton = None if hess is None else _newton_direction(w, jac, hess)
+        for d in (newton, _pairwise_direction(w, jac)):
             step = None if d is None else _backtrack(
                 eval_fn, mats, w, d, jac, value, radius, tracker)
             if step is not None:
@@ -252,62 +256,21 @@ def _newton_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
             entry[1] = float(wi)
 
 
-def _corrective_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
-                         maxiter: int = 80) -> None:
-    """Fully-corrective step: re-optimize the weights over the atom hull.
-
-    The subproblem is smooth and low-dimensional (one variable per active
-    atom), solved with SLSQP on the weight simplex; atoms themselves still
-    come only from the family's linear oracle.  Evaluators that carry a
-    Hessian take ``_newton_reweight`` instead.
-    """
-    from scipy.optimize import minimize
-
-    mats = [a for a, _ in atoms]
-    w0 = np.array([w for _, w in atoms], dtype=float)
-
-    def fun(w):
-        sigma = sum(wi * m for wi, m in zip(w, mats))
-        v, g, exact = eval_fn(sigma, True)
-        if w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-9:
-            tracker.offer(sigma, exact)
-        jac = np.array([_tr_prod(g, m) for m in mats])
-        return v, jac
-
-    res = minimize(fun, w0, jac=True, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * len(mats),
-                   constraints=[{"type": "eq",
-                                 "fun": lambda w: w.sum() - 1.0,
-                                 "jac": lambda w: np.ones_like(w)}],
-                   options={"maxiter": maxiter, "ftol": 1e-14})
-    w = np.clip(res.x, 0.0, None)
-    tot = w.sum()
-    if tot <= 0.0:
-        return
-    for entry, wi in zip(atoms, w / tot):
-        entry[1] = float(wi)
-
-
 def _fcfw_minimize(eval_fn, lmo, atoms: list[list], max_outer: int,
                    gap_tol: float, tracker: _Tracker):
     """Fully-corrective Frank-Wolfe from the hull ``atoms``, a list of
     [matrix, weight]: grow the atom set through the linear oracle
     ``lmo(grad) -> matrix``, re-optimizing the hull weights after every new
-    atom (by Newton's method to a hull gap of ``gap_tol / 2`` when the
-    evaluator carries a Hessian, else by SLSQP).
+    atom by Newton's method to a hull gap of ``gap_tol / 2``.
 
     ``eval_fn(mat, need_grad)`` returns (surrogate value, gradient or None,
-    exact value).  Exact values of every probe go to the tracker.  The
-    solve ends when the oracle certifies the gap target, after
-    ``max_outer`` oracle calls, or when an iteration leaves the atoms and
-    weights bit for bit as they were, since every later one would repeat
-    it.  Returns the last iterate, its atoms, the oracle calls made and
-    whether the first call certified the start.
+    exact value), and ``eval_fn.newton`` serves the corrective step.  Exact
+    values of every probe go to the tracker.  The solve ends when the oracle
+    certifies the gap target, after ``max_outer`` oracle calls, or when an
+    iteration leaves the atoms and weights bit for bit as they were, since
+    every later one would repeat it.  Returns the last iterate, its atoms,
+    the oracle calls made and whether the first call certified the start.
     """
-    if hasattr(eval_fn, "newton"):
-        reweight = partial(_newton_reweight, hull_tol=gap_tol / 2.0)
-    else:
-        reweight = _corrective_reweight
     total = sum(e[1] for e in atoms)
     sigma = sum(e[0] * (e[1] / total) for e in atoms)
     _, grad, exact = eval_fn(sigma, True)
@@ -322,7 +285,7 @@ def _fcfw_minimize(eval_fn, lmo, atoms: list[list], max_outer: int,
                 break
         else:
             atoms.append([s, 0.0])
-        reweight(atoms, eval_fn, tracker)
+        _newton_reweight(atoms, eval_fn, tracker, gap_tol / 2.0)
         atoms = [e for e in atoms if e[1] > 1e-14] or atoms[:1]
         if len(atoms) == len(before) and all(
                 e[0] is m and e[1] == v for e, (m, v) in zip(atoms, before)):
@@ -383,17 +346,25 @@ def _fw_gap(grad: np.ndarray, x: np.ndarray, family: FreeFamily,
     return max(0.0, _tr_prod(grad, x - family.lmo(grad, seed)))
 
 
-def _certified(tracker: _Tracker, iters: int, subgrad, family: FreeFamily,
-               settings: SolverSettings,
-               minimizer: np.ndarray | None = None) -> OptResult:
-    """Result at the best probe, with the Frank-Wolfe gap of the exact
-    (sub)gradient ``subgrad(best)`` there."""
-    best = tracker.best_mat
-    gap = _fw_gap(subgrad(best), best, family, settings.seed)
-    return OptResult(tracker.best_value,
-                     _as_state(family, best if minimizer is None
-                               else minimizer),
-                     gap, iters, gap <= settings.tol)
+def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
+               settings: SolverSettings, minimizer: np.ndarray) -> OptResult:
+    """Result with the best probe's value and ``minimizer``.
+
+    Each point x tried gives the Frank-Wolfe lower bound ``bound(x)`` =
+    f(x) - Tr[g (x - s)] on the minimum, with g an exact (sub)gradient at x
+    and s the family's vertex oracle answer to g.  ``fw_gap`` is the value
+    minus the best bound over the best probe and then the stage ends, last
+    first, for as long as the gap exceeds tol.
+    """
+    value = tracker.best_value
+    gap = value - bound(tracker.best_mat)
+    for x in reversed(tracker.stage_ends):
+        if gap <= settings.tol:
+            break
+        gap = min(gap, value - bound(x))
+    gap = max(0.0, gap)
+    return OptResult(value, _as_state(family, minimizer), gap, iters,
+                     gap <= settings.tol)
 
 
 def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
@@ -402,17 +373,27 @@ def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
     """Minimize a convex differentiable functional over the family.
 
     ``value_fn`` and ``grad_fn`` act on plain matrices; the returned gap is
-    evaluated with ``grad_fn`` at the minimizer and certifies suboptimality.
+    evaluated with ``grad_fn`` (``_certified``) and certifies suboptimality.
+    With no Hessian, the corrective step takes pairwise steps only.
     """
     def eval_fn(mat, need_grad):
         v = float(value_fn(mat))
         return v, grad_fn(mat) if need_grad else None, v
 
+    def newton(mat: np.ndarray, mats: np.ndarray):
+        v = float(value_fn(mat))
+        return v, v, lambda: (
+            np.einsum("ij,kji->k", grad_fn(mat), mats).real, None)
+    eval_fn.newton = newton
+
     tracker, iters = _anneal(lambda _: eval_fn, (None,),
                              partial(family.lmo, seed=settings.seed),
                              _feasible_start(family, settings.seed, start),
                              max(12, settings.max_iters // 8), settings.tol)
-    return _certified(tracker, iters, grad_fn, family, settings)
+    return _certified(tracker, iters,
+                      lambda x: value_fn(x) - _fw_gap(grad_fn(x), x, family,
+                                                      settings.seed),
+                      family, settings, tracker.best_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +409,18 @@ def _softplus(w: np.ndarray, tau: float, offset: float, mult=1.0):
     return smooth, 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
 
 
+def _in_eigenbasis(V: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The stack V^dag dirs_k V, real when V and dirs are: one matrix
+    product per direction when every direction is diagonal, two
+    otherwise."""
+    if not V.imag.any() and not dirs.imag.any():
+        V, dirs = V.real, dirs.real
+    diag = np.diagonal(dirs, axis1=1, axis2=2)
+    if np.count_nonzero(dirs) == np.count_nonzero(diag):
+        return (V.conj().T * diag[:, None, :]) @ V
+    return V.conj().T @ dirs @ V
+
+
 def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
                           tau: float, dirs: np.ndarray):
     """First and second derivatives of tau sum_i softplus(lam_i / tau + c)
@@ -436,16 +429,9 @@ def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
     With B_k = V^dag dirs_k V and s the sigmoids, they are s . diag(B_k) and
     the Daleckii-Krein form sum_ij G_ij (B_k)_ij (B_l)_ji, where G_ij =
     (s_i - s_j) / (lam_i - lam_j), or s (1 - s) / tau for eigenvalues closer
-    than 1e-6 tau.  B is formed by matrix products: one per direction when
-    every direction is diagonal, two otherwise.
+    than 1e-6 tau.
     """
-    if not V.imag.any() and not dirs.imag.any():
-        V, dirs = V.real, dirs.real
-    diag = np.diagonal(dirs, axis1=1, axis2=2)
-    if np.count_nonzero(dirs) == np.count_nonzero(diag):
-        B = (V.conj().T * diag[:, None, :]) @ V
-    else:
-        B = V.conj().T @ dirs @ V
+    B = _in_eigenbasis(V, dirs)
     slope = sig * (1.0 - sig) / tau
     gaps = lam[:, None] - lam[None, :]
     near = np.abs(gaps) <= 1e-6 * tau
@@ -640,7 +626,6 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
                              max(12, settings.max_iters // 24),
                              settings.tol / 4.0)
     to_dense = (lambda m: m) if coords is None else coords.dense
-    best = to_dense(tracker.best_mat)
 
     def fw_bound(x: np.ndarray) -> float:
         """f(x) - gap(x) with the subgradient -b P_+ at x: a lower bound on
@@ -651,15 +636,8 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
         return float(w[w > 0.0].sum()) - _fw_gap(grad, x, family,
                                                  settings.seed)
 
-    value = tracker.best_value
-    gap = value - fw_bound(best)
-    for x in reversed(tracker.stage_ends):
-        if gap <= settings.tol:
-            break
-        gap = min(gap, value - fw_bound(to_dense(x)))
-    gap = max(0.0, gap)
-    return OptResult(value, _as_state(family, best), gap, iters,
-                     gap <= settings.tol)
+    return _certified(tracker, iters, lambda x: fw_bound(to_dense(x)),
+                      family, settings, to_dense(tracker.best_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -816,27 +794,88 @@ def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
 # relative entropy of resource
 # ---------------------------------------------------------------------------
 
+def _log_first_differences(lam: np.ndarray) -> np.ndarray:
+    """F1[i, j] = f[lam_i, lam_j], the divided difference of the natural log
+    at a positive spectrum (1 / lam_i where the two coincide): log1p(x) /
+    (x lo), with lo the smaller eigenvalue and x = |lam_i - lam_j| / lo,
+    accurate for close and far eigenvalues alike."""
+    lo = np.minimum.outer(lam, lam)
+    x = np.abs(lam[:, None] - lam[None, :]) / lo
+    return np.where(x > 0.0, np.log1p(x) / np.where(x > 0.0, x, 1.0),
+                    1.0) / lo
+
+
+def _log_second_differences(lam: np.ndarray, F1: np.ndarray,
+                            js: slice) -> np.ndarray:
+    """F2[i, j, m] = f[lam_i, lam_j, lam_m] of the natural log at a positive
+    spectrum for the j in ``js``, from its first differences F1.
+
+    Over the sorted triple x >= y >= z it is (f[x, y] - f[y, z]) / (x - z);
+    f[., .] decreases in each argument, so f[x, y] and f[y, z] are the least
+    and the largest of the triple's three first differences.  Where x - z <=
+    1e-5 z it is -1 / (2 m^2) at the mean m instead.  Either way its relative
+    error is about 1e-10.
+    """
+    li, lj, lm = lam[:, None, None], lam[None, js, None], lam[None, None, :]
+    pairs = (F1[:, js, None], F1[None, js, :], F1[:, None, :])
+    low = np.minimum(np.minimum(li, lj), lm)
+    spread = np.maximum(np.maximum(li, lj), lm) - low
+    near = spread <= 1e-5 * low
+    num = (np.minimum(np.minimum(*pairs[:2]), pairs[2])
+           - np.maximum(np.maximum(*pairs[:2]), pairs[2]))
+    return np.where(near, -4.5 / (li + lj + lm) ** 2,
+                    num / np.where(near, 1.0, spread))
+
+
 def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray, floor: float = 1e-9):
+    """D(rho || M) in bits at M = (1 - floor) sigma + floor witness.  It
+    carries its exact Hessian in the coordinates of a stack of atoms A_k:
+    with M = V diag(lam) V^dag, X~ = V^dag X V and f[...] the divided
+    differences of log, the gradient is -c sum_ij f[lam_i, lam_j] rho~_ji
+    (A~_k)_ij and the Hessian the second-order Daleckii-Krein form
+    -c (1 - floor) sum_ijm f[lam_i, lam_j, lam_m] rho~_mi ((A~_k)_ij
+    (A~_l)_jm + (A~_l)_ij (A~_k)_jm), c = (1 - floor) / ln 2."""
     w_rho, _ = eigh(rho_mat)
     w_rho = w_rho[w_rho > 0.0]
     tr_rho_log_rho = float((w_rho * np.log2(w_rho)).sum())
+    c = (1.0 - floor) / math.log(2.0)
+
+    def spectrum(sigma: np.ndarray):
+        w, V = eigh((1.0 - floor) * sigma + floor * witness)
+        w = np.clip(w, 1e-300, None)
+        rho_t = V.conj().T @ rho_mat @ V
+        value = tr_rho_log_rho - float(np.diag(rho_t).real @ np.log2(w))
+        return w, V, rho_t, value
 
     def eval_fn(sigma: np.ndarray, need_grad: bool):
-        mixed = (1.0 - floor) * sigma + floor * witness
-        w, V = eigh(mixed)
-        w = np.clip(w, 1e-300, None)
-        lw = np.log2(w)
-        rho_t = V.conj().T @ rho_mat @ V
-        value = tr_rho_log_rho - float(np.sum(np.diag(rho_t).real * lw))
+        w, V, rho_t, value = spectrum(sigma)
         grad = None
         if need_grad:
-            diff = w[:, None] - w[None, :]
-            phi = np.where(np.abs(diff) > 1e-14,
-                           (lw[:, None] - lw[None, :]) / np.where(
-                               np.abs(diff) > 1e-14, diff, 1.0),
-                           1.0 / (w[:, None] * math.log(2.0)))
-            grad = -(1.0 - floor) * (V @ (phi * rho_t) @ V.conj().T)
+            grad = -c * (V @ (_log_first_differences(w) * rho_t)
+                         @ V.conj().T)
         return value, grad, value
+
+    def newton(sigma: np.ndarray, mats: np.ndarray):
+        w, V, rho_t, value = spectrum(sigma)
+
+        def local():
+            B = _in_eigenbasis(V, mats)
+            F1 = _log_first_differences(w)
+            rho_T = rho_t.T if rho_t.imag.any() else rho_t.T.real
+            jac = -c * np.einsum("ij,kij->k", F1 * rho_T, B).real
+            S = np.zeros((len(mats), len(mats)))
+            # slabs of j with at most about 2^20 triples bound the memory
+            step = max(1, 2 ** 20 // w.size ** 2)
+            for start in range(0, w.size, step):
+                js = slice(start, start + step)
+                P = _log_second_differences(w, F1, js) * rho_T[:, None, :]
+                # G[j, k, m] = sum_i B_k[i, j] F2[i, j, m] rho~[m, i]
+                G = np.matmul(B[:, :, js].transpose(2, 0, 1),
+                              P.transpose(1, 0, 2))
+                S += np.tensordot(G, B[:, js, :], axes=([0, 2], [1, 2])).real
+            return jac, -c * (1.0 - floor) * (S + S.T)
+        return value, value, local
+    eval_fn.newton = newton
     return eval_fn
 
 
@@ -856,8 +895,12 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
                              partial(family.lmo, seed=settings.seed), witness,
                              max(12, settings.max_iters // 8), settings.tol)
     mixed = (1.0 - floor) * tracker.best_mat + floor * witness
-    return _certified(tracker, iters, lambda m: eval_fn(m, True)[1], family,
-                      settings, mixed)
+
+    def fw_bound(x: np.ndarray) -> float:
+        value, grad, _ = eval_fn(x, True)
+        return value - _fw_gap(grad, x, family, settings.seed)
+
+    return _certified(tracker, iters, fw_bound, family, settings, mixed)
 
 
 def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
@@ -882,27 +925,6 @@ def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
 # generalized robustness
 # ---------------------------------------------------------------------------
 
-def _lambda_max_eval(rho_mat: np.ndarray, scale: float, tau: float | None):
-    def eval_fn(sigma: np.ndarray, need_grad: bool):
-        w, V = eigh(rho_mat - scale * sigma)
-        exact = float(w[-1])
-        if tau is None:
-            grad = None
-            if need_grad:
-                v = V[:, -1]
-                grad = -scale * np.outer(v, v.conj())
-            return exact, grad, exact
-        x = (w - w[-1]) / tau
-        lse = float(w[-1] + tau * np.log(np.sum(np.exp(x))))
-        grad = None
-        if need_grad:
-            soft = np.exp(x)
-            soft /= soft.sum()
-            grad = -scale * ((V * soft) @ V.conj().T)
-        return lse, grad, exact
-    return eval_fn
-
-
 def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
                            settings: SolverSettings = SolverSettings(),
                            s_tol: float = 1e-6,
@@ -910,29 +932,22 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
     """Least s >= 0 with (rho + s tau)/(1+s) free for some state tau.
 
     Feasibility at s is the eigenvalue condition: some family member sigma
-    satisfies (1+s) sigma >= rho, tested by minimizing the top eigenvalue of
-    rho - (1+s) sigma over the family; bisection on s.
+    satisfies (1+s) sigma >= rho, which holds iff Tr[(rho - (1+s) sigma)_+]
+    = 0.  It is tested by ``min_positive_part`` at b = 1 + s, with a value
+    of at most 1e-9 taken as feasible and that solve's minimizer as the
+    witness; bisection on s.
     """
-    feas_tol = 1e-9
-    start = _feasible_start(family, settings.seed)
-    lmo = partial(family.lmo, seed=settings.seed)
-
     def feasible(s: float):
-        tracker, _ = _anneal(partial(_lambda_max_eval, rho.mat, 1.0 + s),
-                             (1e-2, 1e-5, None), lmo, start,
-                             max(12, settings.max_iters // 24),
-                             settings.tol / 4.0)
-        return tracker.best_value <= feas_tol, tracker.best_mat
+        res = min_positive_part(rho, 1.0 + s, family, settings)
+        return res.value <= 1e-9, res.minimizer
 
-    ok, mat = feasible(0.0)
+    ok, witness = feasible(0.0)
     if ok:
-        return (0.0, _as_state(family, mat)) if return_witness else 0.0
+        return (0.0, witness) if return_witness else 0.0
     lo, hi = 0.0, 1.0
-    mat_hi = None
     for _ in range(60):
-        ok, mat = feasible(hi)
+        ok, witness = feasible(hi)
         if ok:
-            mat_hi = mat
             break
         lo, hi = hi, 2.0 * hi
     else:
@@ -941,49 +956,27 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
         mid = 0.5 * (lo + hi)
         ok, mat = feasible(mid)
         if ok:
-            hi, mat_hi = mid, mat
+            hi, witness = mid, mat
         else:
             lo = mid
-    if return_witness:
-        return hi, _as_state(family, mat_hi)
-    return hi
+    return (hi, witness) if return_witness else hi
 
 
 # ---------------------------------------------------------------------------
 # trace distance to a family
 # ---------------------------------------------------------------------------
 
-def _distance_eval(target: np.ndarray, tau: float | None):
-    def eval_fn(sigma: np.ndarray, need_grad: bool):
-        w, V = eigh(sigma - target)
-        exact = float(np.abs(w).sum())
-        if tau is None:
-            grad = None
-            if need_grad:
-                sgn = np.sign(w)
-                sgn[np.abs(w) < 1e-14] = 0.0  # exclude the zero eigenspace
-                grad = (V * sgn) @ V.conj().T
-            return exact, grad, exact
-        h = np.sqrt(w * w + tau * tau) - tau
-        smooth = float(h.sum())
-        grad = None
-        if need_grad:
-            grad = (V * (w / np.sqrt(w * w + tau * tau))) @ V.conj().T
-        return smooth, grad, exact
-    return eval_fn
-
-
 def distance_to_family(sigma_tilde: DensityMatrix, family: FreeFamily,
                        settings: SolverSettings = SolverSettings(),
                        start: DensityMatrix | None = None) -> OptResult:
-    """min over the family of || sigma_tilde - sigma ||_1."""
-    target = sigma_tilde.mat
-    tracker, iters = _anneal(partial(_distance_eval, target),
-                             (1e-3, 1e-6, None),
-                             partial(family.lmo, seed=settings.seed),
-                             _feasible_start(family, settings.seed, start),
-                             max(12, settings.max_iters // 24),
-                             settings.tol / 4.0)
-    return _certified(tracker, iters,
-                      lambda m: _distance_eval(target, None)(m, True)[1],
-                      family, settings)
+    """min over the family of || sigma_tilde - sigma ||_1.
+
+    For unit-trace sigma_tilde and sigma, || sigma_tilde - sigma ||_1 =
+    2 Tr[(sigma_tilde - sigma)_+], so this is twice ``min_positive_part``
+    at b = 1, its value and gap doubled; ``converged`` is the doubled gap
+    <= tol.
+    """
+    res = min_positive_part(sigma_tilde, 1.0, family, settings, start)
+    gap = 2.0 * res.fw_gap
+    return OptResult(2.0 * res.value, res.minimizer, gap, res.iterations,
+                     gap <= settings.tol)

@@ -146,6 +146,34 @@ def diagonal_dual_optimum(N: int, K: float, p: float = 0.8) -> float:
     return float(res.fun)
 
 
+def hull_minimum_slsqp(eval_fn, atoms, maxiter: int = 80) -> float:
+    """Least value of a solver evaluator over the hull of ``atoms`` (pairs
+    [matrix, weight], started at their weights), via SLSQP on the weight
+    simplex.
+
+    ``eval_fn(mat, need_grad)`` returns (value, gradient, exact value); the
+    result is the value at SLSQP's weights clipped to be nonnegative and
+    normalized, so it is attained on the hull.
+    """
+    mats = [m for m, _ in atoms]
+
+    def point(w):
+        return sum(wi * m for wi, m in zip(w, mats))
+
+    def fun(w):
+        value, grad, _ = eval_fn(point(w), True)
+        return value, np.array([np.einsum("ij,ji->", grad, m).real
+                                for m in mats])
+
+    res = minimize(fun, np.array([w for _, w in atoms], dtype=float),
+                   jac=True, method="SLSQP", bounds=[(0.0, 1.0)] * len(mats),
+                   constraints=[{"type": "eq", "fun": lambda w: w.sum() - 1.0,
+                                 "jac": lambda w: np.ones_like(w)}],
+                   options={"maxiter": maxiter, "ftol": 1e-14})
+    w = np.clip(res.x, 0.0, None)
+    return eval_fn(point(w / w.sum()), False)[0]
+
+
 def max_product_overlap_bell(grid: int = 60) -> float:
     """Brute-force Bloch-grid maximum of |<Phi|a,b>|^2 for the 2x2 ray."""
     best = 0.0

@@ -18,11 +18,15 @@ from qstein.optim import (SolverSettings, distance_to_family, frank_wolfe,
 
 from oracles import (classical_neyman_pearson, classical_threshold_value,
                      coherence_power_state, diagonal_dual_optimum,
-                     diagonal_threshold_optimum,
+                     diagonal_threshold_optimum, hull_minimum_slsqp,
                      robustness_qubit_diagonal_grid)
 
 RNG = np.random.default_rng(313)
 FAST = SolverSettings(max_iters=200, tol=1e-7, seed=0)
+
+
+def _tr(a, b):
+    return float(np.einsum("ij,ji->", a, b).real)
 
 
 def coherence_qubit(p=0.8):
@@ -34,8 +38,7 @@ class TestFrankWolfe:
     def test_linear_objective_hits_oracle(self):
         fam = DiagonalFamily(2, 1)
         c = np.diag([2.0, 1.0])
-        res = frank_wolfe(lambda m: float(np.einsum("ij,ji->", c, m).real),
-                          lambda m: c, fam, FAST)
+        res = frank_wolfe(lambda m: _tr(c, m), lambda m: c, fam, FAST)
         assert abs(res.value - 1.0) < 1e-10
         assert res.fw_gap <= 1e-7
 
@@ -142,21 +145,6 @@ class TestMinPositivePart:
                 assert res.value - res.fw_gap <= want + 1e-12
                 assert res.value <= want + res.fw_gap + 1e-12
 
-    def test_softplus_solvers_never_call_slsqp(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("SLSQP called")
-        monkeypatch.setattr("scipy.optimize.minimize", refuse)
-        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
-        rng = np.random.default_rng(59)
-        for fam in (DiagonalFamily(2, 2), FullSpaceFamily(4, 1)):
-            rho = rand.random_density(rng, fam.shape)
-            min_positive_part(rho, 1.5, fam, FAST)
-            hypothesis_primal(rho, 3.0, fam, FAST)
-            hypothesis_dual(rho, 3.0, fam, FAST)
-        power = opalg.density(coherence_power_state(0.8, 4), (2,) * 4)
-        min_positive_part(power, 6.0, DiagonalFamily(2, 4), FAST)
-        hypothesis_dual(power, 6.0, DiagonalFamily(2, 4), FAST)
-
     def test_non_invariant_state_keeps_vertex_search(self):
         # psi psi^T <= b sigma for sigma ~ |psi_x| once b >= (sum |psi_x|)^2;
         # the best permutation-invariant sigma leaves about 0.0238
@@ -177,6 +165,33 @@ class TestMinPositivePart:
             if prev is not None:
                 assert res.value <= prev + 1e-9
             prev = res.value
+
+
+def test_no_solver_calls_slsqp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("SLSQP called")
+    monkeypatch.setattr("scipy.optimize.minimize", refuse)
+    monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+    rng = np.random.default_rng(59)
+    for fam in (DiagonalFamily(2, 2), FullSpaceFamily(4, 1)):
+        rho = rand.random_density(rng, fam.shape)
+        min_positive_part(rho, 1.5, fam, FAST)
+        hypothesis_primal(rho, 3.0, fam, FAST)
+        hypothesis_dual(rho, 3.0, fam, FAST)
+        distance_to_family(rho, fam, FAST)
+        generalized_robustness(rho, fam, FAST)
+    power = opalg.density(coherence_power_state(0.8, 4), (2,) * 4)
+    min_positive_part(power, 6.0, DiagonalFamily(2, 4), FAST)
+    hypothesis_dual(power, 6.0, DiagonalFamily(2, 4), FAST)
+    c = np.diag([2.0, 1.0])
+    frank_wolfe(lambda m: _tr(c, m), lambda m: c, DiagonalFamily(2, 1), FAST)
+    rel_ent_of_resource(coherence_qubit(), DiagonalFamily(2, 1), FAST)
+    bell = np.zeros(4)
+    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+    rel_ent_of_resource(opalg.density(np.outer(bell, bell)),
+                        SeparableHullFamily(4, 1, dim_a=2, dim_b=2,
+                                            n_restarts=8),
+                        SolverSettings(max_iters=100, tol=1e-6, seed=0))
 
 
 def _pure_power(vec: np.ndarray, n: int) -> opalg.HermitianOperator:
@@ -305,7 +320,7 @@ class TestNewtonReweight:
         # still gives finite steps, with no floating-point warning
         for seed in (61, 62, 63):
             eval_fn, atoms = self._instance(seed, 1e-3, duplicate)
-            slsqp = [list(e) for e in atoms]
+            reference = hull_minimum_slsqp(eval_fn, atoms)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 optim._newton_reweight(atoms, eval_fn, optim._Tracker(), 1e-10)
@@ -313,8 +328,7 @@ class TestNewtonReweight:
             assert np.isfinite(w).all() and w.min() >= 0.0
             assert abs(w.sum() - 1.0) <= 1e-12
             assert gap <= 1e-10
-            optim._corrective_reweight(slsqp, eval_fn, optim._Tracker())
-            assert value <= self._hull_gap(eval_fn, slsqp)[0] + 1e-12
+            assert value <= reference + 1e-12
 
     def test_singular_kkt_gives_no_step(self):
         # a zero Hessian and a constant gradient: the ridge is zero and the
@@ -331,6 +345,56 @@ class TestNewtonReweight:
         w = np.array([v for _, v in atoms])
         assert tracker.best_value <= eval_fn(np.tensordot(w, mats, 1),
                                              False)[2] + 1e-15
+
+
+class TestRelentNewton:
+    """The gradient and Hessian that ``_relent_eval`` gives the corrective
+    step, in atom coordinates, against central differences."""
+
+    @staticmethod
+    def _check(eval_fn, mats):
+        n = len(mats)
+        w = np.full(n, 1.0 / n)
+        _, _, local = eval_fn.newton(np.tensordot(w, mats, 1), mats)
+        jac, hess = local()
+        steps = np.eye(n)
+
+        def value(u):
+            return eval_fn(np.tensordot(u, mats, 1), False)[0]
+
+        def gradient(u):
+            return eval_fn.newton(np.tensordot(u, mats, 1), mats)[2]()[0]
+
+        h = 1e-5
+        jac_fd = np.array([(value(w + h * e) - value(w - h * e)) / (2 * h)
+                           for e in steps])
+        h = 1e-6
+        hess_fd = np.array([(gradient(w + h * e) - gradient(w - h * e))
+                            / (2 * h) for e in steps])
+        assert np.abs(jac - jac_fd).max() <= 1e-8
+        assert np.abs(hess - hess_fd).max() <= 1e-8
+        assert np.abs(hess - hess.T).max() <= 1e-12
+        return hess
+
+    def test_random_full_rank_atoms(self):
+        rng = np.random.default_rng(71)
+        d = 4
+        rho = rand.random_density(rng, SystemShape((d,))).mat
+        eval_fn = optim._relent_eval(rho, np.eye(d) / d)
+        mats = np.array([rand.random_density(rng, SystemShape((d,))).mat
+                         for _ in range(5)])
+        assert np.linalg.eigvalsh(self._check(eval_fn, mats)).min() > 0.0
+
+    def test_diagonal_atoms_repeated_eigenvalues(self):
+        # at equal weights the mixture is diag(5, 3, 5, 3) / 16, so both
+        # divided differences meet coincident eigenvalues
+        rng = np.random.default_rng(73)
+        rho = rand.random_density(rng, SystemShape((4,))).mat
+        eval_fn = optim._relent_eval(rho, np.eye(4) / 4)
+        mats = np.array([np.diag(v).astype(complex) for v in
+                         ([0.5, 0.5, 0, 0], [0.25] * 4, [0, 0, 0.5, 0.5],
+                          [0.5, 0, 0.5, 0])])
+        self._check(eval_fn, mats)
 
 
 class TestHypothesisTesting:
@@ -540,6 +604,20 @@ class TestResourceMeasures:
                                   SolverSettings(max_iters=240, tol=1e-9))
         assert abs(res.value - binary_entropy(0.8)) < 1e-7
 
+    def test_relent_certifies_at_last_iterate(self):
+        # E_R of two Bell pairs on the separable hull is 2; the best probe,
+        # a line-search point under 1e-15 lower in value, leaves a Frank-Wolfe gap
+        # above tol, and the stage's last iterate certifies
+        bell = np.zeros(4)
+        bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+        phi = np.outer(bell, bell)
+        res = rel_ent_of_resource(
+            opalg.density(np.kron(phi, phi), (4, 4)),
+            SeparableHullFamily(4, 2, dim_a=2, dim_b=2),
+            SolverSettings(max_iters=400, tol=1e-7, seed=0))
+        assert abs(res.value - 2.0) < 1e-6
+        assert res.converged
+
     def test_regularized_sequence_constant(self):
         seq = regularized_sequence(coherence_qubit(), DiagonalFamily(2, 1), 3,
                                    SolverSettings(max_iters=200, tol=1e-8))
@@ -605,6 +683,15 @@ class TestResourceMeasures:
         res = distance_to_family(plus, DiagonalFamily(2, 1), FAST)
         # off-diagonal lower bound 1 is met by the maximally mixed state
         assert abs(res.value - 1.0) < 1e-8
+
+    def test_distance_is_trace_norm_at_minimizer(self):
+        rng = np.random.default_rng(67)
+        for fam in (DiagonalFamily(2, 2), FullSpaceFamily(3, 1),
+                    DiagonalFamily(3, 1)):
+            target = rand.random_density(rng, fam.shape)
+            res = distance_to_family(target, fam, FAST)
+            want = opalg.trace_norm(target.mat - res.minimizer.mat)
+            assert abs(res.value - want) <= 1e-12
 
     def test_distance_perturbation_construction(self):
         fam = DiagonalFamily(2, 1)
