@@ -29,7 +29,10 @@ def main():
           f"   (closed form h({p}) = {binary_entropy(p):.9f})")
     seq = regularized_sequence(coh, diag, 5, settings)
     print("  per-copy values on powers:",
-          ", ".join(f"{val:.9f}" for _, val in seq))
+          ", ".join(f"{val:.9f}" + ("" if ok else "*") for _, val, ok in seq))
+    if not all(ok for _, _, ok in seq):
+        print("  (* not certified: the solve stopped with its Frank-Wolfe gap"
+              " above tol)")
     rg = generalized_robustness(coh, diag, settings)
     print(f"  generalized robustness = {rg:.6f}")
 
@@ -43,8 +46,9 @@ def main():
     print("\ntwo-qubit maximally entangled state vs the separable hull:")
     print(f"  relative entropy of resource = {rr_bell.value:.6f}  (exact: 1)")
     print(f"  generalized robustness       = {rg_bell:.6f}  (exact: 1)")
-    print("\nthe per-copy sequence for the coherent qubit is constant: the "
-          "diagonal-family measure is additive on product states.")
+    print("\nthe certified per-copy values for the coherent qubit are "
+          "constant: the diagonal-family measure is additive on product "
+          "states.")
 
 
 if __name__ == "__main__":

@@ -101,6 +101,11 @@ class OptResult:
     distance doubles its positive-part gap).  ``converged`` is
     ``fw_gap <= tol``.  ``iterations`` counts the oracle calls of the
     Frank-Wolfe stages.
+
+    The bound is only as exact as the family's oracle.  On the separable
+    hull the oracle is a seesaw heuristic, so there ``fw_gap`` and
+    ``converged`` are measured against the heuristic's answer and are not
+    certificates.
     """
 
     value: float
@@ -906,8 +911,11 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
 def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
                          n_max: int,
                          settings: SolverSettings = SolverSettings(),
-                         dim_cap: int = 1024) -> list[tuple[int, float]]:
-    """Per-copy values of the family relative entropy on powers of rho."""
+                         dim_cap: int = 1024
+                         ) -> list[tuple[int, float, bool]]:
+    """Per-copy values of the family relative entropy on powers of rho, as
+    (n, value / n, converged) triples; ``converged`` is the solve's
+    ``OptResult.converged``."""
     d = rho.total_dim
     if d ** n_max > dim_cap:
         raise DimensionCap(
@@ -917,7 +925,7 @@ def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
         power = opalg.tensor_power(rho.op, n)
         res = rel_ent_of_resource(DensityMatrix(power), family.at_copies(n),
                                   settings)
-        out.append((n, res.value / n))
+        out.append((n, res.value / n, res.converged))
     return out
 
 

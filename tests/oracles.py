@@ -174,6 +174,49 @@ def hull_minimum_slsqp(eval_fn, atoms, maxiter: int = 80) -> float:
     return eval_fn(point(w / w.sum()), False)[0]
 
 
+def sequential_seesaw_lmo(family, grad: np.ndarray,
+                          seed: int = 0) -> np.ndarray:
+    """The separable-hull oracle run one restart at a time.
+
+    The same multi-start alternating-eigenvector search as
+    ``SeparableHullFamily.lmo``, written as a loop over restarts with one
+    2-D ``eigh`` per half-sweep: each restart draws its own B start, stops
+    once a sweep fails to lower its value by ``seesaw_tol``, and the first
+    restart with the least value wins.
+    """
+    from qstein import opalg
+    n = family.copies
+    da, db = family.dim_a ** n, family.dim_b ** n
+    g4 = opalg.pairs_to_blocks(grad, family.dim_a, family.dim_b,
+                               n).reshape(da, db, da, db)
+    rng = np.random.default_rng(seed)
+    best_val, best_pair = np.inf, None
+    for _ in range(family.n_restarts):
+        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+        b /= np.linalg.norm(b)
+        a = None
+        prev = np.inf
+        for _ in range(family.seesaw_iters):
+            ma = np.einsum("ijkl,j,l->ik", g4, b.conj(), b)
+            w, V = opalg.eigh(ma)
+            a = V[:, 0]
+            mb = np.einsum("ijkl,i,k->jl", g4, a.conj(), a)
+            w, V = opalg.eigh(mb)
+            b = V[:, 0]
+            val = float(w[0])
+            if prev - val < family.seesaw_tol:
+                break
+            prev = val
+        val = float(np.einsum("ijkl,i,j,k,l->", g4, a.conj(), b.conj(),
+                              a, b).real)
+        if val < best_val:
+            best_val, best_pair = val, (a, b)
+    a, b = best_pair
+    vec = opalg.blocks_to_pairs(np.kron(a, b), family.dim_a, family.dim_b, n)
+    m = np.outer(vec, vec.conj())
+    return 0.5 * (m + m.conj().T)
+
+
 def max_product_overlap_bell(grid: int = 60) -> float:
     """Brute-force Bloch-grid maximum of |<Phi|a,b>|^2 for the 2x2 ray."""
     best = 0.0

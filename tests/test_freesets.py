@@ -10,7 +10,7 @@ from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              check_property, parse_family_spec)
 from qstein.opalg import SystemShape
 
-from oracles import max_product_overlap_bell
+from oracles import max_product_overlap_bell, sequential_seesaw_lmo
 
 RNG = np.random.default_rng(11)
 
@@ -115,6 +115,22 @@ class TestLinearOracle:
             g = rand.random_hermitian(RNG, fam.shape).mat
             out = opalg.density(fam.lmo(g, seed=seed), fam.shape.dims)
             assert fam.membership(out, 1e-3)
+
+
+@pytest.mark.parametrize("copies,n_restarts",
+                         [(1, 1), (1, 5), (1, 32), (2, 1), (2, 32)])
+def test_sep_lmo_matches_sequential_restarts(copies, n_restarts):
+    # the batched seesaw draws the same starts, stops each restart by the
+    # same rule and keeps the first least value as the loop over restarts
+    fam = SeparableHullFamily(4, copies, dim_a=2, dim_b=2,
+                              n_restarts=n_restarts)
+    rng = np.random.default_rng(100 * copies + n_restarts)
+    for seed in range(6):
+        g = rand.random_hermitian(rng, fam.shape).mat
+        got = float(np.einsum("ij,ji->", g, fam.lmo(g, seed=seed)).real)
+        want = float(np.einsum("ij,ji->", g,
+                               sequential_seesaw_lmo(fam, g, seed)).real)
+        assert abs(got - want) <= 1e-12
 
 
 LMO_FAMILIES = {

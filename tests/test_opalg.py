@@ -291,6 +291,51 @@ class TestPairRegrouping:
             opalg.pairs_to_blocks(pairs, self.DA, self.DB, self.N), blocks)
 
 
+def _projectors(v):
+    # one rank-one eigenprojector per column: free of the eigenvectors' phases
+    return np.einsum("...ik,...jk->...kij", v, v.conj())
+
+
+class TestEighStacks:
+    K, N = 7, 4
+
+    def _check(self, stack):
+        w, v = opalg.eigh(stack)
+        assert w.shape == (self.K, self.N)
+        assert v.shape == (self.K, self.N, self.N)
+        assert np.iscomplexobj(v)
+        for m, wk, vk in zip(stack, w, v):
+            w1, v1 = opalg.eigh(m)
+            assert_allclose(wk, w1, rtol=0, atol=1e-14)
+            assert_allclose(_projectors(vk), _projectors(v1), rtol=0,
+                            atol=1e-12)
+
+    def _real_sym(self):
+        g = RNG.standard_normal((self.K, self.N, self.N))
+        return 0.25 * (g + g.mT)
+
+    def test_real_stack(self):
+        self._check(self._real_sym())
+
+    def test_complex_stack(self):
+        self._check(np.stack([rand_herm(self.N) for _ in range(self.K)]))
+
+    def test_nearly_real_stack_takes_the_real_path(self):
+        noise = 1e-15 * RNG.standard_normal((self.K, self.N, self.N))
+        stack = self._real_sym() + 1j * (noise - noise.mT)
+        self._check(stack)
+        w, _ = opalg.eigh(stack)
+        assert_allclose(w, opalg.eigh(stack.real)[0], rtol=0, atol=0)
+
+    def test_one_complex_matrix_sends_the_stack_complex(self):
+        # the real-path test is taken over the whole stack, so nearly-real
+        # members go the complex path here but agree with their single calls
+        noise = 1e-15 * RNG.standard_normal((self.K, self.N, self.N))
+        stack = self._real_sym() + 1j * (noise - noise.mT)
+        stack[3] = rand_herm(self.N)
+        self._check(stack)
+
+
 class TestNormalizedPositivePart:
     def test_fallback_on_negative_semidefinite(self):
         fallback = np.eye(3) / 3

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -621,13 +622,14 @@ class TestResourceMeasures:
     def test_regularized_sequence_constant(self):
         seq = regularized_sequence(coherence_qubit(), DiagonalFamily(2, 1), 3,
                                    SolverSettings(max_iters=200, tol=1e-8))
-        for _, v in seq:
+        for _, v, ok in seq:
+            assert ok
             assert abs(v - binary_entropy(0.8)) < 1e-6
 
     def test_regularized_sequence_free(self):
         seq = regularized_sequence(opalg.density(np.diag([0.5, 0.5])),
                                    DiagonalFamily(2, 1), 3, FAST)
-        assert all(v < 1e-6 for _, v in seq)
+        assert all(ok and v < 1e-6 for _, v, ok in seq)
 
     def test_regularized_sequence_singleton(self):
         sigma0 = np.diag([0.6, 0.4])
@@ -635,8 +637,22 @@ class TestResourceMeasures:
         fam = SingletonIIDFamily(2, 1, sigma0=sigma0)
         want = relative_entropy(rho, opalg.density(sigma0)).value
         seq = regularized_sequence(rho, fam, 3, FAST)
-        for _, v in seq:
+        for _, v, ok in seq:
+            assert ok
             assert abs(v - want) < 1e-9
+
+    def test_regularized_sequence_reports_each_flag(self, monkeypatch):
+        # each triple carries its own solve's flag, uncertified ones too
+        solve = optim.rel_ent_of_resource
+
+        def every_other(rho, family, settings):
+            return replace(solve(rho, family, settings),
+                           converged=family.copies % 2 == 0)
+        monkeypatch.setattr(optim, "rel_ent_of_resource", every_other)
+        seq = regularized_sequence(coherence_qubit(), DiagonalFamily(2, 1), 3,
+                                   FAST)
+        assert [(n, ok) for n, _, ok in seq] == [(1, False), (2, True),
+                                                 (3, False)]
 
     def test_regularized_sequence_cap(self):
         with pytest.raises(DimensionCap):
