@@ -46,7 +46,8 @@ class SystemShape:
         return SystemShape(self.dims + other.dims)
 
     def drop(self, subsystems: Iterable[int]) -> "SystemShape":
-        keep = [d for i, d in enumerate(self.dims) if i not in set(subsystems)]
+        drop = set(subsystems)
+        keep = [d for i, d in enumerate(self.dims) if i not in drop]
         if not keep:
             keep = [1]
         return SystemShape(tuple(keep))

@@ -3,39 +3,42 @@
 Every minimization here is projection-free and runs through one routine,
 ``_anneal``: a fully-corrective Frank-Wolfe loop discovers extreme points
 through a linear minimization oracle and re-optimizes the weights over the
-discovered hull after every new atom.  Nonsmooth spectral objectives
-(positive part, trace norm, top eigenvalue) are handled by annealing a
-smooth spectral surrogate over a schedule of temperatures tau while
-tracking the exact objective at every point probed; reported values are
-always exact evaluations, and the reported duality gap is computed from the
-exact subgradient, so it upper-bounds the true suboptimality.  Each stage
-starts from the atoms and weights the stage before ended with.
+discovered hull after every new atom.  The nonsmooth positive part is
+handled by annealing a smooth spectral surrogate over a schedule of
+temperatures tau while tracking the exact objective at every point probed;
+reported values are always exact evaluations, and the reported duality gap
+is computed from the exact subgradient, so it upper-bounds the true
+suboptimality.  Each stage starts from the atoms and weights the stage
+before ended with.
 
-The weights are re-optimized by one corrective step, Newton's method on the
-simplex (``_newton_reweight``), with the evaluator's exact Hessian in the
-coordinates of the atoms: the Daleckii-Krein form of the softplus surrogate
-of the positive part, and its second-order form for the relative entropy.
-The evaluator of ``frank_wolfe`` has a gradient only and takes pairwise
-steps.
+Every objective is one probe, ``probe(x) -> (surrogate, exact, grad,
+local)``: one eigendecomposition at x gives the surrogate and exact values,
+and two lazy derivatives share it.  ``grad()`` is the gradient matrix the
+linear oracle and the exit bound read; ``local(mats)`` is the gradient and
+exact Hessian in the coordinates of a stack of atoms, which the corrective
+step reads.  The weights are re-optimized by that one step, Newton's method
+on the simplex (``_newton_reweight``), with the Daleckii-Krein form of the
+softplus surrogate of the positive part, and its second-order form for the
+relative entropy.
 
 A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
 ``exact`` runs on the exact objective and its gradient; a stage makes at
 most "calls/stage" oracle calls and ends at the oracle's "gap" target):
 
     solver                  tau schedule      calls/stage    gap
-    frank_wolfe             exact             max(12, m//8)  tol
     rel_ent_of_resource     exact             max(12, m//8)  tol
     min_positive_part       1e-3, 1e-6, 1e-8  max(12, m//24) tol/4
     hypothesis_dual         1e-3, 1e-6, 1e-8  max(20, m//3)  tol/4
     hypothesis_primal       reads stage 2's end of the dual's solve
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
-lower bound f(x) - gap(x) over its best probe and its stage ends, with an
-exact (sub)gradient at each (-b P_+ for the positive part).  The trace
-distance and the robustness's feasibility test are positive-part problems
-and run through ``min_positive_part``: ||sigma~ - sigma||_1 = 2 Tr[(sigma~
-- sigma)_+] for unit-trace states, and (1+s) sigma >= rho iff Tr[(rho -
-(1+s) sigma)_+] = 0.
+lower bound f(x) - gap(x) over its best probe and its stage ends
+(``_fw_bound``), with an exact (sub)gradient at each: -b P_+ for the
+positive part, from its probe at tau = None.  The trace distance and the
+robustness's feasibility test are positive-part problems and run through
+``min_positive_part``: ||sigma~ - sigma||_1 = 2 Tr[(sigma~ - sigma)_+] for
+unit-trace states, and (1+s) sigma >= rho iff Tr[(rho - (1+s) sigma)_+]
+vanishes.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
 dual's second stage with a cutting-plane linear program.  Both ends of the
@@ -44,17 +47,18 @@ a dual call on the same inputs, in either order, anneal once.
 Oracles and iterates are plain matrices; a ``DensityMatrix`` is built
 only for the minimizer a solver returns.
 
-``min_positive_part`` and ``hypothesis_dual`` search the permutation-
-invariant members only when the family offers ``type_class_lmo`` on
-several copies and the inputs are invariant.  When the target operator
-(rho or eta) also lies on the symmetric subspace, as a pure power does,
-that search runs in type-class coordinates: the iterate is the T x T
-diagonal of class weights, T the number of type classes, and each
-evaluation is one T x T eigendecomposition instead of one of dimension
-d^N.  The surrogate, its gradient and the exact value there equal the
-dense ones to rounding, so the Frank-Wolfe path is the same.  The exit gap
-of ``min_positive_part`` stays dense: it is computed at the dense minimizer
-and stage ends against the family's vertex oracle.
+Every solver searches the permutation-invariant members only when the
+family offers ``type_class_lmo`` on several copies and the inputs are
+invariant (``_member_oracle``).  When the target operator of
+``min_positive_part`` or ``hypothesis_dual`` (rho or eta) also lies on the
+symmetric subspace, as a pure power does, that search runs in type-class
+coordinates: the iterate is the T x T diagonal of class weights, T the
+number of type classes, and each evaluation is one T x T
+eigendecomposition instead of one of dimension d^N.  The surrogate, its
+gradient and the exact value there equal the dense ones to rounding, so
+the Frank-Wolfe path is the same.  The exit gap stays dense: it is
+computed at the dense minimizer and stage ends against the family's vertex
+oracle.
 """
 
 from __future__ import annotations
@@ -178,7 +182,7 @@ def _pairwise_direction(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return d
 
 
-def _backtrack(eval_fn, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
+def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
                jac: np.ndarray, value: float, radius: float,
                tracker: _Tracker):
     """Backtracking along d on the weight simplex.
@@ -190,7 +194,8 @@ def _backtrack(eval_fn, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
     along d at the step that is still <= 0: by convexity that step
     descends, and near a hull optimum of a sharply curved surrogate the
     decrease is below what the value resolves while the slope still shows
-    it.  Returns (weights, surrogate value, ``local``, next radius), or None
+    it.  Returns (weights, surrogate value, the probe's ``local``, next
+    radius), or None
     when no step of at least 1e-15 in the weights is accepted.  The radius
     grows fourfold after a first trial that holds, and is twice the
     accepted step after one that had to shrink.
@@ -211,45 +216,44 @@ def _backtrack(eval_fn, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
             trial[shrink[np.argmin(ratios)]] = 0.0
         trial /= trial.sum()
         x = np.tensordot(trial, mats, 1)
-        v, exact, local = eval_fn.newton(x, mats)
+        v, exact, _, local = probe(x)
         tracker.offer(x, exact)
         grown = (max(radius, 4.0 * t * size) if halvings == 0
                  else 2.0 * t * size)
         if v < value and v <= value + 1e-4 * t * slope:
             return trial, v, local, grown
         if v <= value + 1e-15 * abs(value):
-            derivs = local()
+            derivs = local(mats)
             if derivs[0] @ d <= 0.0:
-                return trial, v, lambda: derivs, grown
+                return trial, v, lambda _: derivs, grown
         t *= 0.5
     return None
 
 
-def _newton_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
+def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
                      hull_tol: float, maxiter: int = 60) -> None:
     """Fully-corrective step by Newton's method on the weight simplex.
 
-    ``eval_fn.newton(x, mats)`` returns (surrogate value, exact value,
-    ``local``) at x, and ``local()`` the gradient and the exact Hessian in
-    the coordinates of the atoms ``mats`` (None for a gradient-only
-    evaluator, which takes pairwise steps only).  Each step is backtracked
-    to the Armijo condition (``_backtrack``); when the Newton step does not
+    ``probe(x)`` returns (surrogate value, exact value, ``grad``,
+    ``local``) at x, and ``local(mats)`` the gradient and the exact Hessian
+    in the coordinates of the atoms ``mats``.  Each step is backtracked to
+    the Armijo condition (``_backtrack``); when the Newton step does not
     descend, the pairwise step is tried.  The solve stops at a hull gap
     jac.w - min(jac) of at most ``hull_tol``, or when no step descends.
     Every probe's exact value goes to the tracker.
     """
     mats = np.array([a for a, _ in atoms])
     w = np.array([v for _, v in atoms], dtype=float)
-    value, _, local = eval_fn.newton(np.tensordot(w, mats, 1), mats)
+    value, _, _, local = probe(np.tensordot(w, mats, 1))
     radius, moved = 1.0, False
     for _ in range(maxiter):
-        jac, hess = local()
+        jac, hess = local(mats)
         if jac @ w - jac.min() <= hull_tol:
             break
-        newton = None if hess is None else _newton_direction(w, jac, hess)
-        for d in (newton, _pairwise_direction(w, jac)):
+        for d in (_newton_direction(w, jac, hess),
+                  _pairwise_direction(w, jac)):
             step = None if d is None else _backtrack(
-                eval_fn, mats, w, d, jac, value, radius, tracker)
+                probe, mats, w, d, jac, value, radius, tracker)
             if step is not None:
                 break
         else:
@@ -261,16 +265,16 @@ def _newton_reweight(atoms: list[list], eval_fn, tracker: _Tracker,
             entry[1] = float(wi)
 
 
-def _fcfw_minimize(eval_fn, lmo, atoms: list[list], max_outer: int,
+def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
                    gap_tol: float, tracker: _Tracker):
     """Fully-corrective Frank-Wolfe from the hull ``atoms``, a list of
     [matrix, weight]: grow the atom set through the linear oracle
     ``lmo(grad) -> matrix``, re-optimizing the hull weights after every new
     atom by Newton's method to a hull gap of ``gap_tol / 2``.
 
-    ``eval_fn(mat, need_grad)`` returns (surrogate value, gradient or None,
-    exact value), and ``eval_fn.newton`` serves the corrective step.  Exact
-    values of every probe go to the tracker.  The solve ends when the oracle
+    One ``probe(mat)`` per point serves both: the oracle reads its
+    ``grad()``, the corrective step its ``local(mats)``.  Exact values of
+    every probe go to the tracker.  The solve ends when the oracle
     certifies the gap target, after ``max_outer`` oracle calls, or when an
     iteration leaves the atoms and weights bit for bit as they were, since
     every later one would repeat it.  Returns the last iterate, its atoms,
@@ -278,11 +282,12 @@ def _fcfw_minimize(eval_fn, lmo, atoms: list[list], max_outer: int,
     """
     total = sum(e[1] for e in atoms)
     sigma = sum(e[0] * (e[1] / total) for e in atoms)
-    _, grad, exact = eval_fn(sigma, True)
+    _, exact, grad, _ = probe(sigma)
     tracker.offer(sigma, exact)
     for k in range(max_outer):
-        s = lmo(grad)
-        if _tr_prod(grad, sigma - s) <= gap_tol:
+        g = grad()
+        s = lmo(g)
+        if _tr_prod(g, sigma - s) <= gap_tol:
             return sigma, atoms, k + 1, k == 0
         before = [(m, v) for m, v in atoms]
         for entry in atoms:
@@ -290,23 +295,23 @@ def _fcfw_minimize(eval_fn, lmo, atoms: list[list], max_outer: int,
                 break
         else:
             atoms.append([s, 0.0])
-        _newton_reweight(atoms, eval_fn, tracker, gap_tol / 2.0)
+        _newton_reweight(atoms, probe, tracker, gap_tol / 2.0)
         atoms = [e for e in atoms if e[1] > 1e-14] or atoms[:1]
         if len(atoms) == len(before) and all(
                 e[0] is m and e[1] == v for e, (m, v) in zip(atoms, before)):
             return sigma, atoms, k + 1, False
         total = sum(e[1] for e in atoms)
         sigma = sum(e[0] * (e[1] / total) for e in atoms)
-        _, grad, exact = eval_fn(sigma, True)
+        _, exact, grad, _ = probe(sigma)
         tracker.offer(sigma, exact)
     return sigma, atoms, max_outer, False
 
 
-def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
+def _anneal(make_probe, taus, lmo, start: np.ndarray, stage_atoms: int,
             gap_tol: float) -> tuple[_Tracker, int]:
     """The one Frank-Wolfe routine: a fully-corrective solve per temperature.
 
-    ``make_eval(tau)`` is the evaluator at temperature tau (``None`` for the
+    ``make_probe(tau)`` is the probe at temperature tau (``None`` for the
     exact objective).  Each stage makes at most ``stage_atoms`` oracle calls
     and starts from the atoms and weights the one before ended with; the
     schedule stops after a stage whose first oracle call certifies its
@@ -317,7 +322,7 @@ def _anneal(make_eval, taus, lmo, start: np.ndarray, stage_atoms: int,
     tracker = _Tracker()
     atoms, total = [[start.copy(), 1.0]], 0
     for tau in taus:
-        x, atoms, it, settled = _fcfw_minimize(make_eval(tau), lmo, atoms,
+        x, atoms, it, settled = _fcfw_minimize(make_probe(tau), lmo, atoms,
                                                stage_atoms, gap_tol, tracker)
         tracker.stage_ends.append(x)
         total += it
@@ -344,22 +349,24 @@ def _as_state(family: FreeFamily, mat: np.ndarray) -> DensityMatrix:
     return DensityMatrix(HermitianOperator(family.shape, mat))
 
 
-def _fw_gap(grad: np.ndarray, x: np.ndarray, family: FreeFamily,
-            seed: int) -> float:
-    """The Frank-Wolfe gap Tr[grad (x - s)] at x against the family's
-    vertex oracle answer s, so it certifies against the whole family."""
-    return max(0.0, _tr_prod(grad, x - family.lmo(grad, seed)))
+def _fw_bound(probe, x: np.ndarray, family: FreeFamily, seed: int) -> float:
+    """The Frank-Wolfe lower bound f(x) - Tr[g (x - s)] on the minimum, by
+    convexity: f and g the exact value and (sub)gradient that ``probe``
+    gives at x, s the family's vertex oracle answer to g, so it certifies
+    against the whole family."""
+    _, exact, grad, _ = probe(x)
+    g = grad()
+    return exact - max(0.0, _tr_prod(g, x - family.lmo(g, seed)))
 
 
 def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
                settings: SolverSettings, minimizer: np.ndarray) -> OptResult:
     """Result with the best probe's value and ``minimizer``.
 
-    Each point x tried gives the Frank-Wolfe lower bound ``bound(x)`` =
-    f(x) - Tr[g (x - s)] on the minimum, with g an exact (sub)gradient at x
-    and s the family's vertex oracle answer to g.  ``fw_gap`` is the value
-    minus the best bound over the best probe and then the stage ends, last
-    first, for as long as the gap exceeds tol.
+    Each point x tried gives the Frank-Wolfe lower bound ``bound(x)``
+    (``_fw_bound``) on the minimum.  ``fw_gap`` is the value minus the best
+    bound over the best probe and then the stage ends, last first, for as
+    long as the gap exceeds tol.
     """
     value = tracker.best_value
     gap = value - bound(tracker.best_mat)
@@ -370,35 +377,6 @@ def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
     gap = max(0.0, gap)
     return OptResult(value, _as_state(family, minimizer), gap, iters,
                      gap <= settings.tol)
-
-
-def frank_wolfe(value_fn, grad_fn, family: FreeFamily,
-                settings: SolverSettings = SolverSettings(),
-                start: DensityMatrix | None = None) -> OptResult:
-    """Minimize a convex differentiable functional over the family.
-
-    ``value_fn`` and ``grad_fn`` act on plain matrices; the returned gap is
-    evaluated with ``grad_fn`` (``_certified``) and certifies suboptimality.
-    With no Hessian, the corrective step takes pairwise steps only.
-    """
-    def eval_fn(mat, need_grad):
-        v = float(value_fn(mat))
-        return v, grad_fn(mat) if need_grad else None, v
-
-    def newton(mat: np.ndarray, mats: np.ndarray):
-        v = float(value_fn(mat))
-        return v, v, lambda: (
-            np.einsum("ij,kji->k", grad_fn(mat), mats).real, None)
-    eval_fn.newton = newton
-
-    tracker, iters = _anneal(lambda _: eval_fn, (None,),
-                             partial(family.lmo, seed=settings.seed),
-                             _feasible_start(family, settings.seed, start),
-                             max(12, settings.max_iters // 8), settings.tol)
-    return _certified(tracker, iters,
-                      lambda x: value_fn(x) - _fw_gap(grad_fn(x), x, family,
-                                                      settings.seed),
-                      family, settings, tracker.best_mat)
 
 
 # ---------------------------------------------------------------------------
@@ -447,30 +425,28 @@ def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
     return first, ((flat * G.ravel()) @ flat.conj().T).real
 
 
-def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float,
+def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float | None,
                   offset: float = 0.0):
-    """Softplus surrogate of Tr[(rho - b sigma)_+]; ``offset`` shifts its
-    argument, which sets the slope at a zero eigenvalue to sigmoid(offset).
-    It carries its exact Hessian in the coordinates of a stack of atoms,
-    for ``_newton_reweight``."""
-    def spectrum(sigma: np.ndarray):
+    """Probe of the softplus surrogate of Tr[(rho - b sigma)_+]; ``offset``
+    shifts its argument, which sets the slope at a zero eigenvalue to
+    sigmoid(offset).  Its ``local`` is the exact Hessian in the coordinates
+    of a stack of atoms.  At ``tau=None`` it probes the exact objective:
+    the surrogate is the exact value, ``grad()`` the subgradient -b P_+ (P_+
+    the projector onto the strictly positive eigenspace of rho - b sigma)
+    and there is no ``local``."""
+    def probe(sigma: np.ndarray):
         w, V = eigh(rho_mat - b * sigma)
-        return (w, V) + _softplus(w, tau, offset)
+        exact = float(w[w > 0.0].sum())
+        if tau is None:
+            pos = V[:, w > 0.0]
+            return exact, exact, lambda: -b * (pos @ pos.conj().T), None
+        smooth, sig = _softplus(w, tau, offset)
 
-    def eval_fn(sigma: np.ndarray, need_grad: bool):
-        w, V, smooth, sig = spectrum(sigma)
-        grad = -b * ((V * sig) @ V.conj().T) if need_grad else None
-        return smooth, grad, float(w[w > 0.0].sum())
-
-    def newton(sigma: np.ndarray, mats: np.ndarray):
-        w, V, smooth, sig = spectrum(sigma)
-
-        def local():
+        def local(mats: np.ndarray):
             first, second = _softplus_derivatives(w, V, sig, tau, mats)
             return -b * first, b * b * second
-        return smooth, float(w[w > 0.0].sum()), local
-    eval_fn.newton = newton
-    return eval_fn
+        return smooth, exact, lambda: -b * ((V * sig) @ V.conj().T), local
+    return probe
 
 
 @dataclass(frozen=True)
@@ -526,33 +502,25 @@ class _TypeClassCoords:
         return s
 
     def pospart_eval(self, b: float, tau: float, offset: float = 0.0):
-        """``_pospart_eval`` of the target in these coordinates, with its
-        Hessian.  The complement eigenvalues -b w_t / |T_t| do not couple to
-        the rest, so they add b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to
-        the second derivative along the weight of class t."""
+        """``_pospart_eval`` of the target in these coordinates.  The
+        complement eigenvalues -b w_t / |T_t| do not couple to the rest, so
+        they add b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to the second
+        derivative along the weight of class t."""
         rest = self.sizes - 1.0
         mult = np.concatenate([np.ones(self.sizes.size), rest])
         t = self.sizes.size
 
-        def spectrum(w_mat: np.ndarray):
+        def probe(w_mat: np.ndarray):
             v = b * np.diag(w_mat) / self.sizes
             w, V = eigh(self.small - np.diag(v))
             smooth, sig = _softplus(np.concatenate([w, -v]), tau, offset,
                                     mult)
-            return w, V, smooth, sig
 
-        def eval_fn(w_mat: np.ndarray, need_grad: bool):
-            w, V, smooth, sig = spectrum(w_mat)
-            grad = None
-            if need_grad:
-                grad = np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
+            def grad():
+                return np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
                                      + rest * sig[t:]) / self.sizes)
-            return smooth, grad, float(w[w > 0.0].sum())
 
-        def newton(w_mat: np.ndarray, mats: np.ndarray):
-            w, V, smooth, sig = spectrum(w_mat)
-
-            def local():
+            def local(mats: np.ndarray):
                 dirs = mats / self.sizes
                 first, second = _softplus_derivatives(w, V, sig[:t], tau,
                                                       dirs)
@@ -560,9 +528,8 @@ class _TypeClassCoords:
                 first = first + cls @ (rest * sig[t:])
                 curv = rest * sig[t:] * (1.0 - sig[t:]) / tau
                 return -b * first, b * b * (second + (cls * curv) @ cls.T)
-            return smooth, float(w[w > 0.0].sum()), local
-        eval_fn.newton = newton
-        return eval_fn
+            return smooth, float(w[w > 0.0].sum()), grad, local
+        return probe
 
 
 def _symmetric_search(family: FreeFamily, *mats: np.ndarray) -> bool:
@@ -574,22 +541,29 @@ def _symmetric_search(family: FreeFamily, *mats: np.ndarray) -> bool:
                for m in mats)
 
 
+def _member_oracle(family: FreeFamily, seed: int, *mats: np.ndarray):
+    """The oracle of a search over the family: ``type_class_lmo``, over the
+    invariant members only, when ``_symmetric_search`` holds for ``mats``,
+    else the family's vertex oracle."""
+    if _symmetric_search(family, *mats):
+        return family.type_class_lmo
+    return partial(family.lmo, seed=seed)
+
+
 def _search(family: FreeFamily, seed: int, target: np.ndarray,
             start: np.ndarray):
-    """Oracle, start point, surrogate ``pospart(b, tau, offset)`` of
-    Tr[(target - b sigma)_+] and type-class coordinates (None on dense
-    matrices) of a search over the family.
-
-    Invariant inputs search the invariant members only, in type-class
-    coordinates when ``target`` lies on the symmetric subspace; all other
-    inputs search the whole family with its vertex oracle.
+    """Oracle, start point, probe maker ``pospart(b, tau, offset)`` of the
+    surrogate of Tr[(target - b sigma)_+] and type-class coordinates (None
+    on dense matrices) of a search over the family: the ``_member_oracle``
+    search, in type-class coordinates when it is over the invariant members
+    and ``target`` lies on the symmetric subspace.
     """
-    dense = partial(_pospart_eval, target)
-    if not _symmetric_search(family, target, start):
-        return partial(family.lmo, seed=seed), start, dense, None
-    coords = _TypeClassCoords.of(family, target)
+    lmo = _member_oracle(family, seed, target, start)
+    coords = None
+    if lmo == family.type_class_lmo:
+        coords = _TypeClassCoords.of(family, target)
     if coords is None:
-        return family.type_class_lmo, start, dense, None
+        return lmo, start, partial(_pospart_eval, target), None
     return coords.lmo, coords.weights(start), coords.pospart_eval, coords
 
 
@@ -606,15 +580,11 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     minimizer gives an invariant one, and Frank-Wolfe needs at most one
     atom per type class.  If rho also lies on the symmetric subspace, the
     search runs in type-class coordinates (module docstring).  The exit
-    gap is certified against the whole family either way.  Each point x
-    tried gives the Frank-Wolfe lower bound f(x) - Tr[g (x - s)] on the
-    minimum, with g = -b P_+ the exact subgradient at x (P_+ the projector
-    onto the strictly positive eigenspace of rho - b x) and s the family's
-    vertex oracle answer to g; the gap is the value minus the best bound.
-    The points are the minimizer and then the stage ends, last first, for
-    as long as the gap exceeds tol.  At a non-smooth minimizer P_+ alone
-    can leave a gap of order 10; the end of a smoothed stage has a
-    subgradient that certifies.
+    gap is certified against the whole family either way, with the exact
+    subgradient -b P_+ at the minimizer and then the stage ends
+    (``_certified``): at a non-smooth minimizer P_+ alone can leave a gap
+    of order 10, and the end of a smoothed stage has a subgradient that
+    certifies.
     """
     if b < 0.0:
         raise ValueError("b must be nonnegative")
@@ -631,17 +601,10 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
                              max(12, settings.max_iters // 24),
                              settings.tol / 4.0)
     to_dense = (lambda m: m) if coords is None else coords.dense
-
-    def fw_bound(x: np.ndarray) -> float:
-        """f(x) - gap(x) with the subgradient -b P_+ at x: a lower bound on
-        the minimum, by convexity."""
-        w, V = eigh(rho_mat - b * x)
-        pos = V[:, w > 0.0]
-        grad = -b * (pos @ pos.conj().T)
-        return float(w[w > 0.0].sum()) - _fw_gap(grad, x, family,
-                                                 settings.seed)
-
-    return _certified(tracker, iters, lambda x: fw_bound(to_dense(x)),
+    exact = _pospart_eval(rho_mat, b, None)
+    return _certified(tracker, iters,
+                      lambda x: _fw_bound(exact, to_dense(x), family,
+                                          settings.seed),
                       family, settings, to_dense(tracker.best_mat))
 
 
@@ -650,31 +613,24 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
 # ---------------------------------------------------------------------------
 
 def _dual_eval(pospart, K: float, tau: float):
-    """Surrogate of Tr[(eta - X)_+] + Tr X / K, with ``pospart(tau,
-    offset)`` the surrogate of the first term.  The offset sets the slope
-    at a zero eigenvalue of eta - X to 1/K, as at an optimum X = eta; at
-    slope 1/2 the smoothed minimizer sits O(tau) off it, outside the cone
-    when eta has eigenvalues below tau."""
+    """Probe of the surrogate of Tr[(eta - X)_+] + Tr X / K, with
+    ``pospart(tau, offset)`` the probe of the first term.  The offset sets
+    the slope at a zero eigenvalue of eta - X to 1/K, as at an optimum X =
+    eta; at slope 1/2 the smoothed minimizer sits O(tau) off it, outside the
+    cone when eta has eigenvalues below tau."""
     offset = -math.log(K - 1.0) if K > 1.0 else 0.0
     pospart = pospart(tau, offset)
 
-    def eval_fn(x: np.ndarray, need_grad: bool):
-        smooth, grad, exact = pospart(x, need_grad)
-        mass = float(np.trace(x).real) / K
-        if need_grad:
-            grad = grad + np.eye(len(x)) / K
-        return smooth + mass, grad, exact + mass
-
-    def newton(x: np.ndarray, mats: np.ndarray):
-        smooth, exact, local = pospart.newton(x, mats)
+    def probe(x: np.ndarray):
+        smooth, exact, grad, local = pospart(x)
         mass = float(np.trace(x).real) / K
 
-        def with_mass():
-            jac, hess = local()
+        def with_mass(mats: np.ndarray):
+            jac, hess = local(mats)
             return jac + np.trace(mats, axis1=1, axis2=2).real / K, hess
-        return smooth + mass, exact + mass, with_mass
-    eval_fn.newton = newton
-    return eval_fn
+        return (smooth + mass, exact + mass,
+                lambda: grad() + np.eye(len(x)) / K, with_mass)
+    return probe
 
 
 # The last dual solve: (copy of eta, K, family, settings, best value,
@@ -833,8 +789,9 @@ def _log_second_differences(lam: np.ndarray, F1: np.ndarray,
 
 
 def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray, floor: float = 1e-9):
-    """D(rho || M) in bits at M = (1 - floor) sigma + floor witness.  It
-    carries its exact Hessian in the coordinates of a stack of atoms A_k:
+    """Probe of D(rho || M) in bits at M = (1 - floor) sigma + floor
+    witness, an exact objective.  Its ``local`` is the exact Hessian in the
+    coordinates of a stack of atoms A_k:
     with M = V diag(lam) V^dag, X~ = V^dag X V and f[...] the divided
     differences of log, the gradient is -c sum_ij f[lam_i, lam_j] rho~_ji
     (A~_k)_ij and the Hessian the second-order Daleckii-Krein form
@@ -845,25 +802,17 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray, floor: float = 1e-9):
     tr_rho_log_rho = float((w_rho * np.log2(w_rho)).sum())
     c = (1.0 - floor) / math.log(2.0)
 
-    def spectrum(sigma: np.ndarray):
+    def probe(sigma: np.ndarray):
         w, V = eigh((1.0 - floor) * sigma + floor * witness)
         w = np.clip(w, 1e-300, None)
         rho_t = V.conj().T @ rho_mat @ V
         value = tr_rho_log_rho - float(np.diag(rho_t).real @ np.log2(w))
-        return w, V, rho_t, value
 
-    def eval_fn(sigma: np.ndarray, need_grad: bool):
-        w, V, rho_t, value = spectrum(sigma)
-        grad = None
-        if need_grad:
-            grad = -c * (V @ (_log_first_differences(w) * rho_t)
+        def grad():
+            return -c * (V @ (_log_first_differences(w) * rho_t)
                          @ V.conj().T)
-        return value, grad, value
 
-    def newton(sigma: np.ndarray, mats: np.ndarray):
-        w, V, rho_t, value = spectrum(sigma)
-
-        def local():
+        def local(mats: np.ndarray):
             B = _in_eigenbasis(V, mats)
             F1 = _log_first_differences(w)
             rho_T = rho_t.T if rho_t.imag.any() else rho_t.T.real
@@ -879,9 +828,8 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray, floor: float = 1e-9):
                               P.transpose(1, 0, 2))
                 S += np.tensordot(G, B[:, js, :], axes=([0, 2], [1, 2])).real
             return jac, -c * (1.0 - floor) * (S + S.T)
-        return value, value, local
-    eval_fn.newton = newton
-    return eval_fn
+        return value, value, grad, local
+    return probe
 
 
 def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
@@ -891,21 +839,22 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
 
     Iterates are kept full rank by mixing a sliver of the full-rank witness
     into every evaluation point (the witness is free and the family convex,
-    so membership is preserved exactly).
+    so membership is preserved exactly).  Invariant inputs search the
+    invariant members only (``_member_oracle``), as in
+    ``min_positive_part``: on a power the optimum mixes every vertex.  The
+    exit gap is certified against the family's vertex oracle either way.
     """
     witness = family.full_rank_witness().mat
     floor = 1e-9
-    eval_fn = _relent_eval(rho.mat, witness, floor)
-    tracker, iters = _anneal(lambda _: eval_fn, (None,),
-                             partial(family.lmo, seed=settings.seed), witness,
+    probe = _relent_eval(rho.mat, witness, floor)
+    lmo = _member_oracle(family, settings.seed, rho.mat, witness)
+    tracker, iters = _anneal(lambda _: probe, (None,), lmo, witness,
                              max(12, settings.max_iters // 8), settings.tol)
     mixed = (1.0 - floor) * tracker.best_mat + floor * witness
-
-    def fw_bound(x: np.ndarray) -> float:
-        value, grad, _ = eval_fn(x, True)
-        return value - _fw_gap(grad, x, family, settings.seed)
-
-    return _certified(tracker, iters, fw_bound, family, settings, mixed)
+    return _certified(tracker, iters,
+                      partial(_fw_bound, probe, family=family,
+                              seed=settings.seed),
+                      family, settings, mixed)
 
 
 def regularized_sequence(rho: DensityMatrix, family: FreeFamily,

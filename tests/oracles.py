@@ -146,14 +146,15 @@ def diagonal_dual_optimum(N: int, K: float, p: float = 0.8) -> float:
     return float(res.fun)
 
 
-def hull_minimum_slsqp(eval_fn, atoms, maxiter: int = 80) -> float:
-    """Least value of a solver evaluator over the hull of ``atoms`` (pairs
+def hull_minimum_slsqp(probe, atoms, maxiter: int = 80) -> float:
+    """Least value of a solver probe over the hull of ``atoms`` (pairs
     [matrix, weight], started at their weights), via SLSQP on the weight
     simplex.
 
-    ``eval_fn(mat, need_grad)`` returns (value, gradient, exact value); the
-    result is the value at SLSQP's weights clipped to be nonnegative and
-    normalized, so it is attained on the hull.
+    ``probe(mat)`` returns (value, exact value, gradient, local); SLSQP
+    reads the value and the gradient matrix ``grad()``.  The result is the
+    value at SLSQP's weights clipped to be nonnegative and normalized, so it
+    is attained on the hull.
     """
     mats = [m for m, _ in atoms]
 
@@ -161,8 +162,9 @@ def hull_minimum_slsqp(eval_fn, atoms, maxiter: int = 80) -> float:
         return sum(wi * m for wi, m in zip(w, mats))
 
     def fun(w):
-        value, grad, _ = eval_fn(point(w), True)
-        return value, np.array([np.einsum("ij,ji->", grad, m).real
+        value, _, grad, _ = probe(point(w))
+        g = grad()
+        return value, np.array([np.einsum("ij,ji->", g, m).real
                                 for m in mats])
 
     res = minimize(fun, np.array([w for _, w in atoms], dtype=float),
@@ -171,7 +173,7 @@ def hull_minimum_slsqp(eval_fn, atoms, maxiter: int = 80) -> float:
                                  "jac": lambda w: np.ones_like(w)}],
                    options={"maxiter": maxiter, "ftol": 1e-14})
     w = np.clip(res.x, 0.0, None)
-    return eval_fn(point(w / w.sum()), False)[0]
+    return probe(point(w / w.sum()))[0]
 
 
 def sequential_seesaw_lmo(family, grad: np.ndarray,

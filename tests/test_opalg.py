@@ -31,6 +31,15 @@ class TestShapesAndTypes:
         assert s.total_dim == 24
         assert s.drop([1]).dims == (2, 4)
 
+    def test_drop_reads_any_iterable_once(self):
+        # a one-shot iterable is consumed by its first pass
+        s = SystemShape((2, 3, 4, 5))
+        assert s.drop(i for i in (0, 1)).dims == (4, 5)
+        assert s.drop(iter([2])).dims == (2, 3, 5)
+        assert s.drop([0, 3]).dims == (3, 4)
+        assert s.drop(range(1, 4)).dims == (2,)
+        assert s.drop(range(4)).dims == (1,)
+
     def test_shape_rejects_bad_dims(self):
         with pytest.raises(ValueError):
             SystemShape((2, 0))

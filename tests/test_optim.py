@@ -12,7 +12,7 @@ from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              _type_classes)
 from qstein.errors import DimensionCap, NoFullRankMember
 from qstein.opalg import SystemShape
-from qstein.optim import (SolverSettings, distance_to_family, frank_wolfe,
+from qstein.optim import (SolverSettings, distance_to_family,
                           generalized_robustness, hypothesis_dual,
                           hypothesis_primal, min_positive_part,
                           regularized_sequence, rel_ent_of_resource)
@@ -26,31 +26,12 @@ RNG = np.random.default_rng(313)
 FAST = SolverSettings(max_iters=200, tol=1e-7, seed=0)
 
 
-def _tr(a, b):
-    return float(np.einsum("ij,ji->", a, b).real)
-
-
 def coherence_qubit(p=0.8):
     v = np.array([math.sqrt(p), math.sqrt(1 - p)])
     return opalg.density(np.outer(v, v))
 
 
 class TestFrankWolfe:
-    def test_linear_objective_hits_oracle(self):
-        fam = DiagonalFamily(2, 1)
-        c = np.diag([2.0, 1.0])
-        res = frank_wolfe(lambda m: _tr(c, m), lambda m: c, fam, FAST)
-        assert abs(res.value - 1.0) < 1e-10
-        assert res.fw_gap <= 1e-7
-
-    def test_quadratic_projection_of_member(self):
-        fam = DiagonalFamily(2, 1)
-        target = np.diag([0.3, 0.7])
-        res = frank_wolfe(lambda m: float(np.linalg.norm(m - target) ** 2),
-                          lambda m: 2.0 * (m - target), fam, FAST)
-        assert res.value < 1e-12
-        assert np.abs(res.minimizer.mat - target).max() < 1e-6
-
     def test_relent_objective_matches_closed_form(self):
         fam = DiagonalFamily(2, 1)
         rho = rand.random_density(RNG, SystemShape((2,)))
@@ -184,8 +165,6 @@ def test_no_solver_calls_slsqp(monkeypatch):
     power = opalg.density(coherence_power_state(0.8, 4), (2,) * 4)
     min_positive_part(power, 6.0, DiagonalFamily(2, 4), FAST)
     hypothesis_dual(power, 6.0, DiagonalFamily(2, 4), FAST)
-    c = np.diag([2.0, 1.0])
-    frank_wolfe(lambda m: _tr(c, m), lambda m: c, DiagonalFamily(2, 1), FAST)
     rel_ent_of_resource(coherence_qubit(), DiagonalFamily(2, 1), FAST)
     bell = np.zeros(4)
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
@@ -257,13 +236,14 @@ class TestTypeClassCoordinates:
         w = np.diag(rng.dirichlet(np.ones(sizes.size)))
         b = 2.0 ** (binary_entropy(0.8) * n)
         for tau in (1e-3, 1e-6, 1e-8):
-            s_d, g_d, e_d = optim._pospart_eval(power, b, tau, offset)(
-                coords.dense(w), True)
-            s_r, g_r, e_r = coords.pospart_eval(b, tau, offset)(w, True)
-            class_avg = np.bincount(labels, weights=np.diag(g_d).real) / sizes
+            s_d, e_d, g_d, _ = optim._pospart_eval(power, b, tau, offset)(
+                coords.dense(w))
+            s_r, e_r, g_r, _ = coords.pospart_eval(b, tau, offset)(w)
+            class_avg = np.bincount(labels,
+                                    weights=np.diag(g_d()).real) / sizes
             assert abs(s_r - s_d) <= 1e-12
             assert abs(e_r - e_d) <= 1e-12
-            assert np.abs(np.diag(g_r) - class_avg).max() <= 1e-12
+            assert np.abs(np.diag(g_r()) - class_avg).max() <= 1e-12
 
     def test_mixed_power_keeps_dense_path(self):
         # diag(0.7, 0.3)^{x4} is invariant but off the symmetric subspace; it
@@ -304,15 +284,15 @@ class TestNewtonReweight:
             mats.append(self.K * fam.lmo(g + g.conj().T))
         if duplicate:
             mats.append(mats[1].copy())
-        eval_fn = optim._dual_eval(
+        probe = optim._dual_eval(
             lambda t, off: optim._pospart_eval(eta, 1.0, t, off), self.K, tau)
-        return eval_fn, [[m, 1.0 / len(mats)] for m in mats]
+        return probe, [[m, 1.0 / len(mats)] for m in mats]
 
-    def _hull_gap(self, eval_fn, atoms):
+    def _hull_gap(self, probe, atoms):
         mats = np.array([m for m, _ in atoms])
         w = np.array([v for _, v in atoms])
-        value, _, local = eval_fn.newton(np.tensordot(w, mats, 1), mats)
-        jac = local()[0]
+        value, _, _, local = probe(np.tensordot(w, mats, 1))
+        jac = local(mats)[0]
         return value, float(jac @ w - jac.min()), w
 
     @pytest.mark.parametrize("duplicate", (False, True))
@@ -320,12 +300,12 @@ class TestNewtonReweight:
         # a repeated atom makes the Hessian singular; the ridged KKT system
         # still gives finite steps, with no floating-point warning
         for seed in (61, 62, 63):
-            eval_fn, atoms = self._instance(seed, 1e-3, duplicate)
-            reference = hull_minimum_slsqp(eval_fn, atoms)
+            probe, atoms = self._instance(seed, 1e-3, duplicate)
+            reference = hull_minimum_slsqp(probe, atoms)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                optim._newton_reweight(atoms, eval_fn, optim._Tracker(), 1e-10)
-            value, gap, w = self._hull_gap(eval_fn, atoms)
+                optim._newton_reweight(atoms, probe, optim._Tracker(), 1e-10)
+            value, gap, w = self._hull_gap(probe, atoms)
             assert np.isfinite(w).all() and w.min() >= 0.0
             assert abs(w.sum() - 1.0) <= 1e-12
             assert gap <= 1e-10
@@ -339,13 +319,13 @@ class TestNewtonReweight:
         assert d is None or (np.isfinite(d).all() and not d.any())
 
     def test_tracker_sees_the_exact_values(self):
-        eval_fn, atoms = self._instance(64, 1e-6)
+        probe, atoms = self._instance(64, 1e-6)
         tracker = optim._Tracker()
-        optim._newton_reweight(atoms, eval_fn, tracker, 1e-10)
+        optim._newton_reweight(atoms, probe, tracker, 1e-10)
         mats = np.array([m for m, _ in atoms])
         w = np.array([v for _, v in atoms])
-        assert tracker.best_value <= eval_fn(np.tensordot(w, mats, 1),
-                                             False)[2] + 1e-15
+        assert tracker.best_value <= probe(np.tensordot(w, mats, 1))[1] \
+            + 1e-15
 
 
 class TestRelentNewton:
@@ -353,18 +333,17 @@ class TestRelentNewton:
     step, in atom coordinates, against central differences."""
 
     @staticmethod
-    def _check(eval_fn, mats):
+    def _check(probe, mats):
         n = len(mats)
         w = np.full(n, 1.0 / n)
-        _, _, local = eval_fn.newton(np.tensordot(w, mats, 1), mats)
-        jac, hess = local()
+        jac, hess = probe(np.tensordot(w, mats, 1))[3](mats)
         steps = np.eye(n)
 
         def value(u):
-            return eval_fn(np.tensordot(u, mats, 1), False)[0]
+            return probe(np.tensordot(u, mats, 1))[0]
 
         def gradient(u):
-            return eval_fn.newton(np.tensordot(u, mats, 1), mats)[2]()[0]
+            return probe(np.tensordot(u, mats, 1))[3](mats)[0]
 
         h = 1e-5
         jac_fd = np.array([(value(w + h * e) - value(w - h * e)) / (2 * h)
@@ -381,21 +360,81 @@ class TestRelentNewton:
         rng = np.random.default_rng(71)
         d = 4
         rho = rand.random_density(rng, SystemShape((d,))).mat
-        eval_fn = optim._relent_eval(rho, np.eye(d) / d)
+        probe = optim._relent_eval(rho, np.eye(d) / d)
         mats = np.array([rand.random_density(rng, SystemShape((d,))).mat
                          for _ in range(5)])
-        assert np.linalg.eigvalsh(self._check(eval_fn, mats)).min() > 0.0
+        assert np.linalg.eigvalsh(self._check(probe, mats)).min() > 0.0
 
     def test_diagonal_atoms_repeated_eigenvalues(self):
         # at equal weights the mixture is diag(5, 3, 5, 3) / 16, so both
         # divided differences meet coincident eigenvalues
         rng = np.random.default_rng(73)
         rho = rand.random_density(rng, SystemShape((4,))).mat
-        eval_fn = optim._relent_eval(rho, np.eye(4) / 4)
+        probe = optim._relent_eval(rho, np.eye(4) / 4)
         mats = np.array([np.diag(v).astype(complex) for v in
                          ([0.5, 0.5, 0, 0], [0.25] * 4, [0, 0, 0.5, 0.5],
                           [0.5, 0, 0.5, 0])])
-        self._check(eval_fn, mats)
+        self._check(probe, mats)
+
+
+class TestProbe:
+    """One probe per objective: the gradient matrix the oracle reads and the
+    atom-coordinate gradient the corrective step reads agree."""
+
+    @staticmethod
+    def _check(probe, mats):
+        w = np.random.default_rng(79).dirichlet(np.ones(len(mats)))
+        _, _, grad, local = probe(np.tensordot(w, mats, 1))
+        g = grad()
+        want = np.array([np.trace(g @ m).real for m in mats])
+        assert np.abs(local(mats)[0] - want).max() <= 1e-10
+
+    @staticmethod
+    def _states(rng, d, k=5):
+        return np.array([rand.random_density(rng, SystemShape((d,))).mat
+                         for _ in range(k)])
+
+    def test_dense_positive_part(self):
+        rng = np.random.default_rng(81)
+        rho = rand.random_density(rng, SystemShape((4,))).mat
+        self._check(optim._pospart_eval(rho, 1.5, 1e-3), self._states(rng, 4))
+
+    def test_type_class_coordinates(self):
+        n = 5
+        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
+        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n), power)
+        rng = np.random.default_rng(83)
+        mats = np.array([np.diag(rng.dirichlet(np.ones(n + 1)))
+                         for _ in range(5)])
+        b = 2.0 ** (binary_entropy(0.8) * n)
+        self._check(coords.pospart_eval(b, 1e-3), mats)
+
+    def test_dual(self):
+        rng = np.random.default_rng(85)
+        eta = rand.random_density(rng, SystemShape((3,))).mat
+        probe = optim._dual_eval(
+            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), 4.0, 1e-3)
+        self._check(probe, 4.0 * self._states(rng, 3))
+
+    def test_relative_entropy(self):
+        rng = np.random.default_rng(87)
+        rho = rand.random_density(rng, SystemShape((4,))).mat
+        self._check(optim._relent_eval(rho, np.eye(4) / 4),
+                    self._states(rng, 4))
+
+    def test_exact_positive_part(self):
+        # tau=None probes Tr[(rho - b sigma)_+] and its subgradient -b P_+
+        rng = np.random.default_rng(89)
+        rho = rand.random_density(rng, SystemShape((4,))).mat
+        sigma = rand.random_density(rng, SystemShape((4,))).mat
+        b = 1.5
+        smooth, exact, grad, _ = optim._pospart_eval(rho, b, None)(sigma)
+        want = opalg.positive_part_trace(rho - b * sigma)
+        assert smooth == exact == want
+        w, V = np.linalg.eigh(rho - b * sigma)
+        pos = V[:, w > 0.0]
+        assert 0 < pos.shape[1] < 4
+        assert np.abs(grad() + b * pos @ pos.conj().T).max() <= 1e-12
 
 
 class TestHypothesisTesting:
@@ -617,6 +656,16 @@ class TestResourceMeasures:
             SeparableHullFamily(4, 2, dim_a=2, dim_b=2),
             SolverSettings(max_iters=400, tol=1e-7, seed=0))
         assert abs(res.value - 2.0) < 1e-6
+        assert res.converged
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_relent_on_powers(self, n):
+        # the relative entropy of coherence is additive: n h(0.8) on the
+        # n-th power, whose optimum mixes all 2^n diagonal vertices
+        power = opalg.density(coherence_power_state(0.8, n), (2,) * n)
+        res = rel_ent_of_resource(power, DiagonalFamily(2, n),
+                                  SolverSettings(max_iters=200))
+        assert abs(res.value / n - binary_entropy(0.8)) <= 1e-8
         assert res.converged
 
     def test_regularized_sequence_constant(self):
