@@ -19,6 +19,7 @@ from .errors import PremiseFailed, SingularSigma
 from .opalg import DensityMatrix, eigh
 
 SUPPORT_LEAK_TOL = 1e-9
+DOMINANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -55,44 +56,39 @@ def binary_entropy(p: float) -> float:
     return out
 
 
+def _tr_x_log_x(mat: np.ndarray) -> float:
+    """Tr[x log2 x] = sum lambda log2 lambda over the positive spectrum of
+    the Hermitian matrix x."""
+    w = eigh(mat)[0]
+    w = w[w > 0.0]
+    return float((w * np.log2(w)).sum())
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda log2 lambda over the nonzero spectrum."""
-    w = rho.op.eigvals()
-    w = w[w > 0.0]
-    return float(-(w * np.log2(w)).sum())
+    return -_tr_x_log_x(rho.mat)
 
 
-def _spectral_split(mat: np.ndarray, rel_cutoff: float = opalg.SUPPORT_CUTOFF):
-    """Eigenpairs split into support and null parts of a PSD matrix."""
-    w, V = eigh(mat)
-    cut = rel_cutoff * max(float(w[-1]), 0.0)
-    on = w > cut
-    return w, V, on
-
-
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix,
-                     leak_tol: float = SUPPORT_LEAK_TOL) -> RelEntResult:
+def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntResult:
     """Tr[rho (log2 rho - log2 sigma)], infinite outside sigma's support.
 
-    The support test projects rho onto the numerical null space of sigma and
-    compares the leaked weight against ``leak_tol``.
+    The support test projects rho onto the null space of sigma
+    (``opalg._support_split``) and compares the leaked weight against
+    ``SUPPORT_LEAK_TOL``.
     """
     if rho.shape.dims != sigma.shape.dims:
         raise opalg.ShapeMismatch("relative entropy needs matching shapes")
-    w, V, on = _spectral_split(sigma.mat)
+    w, V, on = opalg._support_split(sigma.mat)
     null_cols = V[:, ~on]
     leak = 0.0
     if null_cols.shape[1]:
         leak = float(np.einsum("ij,jk,ki->", null_cols.conj().T, rho.mat,
                                null_cols).real)
-    if leak > leak_tol:
+    if leak > SUPPORT_LEAK_TOL:
         return RelEntResult(math.inf, True, leak)
     log_sigma = (V[:, on] * np.log2(w[on])) @ V[:, on].conj().T
-    rw = rho.op.eigvals()
-    rw = rw[rw > 0.0]
-    tr_rho_log_rho = float((rw * np.log2(rw)).sum())
     tr_rho_log_sigma = float(np.trace(rho.mat @ log_sigma).real)
-    return RelEntResult(tr_rho_log_rho - tr_rho_log_sigma, False, leak)
+    return RelEntResult(_tr_x_log_x(rho.mat) - tr_rho_log_sigma, False, leak)
 
 
 def entropy_continuity_bound(d: int, eps: float) -> float:
@@ -112,26 +108,24 @@ def relent_continuity_bound(m_tilde: float, eps: float) -> ContinuityBound:
     return ContinuityBound(m_tilde, eps, bound)
 
 
-def relent_upper_bound(sigma: DensityMatrix,
-                       rel_cutoff: float = opalg.SUPPORT_CUTOFF) -> float:
+def relent_upper_bound(sigma: DensityMatrix) -> float:
     """log2(1/lambda_min(sigma)); dominates D(rho||sigma) for every rho."""
-    w = sigma.op.eigvals()
-    if w[0] <= rel_cutoff * float(w[-1]):
+    w, _, on = opalg._support_split(sigma.mat)
+    if not on[0]:
         raise SingularSigma(f"lambda_min {w[0]:.3e} is below the support cutoff")
     return float(-np.log2(w[0]))
 
 
 def dominance_to_relent_bound(rho: DensityMatrix, sigma: DensityMatrix,
-                              alpha: float, tol: float = 1e-9) -> Certificate:
+                              alpha: float) -> Certificate:
     """From rho <= alpha sigma (checked) conclude D(rho||sigma) <= log2 alpha."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     gap = alpha * sigma.op - rho.op
     lam = gap.lambda_min()
-    if lam < -tol:
-        raise PremiseFailed(
-            f"rho <= alpha sigma fails: lambda_min = {lam:.3e} < -{tol:.0e}"
-        )
+    if lam < -DOMINANCE_TOL:
+        raise PremiseFailed(f"rho <= alpha sigma fails: lambda_min = "
+                            f"{lam:.3e} < -{DOMINANCE_TOL:.0e}")
     d = relative_entropy(rho, sigma)
     margin = math.log2(alpha) - d.value
-    return Certificate("dominance-to-relative-entropy", margin, tol)
+    return Certificate("dominance-to-relative-entropy", margin, DOMINANCE_TOL)

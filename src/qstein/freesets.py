@@ -239,10 +239,10 @@ class SeparableHullFamily(FreeFamily):
     dim_a: int = 2
     dim_b: int = 2
     n_restarts: int = 32
-    seesaw_iters: int = 100
-    seesaw_tol: float = 1e-10
 
     kind = "sep"
+    seesaw_iters = 100
+    seesaw_tol = 1e-10
 
     def __post_init__(self):
         if self.dim_a * self.dim_b != self.base_dim:

@@ -20,8 +20,7 @@ import numpy as np
 from .errors import NegativeEigenvalue, NotTracePreserving, ShapeMismatch
 
 # Numerical policy.  The algebra assumes exact arithmetic; floating point
-# needs explicit cutoffs, collected here and overridable per call.
-HERM_TOL = 1e-12
+# needs explicit cutoffs, collected here.
 PSD_TOL = 1e-10
 SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TRACE_TOL = 1e-10
@@ -141,6 +140,8 @@ class DensityMatrix:
     op: HermitianOperator
 
     def __post_init__(self):
+        if not np.isfinite(self.op.mat).all():
+            raise ValueError("density matrix has non-finite entries")
         w = self.op.eigvals()
         if w[0] < -PSD_TOL:
             raise NegativeEigenvalue(
@@ -182,6 +183,8 @@ class PureState:
             raise ShapeMismatch(
                 f"vector of length {v.size} does not match shape {self.shape.dims}"
             )
+        if not np.isfinite(v).all():
+            raise ValueError("pure state has non-finite entries")
         n = np.linalg.norm(v)
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"pure state norm {n} deviates from 1 beyond 1e-12")
@@ -274,12 +277,10 @@ def partial_trace(a: HermitianOperator, subsystems: Iterable[int]) -> HermitianO
             raise IndexError(f"subsystem index {i} out of range for {dims}")
     if not drop:
         return a
-    n = len(dims)
     t = a.mat.reshape(dims + dims)
     # contract row/column axes pairwise, highest index first so positions stay valid
     for i in reversed(drop):
         t = np.trace(t, axis1=i, axis2=i + (t.ndim // 2))
-        n -= 1
     keep_shape = a.shape.drop(drop)
     d = keep_shape.total_dim
     return HermitianOperator(keep_shape, t.reshape(d, d))
@@ -349,63 +350,66 @@ def trace_norm_mat(mat: np.ndarray) -> float:
     return 0.5 * float(np.abs(w).sum())
 
 
-def sqrt_psd(mat: np.ndarray, tol: float = PSD_TOL,
-             rel_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
+def _support_split(mat: np.ndarray):
+    """Eigenpairs of a Hermitian matrix and the mask of its support: the
+    eigenvalues above ``SUPPORT_CUTOFF`` times the largest (above 0 when none
+    is positive).  The rest are numerical zeros."""
+    w, V = eigh(mat)
+    return w, V, w > SUPPORT_CUTOFF * max(float(w[-1]), 0.0)
+
+
+def sqrt_psd(mat: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """PSD square root; eigenvalues in (-tol, 0) are clamped to zero.
 
-    Eigenvalues below ``rel_cutoff`` times the largest are numerical zeros
-    and are chopped before the root, which would otherwise amplify them to
-    sqrt-of-noise size in arbitrary directions.
+    Eigenvalues off the support (:func:`_support_split`) are chopped before
+    the root, which would otherwise amplify them to sqrt-of-noise size in
+    arbitrary directions.
     """
-    w, V = eigh(mat)
+    w, V, on = _support_split(mat)
     if w[0] < -tol:
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{tol:.0e}")
-    cut = rel_cutoff * max(float(w[-1]), 0.0)
-    ws = np.where(w > cut, np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    ws = np.where(on, np.sqrt(np.clip(w, 0.0, None)), 0.0)
     return (V * ws) @ V.conj().T
 
 
-def pinv_sqrt_psd(mat: np.ndarray, rel_cutoff: float = SUPPORT_CUTOFF) -> np.ndarray:
-    """Pseudo-inverse square root of a PSD matrix (zero on the null space)."""
-    w, V = eigh(mat)
-    cut = rel_cutoff * max(float(w[-1]), 0.0)
-    inv = np.where(w > cut, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
+def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root of a PSD matrix (zero off the support)."""
+    w, V, on = _support_split(mat)
+    inv = np.where(on, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
     return (V * inv) @ V.conj().T
 
 
 def fidelity(p: HermitianOperator | DensityMatrix,
-             q: HermitianOperator | DensityMatrix,
-             tol: float = PSD_TOL) -> float:
+             q: HermitianOperator | DensityMatrix) -> float:
     """Trace norm of sqrt(p) sqrt(q) for PSD operators p, q."""
     pm = p.mat if not isinstance(p, np.ndarray) else p
     qm = q.mat if not isinstance(q, np.ndarray) else q
-    sp = sqrt_psd(pm, tol)
-    sq = sqrt_psd(qm, tol)
+    sp = sqrt_psd(pm)
+    sq = sqrt_psd(qm)
     return trace_norm_mat(sp @ sq)
 
 
-def log2_on_support(a: HermitianOperator, rel_cutoff: float = SUPPORT_CUTOFF) -> HermitianOperator:
+def log2_on_support(a: HermitianOperator) -> HermitianOperator:
     """Base-2 matrix logarithm restricted to the support.
 
-    Eigenvalues below the support cutoff map to 0 in the result, so the
-    output acts as log2 on the support and annihilates the null space.
+    Eigenvalues off the support (:func:`_support_split`) map to 0 in the
+    result, so the output acts as log2 on the support and annihilates the
+    null space; an operator with no positive eigenvalue maps to 0.
     """
-    w, V = a.eig()
-    top = float(w[-1])
-    if top <= 0.0:
+    w, V, on = _support_split(a.mat)
+    if not on[-1]:
         return HermitianOperator(a.shape, np.zeros_like(a.mat))
-    cut = rel_cutoff * top
-    lw = np.where(w > cut, np.log2(np.clip(w, 1e-300, None)), 0.0)
+    lw = np.where(on, np.log2(np.clip(w, 1e-300, None)), 0.0)
     return HermitianOperator(a.shape, (V * lw) @ V.conj().T)
 
 
-def apply_kraus(a: HermitianOperator, kraus: Sequence[np.ndarray],
-                tol: float = 1e-10) -> HermitianOperator:
+def apply_kraus(a: HermitianOperator,
+                kraus: Sequence[np.ndarray]) -> HermitianOperator:
     """Apply the CPTP map with the given Kraus operators."""
     ks = [np.asarray(k, dtype=complex) for k in kraus]
     d = a.total_dim
     comp = sum(k.conj().T @ k for k in ks)
-    if not np.allclose(comp, np.eye(d), atol=tol):
+    if not np.allclose(comp, np.eye(d), atol=1e-10):
         dev = float(np.abs(comp - np.eye(d)).max())
         raise NotTracePreserving(f"completeness violated by {dev:.3e}")
     out = sum(k @ a.mat @ k.conj().T for k in ks)
@@ -478,19 +482,24 @@ def save_operator(a: HermitianOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> HermitianOperator:
-    """Read an operator written by :func:`save_operator`."""
+    """Read an operator written by :func:`save_operator`.  Every entry line
+    must hold four fields, with both indices in [0, n)."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("dims:"):
+        lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
+    if not lines or not lines[0][1].startswith("dims:"):
         raise ValueError(f"{path}: missing 'dims:' header")
-    dims = tuple(int(x) for x in lines[0][len("dims:"):].split(","))
+    dims = tuple(int(x) for x in lines[0][1][len("dims:"):].split(","))
     shape = SystemShape(dims)
     n = shape.total_dim
     m = np.zeros((n, n), dtype=complex)
-    for ln in lines[1:]:
-        i_s, j_s, re_s, im_s = ln.split()
-        i, j = int(i_s), int(j_s)
-        z = complex(float(re_s), float(im_s))
+    for k, ln in lines[1:]:
+        fields = ln.split()
+        if len(fields) != 4 or not all(0 <= int(x) < n for x in fields[:2]):
+            raise ValueError(f"{path}:{k}: {ln!r} is not 'row col re im' "
+                             f"with row and col in [0, {n})")
+        i, j = int(fields[0]), int(fields[1])
+        z = complex(float(fields[2]), float(fields[3]))
         m[i, j] = z
         if i != j:
             m[j, i] = z.conjugate()

@@ -70,9 +70,13 @@ from functools import partial
 import numpy as np
 
 from . import opalg, symmetry
+from .entropy import _tr_x_log_x
 from .errors import DimensionCap, Infeasible, NoFullRankMember
 from .freesets import FreeFamily, _type_classes
 from .opalg import DensityMatrix, HermitianOperator, eigh
+
+# weight of the full-rank witness mixed into every relative-entropy probe
+RELENT_FLOOR = 1e-9
 
 
 def _tr_prod(a: np.ndarray, b: np.ndarray) -> float:
@@ -231,7 +235,7 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
 
 
 def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
-                     hull_tol: float, maxiter: int = 60) -> None:
+                     hull_tol: float) -> None:
     """Fully-corrective step by Newton's method on the weight simplex.
 
     ``probe(x)`` returns (surrogate value, exact value, ``grad``,
@@ -239,14 +243,15 @@ def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
     in the coordinates of the atoms ``mats``.  Each step is backtracked to
     the Armijo condition (``_backtrack``); when the Newton step does not
     descend, the pairwise step is tried.  The solve stops at a hull gap
-    jac.w - min(jac) of at most ``hull_tol``, or when no step descends.
+    jac.w - min(jac) of at most ``hull_tol``, when no step descends, or
+    after 60 steps.
     Every probe's exact value goes to the tracker.
     """
     mats = np.array([a for a, _ in atoms])
     w = np.array([v for _, v in atoms], dtype=float)
     value, _, _, local = probe(np.tensordot(w, mats, 1))
     radius, moved = 1.0, False
-    for _ in range(maxiter):
+    for _ in range(60):
         jac, hess = local(mats)
         if jac @ w - jac.min() <= hull_tol:
             break
@@ -280,10 +285,14 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
     every later one would repeat it.  Returns the last iterate, its atoms,
     the oracle calls made and whether the first call certified the start.
     """
-    total = sum(e[1] for e in atoms)
-    sigma = sum(e[0] * (e[1] / total) for e in atoms)
-    _, exact, grad, _ = probe(sigma)
-    tracker.offer(sigma, exact)
+    def probe_mixture():
+        total = sum(e[1] for e in atoms)
+        x = sum(e[0] * (e[1] / total) for e in atoms)
+        _, exact, grad, _ = probe(x)
+        tracker.offer(x, exact)
+        return x, grad
+
+    sigma, grad = probe_mixture()
     for k in range(max_outer):
         g = grad()
         s = lmo(g)
@@ -300,10 +309,7 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
         if len(atoms) == len(before) and all(
                 e[0] is m and e[1] == v for e, (m, v) in zip(atoms, before)):
             return sigma, atoms, k + 1, False
-        total = sum(e[1] for e in atoms)
-        sigma = sum(e[0] * (e[1] / total) for e in atoms)
-        _, exact, grad, _ = probe(sigma)
-        tracker.offer(sigma, exact)
+        sigma, grad = probe_mixture()
     return sigma, atoms, max_outer, False
 
 
@@ -788,22 +794,20 @@ def _log_second_differences(lam: np.ndarray, F1: np.ndarray,
                     num / np.where(near, 1.0, spread))
 
 
-def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray, floor: float = 1e-9):
+def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray):
     """Probe of D(rho || M) in bits at M = (1 - floor) sigma + floor
-    witness, an exact objective.  Its ``local`` is the exact Hessian in the
-    coordinates of a stack of atoms A_k:
+    witness, floor = ``RELENT_FLOOR``, an exact objective.  Its ``local`` is
+    the exact Hessian in the coordinates of a stack of atoms A_k:
     with M = V diag(lam) V^dag, X~ = V^dag X V and f[...] the divided
     differences of log, the gradient is -c sum_ij f[lam_i, lam_j] rho~_ji
     (A~_k)_ij and the Hessian the second-order Daleckii-Krein form
     -c (1 - floor) sum_ijm f[lam_i, lam_j, lam_m] rho~_mi ((A~_k)_ij
     (A~_l)_jm + (A~_l)_ij (A~_k)_jm), c = (1 - floor) / ln 2."""
-    w_rho, _ = eigh(rho_mat)
-    w_rho = w_rho[w_rho > 0.0]
-    tr_rho_log_rho = float((w_rho * np.log2(w_rho)).sum())
-    c = (1.0 - floor) / math.log(2.0)
+    tr_rho_log_rho = _tr_x_log_x(rho_mat)
+    c = (1.0 - RELENT_FLOOR) / math.log(2.0)
 
     def probe(sigma: np.ndarray):
-        w, V = eigh((1.0 - floor) * sigma + floor * witness)
+        w, V = eigh((1.0 - RELENT_FLOOR) * sigma + RELENT_FLOOR * witness)
         w = np.clip(w, 1e-300, None)
         rho_t = V.conj().T @ rho_mat @ V
         value = tr_rho_log_rho - float(np.diag(rho_t).real @ np.log2(w))
@@ -827,7 +831,7 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray, floor: float = 1e-9):
                 G = np.matmul(B[:, :, js].transpose(2, 0, 1),
                               P.transpose(1, 0, 2))
                 S += np.tensordot(G, B[:, js, :], axes=([0, 2], [1, 2])).real
-            return jac, -c * (1.0 - floor) * (S + S.T)
+            return jac, -c * (1.0 - RELENT_FLOOR) * (S + S.T)
         return value, value, grad, local
     return probe
 
@@ -845,12 +849,11 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
     exit gap is certified against the family's vertex oracle either way.
     """
     witness = family.full_rank_witness().mat
-    floor = 1e-9
-    probe = _relent_eval(rho.mat, witness, floor)
+    probe = _relent_eval(rho.mat, witness)
     lmo = _member_oracle(family, settings.seed, rho.mat, witness)
     tracker, iters = _anneal(lambda _: probe, (None,), lmo, witness,
                              max(12, settings.max_iters // 8), settings.tol)
-    mixed = (1.0 - floor) * tracker.best_mat + floor * witness
+    mixed = (1.0 - RELENT_FLOOR) * tracker.best_mat + RELENT_FLOOR * witness
     return _certified(tracker, iters,
                       partial(_fw_bound, probe, family=family,
                               seed=settings.seed),
@@ -859,16 +862,15 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
 
 def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
                          n_max: int,
-                         settings: SolverSettings = SolverSettings(),
-                         dim_cap: int = 1024
+                         settings: SolverSettings = SolverSettings()
                          ) -> list[tuple[int, float, bool]]:
     """Per-copy values of the family relative entropy on powers of rho, as
     (n, value / n, converged) triples; ``converged`` is the solve's
     ``OptResult.converged``."""
     d = rho.total_dim
-    if d ** n_max > dim_cap:
+    if d ** n_max > 1024:
         raise DimensionCap(
-            f"dimension {d ** n_max} at n_max={n_max} exceeds cap {dim_cap}")
+            f"dimension {d ** n_max} at n_max={n_max} exceeds cap 1024")
     out = []
     for n in range(1, n_max + 1):
         power = opalg.tensor_power(rho.op, n)

@@ -32,6 +32,7 @@ from .optim import (SolverSettings, distance_to_family, min_positive_part,
 PURIFIED_DIM_CAP = 4096
 PREMISE_WINDOW = 1e-4
 CERT_TOL = 1e-8
+DOMINATED_STATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,8 +117,7 @@ class PipelineTrace:
 
 
 def dominated_state(rho: DensityMatrix, X: HermitianOperator,
-                    Delta: HermitianOperator,
-                    tol: float = 1e-9) -> tuple[DensityMatrix, Certificate]:
+                    Delta: HermitianOperator) -> tuple[DensityMatrix, Certificate]:
     """State close in fidelity to rho and dominated by X/(1 - Tr Delta).
 
     Premise: rho <= X + Delta with Tr Delta < 1.  The witness is the
@@ -127,7 +127,7 @@ def dominated_state(rho: DensityMatrix, X: HermitianOperator,
     s_mat = X.mat + Delta.mat
     lam = float(eigh(s_mat - rho.mat)[0][0])
     tr_delta = Delta.trace()
-    if lam < -tol or tr_delta >= 1.0:
+    if lam < -DOMINATED_STATE_TOL or tr_delta >= 1.0:
         raise PremiseFailed(
             f"need rho <= X + Delta with Tr Delta < 1 "
             f"(margin {lam:.3e}, Tr Delta {tr_delta:.6f})")
@@ -140,17 +140,16 @@ def dominated_state(rho: DensityMatrix, X: HermitianOperator,
     bound = X.mat / (1.0 - tr_delta)
     m_op = float(eigh(bound - tilde.mat)[0][0])
     m_fid = opalg.fidelity(tilde.op, rho.op) - (1.0 - tr_delta)
-    if m_op < -tol or m_fid < -tol:
+    if min(m_op, m_fid) < -DOMINATED_STATE_TOL:
         raise ConstructionFailed(
             f"dominated-state conclusions violated: operator margin "
             f"{m_op:.3e}, fidelity margin {m_fid:.3e}")
-    cert = Certificate("dominated-state construction", min(m_op, m_fid), tol)
-    return tilde, cert
+    return tilde, Certificate("dominated-state construction",
+                              min(m_op, m_fid), DOMINATED_STATE_TOL)
 
 
 def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
-          settings: SolverSettings = SolverSettings(),
-          premise_window: float = PREMISE_WINDOW) -> PipelineTrace:
+          settings: SolverSettings = SolverSettings()) -> PipelineTrace:
     """Threshold minimization, twirled optimizer, dominated-state extraction.
 
     Requires the minimized value to sit strictly inside (0, 1); produces
@@ -169,10 +168,10 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     res = min_positive_part(rho_pow, b, family.at_copies(N), settings)
     sigma_N = DensityMatrix(symmetry.twirl(res.minimizer.op))
     value = opalg.positive_part_trace(rho_pow.mat - b * sigma_N.mat)
-    if value <= premise_window or value >= 1.0 - premise_window:
+    if value <= PREMISE_WINDOW or value >= 1.0 - PREMISE_WINDOW:
         raise PremiseOutOfInterval(
-            f"threshold value {value:.6f} outside ({premise_window}, "
-            f"{1.0 - premise_window}) at y={y}, N={N}")
+            f"threshold value {value:.6f} outside ({PREMISE_WINDOW}, "
+            f"{1.0 - PREMISE_WINDOW}) at y={y}, N={N}")
     mu = 1.0 - value
     X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
     Delta = opalg.positive_part(rho_pow - X)
@@ -189,8 +188,7 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     return trace
 
 
-def step2(trace: PipelineTrace, schedule: Schedule,
-          dim_cap: int = PURIFIED_DIM_CAP) -> PipelineTrace:
+def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     """Conditioning, tail truncation, and the assembled dominance certificate.
 
     Purified route when (d^2)^N fits the cap; for pure base states beyond the
@@ -200,15 +198,15 @@ def step2(trace: PipelineTrace, schedule: Schedule,
     d = rho.total_dim
     if schedule.N != N:
         raise ValueError("schedule does not match the trace")
-    if (d * d) ** N <= dim_cap:
+    if (d * d) ** N <= PURIFIED_DIM_CAP:
         return _step2_purified(trace, schedule)
     purity = float(np.max(rho.op.eigvals()))
-    if purity >= 1.0 - 1e-10 and d ** N <= dim_cap:
+    if purity >= 1.0 - 1e-10 and d ** N <= PURIFIED_DIM_CAP:
         trace.reduced_mode = True
         return _step2_reduced(trace, schedule)
     raise DimensionCap(
-        f"purified dimension {(d * d) ** N} exceeds cap {dim_cap} and the "
-        f"reduced route needs a pure base state")
+        f"purified dimension {(d * d) ** N} exceeds cap {PURIFIED_DIM_CAP} "
+        f"and the reduced route needs a pure base state")
 
 
 def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
@@ -286,8 +284,7 @@ def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
         trace, schedule, ovl, dist, reduced.mat,
         np.outer(v1.vec, v1.vec.conj()), np.outer(v2.vec, v2.vec.conj()))
 
-    trace.add(symmetry.verify_power_inequality(v2, pair.rho_pur, N, M, R,
-                                               CERT_TOL))
+    trace.add(symmetry.verify_power_inequality(v2, pair.rho_pur, N, M, R))
     delta_nmr_mat = symmetry.beta_truncation_delta(v2, pair.rho_pur, N)
 
     pair_dims = (d, d) * schedule.reduced_copies
@@ -434,11 +431,10 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
 
 
 def run_direct_part(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
-                    settings: SolverSettings = SolverSettings(),
-                    schedule: Schedule | None = None) -> PipelineTrace:
+                    settings: SolverSettings = SolverSettings()) -> PipelineTrace:
     """Full chain; aborts at the first failed certificate."""
     trace = step1(rho, y, N, family, settings)
-    sched = schedule or mr_schedule(N)
+    sched = mr_schedule(N)
     step2(trace, sched)
     relent_bound_certificate(trace, sched)
     asym_free_certificate(trace, sched,

@@ -20,22 +20,20 @@ def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarra
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
 
 
-def random_hermitian(rng: np.random.Generator, shape: SystemShape,
-                     scale: float = 1.0) -> HermitianOperator:
+def random_hermitian(rng: np.random.Generator,
+                     shape: SystemShape) -> HermitianOperator:
     g = ginibre(rng, shape.total_dim)
-    return HermitianOperator(shape, scale * 0.5 * (g + g.conj().T))
+    return HermitianOperator(shape, 0.5 * (g + g.conj().T))
 
 
-def random_psd(rng: np.random.Generator, shape: SystemShape,
-               rank: int | None = None, scale: float = 1.0) -> HermitianOperator:
+def random_psd(rng: np.random.Generator, shape: SystemShape) -> HermitianOperator:
     n = shape.total_dim
-    g = ginibre(rng, n, rank or n)
-    return HermitianOperator(shape, scale * (g @ g.conj().T) / n)
+    g = ginibre(rng, n)
+    return HermitianOperator(shape, (g @ g.conj().T) / n)
 
 
-def random_density(rng: np.random.Generator, shape: SystemShape,
-                   rank: int | None = None) -> DensityMatrix:
-    m = random_psd(rng, shape, rank).mat
+def random_density(rng: np.random.Generator, shape: SystemShape) -> DensityMatrix:
+    m = random_psd(rng, shape).mat
     return DensityMatrix(HermitianOperator(shape, m / np.trace(m).real))
 
 
@@ -49,12 +47,11 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_kraus_channel(rng: np.random.Generator, d: int,
-                         n_kraus: int = 3) -> list[np.ndarray]:
-    """Random CPTP channel on C^d via a Haar isometry split into Kraus blocks."""
-    u = random_unitary(rng, d * n_kraus)
-    iso = u[:, :d]
-    return [iso[k * d:(k + 1) * d, :] for k in range(n_kraus)]
+def random_kraus_channel(rng: np.random.Generator, d: int) -> list[np.ndarray]:
+    """Random CPTP channel on C^d via a Haar isometry split into three Kraus
+    blocks."""
+    iso = random_unitary(rng, 3 * d)[:, :d]
+    return [iso[k * d:(k + 1) * d, :] for k in range(3)]
 
 
 def random_perm_invariant_density(rng: np.random.Generator, d: int,

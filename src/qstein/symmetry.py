@@ -151,12 +151,11 @@ def _factor_overlap_with_base(psi: np.ndarray, base: np.ndarray, r: int,
 
 
 def symmetrize_tail(base: PureState, psi_r: PureState | None,
-                    n_factors: int, r: int,
-                    orth_tol: float = 1e-8) -> PureState:
+                    n_factors: int, r: int) -> PureState:
     """Uniform superposition of the C(n, r) placements of psi_r among base factors.
 
     Unit norm relies on the factorwise orthogonality of psi_r to the base;
-    violations beyond ``orth_tol`` raise :class:`NotOrthogonal`.
+    violations beyond 1e-8 raise :class:`NotOrthogonal`.
     """
     d = base.shape.total_dim
     shape = SystemShape((d,) * n_factors)
@@ -167,7 +166,7 @@ def symmetrize_tail(base: PureState, psi_r: PureState | None,
     if r > n_factors:
         raise ValueError("r cannot exceed the number of factors")
     ov = _factor_overlap_with_base(psi_r.vec, base.vec, r, d)
-    if ov > orth_tol:
+    if ov > 1e-8:
         raise NotOrthogonal(f"tail component overlaps the base ray by {ov:.3e}")
     n_base = n_factors - r
     prod = np.kron(opalg.kron_power(base.vec, n_base),
@@ -296,15 +295,15 @@ def extract_almost_power_spec(v: PureState, base: PureState,
     return AlmostPowerSpec(base, n, R, tuple(betas), tuple(comps))
 
 
-def truncate_to_almost_power(v: PureState, base: PureState, R: int,
-                             sym_tol: float = 1e-8) -> tuple[PureState, float]:
+def truncate_to_almost_power(v: PureState, base: PureState,
+                             R: int) -> tuple[PureState, float]:
     """Keep the defect-<=R part of a symmetric v, renormalized.
 
     Returns the truncated state and its trace distance to v (for pure states
     the trace distance is 2 sqrt(1 - |overlap|^2)).
     """
     res = sym_residual(v)
-    if res > sym_tol:
+    if res > 1e-8:
         raise NotPermutationInvariant(f"symmetric-subspace residual {res:.3e}")
     comps = grade_by_defect(v, base)
     kept = np.sum(comps[: R + 1], axis=0)
@@ -359,8 +358,8 @@ def _plane_rotation(q: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
     return V
 
 
-def perm_invariant_purification(rho: DensityMatrix, rho_N: DensityMatrix,
-                                tol: float = 1e-8) -> PurificationPair:
+def perm_invariant_purification(rho: DensityMatrix,
+                                rho_N: DensityMatrix) -> PurificationPair:
     """Purify a permutation-invariant rho_N so that it is itself permutation
     invariant (as a vector over copy pairs) and overlaps the IID purification
     of rho at exactly their fidelity.
@@ -375,15 +374,15 @@ def perm_invariant_purification(rho: DensityMatrix, rho_N: DensityMatrix,
     n = len(dims)
     if any(x != d for x in dims):
         raise ValueError("rho_N must consist of copies of rho's system")
-    if not is_perm_invariant(rho_N.op, tol):
+    if not is_perm_invariant(rho_N.op):
         raise NotPermutationInvariant("rho_N is not permutation invariant")
 
     rho_pow = opalg.tensor_power(rho.op, n)
     fid = opalg.fidelity(rho_N.op, rho_pow)
 
     sqrt_N = sqrt_psd(rho_N.mat)
-    w_pow, vec_pow = rho_pow.eig()
-    if np.sum(w_pow > opalg.SUPPORT_CUTOFF * w_pow[-1]) == 1:
+    _, vec_pow, on = opalg._support_split(rho_pow.mat)
+    if on.sum() == 1:
         # rank-one power state: align along the ray pair
         q = vec_pow[:, -1]
         w_vec = sqrt_N @ q
@@ -410,17 +409,16 @@ def perm_invariant_purification(rho: DensityMatrix, rho_N: DensityMatrix,
     return PurificationPair(rho_pur, rhoN_pur, overlap)
 
 
-def _check_purification_marginals(rho, rho_N, rho_pur, rhoN_pur,
-                                  tol: float = 1e-9) -> None:
+def _check_purification_marginals(rho, rho_N, rho_pur, rhoN_pur) -> None:
     d = rho.total_dim
     n = len(rho_N.shape.dims)
     m1 = rho_pur.vec.reshape(d, d)
     rec1 = m1 @ m1.conj().T
-    if float(np.abs(rec1 - rho.mat).max()) > tol:
+    if float(np.abs(rec1 - rho.mat).max()) > 1e-9:
         raise ConstructionFailed("single-copy purification marginal mismatch")
     mN = opalg.pairs_to_blocks(rhoN_pur.vec, d, d, n).reshape(d ** n, d ** n)
     recN = mN @ mN.conj().T
-    if float(np.abs(recN - rho_N.mat).max()) > tol:
+    if float(np.abs(recN - rho_N.mat).max()) > 1e-9:
         raise ConstructionFailed("N-copy purification marginal mismatch")
 
 
@@ -480,7 +478,7 @@ def beta_truncation_delta(v: PureState, base: PureState, N: int) -> np.ndarray:
 
 
 def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
-                            R: int, tol: float = 1e-8) -> Certificate:
+                            R: int) -> Certificate:
     """Certify the tail bound relating an almost power state to the IID state.
 
     Checks base^{x (N-M-R)} <= 2^{N h(R/(N-M))} N^2 Tr_{1..R}[vv* + c Delta]
@@ -501,7 +499,7 @@ def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
     lhs = opalg.pure_power(base, N - M - R).projector()
     gap = factor * reduced.mat - lhs.mat
     margin = float(eigh(gap)[0][0])
-    return Certificate("power-state tail bound", margin, tol)
+    return Certificate("power-state tail bound", margin, 1e-8)
 
 
 def random_almost_power(rng: np.random.Generator, base: PureState,

@@ -41,8 +41,8 @@ class CheckResult:
         return self.worst >= -self.tolerance
 
 
-def _rand_shape(rng, max_dim=6) -> SystemShape:
-    return SystemShape((int(rng.integers(2, max_dim + 1)),))
+def _rand_shape(rng) -> SystemShape:
+    return SystemShape((int(rng.integers(2, 7)),))
 
 
 def check_cptp_positive_part(trials: int, seed: int) -> CheckResult:
@@ -73,9 +73,9 @@ def check_partial_trace_monotone(trials: int, seed: int) -> CheckResult:
     return CheckResult("partial-trace-monotone", np.array(margins), 1e-9)
 
 
-def pos_mat(rng, n: int, scale: float = 1.0) -> np.ndarray:
+def pos_mat(rng, n: int) -> np.ndarray:
     g = ginibre(rng, n)
-    return scale * (g @ g.conj().T) / n
+    return (g @ g.conj().T) / n
 
 
 def check_log_monotone(trials: int, seed: int) -> CheckResult:

@@ -265,6 +265,33 @@ k = 8
         assert 0.0 <= gap <= 1e-7
 
 
+class TestOperatorFiles:
+    @pytest.mark.parametrize("line", ["-1 0 0.25 0.0", "2 0 0.25 0.0"])
+    def test_pn_rejects_index_out_of_range(self, tmp_path, capsys, line):
+        # unchecked, a negative index would wrap and load another state, and
+        # a large one would escape as an IndexError with exit 1
+        path = tmp_path / "bad.op"
+        path.write_text(f"dims: 2\n0 0 0.75 0.0\n1 1 0.25 0.0\n{line}\n")
+        cfg = write_cfg(tmp_path, "pn.cfg",
+                        f"state = {path}\nfamily = diagonal\nk = 2\n")
+        assert cli.main(["pn", "--config", cfg]) == 2
+        assert "bad.op:4" in capsys.readouterr().err
+
+    def test_exponent_rejects_nan_entry(self, tmp_path, capsys):
+        path = tmp_path / "nan.op"
+        path.write_text("dims: 2\n0 0 0.5 0.0\n0 1 nan 0.0\n1 1 0.5 0.0\n")
+        cfg = write_cfg(tmp_path, "exp.cfg", f"""
+state = {path}
+family = diagonal
+y_grid = 0.5
+n_grid = 2
+""")
+        out = str(tmp_path / "e.csv")
+        assert cli.main(["exponent", "--config", cfg, "--out", out,
+                         "--threads", "1"]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestUsage:
     def test_unknown_command(self):
         assert cli.main(["bogus"]) == 2

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from qstein import opalg, rand
+from qstein import entropy, opalg, rand
 from qstein.errors import (NegativeEigenvalue, NotTracePreserving,
-                           ShapeMismatch)
+                           ShapeMismatch, SingularSigma)
 from qstein.opalg import SystemShape
 
 from oracles import kron_index_formula, partial_trace_index_sum
@@ -60,6 +60,16 @@ class TestShapesAndTypes:
     def test_pure_norm(self):
         with pytest.raises(ValueError):
             opalg.PureState(SystemShape((2,)), np.array([1.0, 1.0]))
+
+    def test_density_rejects_nan(self):
+        # every comparison with NaN is False, so the PSD and trace checks
+        # alone let it through
+        with pytest.raises(ValueError, match="non-finite"):
+            opalg.density(np.array([[0.5, np.nan], [np.nan, 0.5]]))
+
+    def test_pure_rejects_nan(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            opalg.PureState(SystemShape((2,)), np.array([1.0, np.nan]))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -209,6 +219,56 @@ class TestLog2OnSupport:
         w, v = np.linalg.eigh(lg)
         back = (v * (2.0 ** w)) @ v.conj().T
         assert_allclose(back, rho, atol=1e-10)
+
+
+class TestSupportCutoff:
+    """The support rule: an eigenvalue is a numerical zero unless it exceeds
+    SUPPORT_CUTOFF times the largest."""
+
+    # eigenvalues 1% below and 1% above the cutoff, beside the top one
+    top = 1.0 - 2e-12
+    below = 0.99 * opalg.SUPPORT_CUTOFF
+    above = 1.01 * opalg.SUPPORT_CUTOFF
+
+    def spectrum(self):
+        return np.diag([self.top, self.above, self.below])
+
+    def test_sqrt_psd(self):
+        out = opalg.sqrt_psd(self.spectrum())
+        assert abs(out[1, 1] - math.sqrt(self.above)) <= 1e-12 * out[1, 1]
+        assert out[2, 2] == 0.0
+
+    def test_pinv_sqrt_psd(self):
+        out = opalg.pinv_sqrt_psd(self.spectrum())
+        assert abs(out[1, 1] - 1.0 / math.sqrt(self.above)) <= 1e-6
+        assert out[2, 2] == 0.0
+
+    def test_log2_on_support(self):
+        out = opalg.log2_on_support(opalg.operator(self.spectrum())).mat
+        assert abs(out[1, 1] - math.log2(self.above)) <= 1e-12
+        assert out[2, 2] == 0.0
+
+    def test_log2_of_zero_operator_is_zero(self):
+        for m in (np.zeros((2, 2)), -np.eye(2)):
+            out = opalg.log2_on_support(opalg.operator(m))
+            assert np.array_equal(out.mat, np.zeros((2, 2)))
+
+    def test_relative_entropy_support_test(self):
+        sigma = opalg.density(self.spectrum())
+        kept = entropy.relative_entropy(opalg.density(np.diag([0.0, 1.0, 0.0])),
+                                        sigma)
+        assert not kept.support_violation
+        assert abs(kept.value + math.log2(self.above)) <= 1e-12
+        chopped = entropy.relative_entropy(
+            opalg.density(np.diag([0.0, 0.0, 1.0])), sigma)
+        assert chopped.support_violation and chopped.value == math.inf
+
+    def test_relent_upper_bound(self):
+        with pytest.raises(SingularSigma):
+            entropy.relent_upper_bound(
+                opalg.density(np.diag([1.0 - self.below, self.below])))
+        kept = opalg.density(np.diag([1.0 - self.above, self.above]))
+        assert entropy.relent_upper_bound(kept) == -math.log2(self.above)
 
 
 class TestApplyKraus:
@@ -379,3 +439,20 @@ class TestSerialization:
         path.write_text("0 0 1.0 0.0\n")
         with pytest.raises(ValueError):
             opalg.load_operator(str(path))
+
+    @pytest.mark.parametrize("line", ["-1 0 0.25 0.0", "0 -2 0.25 0.0",
+                                      "2 0 0.25 0.0", "0 5 0.25 0.0",
+                                      "0 1 0.25", "0 1 0.25 0.0 7"])
+    def test_rejects_bad_entry_line(self, tmp_path, line):
+        # a negative index would wrap to another entry, a large one would
+        # escape as IndexError
+        path = tmp_path / "bad.txt"
+        path.write_text(f"dims: 2\n# comment\n0 0 0.75 0.0\n{line}\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:4"):
+            opalg.load_operator(str(path))
+
+    def test_nan_entry_loads_no_state(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("dims: 2\n0 0 0.5 0.0\n0 1 nan 0.0\n1 1 0.5 0.0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            opalg.load_density(str(path))
