@@ -241,7 +241,7 @@ def cmd_pn(args) -> int:
         raise ConfigError("pn needs either 'k' or 'y' (with 'n') in the config")
     settings = _settings_from(cfg, args)
     family = parse_family_spec(cfg["family"], rho.total_dim, n)
-    eta = DensityMatrix(opalg.tensor_power(rho.op, n))
+    eta = opalg.tensor_power(rho.op, n)
     primal = hypothesis_primal(eta, K, family, settings)
     dual = hypothesis_dual(eta, K, family, settings)
     print(f"primal = {_fmt(primal)}")

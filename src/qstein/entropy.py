@@ -16,7 +16,7 @@ import numpy as np
 from . import opalg
 from .certificates import Certificate
 from .errors import PremiseFailed, SingularSigma
-from .opalg import DensityMatrix, eigh
+from .opalg import DensityMatrix, HermitianOperator, eigh
 
 SUPPORT_LEAK_TOL = 1e-9
 DOMINANCE_TOL = 1e-9
@@ -69,7 +69,8 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return -_tr_x_log_x(rho.mat)
 
 
-def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> RelEntResult:
+def relative_entropy(rho: DensityMatrix | HermitianOperator,
+                     sigma: DensityMatrix | HermitianOperator) -> RelEntResult:
     """Tr[rho (log2 rho - log2 sigma)], infinite outside sigma's support.
 
     The support test projects rho onto the null space of sigma

@@ -483,26 +483,30 @@ def save_operator(a: HermitianOperator, path: str) -> None:
 
 def load_operator(path: str) -> HermitianOperator:
     """Read an operator written by :func:`save_operator`.  Every entry line
-    must hold four fields, with both indices in [0, n)."""
+    must hold four numeric fields, with both indices in [0, n); a header or
+    entry line that breaks this raises ValueError naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.startswith("#")]
     if not lines or not lines[0][1].startswith("dims:"):
         raise ValueError(f"{path}: missing 'dims:' header")
-    dims = tuple(int(x) for x in lines[0][1][len("dims:"):].split(","))
-    shape = SystemShape(dims)
-    n = shape.total_dim
-    m = np.zeros((n, n), dtype=complex)
-    for k, ln in lines[1:]:
-        fields = ln.split()
-        if len(fields) != 4 or not all(0 <= int(x) < n for x in fields[:2]):
-            raise ValueError(f"{path}:{k}: {ln!r} is not 'row col re im' "
-                             f"with row and col in [0, {n})")
-        i, j = int(fields[0]), int(fields[1])
-        z = complex(float(fields[2]), float(fields[3]))
-        m[i, j] = z
-        if i != j:
-            m[j, i] = z.conjugate()
+    (k, ln), want = lines[0], "'dims: d1,d2,...'"
+    try:
+        shape = SystemShape(tuple(int(x) for x in
+                                  ln.removeprefix("dims:").split(",")))
+        n = shape.total_dim
+        m = np.zeros((n, n), dtype=complex)
+        want = f"'row col re im' with row and col in [0, {n})"
+        for k, ln in lines[1:]:
+            row, col, re, im = ln.split()
+            i, j, z = int(row), int(col), complex(float(re), float(im))
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError
+            m[i, j] = z
+            if i != j:
+                m[j, i] = z.conjugate()
+    except ValueError:
+        raise ValueError(f"{path}:{k}: {ln!r} is not {want}") from None
     # the mirrored matrix is exactly Hermitian, so symmetrization is bit-exact
     return HermitianOperator(shape, m)
 

@@ -47,18 +47,18 @@ a dual call on the same inputs, in either order, anneal once.
 Oracles and iterates are plain matrices; a ``DensityMatrix`` is built
 only for the minimizer a solver returns.
 
-Every solver searches the permutation-invariant members only when the
-family offers ``type_class_lmo`` on several copies and the inputs are
-invariant (``_member_oracle``).  When the target operator of
-``min_positive_part`` or ``hypothesis_dual`` (rho or eta) also lies on the
-symmetric subspace, as a pure power does, that search runs in type-class
-coordinates: the iterate is the T x T diagonal of class weights, T the
-number of type classes, and each evaluation is one T x T
-eigendecomposition instead of one of dimension d^N.  The surrogate, its
-gradient and the exact value there equal the dense ones to rounding, so
-the Frank-Wolfe path is the same.  The exit gap stays dense: it is
-computed at the dense minimizer and stage ends against the family's vertex
-oracle.
+One test picks the reduced search, ``_TypeClassCoords.of``: the family
+offers ``type_class_lmo`` on several copies and the target (rho or eta)
+lies on the symmetric subspace, as a pure power does.  That search runs
+over the invariant members in type-class coordinates: the iterate is the
+T x T diagonal of class weights, T the number of type classes, each
+evaluation one T x T eigendecomposition, and the start enters as its twirl,
+a member.  Other inputs take the dense ``_member_oracle`` search.  Every
+exit bound reads the probe and the oracle its search ran with.  That is
+sound for the invariant searches: the objective is convex and permutation
+invariant, so its minimum over the family is its minimum over the
+invariant members, and the subgradient inequality over those gives a bound
+that, at the same point, is never looser than the vertex oracle's.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ class OptResult:
     ``value`` is the exact objective at ``minimizer``.  ``fw_gap`` is a
     certified bound on its suboptimality: value minus a Frank-Wolfe lower
     bound f(x) - Tr[g (x - s)], with g an exact (sub)gradient at x and s the
-    family's oracle answer to g.  x is the best probe and then, while the
+    search's oracle answer to g.  x is the best probe and then, while the
     gap exceeds tol, each stage end, and the best bound is kept (the trace
     distance doubles its positive-part gap).  ``converged`` is
     ``fw_gap <= tol``.  ``iterations`` counts the oracle calls of the
@@ -337,13 +337,9 @@ def _anneal(make_probe, taus, lmo, start: np.ndarray, stage_atoms: int,
     return tracker, total
 
 
-def _feasible_start(family: FreeFamily, seed: int,
-                    start: DensityMatrix | None = None) -> np.ndarray:
-    """``start`` if given, else the full-rank witness, else the oracle's
-    answer to a zero gradient (a singular IID member has no full-rank
-    witness)."""
-    if start is not None:
-        return start.mat
+def _feasible_start(family: FreeFamily, seed: int) -> np.ndarray:
+    """The full-rank witness, else the oracle's answer to a zero gradient (a
+    singular IID member has no full-rank witness)."""
     try:
         return family.full_rank_witness().mat
     except NoFullRankMember:
@@ -355,14 +351,13 @@ def _as_state(family: FreeFamily, mat: np.ndarray) -> DensityMatrix:
     return DensityMatrix(HermitianOperator(family.shape, mat))
 
 
-def _fw_bound(probe, x: np.ndarray, family: FreeFamily, seed: int) -> float:
+def _fw_bound(probe, x: np.ndarray, lmo) -> float:
     """The Frank-Wolfe lower bound f(x) - Tr[g (x - s)] on the minimum, by
     convexity: f and g the exact value and (sub)gradient that ``probe``
-    gives at x, s the family's vertex oracle answer to g, so it certifies
-    against the whole family."""
+    gives at x, s the answer of the search's oracle ``lmo`` to g."""
     _, exact, grad, _ = probe(x)
     g = grad()
-    return exact - max(0.0, _tr_prod(g, x - family.lmo(g, seed)))
+    return exact - max(0.0, _tr_prod(g, x - lmo(g)))
 
 
 def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
@@ -478,8 +473,11 @@ class _TypeClassCoords:
     @classmethod
     def of(cls, family: FreeFamily,
            target: np.ndarray) -> "_TypeClassCoords | None":
-        """The coordinates, or None if ``target`` is not supported on the
-        symmetric subspace (||D D^T A D D^T - A||_max > 1e-12)."""
+        """The coordinates, or None unless ``_symmetric_search`` holds for
+        the family alone and ``target`` is supported on the symmetric
+        subspace (||D D^T A D D^T - A||_max <= 1e-12)."""
+        if not _symmetric_search(family):
+            return None
         labels, sizes = _type_classes(family.base_dim, family.copies)
         iso = symmetry.sym_isometry(family.copies, family.base_dim)
         small = iso.T @ target @ iso
@@ -488,8 +486,8 @@ class _TypeClassCoords:
         return cls(labels, sizes, small)
 
     def weights(self, mat: np.ndarray) -> np.ndarray:
-        """diag(w) of an invariant diagonal matrix: class sums of its
-        diagonal."""
+        """diag(w) of the twirl of a diagonal matrix, itself when that is
+        invariant: class sums of its diagonal."""
         return np.diag(np.bincount(self.labels, weights=np.diag(mat).real,
                                    minlength=self.sizes.size))
 
@@ -507,11 +505,13 @@ class _TypeClassCoords:
         s[k, k] = 1.0
         return s
 
-    def pospart_eval(self, b: float, tau: float, offset: float = 0.0):
+    def pospart_eval(self, b: float, tau: float | None, offset: float = 0.0):
         """``_pospart_eval`` of the target in these coordinates.  The
         complement eigenvalues -b w_t / |T_t| do not couple to the rest, so
         they add b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to the second
-        derivative along the weight of class t."""
+        derivative along the weight of class t.  At ``tau=None`` s is the
+        indicator of a positive eigenvalue, the exact probe: the complement
+        eigenvalues are <= 0 and never enter P_+."""
         rest = self.sizes - 1.0
         mult = np.concatenate([np.ones(self.sizes.size), rest])
         t = self.sizes.size
@@ -519,8 +519,9 @@ class _TypeClassCoords:
         def probe(w_mat: np.ndarray):
             v = b * np.diag(w_mat) / self.sizes
             w, V = eigh(self.small - np.diag(v))
-            smooth, sig = _softplus(np.concatenate([w, -v]), tau, offset,
-                                    mult)
+            lam, exact = np.concatenate([w, -v]), float(w[w > 0.0].sum())
+            smooth, sig = ((exact, (lam > 0.0) * 1.0) if tau is None
+                           else _softplus(lam, tau, offset, mult))
 
             def grad():
                 return np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
@@ -534,7 +535,7 @@ class _TypeClassCoords:
                 first = first + cls @ (rest * sig[t:])
                 curv = rest * sig[t:] * (1.0 - sig[t:]) / tau
                 return -b * first, b * b * (second + (cls * curv) @ cls.T)
-            return smooth, float(w[w > 0.0].sum()), grad, local
+            return smooth, exact, grad, None if tau is None else local
         return probe
 
 
@@ -559,38 +560,35 @@ def _member_oracle(family: FreeFamily, seed: int, *mats: np.ndarray):
 def _search(family: FreeFamily, seed: int, target: np.ndarray,
             start: np.ndarray):
     """Oracle, start point, probe maker ``pospart(b, tau, offset)`` of the
-    surrogate of Tr[(target - b sigma)_+] and type-class coordinates (None
-    on dense matrices) of a search over the family: the ``_member_oracle``
-    search, in type-class coordinates when it is over the invariant members
-    and ``target`` lies on the symmetric subspace.
-    """
-    lmo = _member_oracle(family, seed, target, start)
-    coords = None
-    if lmo == family.type_class_lmo:
-        coords = _TypeClassCoords.of(family, target)
+    surrogate of Tr[(target - b sigma)_+] (exact at ``tau=None``) and map
+    to dense matrices of a search over the family: in type-class
+    coordinates from the twirl of ``start`` where ``_TypeClassCoords.of``
+    holds, else the dense ``_member_oracle`` search."""
+    coords = _TypeClassCoords.of(family, target)
     if coords is None:
-        return lmo, start, partial(_pospart_eval, target), None
-    return coords.lmo, coords.weights(start), coords.pospart_eval, coords
+        return (_member_oracle(family, seed, target, start), start,
+                partial(_pospart_eval, target), lambda m: m)
+    return coords.lmo, coords.weights(start), coords.pospart_eval, coords.dense
 
 
 def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
                       family: FreeFamily,
                       settings: SolverSettings = SolverSettings(),
-                      start: DensityMatrix | None = None) -> OptResult:
+                      start: DensityMatrix | HermitianOperator | None = None
+                      ) -> OptResult:
     """Minimize Tr[(rho - b sigma)_+] over the family.
 
-    When the family has more than one copy and offers ``type_class_lmo``,
-    and both rho and the start point are invariant under permutations of
-    the copies, the search runs over permutation-invariant sigma only: the
+    Where ``_TypeClassCoords.of`` holds, the search runs in type-class
+    coordinates from the twirl of the start point (module docstring).
+    Otherwise it runs on dense matrices, over the permutation-invariant
+    members when rho and the start are invariant (``_member_oracle``): the
     objective is then convex and permutation invariant, so twirling a
     minimizer gives an invariant one, and Frank-Wolfe needs at most one
-    atom per type class.  If rho also lies on the symmetric subspace, the
-    search runs in type-class coordinates (module docstring).  The exit
-    gap is certified against the whole family either way, with the exact
-    subgradient -b P_+ at the minimizer and then the stage ends
-    (``_certified``): at a non-smooth minimizer P_+ alone can leave a gap
-    of order 10, and the end of a smoothed stage has a subgradient that
-    certifies.
+    atom per type class.  The exit gap is certified with the search's own
+    probe and oracle, at the exact subgradient -b P_+ at the minimizer and
+    then the stage ends (``_certified``): at a non-smooth minimizer P_+
+    alone can leave a gap of order 10, and the end of a smoothed stage has
+    a subgradient that certifies.
     """
     if b < 0.0:
         raise ValueError("b must be nonnegative")
@@ -600,17 +598,14 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
                          _as_state(family,
                                    _feasible_start(family, settings.seed)),
                          0.0, 0, True)
-    lmo, x0, pospart, coords = _search(
+    lmo, x0, pospart, to_dense = _search(
         family, settings.seed, rho_mat,
-        _feasible_start(family, settings.seed, start))
+        _feasible_start(family, settings.seed) if start is None else start.mat)
     tracker, iters = _anneal(partial(pospart, b), (1e-3, 1e-6, 1e-8), lmo, x0,
                              max(12, settings.max_iters // 24),
                              settings.tol / 4.0)
-    to_dense = (lambda m: m) if coords is None else coords.dense
-    exact = _pospart_eval(rho_mat, b, None)
     return _certified(tracker, iters,
-                      lambda x: _fw_bound(exact, to_dense(x), family,
-                                          settings.seed),
+                      partial(_fw_bound, pospart(b, None), lmo=lmo),
                       family, settings, to_dense(tracker.best_mat))
 
 
@@ -665,7 +660,7 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     if (memo is not None and memo[2] is family and memo[1] == K
             and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
         return memo[4], memo[5]
-    member_lmo, member, pospart, coords = _search(
+    member_lmo, member, pospart, to_dense = _search(
         family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
 
     def lmo(grad: np.ndarray) -> np.ndarray:
@@ -675,14 +670,13 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K),
                          (1e-3, 1e-6, 1e-8), lmo, min(1.0, K) * member,
                          max(20, settings.max_iters // 3), settings.tol / 4.0)
-    x = tracker.stage_ends[:2][-1]
-    if coords is not None:
-        x = coords.dense(x)
+    x = to_dense(tracker.stage_ends[:2][-1])
     _DUAL_MEMO = (eta_mat.copy(), K, family, settings, tracker.best_value, x)
     return tracker.best_value, x
 
 
-def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
+def hypothesis_dual(eta: DensityMatrix | HermitianOperator, K: float,
+                    family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> float:
     """min over b in [0, K] and sigma of Tr[(eta - b sigma)_+] + b/K.
 
@@ -701,7 +695,8 @@ def hypothesis_dual(eta: DensityMatrix, K: float, family: FreeFamily,
     return _dual_search(eta.mat, K, family, settings)[0]
 
 
-def hypothesis_primal(eta: DensityMatrix, K: float, family: FreeFamily,
+def hypothesis_primal(eta: DensityMatrix | HermitianOperator, K: float,
+                      family: FreeFamily,
                       settings: SolverSettings = SolverSettings()) -> float:
     """Best acceptance probability Tr[E eta] of a test 0 <= E <= I whose
     error Tr[E sigma] is at most min(1, 1/K) on every free sigma; a lower
@@ -846,7 +841,7 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
     so membership is preserved exactly).  Invariant inputs search the
     invariant members only (``_member_oracle``), as in
     ``min_positive_part``: on a power the optimum mixes every vertex.  The
-    exit gap is certified against the family's vertex oracle either way.
+    exit gap is certified against the search's own oracle.
     """
     witness = family.full_rank_witness().mat
     probe = _relent_eval(rho.mat, witness)
@@ -854,9 +849,7 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
     tracker, iters = _anneal(lambda _: probe, (None,), lmo, witness,
                              max(12, settings.max_iters // 8), settings.tol)
     mixed = (1.0 - RELENT_FLOOR) * tracker.best_mat + RELENT_FLOOR * witness
-    return _certified(tracker, iters,
-                      partial(_fw_bound, probe, family=family,
-                              seed=settings.seed),
+    return _certified(tracker, iters, partial(_fw_bound, probe, lmo=lmo),
                       family, settings, mixed)
 
 
@@ -873,9 +866,8 @@ def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
             f"dimension {d ** n_max} at n_max={n_max} exceeds cap 1024")
     out = []
     for n in range(1, n_max + 1):
-        power = opalg.tensor_power(rho.op, n)
-        res = rel_ent_of_resource(DensityMatrix(power), family.at_copies(n),
-                                  settings)
+        res = rel_ent_of_resource(opalg.tensor_power(rho.op, n),
+                                  family.at_copies(n), settings)
         out.append((n, res.value / n, res.converged))
     return out
 
@@ -927,7 +919,8 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
 
 def distance_to_family(sigma_tilde: DensityMatrix, family: FreeFamily,
                        settings: SolverSettings = SolverSettings(),
-                       start: DensityMatrix | None = None) -> OptResult:
+                       start: DensityMatrix | HermitianOperator | None = None
+                       ) -> OptResult:
     """min over the family of || sigma_tilde - sigma ||_1.
 
     For unit-trace sigma_tilde and sigma, || sigma_tilde - sigma ||_1 =

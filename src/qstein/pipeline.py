@@ -116,8 +116,9 @@ class PipelineTrace:
         return all(c.passed for c in self.certificates)
 
 
-def dominated_state(rho: DensityMatrix, X: HermitianOperator,
-                    Delta: HermitianOperator) -> tuple[DensityMatrix, Certificate]:
+def dominated_state(rho: DensityMatrix | HermitianOperator,
+                    X: HermitianOperator, Delta: HermitianOperator
+                    ) -> tuple[DensityMatrix, Certificate]:
     """State close in fidelity to rho and dominated by X/(1 - Tr Delta).
 
     Premise: rho <= X + Delta with Tr Delta < 1.  The witness is the
@@ -139,7 +140,7 @@ def dominated_state(rho: DensityMatrix, X: HermitianOperator,
     tilde = DensityMatrix(HermitianOperator(rho.shape, out / tr))
     bound = X.mat / (1.0 - tr_delta)
     m_op = float(eigh(bound - tilde.mat)[0][0])
-    m_fid = opalg.fidelity(tilde.op, rho.op) - (1.0 - tr_delta)
+    m_fid = opalg.fidelity(tilde, rho) - (1.0 - tr_delta)
     if min(m_op, m_fid) < -DOMINATED_STATE_TOL:
         raise ConstructionFailed(
             f"dominated-state conclusions violated: operator margin "
@@ -175,7 +176,7 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     mu = 1.0 - value
     X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
     Delta = opalg.positive_part(rho_pow - X)
-    rho_N, cert_dom = dominated_state(DensityMatrix(rho_pow), X, Delta)
+    rho_N, cert_dom = dominated_state(rho_pow, X, Delta)
     trace.mu_N = mu
     trace.sigma_N = sigma_N
     trace.rho_N = rho_N
@@ -322,7 +323,7 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     if weight <= 1e-12:
         raise PremiseFailed("conditioning annihilated rho_N")
     shape_nm = SystemShape((d,) * (N - M))
-    rho_nm = DensityMatrix(HermitianOperator(shape_nm, block / weight))
+    rho_nm = HermitianOperator(shape_nm, block / weight)
     reduced = opalg.partial_trace(trace.rho_N.op, range(M))
     gap = reduced.mat / mu ** 2 - rho_nm.mat
     trace.add(Certificate("conditioned-state dominance",
@@ -334,7 +335,7 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     p_keep = float(np.trace(kept).real)
     if p_keep <= 1e-12:
         raise PremiseFailed("tail truncation annihilated the state")
-    rho_r = DensityMatrix(HermitianOperator(shape_nm, kept / p_keep))
+    rho_r = HermitianOperator(shape_nm, kept / p_keep)
     dist = opalg.trace_norm(rho_r.mat - rho_nm.mat)
     delta_nm_mat = _truncation_certificates(trace, schedule, mu, dist,
                                             reduced.mat, rho_nm.mat,
@@ -342,8 +343,7 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
 
     delta_nm = opalg.partial_trace(HermitianOperator(shape_nm, delta_nm_mat),
                                    range(R))
-    delta_nmr = opalg.partial_trace(HermitianOperator(shape_nm, rho_r.mat),
-                                    range(R))
+    delta_nmr = opalg.partial_trace(rho_r, range(R))
     _assemble_sigma_tilde(trace, schedule, delta_nm, delta_nmr)
     return trace
 
@@ -353,7 +353,7 @@ def relent_bound_certificate(trace: PipelineTrace,
     """Relative-entropy consequence of the assembled dominance."""
     N, M, R = schedule.N, schedule.M, schedule.R
     n_red = schedule.reduced_copies
-    rho_red = DensityMatrix(opalg.tensor_power(trace.rho.op, n_red))
+    rho_red = opalg.tensor_power(trace.rho.op, n_red)
     dval = relative_entropy(rho_red, trace.sigma_tilde).value
     bound = (N * (trace.y + binary_entropy(R / (N - M)))
              + math.log2(N ** 2 / trace.mu_N ** 3)
@@ -369,9 +369,8 @@ def asym_free_certificate(trace: PipelineTrace, schedule: Schedule,
                           settings: SolverSettings = SolverSettings()) -> Certificate:
     """Certify that sigma_tilde sits within eps_N of the free family."""
     marg = opalg.partial_trace(trace.sigma_N.op, range(schedule.M + schedule.R))
-    start = DensityMatrix(marg)
     res = distance_to_family(trace.sigma_tilde, family_reduced, settings,
-                             start=start)
+                             start=marg)
     cert = Certificate("near-free distance", trace.eps_N - res.value, 1e-6)
     trace.add(cert)
     return cert
@@ -400,7 +399,7 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     N = family.copies
-    rho_pow = DensityMatrix(opalg.tensor_power(rho.op, N))
+    rho_pow = opalg.tensor_power(rho.op, N)
     res = rel_ent_of_resource(rho_pow, family, settings)
     d_free = res.value
     sigma_star = res.minimizer.mat
@@ -408,8 +407,7 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     def candidate(t: float) -> float:
         mix = (sigma_star + t * rho_pow.mat) / (1.0 + t)
         return relative_entropy(rho_pow,
-                                DensityMatrix(HermitianOperator(
-                                    family.shape, mix))).value
+                                HermitianOperator(family.shape, mix)).value
 
     ts = np.linspace(0.0, eps / 2.0, 9)
     best = min(candidate(float(t)) for t in ts)

@@ -104,8 +104,8 @@ def is_perm_invariant(a: HermitianOperator, tol: float = 1e-8) -> bool:
     gens = [tuple([1, 0] + list(range(2, n))),
             tuple(list(range(1, n)) + [0])]
     for g in gens:
-        moved = opalg.permute_subsystems(a, g)
-        if float(np.abs(moved.mat - a.mat).max()) > tol:
+        moved = opalg.permute_factors(a.mat, a.shape.dims, g)
+        if float(np.abs(moved - a.mat).max()) > tol:
             return False
     return True
 

@@ -266,12 +266,18 @@ k = 8
 
 
 class TestOperatorFiles:
-    @pytest.mark.parametrize("line", ["-1 0 0.25 0.0", "2 0 0.25 0.0"])
+    @pytest.mark.parametrize("line", ["-1 0 0.25 0.0", "2 0 0.25 0.0",
+                                      "1.5 1 0.25 0.0", "0 0 abc 0",
+                                      "dims: 2,x"])
     def test_pn_rejects_index_out_of_range(self, tmp_path, capsys, line):
         # unchecked, a negative index would wrap and load another state, and
-        # a large one would escape as an IndexError with exit 1
+        # a large one would escape as an IndexError with exit 1; a field that
+        # is no number, in an entry or in the header (line 4 after comments
+        # and blank lines), is named by its file and line too
         path = tmp_path / "bad.op"
-        path.write_text(f"dims: 2\n0 0 0.75 0.0\n1 1 0.25 0.0\n{line}\n")
+        head = ("# comment\n\n\n" if line.startswith("dims:")
+                else "dims: 2\n0 0 0.75 0.0\n1 1 0.25 0.0\n")
+        path.write_text(f"{head}{line}\n")
         cfg = write_cfg(tmp_path, "pn.cfg",
                         f"state = {path}\nfamily = diagonal\nk = 2\n")
         assert cli.main(["pn", "--config", cfg]) == 2

@@ -442,12 +442,18 @@ class TestSerialization:
 
     @pytest.mark.parametrize("line", ["-1 0 0.25 0.0", "0 -2 0.25 0.0",
                                       "2 0 0.25 0.0", "0 5 0.25 0.0",
-                                      "0 1 0.25", "0 1 0.25 0.0 7"])
+                                      "0 1 0.25", "0 1 0.25 0.0 7",
+                                      "1.5 1 0.25 0.0", "0 0 abc 0",
+                                      "dims: 2,x"])
     def test_rejects_bad_entry_line(self, tmp_path, line):
         # a negative index would wrap to another entry, a large one would
-        # escape as IndexError
+        # escape as IndexError, and a field that is no number would raise
+        # a message that names no line; a bad header is the file's line 4
+        # after comments and blank lines
         path = tmp_path / "bad.txt"
-        path.write_text(f"dims: 2\n# comment\n0 0 0.75 0.0\n{line}\n")
+        head = ("# comment\n\n\n" if line.startswith("dims:")
+                else "dims: 2\n# comment\n0 0 0.75 0.0\n")
+        path.write_text(f"{head}{line}\n")
         with pytest.raises(ValueError, match=r"bad\.txt:4"):
             opalg.load_operator(str(path))
 

@@ -127,6 +127,41 @@ class TestMinPositivePart:
                 assert res.value - res.fw_gap <= want + 1e-12
                 assert res.value <= want + res.fw_gap + 1e-12
 
+    def test_type_class_search_makes_no_dense_eigh(self, monkeypatch):
+        # a pure power searches and certifies in type-class coordinates:
+        # every eigendecomposition the solve makes is (N+1) x (N+1)
+        shapes = []
+        eigh = optim.eigh
+        monkeypatch.setattr(optim, "eigh",
+                            lambda m: shapes.append(m.shape) or eigh(m))
+        power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
+        min_positive_part(power, 2.0 ** (binary_entropy(0.8) * 8),
+                          DiagonalFamily(2, 8))
+        assert shapes and set(shapes) == {(9, 9)}
+
+    def test_non_invariant_start_enters_as_its_twirl(self, monkeypatch):
+        # a free start off the invariant members: the type-class search
+        # starts at its twirl and reaches the optimum (a vertex search from
+        # this start stops near 0.3025).  Like the default start, it stops
+        # 1.3e-9 above the oracle, inside its certified gap
+        n, y = 8, binary_entropy(0.8)
+        p = np.ones(2 ** n)
+        p[1] = 3.0  # the string 00000001
+        start = opalg.density(np.diag(p / p.sum()), (2,) * n)
+        calls = []
+        pospart = optim._TypeClassCoords.pospart_eval
+        monkeypatch.setattr(optim._TypeClassCoords, "pospart_eval",
+                            lambda self, *a: calls.append(a)
+                            or pospart(self, *a))
+        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        res = min_positive_part(power, 2.0 ** (y * n), DiagonalFamily(2, n),
+                                start=start)
+        want = diagonal_threshold_optimum(n, y)
+        assert calls
+        assert res.converged
+        assert res.value - res.fw_gap <= want + 1e-12
+        assert abs(res.value - want) <= 1e-8
+
     def test_non_invariant_state_keeps_vertex_search(self):
         # psi psi^T <= b sigma for sigma ~ |psi_x| once b >= (sum |psi_x|)^2;
         # the best permutation-invariant sigma leaves about 0.0238
@@ -435,6 +470,32 @@ class TestProbe:
         pos = V[:, w > 0.0]
         assert 0 < pos.shape[1] < 4
         assert np.abs(grad() + b * pos @ pos.conj().T).max() <= 1e-12
+
+    def test_exact_type_class_coordinates(self):
+        # tau=None in class coordinates probes the dense exact objective and
+        # the class averages of -b P_+, and its bound against the type-class
+        # oracle is never looser than the dense one against the vertex oracle
+        n = 6
+        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
+        fam = DiagonalFamily(2, n)
+        coords = optim._TypeClassCoords.of(fam, power)
+        labels, sizes = _type_classes(2, n)
+        rng = np.random.default_rng(91)
+        for dy in (-0.1, 0.0, 0.1):
+            b = 2.0 ** ((binary_entropy(0.8) + dy) * n)
+            w = np.diag(rng.dirichlet(np.ones(sizes.size)))
+            x = coords.dense(w)
+            dense = optim._pospart_eval(power, b, None)
+            reduced = coords.pospart_eval(b, None)
+            _, e_d, g_d, _ = dense(x)
+            s_r, e_r, g_r, local = reduced(w)
+            class_avg = np.bincount(labels,
+                                    weights=np.diag(g_d()).real) / sizes
+            assert s_r == e_r and local is None
+            assert abs(e_r - e_d) <= 1e-12
+            assert np.abs(np.diag(g_r()) - class_avg).max() <= 1e-12
+            vertex = optim._fw_bound(dense, x, lambda g: fam.lmo(g, 0))
+            assert optim._fw_bound(reduced, w, coords.lmo) >= vertex - 1e-12
 
 
 class TestHypothesisTesting:
