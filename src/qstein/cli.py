@@ -22,8 +22,8 @@ from .errors import (CertificateFailed, DimensionCap, PremiseOutOfInterval,
                      QSteinError)
 from .freesets import parse_family_spec
 from .opalg import DensityMatrix, HermitianOperator, SystemShape
-from .optim import (SolverSettings, hypothesis_dual, hypothesis_primal,
-                    min_positive_part)
+from .optim import (SolverSettings, _threshold, hypothesis_dual,
+                    hypothesis_primal, min_positive_part)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -88,8 +88,6 @@ def state_from_spec(spec: str) -> DensityMatrix:
 def _settings_from(cfg: dict[str, str], args) -> SolverSettings:
     """Flags override config keys, which override defaults."""
     tol = args.tol if args.tol is not None else float(cfg.get("tol", "1e-7"))
-    if tol <= 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tol}")
     seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
     max_iters = (args.max_iters if getattr(args, "max_iters", None) is not None
                  else int(cfg.get("max_iters", "400")))
@@ -120,7 +118,7 @@ def _exponent_row(rho, fam_spec, n, y_grid, settings):
     power = opalg.tensor_power(rho.op, n)
     start = None
     for y in sorted(y_grid):
-        res = min_positive_part(power, 2.0 ** (y * n), family, settings,
+        res = min_positive_part(power, _threshold(y, n), family, settings,
                                 start=start)
         start = res.minimizer
         rows.append((n, y, res.value, res.fw_gap))
@@ -236,7 +234,7 @@ def cmd_pn(args) -> int:
     if "k" in cfg:
         K = float(cfg["k"])
     elif "y" in cfg:
-        K = 2.0 ** (float(cfg["y"]) * n)
+        K = _threshold(float(cfg["y"]), n)
     else:
         raise ConfigError("pn needs either 'k' or 'y' (with 'n') in the config")
     settings = _settings_from(cfg, args)

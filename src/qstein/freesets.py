@@ -3,11 +3,11 @@
 Each family exposes the three capabilities every solver in this package
 needs: a membership test, a linear-minimization oracle (``lmo``), and a
 full-rank witness.  A family may also offer ``type_class_lmo``, the linear
-oracle restricted to its permutation-invariant members.  Both oracles
-return a plain complex matrix, not a validated ``DensityMatrix``: solvers
-call them thousands of times, and validation belongs where a state leaves
-a solver.  Families are immutable descriptors; oracles are pure given an
-explicit seed, so concurrent use is safe.
+oracle restricted to its permutation-invariant members.  Oracles return
+plain complex matrices and the witness an unvalidated ``HermitianOperator``:
+solvers call them thousands of times, and validation belongs where a state
+enters the program.  Families are immutable descriptors; oracles are pure
+given an explicit seed, so concurrent use is safe.
 
 Supported kinds:
 
@@ -89,8 +89,10 @@ class FreeFamily:
         """argmin over the family of Tr[grad sigma], as a plain matrix."""
         raise NotImplementedError
 
-    def full_rank_witness(self) -> DensityMatrix:
-        raise NotImplementedError
+    def full_rank_witness(self) -> HermitianOperator:
+        """The maximally mixed state, a member of all but the IID family."""
+        n = self.total_dim
+        return HermitianOperator(self.shape, np.eye(n) / n)
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
         raise NotImplementedError
@@ -150,9 +152,6 @@ class DiagonalFamily(FreeFamily):
         k = int(np.argmin(means))
         return np.diag((labels == k) / sizes[k]).astype(complex)
 
-    def full_rank_witness(self) -> DensityMatrix:
-        return opalg.maximally_mixed(self.shape)
-
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
         p = rng.dirichlet(np.ones(self.total_dim))
         return DensityMatrix(HermitianOperator(self.shape, np.diag(p)))
@@ -174,9 +173,9 @@ class SingletonIIDFamily(FreeFamily):
         m.setflags(write=False)
         object.__setattr__(self, "sigma0", m)
 
-    def _member(self) -> DensityMatrix:
-        return DensityMatrix(HermitianOperator(
-            self.shape, opalg.kron_power(self.sigma0, self.copies)))
+    def _member(self) -> HermitianOperator:
+        return HermitianOperator(self.shape,
+                                 opalg.kron_power(self.sigma0, self.copies))
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
         return opalg.trace_norm(
@@ -185,14 +184,14 @@ class SingletonIIDFamily(FreeFamily):
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         return opalg.kron_power(self.sigma0, self.copies)
 
-    def full_rank_witness(self) -> DensityMatrix:
-        w = self._member()
-        if w.lambda_min() <= 0.0:
+    def full_rank_witness(self) -> HermitianOperator:
+        # sigma0^{x N} is singular exactly when sigma0 is
+        if opalg.eigh(self.sigma0)[0][0] <= 0.0:
             raise NoFullRankMember("sigma0 is singular")
-        return w
+        return self._member()
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
-        return self._member()
+        return DensityMatrix(self._member())
 
 
 @dataclass(frozen=True)
@@ -206,9 +205,6 @@ class FullSpaceFamily(FreeFamily):
 
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         return _ray(opalg.eigh(grad)[1][:, 0])
-
-    def full_rank_witness(self) -> DensityMatrix:
-        return opalg.maximally_mixed(self.shape)
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
         from .rand import random_density
@@ -291,9 +287,6 @@ class SeparableHullFamily(FreeFamily):
         k = int(np.argmin(vals))
         return _ray(opalg.blocks_to_pairs(np.kron(a[k], b[k]), self.dim_a,
                                           self.dim_b, n))
-
-    def full_rank_witness(self) -> DensityMatrix:
-        return opalg.maximally_mixed(self.shape)
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
         n = self.copies

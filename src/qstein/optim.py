@@ -44,8 +44,9 @@ vanishes.
 dual's second stage with a cutting-plane linear program.  Both ends of the
 bracket share one solve: the last dual solve is memoized, so a primal and
 a dual call on the same inputs, in either order, anneal once.
-Oracles and iterates are plain matrices; a ``DensityMatrix`` is built
-only for the minimizer a solver returns.
+Oracles and iterates are plain matrices, and a solver returns its minimizer
+unvalidated, as a ``HermitianOperator``: a ``DensityMatrix`` is built where
+a state enters the program, since its check is a full eigendecomposition.
 
 One test picks the reduced search, ``_TypeClassCoords.of``: the family
 offers ``type_class_lmo`` on several copies and the target (rho or eta)
@@ -79,6 +80,14 @@ from .opalg import DensityMatrix, HermitianOperator, eigh
 RELENT_FLOOR = 1e-9
 
 
+def _threshold(y: float, n: int) -> float:
+    """2^{yn}, the threshold of rate y on n copies, if it is a finite float
+    (yn < 1024); else a ValueError naming the rate."""
+    if not y * n < 1024.0:
+        raise ValueError(f"the rate y={y} gives no finite 2^(yN) at N={n}")
+    return 2.0 ** (y * n)
+
+
 def _tr_prod(a: np.ndarray, b: np.ndarray) -> float:
     """Re Tr[a b] without forming the product."""
     return float(np.einsum("ij,ji->", a, b).real)
@@ -93,8 +102,8 @@ class SolverSettings:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
+        if not 0.0 < self.tol < math.inf or self.max_iters < 1:
+            raise ValueError(f"need 0 < tol < inf and max_iters >= 1: {self}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,8 @@ class OptResult:
     gap exceeds tol, each stage end, and the best bound is kept (the trace
     distance doubles its positive-part gap).  ``converged`` is
     ``fw_gap <= tol``.  ``iterations`` counts the oracle calls of the
-    Frank-Wolfe stages.
+    Frank-Wolfe stages.  ``minimizer`` is the mixture of oracle answers the
+    solver built, returned unvalidated.
 
     The bound is only as exact as the family's oracle.  On the separable
     hull the oracle is a seesaw heuristic, so there ``fw_gap`` and
@@ -117,7 +127,7 @@ class OptResult:
     """
 
     value: float
-    minimizer: DensityMatrix
+    minimizer: HermitianOperator
     fw_gap: float
     iterations: int
     converged: bool
@@ -347,10 +357,6 @@ def _feasible_start(family: FreeFamily, seed: int) -> np.ndarray:
         return family.lmo(np.zeros((d, d), dtype=complex), seed)
 
 
-def _as_state(family: FreeFamily, mat: np.ndarray) -> DensityMatrix:
-    return DensityMatrix(HermitianOperator(family.shape, mat))
-
-
 def _fw_bound(probe, x: np.ndarray, lmo) -> float:
     """The Frank-Wolfe lower bound f(x) - Tr[g (x - s)] on the minimum, by
     convexity: f and g the exact value and (sub)gradient that ``probe``
@@ -376,8 +382,8 @@ def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
             break
         gap = min(gap, value - bound(x))
     gap = max(0.0, gap)
-    return OptResult(value, _as_state(family, minimizer), gap, iters,
-                     gap <= settings.tol)
+    return OptResult(value, HermitianOperator(family.shape, minimizer), gap,
+                     iters, gap <= settings.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -590,14 +596,13 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     alone can leave a gap of order 10, and the end of a smoothed stage has
     a subgradient that certifies.
     """
-    if b < 0.0:
-        raise ValueError("b must be nonnegative")
+    if not 0.0 <= b < math.inf:
+        raise ValueError(f"the threshold b must be in [0, inf), got {b}")
     rho_mat = rho.mat
     if b == 0.0:
         return OptResult(opalg.positive_part_trace(rho_mat),
-                         _as_state(family,
-                                   _feasible_start(family, settings.seed)),
-                         0.0, 0, True)
+                         HermitianOperator(family.shape, _feasible_start(
+                             family, settings.seed)), 0.0, 0, True)
     lmo, x0, pospart, to_dense = _search(
         family, settings.seed, rho_mat,
         _feasible_start(family, settings.seed) if start is None else start.mat)
@@ -690,8 +695,8 @@ def hypothesis_dual(eta: DensityMatrix | HermitianOperator, K: float,
     ``min_positive_part``.  A ``hypothesis_primal`` call on the same
     inputs just before or after shares the solve (``_dual_search``).
     """
-    if K <= 0.0:
-        raise ValueError("K must be positive")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
     return _dual_search(eta.mat, K, family, settings)[0]
 
 
@@ -726,8 +731,8 @@ def hypothesis_primal(eta: DensityMatrix | HermitianOperator, K: float,
     """
     from scipy.optimize import linprog
 
-    if K <= 0.0:
-        raise ValueError("K must be positive")
+    if not 0.0 < K < math.inf:
+        raise ValueError(f"K must be positive and finite, got {K}")
     budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
     x = _dual_search(eta_mat, K, family, settings)[1]
@@ -886,8 +891,12 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
     satisfies (1+s) sigma >= rho, which holds iff Tr[(rho - (1+s) sigma)_+]
     = 0.  It is tested by ``min_positive_part`` at b = 1 + s, with a value
     of at most 1e-9 taken as feasible and that solve's minimizer as the
-    witness; bisection on s.
+    witness; bisection on s, to a bracket no wider than ``s_tol`` or of two
+    adjacent floats.
     """
+    if not 0.0 < s_tol < math.inf:
+        raise ValueError(f"s_tol must be positive and finite, got {s_tol}")
+
     def feasible(s: float):
         res = min_positive_part(rho, 1.0 + s, family, settings)
         return res.value <= 1e-9, res.minimizer
@@ -903,7 +912,7 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
         lo, hi = hi, 2.0 * hi
     else:
         raise Infeasible("no feasible robustness parameter found")
-    while hi - lo > s_tol:
+    while hi - lo > s_tol and lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
         ok, mat = feasible(mid)
         if ok:

@@ -26,8 +26,8 @@ from .errors import (CertificateFailed, ConstructionFailed, DimensionCap,
 from .freesets import FreeFamily
 from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     eigh)
-from .optim import (SolverSettings, distance_to_family, min_positive_part,
-                    rel_ent_of_resource)
+from .optim import (SolverSettings, _threshold, distance_to_family,
+                    min_positive_part, rel_ent_of_resource)
 
 PURIFIED_DIM_CAP = 4096
 PREMISE_WINDOW = 1e-4
@@ -158,16 +158,16 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     permutation-invariant rho_N dominated by (2^{yN}/mu_N) sigma_N with
     fidelity at least mu_N to the power state.
     """
-    if y <= 0.0:
-        raise ValueError("the rate y must be positive")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"the rate y={y} must be positive and finite")
     if rho.total_dim ** N > 1024:
         raise DimensionCap(
             f"dense dimension {rho.total_dim ** N} exceeds the 1024 cap")
     trace = PipelineTrace(rho, y, N, family)
     rho_pow = opalg.tensor_power(rho.op, N)
-    b = 2.0 ** (y * N)
+    b = _threshold(y, N)
     res = min_positive_part(rho_pow, b, family.at_copies(N), settings)
-    sigma_N = DensityMatrix(symmetry.twirl(res.minimizer.op))
+    sigma_N = DensityMatrix(symmetry.twirl(res.minimizer))
     value = opalg.positive_part_trace(rho_pow.mat - b * sigma_N.mat)
     if value <= PREMISE_WINDOW or value >= 1.0 - PREMISE_WINDOW:
         raise PremiseOutOfInterval(

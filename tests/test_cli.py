@@ -121,6 +121,20 @@ n_grid = 2
         cli.main(["exponent", "--config", cfg, "--out", out, "--gnuplot"])
         assert (tmp_path / "g.csv.gp").exists()
 
+    @pytest.mark.parametrize("y", ["1100", "nan"])
+    def test_rate_without_finite_threshold(self, tmp_path, capsys, y):
+        # 2^1100 overflows and nan has no threshold: a usage error naming
+        # the rate, not an OverflowError traceback or a LAPACK failure
+        cfg = write_cfg(tmp_path, "r.cfg", f"""
+state = coherence:0.8
+family = diagonal
+y_grid = {y}
+n_grid = 1
+""")
+        assert cli.main(["exponent", "--config", cfg, "--out",
+                         str(tmp_path / "r.csv"), "--threads", "1"]) == 2
+        assert f"rate y={y}" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_small_suite_passes(self, tmp_path, capsys):
@@ -205,6 +219,18 @@ n = 13
         assert cli.main(["pipeline", "--config", cfg,
                          "--out", str(tmp_path / "t")]) == 5
 
+    @pytest.mark.parametrize("y", ["300", "nan", "inf"])
+    def test_rate_without_finite_threshold(self, tmp_path, capsys, y):
+        cfg = write_cfg(tmp_path, "p6.cfg", f"""
+state = coherence:0.8
+family = diagonal
+y = {y}
+n = 4
+""")
+        assert cli.main(["pipeline", "--config", cfg,
+                         "--out", str(tmp_path / "t")]) == 2
+        assert f"rate y={y}" in capsys.readouterr().err
+
 
 class TestPn:
     def test_prints_primal_dual(self, tmp_path, sigma0_file, capsys):
@@ -264,6 +290,28 @@ k = 8
         gap = float(out.split("gap    = ")[1].split()[0])
         assert 0.0 <= gap <= 1e-7
 
+    @pytest.mark.parametrize("k", ["nan", "inf"])
+    def test_non_finite_k_usage(self, tmp_path, capsys, k):
+        # nan used to print primal = 1 and dual = inf with exit 0
+        cfg = write_cfg(tmp_path, "pn6.cfg", f"""
+state = coherence:0.8
+family = diagonal
+k = {k}
+""")
+        assert cli.main(["pn", "--config", cfg]) == 2
+        assert f"K must be positive and finite, got {k}" in (
+            capsys.readouterr().err)
+
+    def test_rate_without_finite_threshold(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "pn7.cfg", """
+state = coherence:0.8
+family = diagonal
+y = 300
+n = 4
+""")
+        assert cli.main(["pn", "--config", cfg]) == 2
+        assert "rate y=300" in capsys.readouterr().err
+
 
 class TestOperatorFiles:
     @pytest.mark.parametrize("line", ["-1 0 0.25 0.0", "2 0 0.25 0.0",
@@ -302,14 +350,17 @@ class TestUsage:
     def test_unknown_command(self):
         assert cli.main(["bogus"]) == 2
 
-    def test_negative_tol(self, tmp_path, sigma0_file):
+    @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+    def test_negative_tol(self, tmp_path, sigma0_file, tol):
+        # every stage certifies a gap <= inf at once: an infinite tol used to
+        # write an uncertified curve with exit 0
         cfg = write_cfg(tmp_path, "t.cfg", f"""
 state = classical:0.75
 family = iid:{sigma0_file}
 y_grid = 0.1
 n_grid = 2
 """)
-        assert cli.main(["exponent", "--config", cfg, "--tol", "-1",
+        assert cli.main(["exponent", "--config", cfg, "--tol", tol,
                          "--out", str(tmp_path / "x.csv")]) == 2
 
     def test_missing_config(self):

@@ -42,10 +42,29 @@ class TestFrankWolfe:
         assert abs(res.value - closed) < 1e-6
 
     def test_minimizer_is_member(self):
-        fam = DiagonalFamily(2, 2)
-        rho = rand.random_density(RNG, SystemShape((2, 2)))
-        res = min_positive_part(rho, 1.5, fam, FAST)
-        assert fam.membership(res.minimizer, 1e-8)
+        # solvers return their minimizers unvalidated: each must be a state,
+        # on the dense and the type-class path and at b = 0, and a member
+        # where membership is exact (the separable defect is an upper bound
+        # from the seesaw heuristic, up to 0.01 off on these atoms)
+        rng = np.random.default_rng(17)
+        iid = SingletonIIDFamily(2, 2, sigma0=np.diag([0.6, 0.4]))
+        sep = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=8)
+        results = []
+        for fam in (DiagonalFamily(2, 2), FullSpaceFamily(4, 1), iid, sep):
+            rho = rand.random_density(rng, fam.shape)
+            results += [(fam, min_positive_part(rho, b, fam, FAST))
+                        for b in (0.0, 1.5)]
+            results.append((fam, rel_ent_of_resource(rho, fam, FAST)))
+            results.append((fam, distance_to_family(rho, fam, FAST)))
+        fam = DiagonalFamily(2, 4)
+        power = opalg.operator(coherence_power_state(0.8, 4), (2,) * 4)
+        assert optim._TypeClassCoords.of(fam, power.mat) is not None
+        results.append((fam, min_positive_part(power, 6.0, fam, FAST)))
+        for fam, res in results:
+            sigma = res.minimizer
+            assert np.linalg.eigvalsh(sigma.mat)[0] >= -opalg.PSD_TOL
+            assert abs(sigma.trace() - 1.0) <= opalg.TRACE_TOL
+            assert fam is sep or fam.membership(sigma, 1e-8)
 
 
 class TestMinPositivePart:
@@ -128,12 +147,14 @@ class TestMinPositivePart:
                 assert res.value <= want + res.fw_gap + 1e-12
 
     def test_type_class_search_makes_no_dense_eigh(self, monkeypatch):
-        # a pure power searches and certifies in type-class coordinates:
-        # every eigendecomposition the solve makes is (N+1) x (N+1)
+        # a pure power searches and certifies in type-class coordinates, and
+        # no state is validated on the way: every eigendecomposition the
+        # solve makes, in optim and in opalg, is (N+1) x (N+1)
         shapes = []
-        eigh = optim.eigh
-        monkeypatch.setattr(optim, "eigh",
-                            lambda m: shapes.append(m.shape) or eigh(m))
+        eigh = opalg.eigh
+        for module in (optim, opalg):
+            monkeypatch.setattr(module, "eigh",
+                                lambda m: shapes.append(m.shape) or eigh(m))
         power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
         min_positive_part(power, 2.0 ** (binary_entropy(0.8) * 8),
                           DiagonalFamily(2, 8))
@@ -780,6 +801,20 @@ class TestResourceMeasures:
         want = robustness_qubit_diagonal_grid(plus.mat)
         assert abs(want - 1.0) < 5e-4
         assert abs(got - 1.0) < 1e-4
+
+    @pytest.mark.parametrize("s_tol", [0.0, math.nan, math.inf])
+    def test_robustness_rejects_bad_s_tol(self, s_tol):
+        # at 0 the bisection never ended, at nan it returned 1 unbisected
+        plus = opalg.density(0.5 * np.ones((2, 2)))
+        with pytest.raises(ValueError, match="s_tol"):
+            generalized_robustness(plus, DiagonalFamily(2, 1), FAST, s_tol)
+
+    def test_robustness_ends_at_adjacent_floats(self):
+        # below the float spacing near 1 the bracket cannot reach s_tol
+        rho = opalg.density(np.array([[0.5, 0.3], [0.3, 0.5]]))
+        got = generalized_robustness(rho, DiagonalFamily(2, 1), FAST, 1e-300)
+        assert abs(got - generalized_robustness(rho, DiagonalFamily(2, 1),
+                                                FAST)) <= 1e-6
 
     def test_robustness_random_vs_grid(self):
         rho = rand.random_density(RNG, SystemShape((2,)))

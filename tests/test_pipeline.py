@@ -108,7 +108,7 @@ def synthetic_iid_trace(p=0.8, N=4, y=1.2):
         @ power.mat @ np.linalg.inv(opalg.sqrt_psd(sigma.mat)))[-1])
     mu = min(0.9, 2.0 ** (y * N) / lam * 0.9)
     trace = pipeline.PipelineTrace(rho=rho, y=y, N=N, family=fam, mu_N=mu,
-                                   sigma_N=sigma,
+                                   sigma_N=DensityMatrix(sigma),
                                    rho_N=DensityMatrix(power))
     trace.overlap = 1.0
     return trace
