@@ -228,8 +228,14 @@ class SeparableHullFamily(FreeFamily):
     over product states, not a certified global one.  So on this family
     every solver's ``fw_gap`` and ``converged`` are measured against the
     seesaw's answer and are not certificates.  Values stay attained: the
-    atoms are true product states, so ``membership_defect`` is an upper
-    bound on the distance to the hull, but not a tight one.
+    atoms are true product states.
+
+    ``membership_defect`` is exact where the global cut is at most 2 x 3:
+    there a state is separable iff its partial transpose is positive
+    (Horodecki 1996), and the defect is -lambda_min of that partial
+    transpose, or 0.  On larger cuts it is the trace distance to the hull
+    found by ``distance_to_family``, driven by the same seesaw: an upper
+    bound on the distance, but not a tight one.
     """
 
     dim_a: int = 2
@@ -249,6 +255,14 @@ class SeparableHullFamily(FreeFamily):
         return SEP_MEMBER_TOL
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
+        n = self.copies
+        da, db = self.dim_a ** n, self.dim_b ** n
+        if da * db <= 6:
+            # PPT decides separability up to 2 x 3 (Horodecki 1996)
+            pt = opalg.pairs_to_blocks(sigma.mat, self.dim_a, self.dim_b,
+                                       n).reshape(da, db, da, db)
+            pt = pt.transpose(0, 3, 2, 1).reshape(da * db, da * db)
+            return max(0.0, -float(opalg.eigh(pt)[0][0]))
         from .optim import SolverSettings, distance_to_family
         res = distance_to_family(sigma, self, SolverSettings(max_iters=300,
                                                              tol=1e-6))

@@ -9,7 +9,10 @@ temperatures tau while tracking the exact objective at every point probed;
 reported values are always exact evaluations, and the reported duality gap
 is computed from the exact subgradient, so it upper-bounds the true
 suboptimality.  Each stage starts from the atoms and weights the stage
-before ended with.
+before ended with, and ends when its oracle certifies the gap target, at
+its call cap, or when an oracle answer earns no weight in the re-solve
+(the atom set is left as it was): fully-corrective Frank-Wolfe gains only
+from an answer that earns weight.
 
 Every objective is one probe, ``probe(x) -> (surrogate, exact, grad,
 local)``: one eigendecomposition at x gives the surrogate and exact values,
@@ -291,9 +294,12 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
     ``grad()``, the corrective step its ``local(mats)``.  Exact values of
     every probe go to the tracker.  The solve ends when the oracle
     certifies the gap target, after ``max_outer`` oracle calls, or when an
-    iteration leaves the atoms and weights bit for bit as they were, since
-    every later one would repeat it.  Returns the last iterate, its atoms,
-    the oracle calls made and whether the first call certified the start.
+    iteration leaves the atom set as it was: the answer was already held, or
+    the re-solve gave it no weight (at most 1e-14).  Fully-corrective
+    Frank-Wolfe gains only from an answer that earns weight, so the stage
+    ends there, at the re-weighted mixture.  Returns the last iterate, its
+    atoms, the oracle calls made and whether the first call certified the
+    start.
     """
     def probe_mixture():
         total = sum(e[1] for e in atoms)
@@ -308,7 +314,7 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
         s = lmo(g)
         if _tr_prod(g, sigma - s) <= gap_tol:
             return sigma, atoms, k + 1, k == 0
-        before = [(m, v) for m, v in atoms]
+        held = [m for m, _ in atoms]
         for entry in atoms:
             if (np.abs(entry[0] - s) <= 1e-13).all():
                 break
@@ -316,10 +322,10 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
             atoms.append([s, 0.0])
         _newton_reweight(atoms, probe, tracker, gap_tol / 2.0)
         atoms = [e for e in atoms if e[1] > 1e-14] or atoms[:1]
-        if len(atoms) == len(before) and all(
-                e[0] is m and e[1] == v for e, (m, v) in zip(atoms, before)):
-            return sigma, atoms, k + 1, False
         sigma, grad = probe_mixture()
+        if len(atoms) == len(held) and all(
+                e[0] is m for e, m in zip(atoms, held)):
+            return sigma, atoms, k + 1, False
     return sigma, atoms, max_outer, False
 
 
@@ -722,12 +728,14 @@ def hypothesis_primal(eta: DensityMatrix | HermitianOperator, K: float,
     cutting planes sum_j e_j <v_j|s_k|v_j> <= budget, one per oracle answer
     s_k to -E; a round adds the cut of the current answer until that answer
     exceeds the budget by at most a relative 1e-9, for at most ``max_iters``
-    rounds.  The rows are divided by the budget and solved to HiGHS'
-    tightest feasibility tolerance, 1e-10: at its default of 1e-7 a cut the
-    LP already holds can stay violated by more than the 1e-9, and the same
-    cut is added round after round.  The weights are clipped to [0, 1] (the
-    LP meets its bounds only to about 1e-9), and the value Tr[E eta] is
-    scaled by min(1, budget / Tr[E s]) at the last answer s.
+    rounds.  The first round has no rows, so its optimum is e_j = 1 where
+    <v_j|eta|v_j> > 0 and 0 elsewhere, with no linear program.  The rows
+    are divided by the budget and solved to HiGHS' tightest feasibility
+    tolerance, 1e-10: at its default of 1e-7 a cut the LP already holds can
+    stay violated by more than the 1e-9, and the same cut is added round
+    after round.  The weights are clipped to [0, 1] (the LP meets its
+    bounds only to about 1e-9), and the value Tr[E eta] is scaled by
+    min(1, budget / Tr[E s]) at the last answer s.
     """
     from scipy.optimize import linprog
 
@@ -742,13 +750,15 @@ def hypothesis_primal(eta: DensityMatrix | HermitianOperator, K: float,
         return np.einsum("ij,ij->j", V.conj(), mat @ V).real
 
     gain = diag_in_basis(eta_mat)
+    e = (gain > 0.0) * 1.0  # the optimum with no cuts
     cuts: list[np.ndarray] = []
     for _ in range(settings.max_iters):
-        res = linprog(-gain, A_ub=np.array(cuts) / budget if cuts else None,
-                      b_ub=np.ones(len(cuts)) if cuts else None,
-                      bounds=(0.0, 1.0), method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10})
-        e = np.clip(res.x, 0.0, 1.0)
+        if cuts:
+            res = linprog(-gain, A_ub=np.array(cuts) / budget,
+                          b_ub=np.ones(len(cuts)), bounds=(0.0, 1.0),
+                          method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10})
+            e = np.clip(res.x, 0.0, 1.0)
         cost = diag_in_basis(family.lmo(-(V * e) @ V.conj().T, settings.seed))
         if cost @ e <= budget * (1.0 + 1e-9):
             break

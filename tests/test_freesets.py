@@ -9,6 +9,8 @@ from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily,
                              check_property, parse_family_spec)
 from qstein.opalg import SystemShape
+from qstein.optim import (SolverSettings, distance_to_family,
+                          rel_ent_of_resource)
 
 from oracles import max_product_overlap_bell, sequential_seesaw_lmo
 
@@ -43,6 +45,24 @@ class TestMembership:
     def test_separable_rejects_bell(self):
         fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=8)
         assert not fam.membership(bell_state(), 1e-3)
+
+    def test_separable_bell_defect(self):
+        # -lambda_min of the partial transpose of a Bell state
+        fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=8)
+        assert abs(fam.membership_defect(bell_state()) - 0.5) <= 1e-12
+
+    def test_separable_accepts_mixtures_of_products(self):
+        # the solvers' minimizers mix product states; a seesaw-driven
+        # distance put them 0.0111 and 0.0081 off the hull
+        fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=8)
+        rng = np.random.default_rng(313)
+        rho = rand.random_density(rng, SystemShape((2, 2)))
+        settings = SolverSettings(200, 1e-7)
+        for solve in (rel_ent_of_resource, distance_to_family):
+            sigma = solve(rho, fam, settings).minimizer
+            assert fam.membership_defect(sigma) <= 1e-12
+        fam = SeparableHullFamily(6, 1, dim_a=2, dim_b=3)
+        assert fam.membership_defect(fam.random_member(rng)) <= 1e-12
 
     def test_shape_mismatch(self):
         fam = DiagonalFamily(2, 1)
