@@ -134,6 +134,8 @@ def cmd_exponent(args) -> int:
         raise ConfigError("y_grid and n_grid must be non-empty")
     settings = _settings_from(cfg, args)
     out_path = args.out or cfg.get("out", "exponent.csv")
+    if args.threads is not None and args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     threads = args.threads or os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_exponent_row, rho, cfg["family"], n, y_grid,

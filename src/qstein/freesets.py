@@ -2,8 +2,8 @@
 
 Each family exposes the three capabilities every solver in this package
 needs: a membership test, a linear-minimization oracle (``lmo``), and a
-full-rank witness.  A family may also offer ``type_class_lmo``, the linear
-oracle restricted to its permutation-invariant members.  Oracles return
+full-rank witness; it may declare ``type_classes``, that its invariant
+members are the mixtures of uniform states on type classes.  Oracles return
 plain complex matrices and the witness an unvalidated ``HermitianOperator``:
 solvers call them thousands of times, and validation belongs where a state
 enters the program.  Families are immutable descriptors; oracles are pure
@@ -56,11 +56,10 @@ class FreeFamily:
     copies: int = 1
 
     kind = "abstract"
-    # optional capability: (grad) -> argmin of Tr[grad sigma] over the
-    # permutation-invariant members, as a plain matrix; those members must
-    # be the mixtures of uniform states on type classes, the coordinates
-    # that optim's reduced search works in
-    type_class_lmo = None
+    # optional capability: the permutation-invariant members are exactly the
+    # mixtures of uniform states on type classes, the full-rank witness among
+    # them; optim then searches invariant inputs in type-class coordinates
+    type_classes = False
 
     @property
     def shape(self) -> SystemShape:
@@ -128,6 +127,7 @@ class DiagonalFamily(FreeFamily):
     """States diagonal in the computational product basis (free coherence)."""
 
     kind = "diagonal"
+    type_classes = True
 
     def membership_defect(self, sigma: DensityMatrix) -> float:
         off = sigma.mat - np.diag(np.diag(sigma.mat))
@@ -138,19 +138,6 @@ class DiagonalFamily(FreeFamily):
         m = np.zeros((self.total_dim, self.total_dim), dtype=complex)
         m[i, i] = 1.0
         return m
-
-    def type_class_lmo(self, grad: np.ndarray) -> np.ndarray:
-        """argmin of Tr[grad sigma] over the permutation-invariant members.
-
-        Those members are the mixtures of the uniform states on the type
-        classes (basis strings with the same multiset of digits), so the
-        minimum is the uniform state on the class with the least average
-        diagonal entry of grad.
-        """
-        labels, sizes = _type_classes(self.base_dim, self.copies)
-        means = np.bincount(labels, weights=np.diag(grad).real) / sizes
-        k = int(np.argmin(means))
-        return np.diag((labels == k) / sizes[k]).astype(complex)
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
         p = rng.dirichlet(np.ones(self.total_dim))

@@ -51,14 +51,16 @@ Oracles and iterates are plain matrices, and a solver returns its minimizer
 unvalidated, as a ``HermitianOperator``: a ``DensityMatrix`` is built where
 a state enters the program, since its check is a full eigendecomposition.
 
-One test picks the reduced search, ``_TypeClassCoords.of``: the family
-offers ``type_class_lmo`` on several copies and the target (rho or eta)
-lies on the symmetric subspace, as a pure power does.  That search runs
-over the invariant members in type-class coordinates: the iterate is the
-T x T diagonal of class weights, T the number of type classes, each
-evaluation one T x T eigendecomposition, and the start enters as its twirl,
-a member.  Other inputs take the dense ``_member_oracle`` search.  Every
-exit bound reads the probe and the oracle its search ran with.  That is
+One function, ``_search``, picks the search of every solver.  Where
+``_TypeClassCoords.of`` holds (the family declares ``type_classes``, there
+are several copies and the target, rho or eta, is permutation invariant)
+it runs over the invariant members in type-class coordinates: the iterate
+is the T x T diagonal of class weights, T the number of type classes, and
+the start enters as its twirl, so any free start will do.  On a target in
+the symmetric subspace, as a pure power is, each positive-part evaluation
+is one T x T eigendecomposition; other probes read the dense objective at
+the dense member.  Other inputs search the family's vertices.  Every exit
+bound reads the probe and the oracle its search ran with.  That is
 sound for the invariant searches: the objective is convex and permutation
 invariant, so its minimum over the family is its minimum over the
 invariant members, and the subgradient inequality over those gives a bound
@@ -406,15 +408,17 @@ def _softplus(w: np.ndarray, tau: float, offset: float, mult=1.0):
 
 
 def _in_eigenbasis(V: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The stack V^dag dirs_k V, real when V and dirs are: one matrix
-    product per direction when every direction is diagonal, two
-    otherwise."""
+    """The stack V^dag dirs_k V, real when V and dirs are; ``dirs`` holds
+    matrices, or the diagonals of diagonal ones.  One matrix product per
+    direction when every direction is diagonal, two otherwise."""
     if not V.imag.any() and not dirs.imag.any():
         V, dirs = V.real, dirs.real
-    diag = np.diagonal(dirs, axis1=1, axis2=2)
-    if np.count_nonzero(dirs) == np.count_nonzero(diag):
-        return (V.conj().T * diag[:, None, :]) @ V
-    return V.conj().T @ dirs @ V
+    if dirs.ndim == 3:
+        diag = np.diagonal(dirs, axis1=1, axis2=2)
+        if np.count_nonzero(dirs) != np.count_nonzero(diag):
+            return V.conj().T @ dirs @ V
+        dirs = diag
+    return (V.conj().T * dirs[:, None, :]) @ V
 
 
 def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
@@ -464,38 +468,43 @@ def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float | None,
 
 @dataclass(frozen=True)
 class _TypeClassCoords:
-    """Type-class coordinates of a search over permutation-invariant
-    diagonal states, for a target operator on the symmetric subspace.
+    """Type-class coordinates of a search over the invariant members of a
+    family that declares ``type_classes``, for an invariant target A.
 
     The member sum_t w_t P_t / |T_t|, with P_t the projector onto type class
-    t, is stored as the T x T matrix diag(w).  ``iso`` is the isometry D
-    whose column t is the normalized indicator of class t; its range is the
-    symmetric subspace, and ``small`` is D^T A D for the target A = D small
-    D^T.  So A - b sigma has the spectrum of small - b diag(w / |T|) plus
+    t, is stored as the T x T matrix diag(w).  Gradients are diag(g), g_t
+    the class average of the dense gradient's diagonal, so Tr[g (w - s)] is
+    the dense Frank-Wolfe gap.  ``small`` is None unless A lies on the
+    symmetric subspace.  There, with D the isometry whose column t is the
+    normalized indicator of class t, ``small`` is D^T A D and A = D small
+    D^T, so A - b sigma has the spectrum of small - b diag(w / |T|) plus
     the eigenvalue -b w_t / |T_t| with multiplicity |T_t| - 1 (the rest of
-    class t), and one T x T eigendecomposition evaluates the objective.
-    Gradients are diag(g), g_t the class average of the dense gradient's
-    diagonal, so Tr[g (w - s)] is the dense Frank-Wolfe gap.
+    class t): one T x T eigendecomposition evaluates the positive part.
     """
 
     labels: np.ndarray
     sizes: np.ndarray
-    small: np.ndarray
+    small: np.ndarray | None
+    target: np.ndarray
 
     @classmethod
     def of(cls, family: FreeFamily,
            target: np.ndarray) -> "_TypeClassCoords | None":
-        """The coordinates, or None unless ``_symmetric_search`` holds for
-        the family alone and ``target`` is supported on the symmetric
-        subspace (||D D^T A D D^T - A||_max <= 1e-12)."""
-        if not _symmetric_search(family):
+        """The coordinates, or None unless the family declares
+        ``type_classes``, has several copies and ``target`` is invariant.
+        The support test ||D D^T A D D^T - A||_max <= 1e-12 runs first, so
+        that a pure power pays for no invariance scan."""
+        if family.copies == 1 or not family.type_classes:
             return None
         labels, sizes = _type_classes(family.base_dim, family.copies)
         iso = symmetry.sym_isometry(family.copies, family.base_dim)
         small = iso.T @ target @ iso
         if float(np.abs(iso @ small @ iso.T - target).max()) > 1e-12:
-            return None
-        return cls(labels, sizes, small)
+            if not symmetry.is_perm_invariant(
+                    HermitianOperator(family.shape, target)):
+                return None
+            small = None
+        return cls(labels, sizes, small, target)
 
     def weights(self, mat: np.ndarray) -> np.ndarray:
         """diag(w) of the twirl of a diagonal matrix, itself when that is
@@ -505,25 +514,38 @@ class _TypeClassCoords:
 
     def dense(self, w_mat: np.ndarray) -> np.ndarray:
         """The dense diagonal matrix with coordinates ``w_mat``."""
-        w = np.diag(w_mat)
-        return np.diag(w[self.labels] / self.sizes[self.labels]).astype(
-            complex)
+        w = np.diag(w_mat) / self.sizes
+        return np.diag(w[self.labels]).astype(complex)
 
     def lmo(self, grad: np.ndarray) -> np.ndarray:
-        """The uniform state on the class of least average gradient, as
-        ``type_class_lmo`` answers."""
-        s = np.zeros(grad.shape)
-        k = int(np.argmin(np.diag(grad)))
-        s[k, k] = 1.0
-        return s
+        """The linear oracle over the invariant members: the uniform state
+        on the class of least average gradient."""
+        return np.diag(np.eye(len(grad))[int(np.argmin(np.diag(grad)))])
+
+    def read(self, probe):
+        """The dense ``probe`` in these coordinates: evaluated at the dense
+        member, its gradient averaged over each class, and its ``local``
+        taken along the dense class atoms, passed as their diagonals."""
+        def class_probe(w_mat: np.ndarray):
+            smooth, exact, grad, local = probe(self.dense(w_mat))
+
+            def class_local(mats: np.ndarray):
+                cls = np.diagonal(mats, axis1=1, axis2=2).real / self.sizes
+                return local(cls[:, self.labels])
+            return (smooth, exact, lambda: self.weights(grad()) / self.sizes,
+                    None if local is None else class_local)
+        return class_probe
 
     def pospart_eval(self, b: float, tau: float | None, offset: float = 0.0):
-        """``_pospart_eval`` of the target in these coordinates.  The
-        complement eigenvalues -b w_t / |T_t| do not couple to the rest, so
-        they add b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to the second
-        derivative along the weight of class t.  At ``tau=None`` s is the
-        indicator of a positive eigenvalue, the exact probe: the complement
-        eigenvalues are <= 0 and never enter P_+."""
+        """``_pospart_eval`` of the target in these coordinates, ``read``
+        from the dense one when ``small`` is None.  The complement eigenvalues
+        -b w_t / |T_t| do not couple to the rest, so they add
+        b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to the second derivative
+        along the weight of class t.  At ``tau=None`` s is the indicator of
+        a positive eigenvalue, the exact probe: the complement eigenvalues
+        are <= 0 and never enter P_+."""
+        if self.small is None:
+            return self.read(_pospart_eval(self.target, b, tau, offset))
         rest = self.sizes - 1.0
         mult = np.concatenate([np.ones(self.sizes.size), rest])
         t = self.sizes.size
@@ -551,36 +573,20 @@ class _TypeClassCoords:
         return probe
 
 
-def _symmetric_search(family: FreeFamily, *mats: np.ndarray) -> bool:
-    """Whether the family offers a type-class oracle on several copies and
-    every matrix is invariant under permutations of the copies."""
-    if family.copies == 1 or family.type_class_lmo is None:
-        return False
-    return all(symmetry.is_perm_invariant(HermitianOperator(family.shape, m))
-               for m in mats)
-
-
-def _member_oracle(family: FreeFamily, seed: int, *mats: np.ndarray):
-    """The oracle of a search over the family: ``type_class_lmo``, over the
-    invariant members only, when ``_symmetric_search`` holds for ``mats``,
-    else the family's vertex oracle."""
-    if _symmetric_search(family, *mats):
-        return family.type_class_lmo
-    return partial(family.lmo, seed=seed)
-
-
 def _search(family: FreeFamily, seed: int, target: np.ndarray,
             start: np.ndarray):
-    """Oracle, start point, probe maker ``pospart(b, tau, offset)`` of the
-    surrogate of Tr[(target - b sigma)_+] (exact at ``tau=None``) and map
-    to dense matrices of a search over the family: in type-class
+    """The search of every solver over the family, for an objective in
+    ``target``: oracle, start point, probe maker ``pospart(b, tau, offset)``
+    of the surrogate of Tr[(target - b sigma)_+] (exact at ``tau=None``),
+    reader of dense probes and map to dense matrices.  In type-class
     coordinates from the twirl of ``start`` where ``_TypeClassCoords.of``
-    holds, else the dense ``_member_oracle`` search."""
+    holds, else over the family's vertices."""
     coords = _TypeClassCoords.of(family, target)
     if coords is None:
-        return (_member_oracle(family, seed, target, start), start,
-                partial(_pospart_eval, target), lambda m: m)
-    return coords.lmo, coords.weights(start), coords.pospart_eval, coords.dense
+        return (partial(family.lmo, seed=seed), start,
+                partial(_pospart_eval, target), lambda p: p, lambda m: m)
+    return (coords.lmo, coords.weights(start), coords.pospart_eval,
+            coords.read, coords.dense)
 
 
 def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
@@ -590,17 +596,16 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
                       ) -> OptResult:
     """Minimize Tr[(rho - b sigma)_+] over the family.
 
-    Where ``_TypeClassCoords.of`` holds, the search runs in type-class
-    coordinates from the twirl of the start point (module docstring).
-    Otherwise it runs on dense matrices, over the permutation-invariant
-    members when rho and the start are invariant (``_member_oracle``): the
-    objective is then convex and permutation invariant, so twirling a
-    minimizer gives an invariant one, and Frank-Wolfe needs at most one
-    atom per type class.  The exit gap is certified with the search's own
-    probe and oracle, at the exact subgradient -b P_+ at the minimizer and
-    then the stage ends (``_certified``): at a non-smooth minimizer P_+
-    alone can leave a gap of order 10, and the end of a smoothed stage has
-    a subgradient that certifies.
+    The search (``_search``) runs over the permutation-invariant members
+    in type-class coordinates where ``_TypeClassCoords.of`` holds, else
+    over the family's vertices: the objective is convex and permutation
+    invariant, so twirling a minimizer gives an invariant one, and
+    Frank-Wolfe needs at most one atom per type class.  The exit gap is
+    certified with the search's own probe and oracle, at the exact
+    subgradient -b P_+ at the minimizer and then the stage ends
+    (``_certified``): at a non-smooth minimizer P_+ alone can leave a gap
+    of order 10, and the end of a smoothed stage has a subgradient that
+    certifies.
     """
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")
@@ -609,7 +614,7 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
         return OptResult(opalg.positive_part_trace(rho_mat),
                          HermitianOperator(family.shape, _feasible_start(
                              family, settings.seed)), 0.0, 0, True)
-    lmo, x0, pospart, to_dense = _search(
+    lmo, x0, pospart, _, to_dense = _search(
         family, settings.seed, rho_mat,
         _feasible_start(family, settings.seed) if start is None else start.mat)
     tracker, iters = _anneal(partial(pospart, b), (1e-3, 1e-6, 1e-8), lmo, x0,
@@ -671,7 +676,7 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     if (memo is not None and memo[2] is family and memo[1] == K
             and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
         return memo[4], memo[5]
-    member_lmo, member, pospart, to_dense = _search(
+    member_lmo, member, pospart, _, to_dense = _search(
         family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
 
     def lmo(grad: np.ndarray) -> np.ndarray:
@@ -696,9 +701,9 @@ def hypothesis_dual(eta: DensityMatrix | HermitianOperator, K: float,
     times the family.  The oracle at gradient g returns K s, s the family's
     answer, if Tr[g s] < 0, else 0; so every probe is feasible (b = Tr X <=
     K, X / b free by convexity) and the exact value at the best probe is a
-    certified upper bound on the primal.  Invariant multi-copy inputs use
-    the type-class oracle, and type-class coordinates, as in
-    ``min_positive_part``.  A ``hypothesis_primal`` call on the same
+    certified upper bound on the primal.  Invariant multi-copy inputs are
+    searched in type-class coordinates, as in ``min_positive_part``
+    (``_search``).  A ``hypothesis_primal`` call on the same
     inputs just before or after shares the solve (``_dual_search``).
     """
     if not 0.0 < K < math.inf:
@@ -854,16 +859,18 @@ def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
     Iterates are kept full rank by mixing a sliver of the full-rank witness
     into every evaluation point (the witness is free and the family convex,
     so membership is preserved exactly).  Invariant inputs search the
-    invariant members only (``_member_oracle``), as in
+    invariant members only, in type-class coordinates (``_search``), as in
     ``min_positive_part``: on a power the optimum mixes every vertex.  The
     exit gap is certified against the search's own oracle.
     """
     witness = family.full_rank_witness().mat
-    probe = _relent_eval(rho.mat, witness)
-    lmo = _member_oracle(family, settings.seed, rho.mat, witness)
-    tracker, iters = _anneal(lambda _: probe, (None,), lmo, witness,
+    lmo, x0, _, read, to_dense = _search(family, settings.seed, rho.mat,
+                                         witness)
+    probe = read(_relent_eval(rho.mat, witness))
+    tracker, iters = _anneal(lambda _: probe, (None,), lmo, x0,
                              max(12, settings.max_iters // 8), settings.tol)
-    mixed = (1.0 - RELENT_FLOOR) * tracker.best_mat + RELENT_FLOOR * witness
+    mixed = ((1.0 - RELENT_FLOOR) * to_dense(tracker.best_mat)
+             + RELENT_FLOOR * witness)
     return _certified(tracker, iters, partial(_fw_bound, probe, lmo=lmo),
                       family, settings, mixed)
 

@@ -363,6 +363,20 @@ n_grid = 2
         assert cli.main(["exponent", "--config", cfg, "--tol", tol,
                          "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one(self, tmp_path, capsys, sigma0_file, threads):
+        # 0 used to run one worker per CPU with exit 0, and -1 failed with a
+        # message that did not name the flag
+        cfg = write_cfg(tmp_path, "t.cfg", f"""
+state = classical:0.75
+family = iid:{sigma0_file}
+y_grid = 0.1
+n_grid = 2
+""")
+        assert cli.main(["exponent", "--config", cfg, "--threads", threads,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_missing_config(self):
         assert cli.main(["exponent", "--config", "/nonexistent/x.cfg"]) == 2
 

@@ -106,7 +106,7 @@ class TestMinPositivePart:
                 want = diagonal_threshold_optimum(n, y, p)
                 assert abs(res.value - want) < 1e-6
 
-    def test_symmetric_search_reaches_n8_optimum(self):
+    def test_invariant_search_reaches_n8_optimum(self):
         # at N = 8 the optimum is a mixture over up to 2^8 diagonal vertices,
         # beyond the vertex oracle's atom budget at this max_iters
         y = binary_entropy(0.8) + 0.1
@@ -182,6 +182,40 @@ class TestMinPositivePart:
         assert res.value - res.fw_gap <= want + 1e-12
         assert abs(res.value - want) <= 1e-8
 
+    def test_mixed_power_from_non_invariant_start(self, monkeypatch):
+        # an invariant target off the symmetric subspace, from the start
+        # above: the search starts at the start's twirl in type-class
+        # coordinates and reaches the binomial optimum (a vertex search
+        # from this start stops at 0.4626 with gap 0.095).  That search and
+        # the relative entropy of a pure power hold (N+1) x (N+1) atoms only
+        shapes = set()
+        fcfw = optim._fcfw_minimize
+
+        def spied(probe, lmo, atoms, *rest):
+            def answer(grad):
+                s = lmo(grad)
+                shapes.add(s.shape)
+                return s
+            shapes.update(m.shape for m, _ in atoms)
+            return fcfw(probe, answer, atoms, *rest)
+        monkeypatch.setattr(optim, "_fcfw_minimize", spied)
+        n, y, p = 8, -0.1, 0.7
+        weights = np.ones(2 ** n)
+        weights[1] = 3.0  # the string 00000001
+        start = opalg.density(np.diag(weights / weights.sum()), (2,) * n)
+        power = opalg.tensor_power(opalg.density(np.diag([p, 1 - p])).op, n)
+        res = min_positive_part(power, 2.0 ** (y * n), DiagonalFamily(2, n),
+                                start=start)
+        assert res.converged
+        assert abs(res.value - classical_threshold_value(n, y, p, p)) <= 1e-9
+        assert shapes == {(n + 1, n + 1)}
+        shapes.clear()
+        power = opalg.density(coherence_power_state(0.8, 6), (2,) * 6)
+        res = rel_ent_of_resource(power, DiagonalFamily(2, 6),
+                                  SolverSettings(max_iters=200))
+        assert res.converged
+        assert shapes == {(7, 7)}
+
     def test_non_invariant_state_keeps_vertex_search(self):
         # psi psi^T <= b sigma for sigma ~ |psi_x| once b >= (sum |psi_x|)^2;
         # the best permutation-invariant sigma leaves about 0.0238
@@ -235,15 +269,16 @@ def _pure_power(vec: np.ndarray, n: int) -> opalg.HermitianOperator:
 
 
 def _dense_only(monkeypatch):
-    """Make every search skip type-class coordinates, as for an input off
-    the symmetric subspace."""
-    monkeypatch.setattr(optim._TypeClassCoords, "of",
-                        classmethod(lambda cls, family, target: None))
+    """Make every type-class search read the dense objective at the dense
+    member, as for an invariant input off the symmetric subspace."""
+    of = optim._TypeClassCoords.of
+    monkeypatch.setattr(optim._TypeClassCoords, "of", classmethod(
+        lambda cls, family, target: replace(of(family, target), small=None)))
 
 
 class TestTypeClassCoordinates:
-    """The reduced path of ``min_positive_part`` and ``hypothesis_dual``
-    against the dense path it replaces."""
+    """The reduced evaluator of ``min_positive_part`` and ``hypothesis_dual``
+    against the dense evaluator, both in type-class coordinates."""
 
     def _both(self, monkeypatch, power, b, fam):
         assert optim._TypeClassCoords.of(fam, power.mat) is not None
@@ -308,8 +343,7 @@ class TestTypeClassCoordinates:
         fam = DiagonalFamily(2, n)
         eta = opalg.density(np.diag([p, 1.0 - p]), (2,))
         power = opalg.tensor_power(eta.op, n)
-        assert optim._symmetric_search(fam, power.mat)
-        assert optim._TypeClassCoords.of(fam, power.mat) is None
+        assert optim._TypeClassCoords.of(fam, power.mat).small is None
         for y in (-0.25, -0.1, 0.1):
             res = min_positive_part(power, 2.0 ** (y * n), fam, FAST)
             assert abs(res.value - classical_threshold_value(n, y, p, p)) \
