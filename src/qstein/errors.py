@@ -60,10 +60,6 @@ class ZeroNorm(QSteinError):
     """Truncation annihilated the vector."""
 
 
-class NotOrthogonal(QSteinError):
-    """A tail component fails the required factorwise orthogonality."""
-
-
 class NotPermutationInvariant(QSteinError):
     """Input state is not invariant under subsystem permutations within tolerance."""
 

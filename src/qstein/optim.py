@@ -36,8 +36,9 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
 lower bound f(x) - gap(x) over its best probe and its stage ends
-(``_fw_bound``), with an exact (sub)gradient at each: -b P_+ for the
-positive part, from its probe at tau = None.  The trace distance and the
+(``_fw_bound``), with an exact (sub)gradient at each: -b P for the
+positive part, from its probe at tau = None, whose f is the linear minorant
+Tr[P (rho - b sigma)] (``_pospart_eval``).  The trace distance and the
 robustness's feasibility test are positive-part problems and run through
 ``min_positive_part``: ||sigma~ - sigma||_1 = 2 Tr[(sigma~ - sigma)_+] for
 unit-trace states, and (1+s) sigma >= rho iff Tr[(rho - (1+s) sigma)_+]
@@ -83,6 +84,9 @@ from .opalg import DensityMatrix, HermitianOperator, eigh
 
 # weight of the full-rank witness mixed into every relative-entropy probe
 RELENT_FLOOR = 1e-9
+# the exact positive-part probe's P keeps the eigenvalues of rho - b sigma
+# above POSPART_FLOOR (1 + b), the rounding level of ||rho|| + ||b sigma||
+POSPART_FLOOR = 1e-14
 
 
 def _threshold(y: float, n: int) -> float:
@@ -366,12 +370,13 @@ def _feasible_start(family: FreeFamily, seed: int) -> np.ndarray:
 
 
 def _fw_bound(probe, x: np.ndarray, lmo) -> float:
-    """The Frank-Wolfe lower bound f(x) - Tr[g (x - s)] on the minimum, by
-    convexity: f and g the exact value and (sub)gradient that ``probe``
-    gives at x, s the answer of the search's oracle ``lmo`` to g."""
-    _, exact, grad, _ = probe(x)
+    """The Frank-Wolfe lower bound l(x) - Tr[g (x - s)] on the minimum, by
+    convexity: l and g the surrogate value and gradient that ``probe`` gives
+    at x, of the objective or of a linear minorant of it, s the answer of
+    the search's oracle ``lmo`` to g."""
+    lower, _, grad, _ = probe(x)
     g = grad()
-    return exact - max(0.0, _tr_prod(g, x - lmo(g)))
+    return lower - max(0.0, _tr_prod(g, x - lmo(g)))
 
 
 def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
@@ -447,16 +452,18 @@ def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float | None,
     """Probe of the softplus surrogate of Tr[(rho - b sigma)_+]; ``offset``
     shifts its argument, which sets the slope at a zero eigenvalue to
     sigmoid(offset).  Its ``local`` is the exact Hessian in the coordinates
-    of a stack of atoms.  At ``tau=None`` it probes the exact objective:
-    the surrogate is the exact value, ``grad()`` the subgradient -b P_+ (P_+
-    the projector onto the strictly positive eigenspace of rho - b sigma)
-    and there is no ``local``."""
+    of a stack of atoms.  At ``tau=None`` it probes the exact objective and
+    its linear minorant Tr[P (rho - b sigma)], the surrogate, with gradient
+    -b P (P the projector onto the eigenvalues above POSPART_FLOOR (1 + b),
+    so that rounding sets no gradient at a free target); no ``local``."""
     def probe(sigma: np.ndarray):
         w, V = eigh(rho_mat - b * sigma)
         exact = float(w[w > 0.0].sum())
         if tau is None:
-            pos = V[:, w > 0.0]
-            return exact, exact, lambda: -b * (pos @ pos.conj().T), None
+            kept = w > POSPART_FLOOR * (1.0 + b)
+            pos = V[:, kept]
+            return (float(w[kept].sum()), exact,
+                    lambda: -b * (pos @ pos.conj().T), None)
         smooth, sig = _softplus(w, tau, offset)
 
         def local(mats: np.ndarray):
@@ -542,8 +549,8 @@ class _TypeClassCoords:
         -b w_t / |T_t| do not couple to the rest, so they add
         b^2 (|T_t| - 1) s (1 - s) / (tau |T_t|^2) to the second derivative
         along the weight of class t.  At ``tau=None`` s is the indicator of
-        a positive eigenvalue, the exact probe: the complement eigenvalues
-        are <= 0 and never enter P_+."""
+        an eigenvalue above the floor, the exact probe's P: the complement
+        eigenvalues are <= 0 and never enter it."""
         if self.small is None:
             return self.read(_pospart_eval(self.target, b, tau, offset))
         rest = self.sizes - 1.0
@@ -554,8 +561,11 @@ class _TypeClassCoords:
             v = b * np.diag(w_mat) / self.sizes
             w, V = eigh(self.small - np.diag(v))
             lam, exact = np.concatenate([w, -v]), float(w[w > 0.0].sum())
-            smooth, sig = ((exact, (lam > 0.0) * 1.0) if tau is None
-                           else _softplus(lam, tau, offset, mult))
+            if tau is None:
+                kept = lam > POSPART_FLOOR * (1.0 + b)
+                smooth, sig = float(lam[kept].sum()), kept * 1.0
+            else:
+                smooth, sig = _softplus(lam, tau, offset, mult)
 
             def grad():
                 return np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
@@ -601,11 +611,11 @@ def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
     over the family's vertices: the objective is convex and permutation
     invariant, so twirling a minimizer gives an invariant one, and
     Frank-Wolfe needs at most one atom per type class.  The exit gap is
-    certified with the search's own probe and oracle, at the exact
-    subgradient -b P_+ at the minimizer and then the stage ends
-    (``_certified``): at a non-smooth minimizer P_+ alone can leave a gap
-    of order 10, and the end of a smoothed stage has a subgradient that
-    certifies.
+    certified with the search's own probe and oracle, at the exact probe's
+    -b P (P over the eigenvalues above ``POSPART_FLOOR`` (1 + b)) at the
+    minimizer and then the stage ends (``_certified``): at a non-smooth
+    minimizer P alone can leave a gap of order 10, and the end of a
+    smoothed stage has a subgradient that certifies.
     """
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")

@@ -430,9 +430,10 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
 
 def run_direct_part(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> PipelineTrace:
-    """Full chain; aborts at the first failed certificate."""
-    trace = step1(rho, y, N, family, settings)
+    """Full chain; aborts at the first failed certificate.  The schedule is
+    built first, so an N it rejects costs no threshold solve."""
     sched = mr_schedule(N)
+    trace = step1(rho, y, N, family, settings)
     step2(trace, sched)
     relent_bound_certificate(trace, sched)
     asym_free_certificate(trace, sched,

@@ -5,6 +5,9 @@ of tensor factors outside a given ray ("almost power states"), permutation
 invariant purifications, and the conditioning/truncation constructions used
 by the certificate pipeline.
 
+Almost power states, the symmetric vectors with at most R factors off a
+base ray, are drawn, graded and projected in one frame, ``_defect_frame``.
+
 Conventions: purified systems store one (system, environment) pair per copy
 as a single subsystem of dimension d^2, so copy permutations act on whole
 pairs.  The pair order (s1 e1 s2 e2 ...) and the block order (system block,
@@ -14,7 +17,6 @@ environment block) are converted by :func:`opalg.pairs_to_blocks` and
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +25,7 @@ import numpy as np
 from . import opalg
 from .certificates import Certificate
 from .entropy import binary_entropy
-from .errors import (ConstructionFailed, DimensionCap, NotOrthogonal,
+from .errors import (ConstructionFailed, DimensionCap,
                      NotPermutationInvariant, PremiseFailed, ZeroNorm,
                      ZeroOverlap)
 from .freesets import _type_classes
@@ -114,98 +116,6 @@ def is_perm_invariant(a: HermitianOperator, tol: float = 1e-8) -> bool:
 # almost power states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlmostPowerSpec:
-    """Description of a symmetric state with at most R tail factors off-ray.
-
-    ``betas`` has length R+1; ``orth_components[r]`` for r >= 1 is a
-    permutation-invariant vector on r factors, each factor orthogonal to the
-    base ray (entry 0 of the list is None).
-    """
-
-    base: PureState
-    n_factors: int  # number of tensor factors of the output state
-    R: int
-    betas: tuple[complex, ...]
-    orth_components: tuple[PureState | None, ...]
-
-    def __post_init__(self):
-        if self.R > self.n_factors:
-            raise ValueError("R cannot exceed the number of factors")
-        if len(self.betas) != self.R + 1:
-            raise ValueError("betas must have length R+1")
-        ss = sum(abs(b) ** 2 for b in self.betas)
-        if abs(ss - 1.0) > 1e-10:
-            raise ValueError(f"sum |beta_r|^2 = {ss} deviates from 1")
-
-
-def _factor_overlap_with_base(psi: np.ndarray, base: np.ndarray, r: int,
-                              d: int) -> float:
-    """Largest norm of a single-factor contraction of psi with the base ray."""
-    worst = 0.0
-    t = psi.reshape((d,) * r)
-    for k in range(r):
-        contracted = np.tensordot(base.conj(), t, axes=(0, k))
-        worst = max(worst, float(np.linalg.norm(contracted)))
-    return worst
-
-
-def symmetrize_tail(base: PureState, psi_r: PureState | None,
-                    n_factors: int, r: int) -> PureState:
-    """Uniform superposition of the C(n, r) placements of psi_r among base factors.
-
-    Unit norm relies on the factorwise orthogonality of psi_r to the base;
-    violations beyond 1e-8 raise :class:`NotOrthogonal`.
-    """
-    d = base.shape.total_dim
-    shape = SystemShape((d,) * n_factors)
-    if r == 0:
-        return PureState(shape, opalg.kron_power(base.vec, n_factors))
-    if psi_r is None:
-        raise ValueError("psi_r required for r >= 1")
-    if r > n_factors:
-        raise ValueError("r cannot exceed the number of factors")
-    ov = _factor_overlap_with_base(psi_r.vec, base.vec, r, d)
-    if ov > 1e-8:
-        raise NotOrthogonal(f"tail component overlaps the base ray by {ov:.3e}")
-    n_base = n_factors - r
-    prod = np.kron(opalg.kron_power(base.vec, n_base),
-                   psi_r.vec).reshape((d,) * n_factors)
-    acc = np.zeros((d,) * n_factors, dtype=complex)
-    for slots in itertools.combinations(range(n_factors), r):
-        rest = [i for i in range(n_factors) if i not in slots]
-        # axis k of the output takes axis order[k] of (base..., psi...)
-        order = [0] * n_factors
-        for pos, ax in enumerate(rest):
-            order[ax] = pos
-        for pos, ax in enumerate(slots):
-            order[ax] = n_base + pos
-        acc += prod.transpose(order)
-    acc /= math.sqrt(math.comb(n_factors, r))
-    vec = acc.reshape(-1)
-    nrm = float(np.linalg.norm(vec))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ConstructionFailed(f"symmetrized tail norm {nrm} deviates from 1")
-    return PureState(shape, vec / nrm)
-
-
-def build_almost_power(spec: AlmostPowerSpec) -> PureState:
-    """Assemble sum_r beta_r Sym(base^{n-r} x psi_r)."""
-    d = spec.base.shape.total_dim
-    shape = SystemShape((d,) * spec.n_factors)
-    acc = np.zeros(shape.total_dim, dtype=complex)
-    for r in range(spec.R + 1):
-        if abs(spec.betas[r]) == 0.0:
-            continue
-        term = symmetrize_tail(spec.base, spec.orth_components[r],
-                               spec.n_factors, r)
-        acc += spec.betas[r] * term.vec
-    nrm = float(np.linalg.norm(acc))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ConstructionFailed(f"almost power state norm {nrm} deviates from 1")
-    return PureState(shape, acc / nrm)
-
-
 def _unitary_with_first_column(b: np.ndarray) -> np.ndarray:
     """Complete a unit vector to a unitary whose first column is the vector."""
     d = b.size
@@ -230,13 +140,20 @@ def _rotate_factors(t: np.ndarray, U: np.ndarray) -> np.ndarray:
     return t
 
 
-def defect_projector(base: PureState, n: int, R: int) -> np.ndarray:
-    """Projector onto the components of n factors with at most R factors
-    off the base ray."""
+def _defect_frame(base: PureState, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base ray's frame on n factors: a unitary U whose first column is
+    the base vector, and the defect count (digits other than 0, factors off
+    the ray) of each of the d^n basis strings of U^{x n}."""
     d = base.shape.total_dim
     U = _unitary_with_first_column(base.vec)
     digits = np.array(np.unravel_index(np.arange(d ** n), (d,) * n))
-    defects = (digits != 0).sum(axis=0)
+    return U, (digits != 0).sum(axis=0)
+
+
+def defect_projector(base: PureState, n: int, R: int) -> np.ndarray:
+    """Projector onto the components of n factors with at most R factors
+    off the base ray."""
+    U, defects = _defect_frame(base, n)
     mask = (defects <= R).astype(float)
     u_n = opalg.kron_power(U, n)
     return (u_n * mask) @ u_n.conj().T
@@ -253,46 +170,11 @@ def grade_by_defect(v: PureState, base: PureState) -> list[np.ndarray]:
     if any(x != d for x in dims) or base.shape.total_dim != d:
         raise ValueError("grading needs equal factor dimensions matching the base")
     n = len(dims)
-    U = _unitary_with_first_column(base.vec)
+    U, defects = _defect_frame(base, n)
     rotated = _rotate_factors(v.vec.reshape(dims), U.conj().T).reshape(-1)
-    digits = np.array(np.unravel_index(np.arange(d ** n), dims))
-    defects = (digits != 0).sum(axis=0)
     return [_rotate_factors(np.where(defects == r, rotated, 0.0).reshape(dims),
                             U).reshape(-1)
             for r in range(n + 1)]
-
-
-def extract_almost_power_spec(v: PureState, base: PureState,
-                              R: int) -> AlmostPowerSpec:
-    """Read off (beta_r, psi_r) for a symmetric v supported on defects <= R."""
-    dims = v.shape.dims
-    d = dims[0]
-    n = len(dims)
-    U = _unitary_with_first_column(base.vec)
-    t = _rotate_factors(v.vec.reshape(dims), U.conj().T)
-    betas: list[complex] = []
-    comps: list[PureState | None] = []
-    for r in range(R + 1):
-        if r == 0:
-            betas.append(complex(t[(0,) * n]))
-            comps.append(None)
-            continue
-        block = t[(0,) * (n - r)]  # first n-r indices pinned to the base ray
-        digits = np.array(np.unravel_index(np.arange(d ** r), (d,) * r))
-        pure_defect = (digits != 0).all(axis=0)
-        flat = np.where(pure_defect, block.reshape(-1), 0.0)
-        beta = math.sqrt(math.comb(n, r)) * float(np.linalg.norm(flat))
-        betas.append(complex(beta))
-        if beta < 1e-14:
-            comps.append(None)
-            betas[-1] = 0.0
-            continue
-        psi_rot = math.sqrt(math.comb(n, r)) * flat / beta
-        psi = _rotate_factors(psi_rot.reshape((d,) * r), U)
-        comps.append(PureState(SystemShape((d,) * r), psi.reshape(-1)))
-    total = sum(abs(b) ** 2 for b in betas)
-    betas = [b / math.sqrt(total) for b in betas]
-    return AlmostPowerSpec(base, n, R, tuple(betas), tuple(comps))
 
 
 def truncate_to_almost_power(v: PureState, base: PureState,
@@ -504,24 +386,18 @@ def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
 
 def random_almost_power(rng: np.random.Generator, base: PureState,
                         n_factors: int, R: int) -> PureState:
-    """Random state of the almost-power form for randomized certificates."""
+    """Haar-random unit vector of the symmetric subspace with at most R
+    factors off the base ray: Gaussian amplitudes on the frame's strings
+    with at most R defects, projected onto the symmetric subspace (defect
+    counts and U^{x n} commute with permutations) and rotated back."""
+    if not 0 <= R <= n_factors:
+        raise ValueError("R must lie in [0, n_factors]")
     d = base.shape.total_dim
-    U = _unitary_with_first_column(base.vec)
-    betas = rng.standard_normal(R + 1) + 1j * rng.standard_normal(R + 1)
-    betas /= np.linalg.norm(betas)
-    comps: list[PureState | None] = [None]
-    for r in range(1, R + 1):
-        t = (rng.standard_normal((d - 1,) * r)
-             + 1j * rng.standard_normal((d - 1,) * r))
-        # symmetrize over the r factors
-        acc = np.zeros_like(t)
-        for p in itertools.permutations(range(r)):
-            acc += t.transpose(p)
-        emb = np.zeros((d,) * r, dtype=complex)
-        emb[(slice(1, None),) * r] = acc
-        flat = _rotate_factors(emb, U).reshape(-1)
-        comps.append(PureState(SystemShape((d,) * r),
-                               flat / np.linalg.norm(flat)))
-    spec = AlmostPowerSpec(base, n_factors, R, tuple(map(complex, betas)),
-                           tuple(comps))
-    return build_almost_power(spec)
+    U, defects = _defect_frame(base, n_factors)
+    amps = (rng.standard_normal(defects.size)
+            + 1j * rng.standard_normal(defects.size))
+    amps[defects > R] = 0.0
+    iso = sym_isometry(n_factors, d)
+    vec = (iso @ (iso.T @ amps)).reshape((d,) * n_factors)
+    return PureState(SystemShape(vec.shape), _rotate_factors(
+        vec / np.linalg.norm(vec), U).reshape(-1))

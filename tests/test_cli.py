@@ -176,6 +176,21 @@ n = 4
         assert cli.main(["pipeline", "--config", cfg,
                          "--out", str(tmp_path / "t")]) == 3
 
+    @pytest.mark.parametrize("expect_fail", [False, True])
+    def test_schedule_checked_before_step1(self, tmp_path, capsys,
+                                           expect_fail):
+        # at n = 3 no schedule exists; y = 3.0 would also fail step 1
+        cfg = write_cfg(tmp_path, "p6.cfg", """
+state = coherence:0.8
+family = diagonal
+y = 3.0
+n = 3
+""")
+        flags = ["--expect-premise-fail"] if expect_fail else []
+        assert cli.main(["pipeline", "--config", cfg, *flags,
+                         "--out", str(tmp_path / "t")]) == 2
+        assert "schedule needs N >= 4" in capsys.readouterr().err
+
     def test_successful_run_writes_trace(self, tmp_path):
         cfg = write_cfg(tmp_path, "p3.cfg", """
 state = coherence:0.8

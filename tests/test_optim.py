@@ -525,6 +525,17 @@ class TestProbe:
         assert 0 < pos.shape[1] < 4
         assert np.abs(grad() + b * pos @ pos.conj().T).max() <= 1e-12
 
+    def test_exact_positive_part_ignores_rounding(self):
+        # at a free target the rounding-level eigenvalues of rho - sigma
+        # stay out of P, so the exit bound certifies the minimum 0
+        rho = np.diag(opalg.kron_power(np.array([0.7, 0.3]), 3)) + 0j
+        x = rho.copy()
+        x[0, 0] -= 5e-16
+        x[7, 7] += 5e-16
+        bound = optim._fw_bound(optim._pospart_eval(rho, 1.0, None), x,
+                                DiagonalFamily(2, 3).lmo)
+        assert bound >= -1e-12
+
     def test_exact_type_class_coordinates(self):
         # tau=None in class coordinates probes the dense exact objective and
         # the class averages of -b P_+, and its bound against the type-class

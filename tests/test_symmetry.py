@@ -6,12 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qstein import opalg, rand, symmetry
-from qstein.errors import (NotOrthogonal, NotPermutationInvariant,
-                           PremiseFailed, ZeroOverlap)
+from qstein.errors import (NotPermutationInvariant, PremiseFailed,
+                           ZeroOverlap)
 from qstein.opalg import SystemShape
-
-RNG = np.random.default_rng(99)
-
 
 @pytest.mark.parametrize("n,d,want", [(3, 2, 4), (2, 3, 6), (1, 5, 5)])
 def test_sym_dim(n, d, want):
@@ -53,144 +50,138 @@ class TestSymProjector:
         assert_allclose(symmetry.sym_projector(n, d).mat, acc, atol=1e-12)
 
 
-class TestSymmetrizeTail:
-    def test_r_zero_power(self):
-        base = opalg.pure(np.array([1.0, 0.0]))
-        out = symmetry.symmetrize_tail(base, None, 3, 0)
-        want = np.zeros(8)
-        want[0] = 1.0
-        assert_allclose(out.vec, want)
-
-    def test_two_placements(self):
-        base = opalg.pure(np.array([1.0, 0.0]))
-        psi = opalg.pure(np.array([0.0, 1.0]))
-        out = symmetry.symmetrize_tail(base, psi, 2, 1)
-        want = np.zeros(4)
-        want[1] = want[2] = 1.0 / math.sqrt(2.0)
-        assert_allclose(out.vec, want, atol=1e-14)
-
-    def test_unit_norm_r2(self):
-        base = rand.random_pure(RNG, SystemShape((3,)))
-        u = symmetry._unitary_with_first_column(base.vec)
-        raw = RNG.standard_normal((2, 2)) + 1j * RNG.standard_normal((2, 2))
-        raw = raw + raw.T  # symmetric under factor swap
-        emb = np.zeros((3, 3), dtype=complex)
-        emb[1:, 1:] = raw
-        psi_m = np.einsum("ia,jb,ab->ij", u, u, emb)
-        psi = opalg.pure(psi_m.reshape(-1), (3, 3))
-        out = symmetry.symmetrize_tail(base, psi, 3, 2)
-        assert abs(np.linalg.norm(out.vec) - 1.0) < 1e-12
-
-    def test_rejects_overlapping_tail(self):
-        base = opalg.pure(np.array([1.0, 0.0]))
-        psi = opalg.pure(np.array([0.6, 0.8]))
-        with pytest.raises(NotOrthogonal):
-            symmetry.symmetrize_tail(base, psi, 2, 1)
-
-
 class TestAlmostPower:
     def test_r0_is_power(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
-        spec = symmetry.AlmostPowerSpec(base, 3, 0, (1.0 + 0j,), (None,))
-        v = symmetry.build_almost_power(spec)
+        rng = np.random.default_rng(11)
+        base = rand.random_pure(rng, SystemShape((2,)))
+        v = symmetry.random_almost_power(rng, base, 3, 0)
         want = opalg.pure_power(base, 3).vec
         assert abs(abs(np.vdot(v.vec, want)) - 1.0) < 1e-12
 
+    @staticmethod
+    def _graded_draws():
+        """(v, grade_by_defect(v, base), R) for draws at two (d, n, R)."""
+        rng = np.random.default_rng(12)
+        for d, n, R in [(2, 4, 2), (3, 3, 1)]:
+            base = rand.random_pure(rng, SystemShape((d,)))
+            v = symmetry.random_almost_power(rng, base, n, R)
+            yield v, symmetry.grade_by_defect(v, base), R
+
     def test_single_defect_orthogonal_to_power(self):
-        base = opalg.pure(np.array([1.0, 0.0]))
-        psi = opalg.pure(np.array([0.0, 1.0]))
-        spec = symmetry.AlmostPowerSpec(base, 3, 1, (0.0, 1.0),
-                                        (None, psi))
-        v = symmetry.build_almost_power(spec)
-        power = opalg.pure_power(base, 3).vec
-        assert abs(np.vdot(v.vec, power)) < 1e-14
+        # the defect components, the power's among them, are orthogonal
+        for _, comps, _ in self._graded_draws():
+            gram = np.array([[np.vdot(a, b) for b in comps] for a in comps])
+            assert np.abs(gram - np.diag(np.diag(gram))).max() <= 1e-12
 
     def test_random_specs_live_in_sym_subspace(self):
+        rng = np.random.default_rng(13)
         for _ in range(5):
-            base = rand.random_pure(RNG, SystemShape((2,)))
-            v = symmetry.random_almost_power(RNG, base, 4, 2)
+            base = rand.random_pure(rng, SystemShape((2,)))
+            v = symmetry.random_almost_power(rng, base, 4, 2)
             assert symmetry.sym_residual(v) < 1e-10
 
     def test_extraction_roundtrip(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
-        v = symmetry.random_almost_power(RNG, base, 4, 2)
-        spec = symmetry.extract_almost_power_spec(v, base, 2)
-        v2 = symmetry.build_almost_power(spec)
-        assert np.abs(v2.vec - v.vec).max() < 1e-12
+        # nothing of a draw lies more than R factors off the base ray, and
+        # its defect components sum back to it
+        for v, comps, R in self._graded_draws():
+            assert max(np.linalg.norm(c) for c in comps[R + 1:]) <= 1e-12
+            assert np.abs(np.sum(comps, axis=0) - v.vec).max() <= 1e-12
 
     def test_spec_validates_normalization(self):
         base = opalg.pure(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            symmetry.AlmostPowerSpec(base, 2, 0, (0.5 + 0j,), (None,))
+            symmetry.random_almost_power(np.random.default_rng(14), base, 2, 3)
+
+
+@pytest.mark.parametrize("d,n", [(2, 5), (3, 3)])
+def test_defect_projector_matches_grading(d, n):
+    # the frame's two readers agree on a non-symmetric vector, at every R
+    rng = np.random.default_rng(15)
+    base = rand.random_pure(rng, SystemShape((d,)))
+    w = rand.random_pure(rng, SystemShape((d,) * n))
+    comps = symmetry.grade_by_defect(w, base)
+    for R in range(n + 1):
+        kept = symmetry.defect_projector(base, n, R) @ w.vec
+        assert np.abs(kept - np.sum(comps[:R + 1], axis=0)).max() <= 1e-12
 
 
 class TestTruncation:
     def test_already_truncated_unchanged(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
-        v = symmetry.random_almost_power(RNG, base, 4, 2)
+        rng = np.random.default_rng(20)
+        base = rand.random_pure(rng, SystemShape((2,)))
+        v = symmetry.random_almost_power(rng, base, 4, 2)
         out, dist = symmetry.truncate_to_almost_power(v, base, 2)
         assert dist < 1e-12
         assert abs(abs(np.vdot(out.vec, v.vec)) - 1.0) < 1e-12
 
     def test_power_state_any_r(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
+        rng = np.random.default_rng(21)
+        base = rand.random_pure(rng, SystemShape((2,)))
         v = opalg.pure_power(base, 4)
         out, dist = symmetry.truncate_to_almost_power(v, base, 0)
         assert dist < 1e-12
 
     def test_pure_distance_formula(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
-        v = symmetry.random_almost_power(RNG, base, 4, 2)
+        rng = np.random.default_rng(22)
+        base = rand.random_pure(rng, SystemShape((2,)))
+        v = symmetry.random_almost_power(rng, base, 4, 2)
         out, dist = symmetry.truncate_to_almost_power(v, base, 1)
         want = opalg.trace_norm(np.outer(v.vec, v.vec.conj())
                                 - np.outer(out.vec, out.vec.conj()))
         assert abs(dist - want) < 1e-9
 
     def test_rejects_asymmetric(self):
-        v = rand.random_pure(RNG, SystemShape((2, 2)))
-        base = rand.random_pure(RNG, SystemShape((2,)))
+        rng = np.random.default_rng(23)
+        v = rand.random_pure(rng, SystemShape((2, 2)))
+        base = rand.random_pure(rng, SystemShape((2,)))
         with pytest.raises(NotPermutationInvariant):
             symmetry.truncate_to_almost_power(v, base, 1)
 
 
 class TestPurification:
     def test_iid_overlap_one(self):
-        rho = rand.random_density(RNG, SystemShape((2,)))
+        rng = np.random.default_rng(24)
+        rho = rand.random_density(rng, SystemShape((2,)))
         power = opalg.DensityMatrix(opalg.tensor_power(rho.op, 3))
         pair = symmetry.perm_invariant_purification(rho, power)
         assert abs(pair.overlap - 1.0) < 1e-9
 
     def test_overlap_equals_fidelity_random(self):
+        rng = np.random.default_rng(25)
         for _ in range(4):
-            rho = rand.random_density(RNG, SystemShape((2,)))
-            rho_n = rand.random_perm_invariant_density(RNG, 2, 3)
+            rho = rand.random_density(rng, SystemShape((2,)))
+            rho_n = rand.random_perm_invariant_density(rng, 2, 3)
             pair = symmetry.perm_invariant_purification(rho, rho_n)
             want = opalg.fidelity(rho_n.op, opalg.tensor_power(rho.op, 3))
             assert abs(pair.overlap - want) < 1e-6
 
     def test_pure_base_state(self):
-        v = rand.random_pure(RNG, SystemShape((2,)))
-        rho_n = rand.random_perm_invariant_density(RNG, 2, 3)
+        rng = np.random.default_rng(26)
+        v = rand.random_pure(rng, SystemShape((2,)))
+        rho_n = rand.random_perm_invariant_density(rng, 2, 3)
         pair = symmetry.perm_invariant_purification(v.density(), rho_n)
         want = opalg.fidelity(rho_n.op, opalg.tensor_power(v.projector(), 3))
         assert abs(pair.overlap - want) < 1e-8
 
     def test_purification_is_symmetric(self):
-        rho = rand.random_density(RNG, SystemShape((2,)))
-        rho_n = rand.random_perm_invariant_density(RNG, 2, 3)
+        rng = np.random.default_rng(27)
+        rho = rand.random_density(rng, SystemShape((2,)))
+        rho_n = rand.random_perm_invariant_density(rng, 2, 3)
         pair = symmetry.perm_invariant_purification(rho, rho_n)
         assert symmetry.sym_residual(pair.rhoN_pur) < 1e-10
 
     def test_rejects_non_invariant(self):
-        rho = rand.random_density(RNG, SystemShape((2,)))
-        rho_n = rand.random_density(RNG, SystemShape((2, 2, 2)))
+        rng = np.random.default_rng(28)
+        rho = rand.random_density(rng, SystemShape((2,)))
+        rho_n = rand.random_density(rng, SystemShape((2, 2, 2)))
         with pytest.raises(NotPermutationInvariant):
             symmetry.perm_invariant_purification(rho, rho_n)
 
 
 class TestConditionedState:
     def test_iid_collapses_to_power(self):
-        rho = rand.random_density(RNG, SystemShape((2,)))
+        rng = np.random.default_rng(29)
+        rho = rand.random_density(rng, SystemShape((2,)))
         power = opalg.DensityMatrix(opalg.tensor_power(rho.op, 3))
         pair = symmetry.perm_invariant_purification(rho, power)
         cond, _, cert = symmetry.conditioned_state(pair, 2)
@@ -198,17 +189,19 @@ class TestConditionedState:
         assert abs(abs(np.vdot(cond.vec, pair.rho_pur.vec)) - 1.0) < 1e-9
 
     def test_m_zero_identity(self):
-        rho = rand.random_density(RNG, SystemShape((2,)))
-        rho_n = rand.random_perm_invariant_density(RNG, 2, 3)
+        rng = np.random.default_rng(30)
+        rho = rand.random_density(rng, SystemShape((2,)))
+        rho_n = rand.random_perm_invariant_density(rng, 2, 3)
         pair = symmetry.perm_invariant_purification(rho, rho_n)
         cond, _, cert = symmetry.conditioned_state(pair, 0)
         assert_allclose(cond.vec, pair.rhoN_pur.vec)
         assert cert.passed
 
     def test_dominance_margin_random(self):
+        rng = np.random.default_rng(31)
         for _ in range(5):
-            rho = rand.random_density(RNG, SystemShape((2,)))
-            rho_n = rand.random_perm_invariant_density(RNG, 2, 4)
+            rho = rand.random_density(rng, SystemShape((2,)))
+            rho_n = rand.random_perm_invariant_density(rng, 2, 4)
             pair = symmetry.perm_invariant_purification(rho, rho_n)
             _, _, cert = symmetry.conditioned_state(pair, 1)
             assert cert.margin >= -1e-9
@@ -225,27 +218,31 @@ class TestConditionedState:
 
 class TestPowerInequality:
     def test_r_zero_reduces(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
+        rng = np.random.default_rng(32)
+        base = rand.random_pure(rng, SystemShape((2,)))
         v = opalg.pure_power(base, 3)
         cert = symmetry.verify_power_inequality(v, base, 4, 1, 0)
         assert cert.passed
 
     @pytest.mark.parametrize("N,M,R", [(4, 1, 1), (6, 2, 2)])
     def test_random_instances(self, N, M, R):
-        base = rand.random_pure(RNG, SystemShape((2,)))
-        v = symmetry.random_almost_power(RNG, base, N - M, R)
+        rng = np.random.default_rng(33)
+        base = rand.random_pure(rng, SystemShape((2,)))
+        v = symmetry.random_almost_power(rng, base, N - M, R)
         cert = symmetry.verify_power_inequality(v, base, N, M, R)
         assert cert.margin >= -1e-8
 
     def test_premise(self):
-        base = rand.random_pure(RNG, SystemShape((2,)))
-        v = symmetry.random_almost_power(RNG, base, 3, 1)
+        rng = np.random.default_rng(34)
+        base = rand.random_pure(rng, SystemShape((2,)))
+        v = symmetry.random_almost_power(rng, base, 3, 1)
         with pytest.raises(PremiseFailed):
             symmetry.verify_power_inequality(v, base, 5, 2, 2)
 
 
 def test_twirl_makes_invariant():
-    a = rand.random_hermitian(RNG, SystemShape((2, 2, 2)))
+    rng = np.random.default_rng(35)
+    a = rand.random_hermitian(rng, SystemShape((2, 2, 2)))
     t = symmetry.twirl(a)
     assert symmetry.is_perm_invariant(t, 1e-12)
     assert abs(t.trace() - a.trace()) < 1e-12
