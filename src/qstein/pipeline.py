@@ -71,13 +71,18 @@ def mr_schedule(N: int) -> Schedule:
     return Schedule(N, M, R)
 
 
+def _conditioning_weight(N: int, M: int, R: int, x: float) -> float:
+    """2 sqrt(2)/x e^{-MR/(2N)}, the conditioning weight at fidelity x."""
+    return 2.0 * math.sqrt(2.0) / x * math.exp(-M * R / (2.0 * N))
+
+
 def _epsilon_terms(N: int, M: int, R: int, y: float,
                    mu: float) -> tuple[float, float, float]:
     """Mixing weight eps and the weights a (conditioning) and b (tail
     truncation) of its two approximation steps."""
-    a = 2.0 * math.sqrt(2.0) / (mu * math.exp(M * R / (2.0 * N)))
+    a = _conditioning_weight(N, M, R, mu)
     b = 2.0 * math.sqrt(2.0 * R) / N
-    return 2.0 * mu ** 3 / (2.0 ** (y * N)) * (a + b), a, b
+    return 2.0 * mu ** 3 / _threshold(y, N) * (a + b), a, b
 
 
 def epsilon_schedule(N: int, M: int, R: int, y: float, mu: float) -> float:
@@ -96,7 +101,6 @@ class PipelineTrace:
     mu_N: float = 0.0
     sigma_N: DensityMatrix | None = None
     rho_N: DensityMatrix | None = None
-    overlap: float = 0.0
     schedule: Schedule | None = None
     eps_N: float = 0.0
     c_N: float = 0.0
@@ -118,12 +122,12 @@ class PipelineTrace:
 
 def dominated_state(rho: DensityMatrix | HermitianOperator,
                     X: HermitianOperator, Delta: HermitianOperator
-                    ) -> tuple[DensityMatrix, Certificate]:
+                    ) -> tuple[DensityMatrix, float, float]:
     """State close in fidelity to rho and dominated by X/(1 - Tr Delta).
 
     Premise: rho <= X + Delta with Tr Delta < 1.  The witness is the
-    contraction T = X^{1/2} (X + Delta)^{-1/2} applied to rho; both
-    conclusions are then verified numerically.
+    contraction T = X^{1/2} (X + Delta)^{-1/2} applied to rho; it is returned
+    with the operator and fidelity margins of both conclusions, checked here.
     """
     s_mat = X.mat + Delta.mat
     lam = float(eigh(s_mat - rho.mat)[0][0])
@@ -145,8 +149,7 @@ def dominated_state(rho: DensityMatrix | HermitianOperator,
         raise ConstructionFailed(
             f"dominated-state conclusions violated: operator margin "
             f"{m_op:.3e}, fidelity margin {m_fid:.3e}")
-    return tilde, Certificate("dominated-state construction",
-                              min(m_op, m_fid), DOMINATED_STATE_TOL)
+    return tilde, m_op, m_fid
 
 
 def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
@@ -156,7 +159,9 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     Requires the minimized value to sit strictly inside (0, 1); produces
     mu_N, the permutation-invariant free optimizer sigma_N, and the
     permutation-invariant rho_N dominated by (2^{yN}/mu_N) sigma_N with
-    fidelity at least mu_N to the power state.
+    fidelity at least mu_N to the power state.  mu_N = 1 - Tr Delta for
+    Delta = (rho^{x N} - 2^{yN} sigma_N)_+, so one check of the lemma
+    (:func:`dominated_state`) fills all three step-1 rows.
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"the rate y={y} must be positive and finite")
@@ -168,24 +173,21 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     b = _threshold(y, N)
     res = min_positive_part(rho_pow, b, family.at_copies(N), settings)
     sigma_N = DensityMatrix(symmetry.twirl(res.minimizer))
-    value = opalg.positive_part_trace(rho_pow.mat - b * sigma_N.mat)
+    X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
+    Delta = opalg.positive_part(rho_pow - X)
+    value = Delta.trace()
     if value <= PREMISE_WINDOW or value >= 1.0 - PREMISE_WINDOW:
         raise PremiseOutOfInterval(
             f"threshold value {value:.6f} outside ({PREMISE_WINDOW}, "
             f"{1.0 - PREMISE_WINDOW}) at y={y}, N={N}")
-    mu = 1.0 - value
-    X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
-    Delta = opalg.positive_part(rho_pow - X)
-    rho_N, cert_dom = dominated_state(rho_pow, X, Delta)
-    trace.mu_N = mu
+    rho_N, m_op, m_fid = dominated_state(rho_pow, X, Delta)
+    trace.mu_N = 1.0 - value
     trace.sigma_N = sigma_N
     trace.rho_N = rho_N
-    trace.add(cert_dom)
-    m_op = float(eigh((b / mu) * sigma_N.mat - rho_N.mat)[0][0])
+    trace.add(Certificate("dominated-state construction", min(m_op, m_fid),
+                          DOMINATED_STATE_TOL))
     trace.add(Certificate("step1 operator dominance", m_op, CERT_TOL))
-    fid = opalg.fidelity(rho_N.op, rho_pow)
-    trace.overlap = fid
-    trace.add(Certificate("step1 fidelity floor", fid - mu, CERT_TOL))
+    trace.add(Certificate("step1 fidelity floor", m_fid, CERT_TOL))
     return trace
 
 
@@ -201,13 +203,22 @@ def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
         raise ValueError("schedule does not match the trace")
     if (d * d) ** N <= PURIFIED_DIM_CAP:
         return _step2_purified(trace, schedule)
-    purity = float(np.max(rho.op.eigvals()))
-    if purity >= 1.0 - 1e-10 and d ** N <= PURIFIED_DIM_CAP:
+    w, V = rho.eig()
+    if w[-1] >= 1.0 - 1e-10 and d ** N <= PURIFIED_DIM_CAP:
         trace.reduced_mode = True
-        return _step2_reduced(trace, schedule)
+        return _step2_reduced(trace, schedule, PureState(rho.shape, V[:, -1]))
     raise DimensionCap(
         f"purified dimension {(d * d) ** N} exceeds cap {PURIFIED_DIM_CAP} "
         f"and the reduced route needs a pure base state")
+
+
+def _log2_dominance_factor(trace: PipelineTrace, schedule: Schedule) -> float:
+    """log2 of the factor by which the assembled near-free state dominates
+    the power state: N(y + h(R/(N-M))) + log2(N^2/mu^3) + log2(1 + eps/2)."""
+    N, M, R = schedule.N, schedule.M, schedule.R
+    return (N * (trace.y + binary_entropy(R / (N - M)))
+            + math.log2(N ** 2 / trace.mu_N ** 3)
+            + math.log2(1.0 + 0.5 * trace.eps_N))
 
 
 def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
@@ -219,7 +230,8 @@ def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
     mu, y = trace.mu_N, trace.y
     eps, a, b = _epsilon_terms(N, M, R, y, mu)
     trace.eps_N = eps
-    trace.c_N = eps * 2.0 ** (y * N) / (2.0 * mu)
+    threshold = _threshold(y, N)
+    trace.c_N = eps * threshold / (2.0 * mu)
     blended = (a * delta_nm.mat + b * delta_nmr.mat) / (a + b)
     shape = delta_nm.shape
     trace.delta_tilde = DensityMatrix(HermitianOperator(shape, blended))
@@ -227,16 +239,13 @@ def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
     sig_tilde = (marg.mat + 0.5 * eps * blended) / (1.0 + 0.5 * eps)
     trace.sigma_tilde = DensityMatrix(HermitianOperator(shape, sig_tilde))
 
-    n_red = schedule.reduced_copies
-    factor = (2.0 ** (N * (y + binary_entropy(R / (N - M)))) * N ** 2
-              / mu ** 3 * (1.0 + 0.5 * eps))
-    rho_red = opalg.tensor_power(trace.rho.op, n_red)
+    factor = 2.0 ** _log2_dominance_factor(trace, schedule)
+    rho_red = opalg.tensor_power(trace.rho.op, schedule.reduced_copies)
     margin = float(eigh(factor * sig_tilde - rho_red.mat)[0][0])
     trace.add(Certificate("assembled power-state dominance", margin, CERT_TOL))
 
-    cap = 2.0 * mu ** 2 * (2.0 * math.sqrt(2.0)
-                           + 2.0 * math.sqrt(2.0 * R) * mu / N)
-    decay_margin = cap * 2.0 ** (-y * N) - eps
+    cap = 2.0 * mu ** 2 * (2.0 * math.sqrt(2.0) + b * mu)
+    decay_margin = cap / threshold - eps
     trace.add(Certificate("mixing-weight decay", decay_margin, 1e-12))
 
 
@@ -253,14 +262,11 @@ def _truncation_certificates(trace: PipelineTrace, schedule: Schedule,
     """
     N, M, R = schedule.N, schedule.M, schedule.R
     mu = trace.mu_N
-
-    def weight(x: float) -> float:
-        return 2.0 * math.sqrt(2.0) / x * math.exp(-M * R / (2.0 * N))
-
     trace.add(Certificate("tail-truncation distance bound",
-                          weight(overlap) - dist, CERT_TOL))
+                          _conditioning_weight(N, M, R, overlap) - dist,
+                          CERT_TOL))
     delta = opalg.normalized_positive_part(after - before, after)
-    gap = reduced / mu ** 2 + weight(mu) * delta - after
+    gap = reduced / mu ** 2 + _conditioning_weight(N, M, R, mu) * delta - after
     trace.add(Certificate("conditioned-to-truncated dominance",
                           float(eigh(gap)[0][0]), CERT_TOL))
     return delta
@@ -274,7 +280,6 @@ def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
 
     pair = symmetry.perm_invariant_purification(trace.rho, trace.rho_N)
     ovl = pair.overlap
-    trace.overlap = ovl
     trace.add(Certificate("purification overlap floor", ovl - mu, CERT_TOL))
 
     v1, reduced, cert_cond = symmetry.conditioned_state(pair, M)
@@ -301,65 +306,59 @@ def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     return trace
 
 
-def _step2_reduced(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
-    """Unpurified route for pure base states: conditioning and truncation act
-    on rho_N itself, with the fidelity floor taken from the first step."""
+def _step2_reduced(trace: PipelineTrace, schedule: Schedule,
+                   q: PureState) -> PipelineTrace:
+    """Unpurified route for a pure base state q: conditioning and truncation
+    act on rho_N itself, with the fidelity floor taken from the first step.
+    rho_N is read in q's frame (``symmetry._defect_frame``), where q^{x M}
+    is the first string of M factors: conditioning is a slice, the cut a
+    mask, and the certificates are spectra, which the frame keeps."""
     N, M, R = schedule.N, schedule.M, schedule.R
     d = trace.rho.total_dim
     mu = trace.mu_N
     trace.schedule = schedule
 
-    w, V = trace.rho.eig()
-    q = PureState(trace.rho.shape, V[:, -1])
-    rho_N_mat = trace.rho_N.mat
-    if M:
-        q_m = opalg.kron_power(q.vec, M)
-        dm, dn = d ** M, d ** (N - M)
-        t = rho_N_mat.reshape(dm, dn, dm, dn)
-        block = np.einsum("a,abcd,c->bd", q_m.conj(), t, q_m)
-    else:
-        block = rho_N_mat
-    weight = float(np.trace(block).real)
+    U, defects = symmetry._defect_frame(q, N - M)
+    framed = symmetry._conjugate_factors(trace.rho_N.mat, U.conj().T, N)
+    t = framed.reshape((d ** M, d ** (N - M)) * 2)
+    weight = float(np.trace(t[0, :, 0, :]).real)
     if weight <= 1e-12:
         raise PremiseFailed("conditioning annihilated rho_N")
-    shape_nm = SystemShape((d,) * (N - M))
-    rho_nm = HermitianOperator(shape_nm, block / weight)
-    reduced = opalg.partial_trace(trace.rho_N.op, range(M))
-    gap = reduced.mat / mu ** 2 - rho_nm.mat
+    rho_nm = t[0, :, 0, :] / weight
+    reduced = np.trace(t, axis1=0, axis2=2)
     trace.add(Certificate("conditioned-state dominance",
-                          float(eigh(gap)[0][0]), 1e-9))
+                          float(eigh(reduced / mu ** 2 - rho_nm)[0][0]),
+                          symmetry.CONDITIONING_TOL))
 
-    # defect projector with respect to the base ray
-    comps_proj = symmetry.defect_projector(q, N - M, R)
-    kept = comps_proj @ rho_nm.mat @ comps_proj
+    kept = rho_nm * np.outer(defects <= R, defects <= R)
     p_keep = float(np.trace(kept).real)
     if p_keep <= 1e-12:
         raise PremiseFailed("tail truncation annihilated the state")
-    rho_r = HermitianOperator(shape_nm, kept / p_keep)
-    dist = opalg.trace_norm(rho_r.mat - rho_nm.mat)
-    delta_nm_mat = _truncation_certificates(trace, schedule, mu, dist,
-                                            reduced.mat, rho_nm.mat,
-                                            rho_r.mat)
+    rho_r = kept / p_keep
+    dist = opalg.trace_norm(rho_r - rho_nm)
+    delta_nm = _truncation_certificates(trace, schedule, mu, dist, reduced,
+                                        rho_nm, rho_r)
 
-    delta_nm = opalg.partial_trace(HermitianOperator(shape_nm, delta_nm_mat),
-                                   range(R))
-    delta_nmr = opalg.partial_trace(rho_r, range(R))
-    _assemble_sigma_tilde(trace, schedule, delta_nm, delta_nmr)
+    def system_marginal(mat: np.ndarray) -> HermitianOperator:
+        """Trace out the first R factors, then leave the frame."""
+        tail = opalg.partial_trace(
+            HermitianOperator(SystemShape((d,) * (N - M)), mat), range(R))
+        return HermitianOperator(tail.shape, symmetry._conjugate_factors(
+            tail.mat, U, schedule.reduced_copies))
+
+    _assemble_sigma_tilde(trace, schedule, system_marginal(delta_nm),
+                          system_marginal(rho_r))
     return trace
 
 
 def relent_bound_certificate(trace: PipelineTrace,
                              schedule: Schedule) -> Certificate:
     """Relative-entropy consequence of the assembled dominance."""
-    N, M, R = schedule.N, schedule.M, schedule.R
-    n_red = schedule.reduced_copies
-    rho_red = opalg.tensor_power(trace.rho.op, n_red)
+    rho_red = opalg.tensor_power(trace.rho.op, schedule.reduced_copies)
     dval = relative_entropy(rho_red, trace.sigma_tilde).value
-    bound = (N * (trace.y + binary_entropy(R / (N - M)))
-             + math.log2(N ** 2 / trace.mu_N ** 3)
-             + math.log2(1.0 + 0.5 * trace.eps_N))
-    margin = bound - dval
-    cert = Certificate("relative-entropy budget", margin, CERT_TOL)
+    cert = Certificate("relative-entropy budget",
+                       _log2_dominance_factor(trace, schedule) - dval,
+                       CERT_TOL)
     trace.add(cert)
     return cert
 
@@ -396,8 +395,8 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     as the better of the family minimum and a line of mixtures toward the
     power state, searched within the allowed distance.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     N = family.copies
     rho_pow = opalg.tensor_power(rho.op, N)
     res = rel_ent_of_resource(rho_pow, family, settings)

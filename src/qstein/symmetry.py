@@ -6,7 +6,7 @@ invariant purifications, and the conditioning/truncation constructions used
 by the certificate pipeline.
 
 Almost power states, the symmetric vectors with at most R factors off a
-base ray, are drawn, graded and projected in one frame, ``_defect_frame``.
+base ray, are drawn and cut in one frame, ``_defect_frame``.
 
 Conventions: purified systems store one (system, environment) pair per copy
 as a single subsystem of dimension d^2, so copy permutations act on whole
@@ -33,6 +33,7 @@ from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     eigh, partial_trace_pure, sqrt_psd)
 
 SYM_DIM_CAP = 4096
+CONDITIONING_TOL = 1e-9
 
 
 def sym_dim(n: int, d: int) -> int:
@@ -140,55 +141,50 @@ def _rotate_factors(t: np.ndarray, U: np.ndarray) -> np.ndarray:
     return t
 
 
+def _conjugate_factors(a: np.ndarray, U: np.ndarray, n: int) -> np.ndarray:
+    """U^{x n} a U^{x n dag} for a matrix a on n factors of U's size: each
+    copy's (row, column) factor pair is rotated by U x conj(U)."""
+    d = U.shape[0]
+    pairs = opalg.blocks_to_pairs(a.reshape(-1), d, d, n)
+    out = _rotate_factors(pairs.reshape((d * d,) * n), np.kron(U, U.conj()))
+    return opalg.pairs_to_blocks(out.reshape(-1), d, d, n).reshape(a.shape)
+
+
 def _defect_frame(base: PureState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The base ray's frame on n factors: a unitary U whose first column is
-    the base vector, and the defect count (digits other than 0, factors off
-    the ray) of each of the d^n basis strings of U^{x n}."""
+    the base vector, and the defect count (digits other than 0) of each of
+    the d^n basis strings of U^{x n}; U^dag on every factor enters it."""
     d = base.shape.total_dim
     U = _unitary_with_first_column(base.vec)
     digits = np.array(np.unravel_index(np.arange(d ** n), (d,) * n))
     return U, (digits != 0).sum(axis=0)
 
 
-def defect_projector(base: PureState, n: int, R: int) -> np.ndarray:
-    """Projector onto the components of n factors with at most R factors
-    off the base ray."""
-    U, defects = _defect_frame(base, n)
-    mask = (defects <= R).astype(float)
-    u_n = opalg.kron_power(U, n)
-    return (u_n * mask) @ u_n.conj().T
-
-
-def grade_by_defect(v: PureState, base: PureState) -> list[np.ndarray]:
-    """Split v into components with exactly r factors outside the base ray.
-
-    Returns a list of length n+1 of (generally unnormalized) vectors in the
-    original basis whose sum is v.
-    """
+def _in_frame(v: PureState, base: PureState
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """v's amplitudes on the strings of the base ray's frame, with the
+    frame's U and defect counts."""
     dims = v.shape.dims
-    d = dims[0]
-    if any(x != d for x in dims) or base.shape.total_dim != d:
-        raise ValueError("grading needs equal factor dimensions matching the base")
-    n = len(dims)
-    U, defects = _defect_frame(base, n)
-    rotated = _rotate_factors(v.vec.reshape(dims), U.conj().T).reshape(-1)
-    return [_rotate_factors(np.where(defects == r, rotated, 0.0).reshape(dims),
-                            U).reshape(-1)
-            for r in range(n + 1)]
+    if any(x != base.shape.total_dim for x in dims):
+        raise ValueError("the frame needs factors of the base's dimension")
+    U, defects = _defect_frame(base, len(dims))
+    amps = _rotate_factors(v.vec.reshape(dims), U.conj().T).reshape(-1)
+    return amps, U, defects
 
 
 def truncate_to_almost_power(v: PureState, base: PureState,
                              R: int) -> tuple[PureState, float]:
     """Keep the defect-<=R part of a symmetric v, renormalized.
 
-    Returns the truncated state and its trace distance to v (for pure states
-    the trace distance is 2 sqrt(1 - |overlap|^2)).
+    Returns the truncated state, masked in the base ray's frame, and its
+    trace distance to v (for pure states 2 sqrt(1 - |overlap|^2)).
     """
     res = sym_residual(v)
     if res > 1e-8:
         raise NotPermutationInvariant(f"symmetric-subspace residual {res:.3e}")
-    comps = grade_by_defect(v, base)
-    kept = np.sum(comps[: R + 1], axis=0)
+    amps, U, defects = _in_frame(v, base)
+    kept = _rotate_factors(np.where(defects <= R, amps, 0.0).reshape(
+        v.shape.dims), U).reshape(-1)
     nrm = float(np.linalg.norm(kept))
     if nrm < 1e-12:
         raise ZeroNorm("truncation annihilated the state")
@@ -335,21 +331,22 @@ def conditioned_state(pair: PurificationPair, m_condition: int
     reduced = partial_trace_pure(rho_N_pur, range(m))
     gap = reduced.mat / pair.overlap ** 2 - np.outer(cond.vec, cond.vec.conj())
     margin = float(eigh(gap)[0][0])
-    cert = Certificate("conditioned-state dominance", margin, 1e-9)
+    cert = Certificate("conditioned-state dominance", margin, CONDITIONING_TOL)
     return cond, reduced, cert
 
 
 def beta_truncation_delta(v: PureState, base: PureState, N: int) -> np.ndarray:
     """Correction state for dropping the small-amplitude defect sectors of v.
 
-    Sectors with amplitude below 1/N are removed and the vector renormalized;
-    the returned state is the normalized positive part of the difference of
-    projectors (the projector of v itself when nothing is dropped).
+    Sectors (defect counts in the base ray's frame) with norm below 1/N are
+    masked out and the vector renormalized; the returned state is the
+    normalized positive part of the difference of projectors (the projector
+    of v itself when nothing is dropped).
     """
-    comps = grade_by_defect(v, base)
-    norms = np.array([float(np.linalg.norm(c)) for c in comps])
-    keep = norms >= 1.0 / N
-    kept = np.sum([c for c, k in zip(comps, keep) if k], axis=0)
+    amps, U, defects = _in_frame(v, base)
+    norms = np.sqrt(np.bincount(defects, np.abs(amps) ** 2))
+    kept = _rotate_factors(np.where(norms[defects] >= 1.0 / N, amps,
+                                    0.0).reshape(v.shape.dims), U).reshape(-1)
     knorm = float(np.linalg.norm(kept))
     proj_v = np.outer(v.vec, v.vec.conj())
     if knorm < 1e-12:

@@ -123,8 +123,8 @@ def check_dominated_state(trials: int, seed: int) -> CheckResult:
         delta_raw = pos_mat(rng, n)
         delta = HermitianOperator(shape, t * delta_raw / np.trace(delta_raw).real)
         x = opalg.positive_part(rho.op - delta)
-        tilde, cert = pipeline.dominated_state(rho, x, delta)
-        margins.append(cert.margin)
+        _, m_op, m_fid = pipeline.dominated_state(rho, x, delta)
+        margins.append(min(m_op, m_fid))
     return CheckResult("dominated-state", np.array(margins), 1e-9)
 
 

@@ -12,7 +12,6 @@ from qstein.freesets import DiagonalFamily, SingletonIIDFamily
 from qstein.opalg import DensityMatrix, HermitianOperator, SystemShape
 from qstein.optim import SolverSettings
 
-RNG = np.random.default_rng(424)
 SET = SolverSettings(max_iters=256, tol=1e-7, seed=0)
 H08 = binary_entropy(0.8)
 
@@ -51,11 +50,12 @@ class TestSchedule:
 
 class TestDominatedState:
     def test_delta_zero(self):
-        rho = rand.random_density(RNG, SystemShape((3,)))
+        rng = np.random.default_rng(424)
+        rho = rand.random_density(rng, SystemShape((3,)))
         x = HermitianOperator(rho.shape, rho.mat * 1.0)
         zero = HermitianOperator(rho.shape, np.zeros((3, 3)))
-        tilde, cert = pipeline.dominated_state(rho, x, zero)
-        assert cert.margin >= -1e-10
+        tilde, m_op, m_fid = pipeline.dominated_state(rho, x, zero)
+        assert min(m_op, m_fid) >= -1e-10
         assert np.abs(tilde.mat - rho.mat).max() < 1e-9
 
     def test_commuting_case(self):
@@ -63,8 +63,8 @@ class TestDominatedState:
         rho = opalg.maximally_mixed(shape)
         x = HermitianOperator(shape, 0.5 * np.eye(2))
         delta = HermitianOperator(shape, 0.05 * np.eye(2))
-        tilde, cert = pipeline.dominated_state(rho, x, delta)
-        assert cert.passed
+        tilde, m_op, m_fid = pipeline.dominated_state(rho, x, delta)
+        assert min(m_op, m_fid) >= -pipeline.DOMINATED_STATE_TOL
         assert opalg.fidelity(tilde.op, rho.op) >= 0.9 - 1e-10
 
     def test_premise_violated(self):
@@ -95,6 +95,22 @@ class TestStep1:
         assert symmetry.is_perm_invariant(trace.rho_N.op, 1e-8)
         assert trace.all_passed
 
+    def test_step1_checks_each_conclusion_once(self, monkeypatch):
+        # the lemma's two conclusions are step 1's: one fidelity, and the
+        # value read off the one positive part
+        calls = {"fidelity": 0, "positive_part_trace": 0}
+        for name in calls:
+            def spy(*args, _f=getattr(opalg, name), _name=name):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(opalg, name, spy)
+        trace = pipeline.step1(coherence_qubit(), H08, 4,
+                               DiagonalFamily(2, 1), SET)
+        assert calls == {"fidelity": 1, "positive_part_trace": 0}
+        rows = {c.name: c.margin for c in trace.certificates}
+        assert rows["dominated-state construction"] == min(
+            rows["step1 operator dominance"], rows["step1 fidelity floor"])
+
 
 def synthetic_iid_trace(p=0.8, N=4, y=1.2):
     """Trace where rho_N is exactly IID; the chain collapses."""
@@ -110,7 +126,6 @@ def synthetic_iid_trace(p=0.8, N=4, y=1.2):
     trace = pipeline.PipelineTrace(rho=rho, y=y, N=N, family=fam, mu_N=mu,
                                    sigma_N=DensityMatrix(sigma),
                                    rho_N=DensityMatrix(power))
-    trace.overlap = 1.0
     return trace
 
 
@@ -201,6 +216,13 @@ class TestAsymFreeCertificate:
 
 
 class TestSandwich:
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        # rejected before the relative-entropy solve, not inside it
+        with pytest.raises(ValueError, match="eps"):
+            pipeline.finite_n_sandwich(coherence_qubit(),
+                                       DiagonalFamily(2, 2), eps, SET)
+
     def test_upper_bound_is_set_inclusion(self):
         rep = pipeline.finite_n_sandwich(coherence_qubit(),
                                          DiagonalFamily(2, 3), 1e-4, SET)

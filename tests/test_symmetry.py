@@ -60,12 +60,19 @@ class TestAlmostPower:
 
     @staticmethod
     def _graded_draws():
-        """(v, grade_by_defect(v, base), R) for draws at two (d, n, R)."""
+        """(v, its components with exactly r factors off the base ray for
+        r = 0..n, R) for draws at two (d, n, R)."""
         rng = np.random.default_rng(12)
         for d, n, R in [(2, 4, 2), (3, 3, 1)]:
             base = rand.random_pure(rng, SystemShape((d,)))
             v = symmetry.random_almost_power(rng, base, n, R)
-            yield v, symmetry.grade_by_defect(v, base), R
+            U, defects = symmetry._defect_frame(base, n)
+            amps = symmetry._rotate_factors(v.vec.reshape((d,) * n),
+                                            U.conj().T).reshape(-1)
+            comps = [symmetry._rotate_factors(
+                np.where(defects == r, amps, 0.0).reshape((d,) * n),
+                U).reshape(-1) for r in range(n + 1)]
+            yield v, comps, R
 
     def test_single_defect_orthogonal_to_power(self):
         # the defect components, the power's among them, are orthogonal
@@ -94,15 +101,25 @@ class TestAlmostPower:
 
 
 @pytest.mark.parametrize("d,n", [(2, 5), (3, 3)])
-def test_defect_projector_matches_grading(d, n):
-    # the frame's two readers agree on a non-symmetric vector, at every R
+def test_truncation_matches_dense_projector(d, n):
+    # the masked frame equals the dense projector U^{xn} diag(defects <= R)
+    # U^{xn dag} at every R, and the frame conjugation equals the dense one
     rng = np.random.default_rng(15)
     base = rand.random_pure(rng, SystemShape((d,)))
-    w = rand.random_pure(rng, SystemShape((d,) * n))
-    comps = symmetry.grade_by_defect(w, base)
+    iso = symmetry.sym_isometry(n, d)
+    coeff = (rng.standard_normal(iso.shape[1])
+             + 1j * rng.standard_normal(iso.shape[1]))
+    v = opalg.pure(iso @ coeff, (d,) * n)
+    U, defects = symmetry._defect_frame(base, n)
+    u_n = opalg.kron_power(U, n)
     for R in range(n + 1):
-        kept = symmetry.defect_projector(base, n, R) @ w.vec
-        assert np.abs(kept - np.sum(comps[:R + 1], axis=0)).max() <= 1e-12
+        proj = (u_n * (defects <= R)) @ u_n.conj().T
+        want = proj @ v.vec
+        out, _ = symmetry.truncate_to_almost_power(v, base, R)
+        assert np.abs(out.vec - want / np.linalg.norm(want)).max() <= 1e-12
+    a = rand.random_density(rng, SystemShape((d,) * n)).mat
+    assert np.abs(symmetry._conjugate_factors(a, U, n)
+                  - u_n @ a @ u_n.conj().T).max() <= 1e-12
 
 
 class TestTruncation:
