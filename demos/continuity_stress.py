@@ -31,10 +31,8 @@ def probe(m: float):
     flip = np.diag([1.0 - m, m])
     s2 = opalg.density((1.0 - t) * s1.mat + t * flip)
     eps = opalg.trace_norm(s1.mat - s2.mat)
-    d1 = relative_entropy(rho, s1).value
-    d2 = relative_entropy(rho, s2).value
-    lhs = abs(d1 - d2)
-    rhs = relent_continuity_bound(m, eps).bound_value
+    lhs = abs(relative_entropy(rho, s1) - relative_entropy(rho, s2))
+    rhs = relent_continuity_bound(m, eps)
     return eps, lhs, rhs
 
 

@@ -21,7 +21,7 @@ from . import opalg, pipeline, verify
 from .errors import (CertificateFailed, DimensionCap, PremiseOutOfInterval,
                      QSteinError)
 from .freesets import parse_family_spec
-from .opalg import DensityMatrix, HermitianOperator, SystemShape
+from .opalg import DensityMatrix, SystemShape
 from .optim import (SolverSettings, _threshold, hypothesis_dual,
                     hypothesis_primal, min_positive_part)
 
@@ -67,19 +67,16 @@ def state_from_spec(spec: str) -> DensityMatrix:
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"coherence weight must be in [0,1], got {p}")
         v = np.array([math.sqrt(p), math.sqrt(1.0 - p)])
-        return DensityMatrix(HermitianOperator(SystemShape((2,)),
-                                               np.outer(v, v)))
+        return DensityMatrix(SystemShape((2,)), np.outer(v, v))
     if s == "bell":
         v = np.zeros(4)
         v[0] = v[3] = 1.0 / math.sqrt(2.0)
-        return DensityMatrix(HermitianOperator(SystemShape((4,)),
-                                               np.outer(v, v)))
+        return DensityMatrix(SystemShape((4,)), np.outer(v, v))
     if s.startswith("classical:"):
         p = float(s.split(":", 1)[1])
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"classical weight must be in [0,1], got {p}")
-        return DensityMatrix(HermitianOperator(SystemShape((2,)),
-                                               np.diag([p, 1.0 - p])))
+        return DensityMatrix(SystemShape((2,)), np.diag([p, 1.0 - p]))
     if os.path.exists(s):
         return opalg.load_density(s)
     raise ConfigError(f"unknown state spec {spec!r}")
@@ -115,7 +112,7 @@ def _exponent_row(rho, fam_spec, n, y_grid, settings):
     """
     rows = []
     family = parse_family_spec(fam_spec, rho.total_dim, n)
-    power = opalg.tensor_power(rho.op, n)
+    power = opalg.tensor_power(rho, n)
     start = None
     for y in sorted(y_grid):
         res = min_positive_part(power, _threshold(y, n), family, settings,
@@ -241,7 +238,7 @@ def cmd_pn(args) -> int:
         raise ConfigError("pn needs either 'k' or 'y' (with 'n') in the config")
     settings = _settings_from(cfg, args)
     family = parse_family_spec(cfg["family"], rho.total_dim, n)
-    eta = opalg.tensor_power(rho.op, n)
+    eta = opalg.tensor_power(rho, n)
     primal = hypothesis_primal(eta, K, family, settings)
     dual = hypothesis_dual(eta, K, family, settings)
     print(f"primal = {_fmt(primal)}")

@@ -3,13 +3,14 @@
 All logarithms are base 2.  The relative entropy is infinite when the first
 argument leaks weight outside the support of the second; the leak is measured
 numerically and compared with an explicit tolerance, since the dichotomy
-"finite iff supported" needs a concrete criterion in floating point.
+"finite iff supported" needs a concrete criterion in floating point.  Every
+functional returns a plain float, ``math.inf`` for an infinite relative
+entropy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,28 +21,6 @@ from .opalg import DensityMatrix, HermitianOperator, eigh
 
 SUPPORT_LEAK_TOL = 1e-9
 DOMINANCE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RelEntResult:
-    """Value of a relative entropy together with its support diagnostics."""
-
-    value: float  # math.inf when the support condition fails
-    support_violation: bool
-    support_leak: float
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
-
-
-@dataclass(frozen=True)
-class ContinuityBound:
-    """Evaluated continuity bound 3 log2^2(1/m) / (1-m) * sqrt(eps/2)."""
-
-    m_tilde: float
-    epsilon: float
-    bound_value: float
 
 
 def binary_entropy(p: float) -> float:
@@ -69,9 +48,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return -_tr_x_log_x(rho.mat)
 
 
-def relative_entropy(rho: DensityMatrix | HermitianOperator,
-                     sigma: DensityMatrix | HermitianOperator) -> RelEntResult:
-    """Tr[rho (log2 rho - log2 sigma)], infinite outside sigma's support.
+def relative_entropy(rho: HermitianOperator,
+                     sigma: HermitianOperator) -> float:
+    """Tr[rho (log2 rho - log2 sigma)] in bits, math.inf outside sigma's
+    support.
 
     The support test projects rho onto the null space of sigma
     (``opalg._support_split``) and compares the leaked weight against
@@ -86,10 +66,10 @@ def relative_entropy(rho: DensityMatrix | HermitianOperator,
         leak = float(np.einsum("ij,jk,ki->", null_cols.conj().T, rho.mat,
                                null_cols).real)
     if leak > SUPPORT_LEAK_TOL:
-        return RelEntResult(math.inf, True, leak)
+        return math.inf
     log_sigma = (V[:, on] * np.log2(w[on])) @ V[:, on].conj().T
     tr_rho_log_sigma = float(np.trace(rho.mat @ log_sigma).real)
-    return RelEntResult(_tr_x_log_x(rho.mat) - tr_rho_log_sigma, False, leak)
+    return _tr_x_log_x(rho.mat) - tr_rho_log_sigma
 
 
 def entropy_continuity_bound(d: int, eps: float) -> float:
@@ -99,14 +79,15 @@ def entropy_continuity_bound(d: int, eps: float) -> float:
     return 2.0 * eps * math.log2(d) + binary_entropy(2.0 * eps)
 
 
-def relent_continuity_bound(m_tilde: float, eps: float) -> ContinuityBound:
-    """Continuity of D(rho||.) over states dominating m_tilde * rho."""
+def relent_continuity_bound(m_tilde: float, eps: float) -> float:
+    """Continuity of D(rho||.) over states dominating m_tilde * rho: the
+    bound 3 log2^2(1/m_tilde) / (1 - m_tilde) * sqrt(eps/2)."""
     if not 0.0 < m_tilde < 1.0:
         raise ValueError(f"m_tilde must lie in (0,1), got {m_tilde}")
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    bound = 3.0 * math.log2(1.0 / m_tilde) ** 2 / (1.0 - m_tilde) * math.sqrt(eps / 2.0)
-    return ContinuityBound(m_tilde, eps, bound)
+    return (3.0 * math.log2(1.0 / m_tilde) ** 2 / (1.0 - m_tilde)
+            * math.sqrt(eps / 2.0))
 
 
 def relent_upper_bound(sigma: DensityMatrix) -> float:
@@ -122,11 +103,10 @@ def dominance_to_relent_bound(rho: DensityMatrix, sigma: DensityMatrix,
     """From rho <= alpha sigma (checked) conclude D(rho||sigma) <= log2 alpha."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    gap = alpha * sigma.op - rho.op
+    gap = alpha * sigma - rho
     lam = gap.lambda_min()
     if lam < -DOMINANCE_TOL:
         raise PremiseFailed(f"rho <= alpha sigma fails: lambda_min = "
                             f"{lam:.3e} < -{DOMINANCE_TOL:.0e}")
-    d = relative_entropy(rho, sigma)
-    margin = math.log2(alpha) - d.value
+    margin = math.log2(alpha) - relative_entropy(rho, sigma)
     return Certificate("dominance-to-relative-entropy", margin, DOMINANCE_TOL)

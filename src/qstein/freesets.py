@@ -23,13 +23,13 @@ Supported kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
 from . import opalg
 from .errors import NoFullRankMember, ShapeMismatch
 from .opalg import DensityMatrix, HermitianOperator, SystemShape
+from .rand import random_density
 
 EXACT_MEMBER_TOL = 1e-8
 SEP_MEMBER_TOL = 1e-3
@@ -108,20 +108,6 @@ def _ray(vec: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
-@lru_cache(maxsize=None)
-def _type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Type-class label of every basis string of n digits base d, and the
-    size of each class."""
-    digits = np.indices((d,) * n).reshape(n, -1)
-    counts = np.stack([(digits == a).sum(axis=0) for a in range(d)], axis=1)
-    _, labels = np.unique(counts, axis=0, return_inverse=True)
-    labels = labels.reshape(-1)
-    sizes = np.bincount(labels).astype(float)
-    labels.setflags(write=False)
-    sizes.setflags(write=False)
-    return labels, sizes
-
-
 @dataclass(frozen=True)
 class DiagonalFamily(FreeFamily):
     """States diagonal in the computational product basis (free coherence)."""
@@ -141,7 +127,7 @@ class DiagonalFamily(FreeFamily):
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
         p = rng.dirichlet(np.ones(self.total_dim))
-        return DensityMatrix(HermitianOperator(self.shape, np.diag(p)))
+        return DensityMatrix(self.shape, np.diag(p))
 
 
 @dataclass(frozen=True)
@@ -160,10 +146,6 @@ class SingletonIIDFamily(FreeFamily):
         m.setflags(write=False)
         object.__setattr__(self, "sigma0", m)
 
-    def _member(self) -> HermitianOperator:
-        return HermitianOperator(self.shape,
-                                 opalg.kron_power(self.sigma0, self.copies))
-
     def membership_defect(self, sigma: DensityMatrix) -> float:
         return opalg.trace_norm(
             sigma.mat - opalg.kron_power(self.sigma0, self.copies))
@@ -175,10 +157,12 @@ class SingletonIIDFamily(FreeFamily):
         # sigma0^{x N} is singular exactly when sigma0 is
         if opalg.eigh(self.sigma0)[0][0] <= 0.0:
             raise NoFullRankMember("sigma0 is singular")
-        return self._member()
+        return HermitianOperator(self.shape,
+                                 opalg.kron_power(self.sigma0, self.copies))
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
-        return DensityMatrix(self._member())
+        return DensityMatrix(self.shape,
+                             opalg.kron_power(self.sigma0, self.copies))
 
 
 @dataclass(frozen=True)
@@ -194,7 +178,6 @@ class FullSpaceFamily(FreeFamily):
         return _ray(opalg.eigh(grad)[1][:, 0])
 
     def random_member(self, rng: np.random.Generator) -> DensityMatrix:
-        from .rand import random_density
         return random_density(rng, self.shape)
 
 
@@ -302,7 +285,7 @@ class SeparableHullFamily(FreeFamily):
                                                 b / np.linalg.norm(b)),
                                         self.dim_a, self.dim_b, n)
             m += w * np.outer(vec, vec.conj())
-        return DensityMatrix(HermitianOperator(self.shape, m))
+        return DensityMatrix(self.shape, m)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +311,7 @@ def check_property(family: FreeFamily, property_id: int, trials: int,
             s1 = family.random_member(rng)
             s2 = family.random_member(rng)
             t = float(rng.uniform())
-            mix = DensityMatrix(HermitianOperator(
-                family.shape, t * s1.mat + (1.0 - t) * s2.mat))
+            mix = DensityMatrix(family.shape, t * s1.mat + (1.0 - t) * s2.mat)
             margins.append(tol - family.membership_defect(mix))
         elif property_id == 2:
             w = family.full_rank_witness()
@@ -339,20 +321,23 @@ def check_property(family: FreeFamily, property_id: int, trials: int,
             fam_lo = family.at_copies(n_hi - 1)
             member = fam_hi.random_member(rng)
             which = int(rng.integers(n_hi))
-            red = opalg.partial_trace(member.op, [which])
-            margins.append(tol - fam_lo.membership_defect(DensityMatrix(red)))
+            red = opalg.partial_trace(member, [which])
+            margins.append(tol - fam_lo.membership_defect(
+                DensityMatrix(red.shape, red.mat)))
         elif property_id == 4:
             fam_1 = family.at_copies(1)
             fam_n = family.at_copies(n_hi)
             member = fam_1.random_member(rng)
-            power = opalg.tensor_power(member.op, n_hi)
-            margins.append(tol - fam_n.membership_defect(DensityMatrix(power)))
+            power = opalg.tensor_power(member, n_hi)
+            margins.append(tol - fam_n.membership_defect(
+                DensityMatrix(power.shape, power.mat)))
         else:
             fam_hi = family.at_copies(n_hi)
             member = fam_hi.random_member(rng)
             perm = [int(i) for i in rng.permutation(n_hi)]
-            moved = opalg.permute_subsystems(member.op, perm)
-            margins.append(tol - fam_hi.membership_defect(DensityMatrix(moved)))
+            moved = opalg.permute_subsystems(member, perm)
+            margins.append(tol - fam_hi.membership_defect(
+                DensityMatrix(moved.shape, moved.mat)))
     return PropertyReport(property_id, trials, float(min(margins)))
 
 

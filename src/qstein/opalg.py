@@ -2,8 +2,14 @@
 
 Everything downstream (entropies, solvers, symmetric-subspace machinery, the
 certificate pipeline) is built on the handful of primitives in this module.
-All spectral computations route through a single eigendecomposition backend,
-:func:`eigh`, so there is exactly one numerical kernel to trust.
+Every spectral computation routes through a single eigendecomposition
+backend, :func:`eigh`, so there is exactly one numerical kernel to trust;
+the one exception is the polar factor in
+:func:`symmetry.perm_invariant_purification`, taken from ``np.linalg.svd``.
+
+A :class:`DensityMatrix` is a :class:`HermitianOperator` that passed the
+state check, so every operation here takes a state where it takes an
+operator.
 
 Values are immutable after construction and every operation is a pure
 function, so concurrent use from several threads is safe.
@@ -17,13 +23,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import NegativeEigenvalue, NotTracePreserving, ShapeMismatch
+from .errors import (DimensionCap, NegativeEigenvalue, NotTracePreserving,
+                     ShapeMismatch)
 
 # Numerical policy.  The algebra assumes exact arithmetic; floating point
 # needs explicit cutoffs, collected here.
 PSD_TOL = 1e-10
 SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TRACE_TOL = 1e-10
+# widest dense power: a complex 4096 x 4096 matrix takes 256 MiB
+DENSE_DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -134,40 +143,22 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """PSD unit-trace Hermitian operator."""
-
-    op: HermitianOperator
+class DensityMatrix(HermitianOperator):
+    """A HermitianOperator that passed the state check: finite entries, no
+    eigenvalue below -``PSD_TOL`` and a trace within ``TRACE_TOL`` of 1."""
 
     def __post_init__(self):
-        if not np.isfinite(self.op.mat).all():
+        super().__post_init__()
+        if not np.isfinite(self.mat).all():
             raise ValueError("density matrix has non-finite entries")
-        w = self.op.eigvals()
+        w = self.eigvals()
         if w[0] < -PSD_TOL:
             raise NegativeEigenvalue(
                 f"density matrix has eigenvalue {w[0]:.3e} below -{PSD_TOL:.0e}"
             )
-        tr = self.op.trace()
+        tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} deviates from 1")
-
-    @property
-    def shape(self) -> SystemShape:
-        return self.op.shape
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
-
-    @property
-    def total_dim(self) -> int:
-        return self.op.total_dim
-
-    def eig(self):
-        return self.op.eig()
-
-    def lambda_min(self) -> float:
-        return self.op.lambda_min()
 
 
 @dataclass(frozen=True)
@@ -195,7 +186,7 @@ class PureState:
         return HermitianOperator(self.shape, np.outer(self.vec, self.vec.conj()))
 
     def density(self) -> DensityMatrix:
-        return DensityMatrix(self.projector())
+        return DensityMatrix(self.shape, np.outer(self.vec, self.vec.conj()))
 
 
 def _require_same_shape(a, b) -> None:
@@ -215,7 +206,10 @@ def operator(mat: np.ndarray, dims: Sequence[int] | None = None) -> HermitianOpe
 
 
 def density(mat: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
-    return DensityMatrix(operator(mat, dims))
+    """Validate a square array as a state (single subsystem by default)."""
+    m = np.asarray(mat, dtype=complex)
+    shape = SystemShape(tuple(dims) if dims is not None else (m.shape[0],))
+    return DensityMatrix(shape, m)
 
 
 def pure(vec: np.ndarray, dims: Sequence[int] | None = None) -> PureState:
@@ -230,7 +224,7 @@ def identity(shape: SystemShape) -> HermitianOperator:
 
 def maximally_mixed(shape: SystemShape) -> DensityMatrix:
     n = shape.total_dim
-    return DensityMatrix(HermitianOperator(shape, np.eye(n) / n))
+    return DensityMatrix(shape, np.eye(n) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +251,13 @@ def kron_power(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
+    """n-fold tensor power; DimensionCap, before anything is allocated, when
+    d^n exceeds ``DENSE_DIM_CAP``."""
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
+    if a.total_dim ** n > DENSE_DIM_CAP:
+        raise DimensionCap(f"dense dimension {a.total_dim ** n} exceeds the "
+                           f"{DENSE_DIM_CAP} cap")
     return HermitianOperator(SystemShape(a.shape.dims * n), kron_power(a.mat, n))
 
 
@@ -379,14 +378,9 @@ def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     return (V * inv) @ V.conj().T
 
 
-def fidelity(p: HermitianOperator | DensityMatrix,
-             q: HermitianOperator | DensityMatrix) -> float:
+def fidelity(p: HermitianOperator, q: HermitianOperator) -> float:
     """Trace norm of sqrt(p) sqrt(q) for PSD operators p, q."""
-    pm = p.mat if not isinstance(p, np.ndarray) else p
-    qm = q.mat if not isinstance(q, np.ndarray) else q
-    sp = sqrt_psd(pm)
-    sq = sqrt_psd(qm)
-    return trace_norm_mat(sp @ sq)
+    return trace_norm_mat(sqrt_psd(p.mat) @ sqrt_psd(q.mat))
 
 
 def log2_on_support(a: HermitianOperator) -> HermitianOperator:
@@ -511,9 +505,11 @@ def load_operator(path: str) -> HermitianOperator:
     return HermitianOperator(shape, m)
 
 
-def save_density(rho: DensityMatrix, path: str) -> None:
-    save_operator(rho.op, path)
-
-
 def load_density(path: str) -> DensityMatrix:
-    return DensityMatrix(load_operator(path))
+    """Read a state written by :func:`save_operator`; a matrix that fails
+    the state check raises ValueError naming ``path``."""
+    op = load_operator(path)
+    try:
+        return DensityMatrix(op.shape, op.mat)
+    except (ValueError, NegativeEigenvalue) as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -51,6 +51,7 @@ a dual call on the same inputs, in either order, anneal once.
 Oracles and iterates are plain matrices, and a solver returns its minimizer
 unvalidated, as a ``HermitianOperator``: a ``DensityMatrix`` is built where
 a state enters the program, since its check is a full eigendecomposition.
+A solver's target is a ``HermitianOperator``; a ``DensityMatrix`` is one.
 
 One function, ``_search``, picks the search of every solver.  Where
 ``_TypeClassCoords.of`` holds (the family declares ``type_classes``, there
@@ -79,8 +80,9 @@ import numpy as np
 from . import opalg, symmetry
 from .entropy import _tr_x_log_x
 from .errors import DimensionCap, Infeasible, NoFullRankMember
-from .freesets import FreeFamily, _type_classes
+from .freesets import FreeFamily
 from .opalg import DensityMatrix, HermitianOperator, eigh
+from .symmetry import _type_classes
 
 # weight of the full-rank witness mixed into every relative-entropy probe
 RELENT_FLOOR = 1e-9
@@ -599,10 +601,10 @@ def _search(family: FreeFamily, seed: int, target: np.ndarray,
             coords.read, coords.dense)
 
 
-def min_positive_part(rho: DensityMatrix | HermitianOperator, b: float,
+def min_positive_part(rho: HermitianOperator, b: float,
                       family: FreeFamily,
                       settings: SolverSettings = SolverSettings(),
-                      start: DensityMatrix | HermitianOperator | None = None
+                      start: HermitianOperator | None = None
                       ) -> OptResult:
     """Minimize Tr[(rho - b sigma)_+] over the family.
 
@@ -701,7 +703,7 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     return tracker.best_value, x
 
 
-def hypothesis_dual(eta: DensityMatrix | HermitianOperator, K: float,
+def hypothesis_dual(eta: HermitianOperator, K: float,
                     family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> float:
     """min over b in [0, K] and sigma of Tr[(eta - b sigma)_+] + b/K.
@@ -721,7 +723,7 @@ def hypothesis_dual(eta: DensityMatrix | HermitianOperator, K: float,
     return _dual_search(eta.mat, K, family, settings)[0]
 
 
-def hypothesis_primal(eta: DensityMatrix | HermitianOperator, K: float,
+def hypothesis_primal(eta: HermitianOperator, K: float,
                       family: FreeFamily,
                       settings: SolverSettings = SolverSettings()) -> float:
     """Best acceptance probability Tr[E eta] of a test 0 <= E <= I whose
@@ -861,7 +863,7 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray):
     return probe
 
 
-def rel_ent_of_resource(rho: DensityMatrix | HermitianOperator,
+def rel_ent_of_resource(rho: HermitianOperator,
                         family: FreeFamily,
                         settings: SolverSettings = SolverSettings()) -> OptResult:
     """min over the family of D(rho || sigma).
@@ -898,7 +900,7 @@ def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
             f"dimension {d ** n_max} at n_max={n_max} exceeds cap 1024")
     out = []
     for n in range(1, n_max + 1):
-        res = rel_ent_of_resource(opalg.tensor_power(rho.op, n),
+        res = rel_ent_of_resource(opalg.tensor_power(rho, n),
                                   family.at_copies(n), settings)
         out.append((n, res.value / n, res.converged))
     return out
@@ -955,7 +957,7 @@ def generalized_robustness(rho: DensityMatrix, family: FreeFamily,
 
 def distance_to_family(sigma_tilde: DensityMatrix, family: FreeFamily,
                        settings: SolverSettings = SolverSettings(),
-                       start: DensityMatrix | HermitianOperator | None = None
+                       start: HermitianOperator | None = None
                        ) -> OptResult:
     """min over the family of || sigma_tilde - sigma ||_1.
 

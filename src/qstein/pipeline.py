@@ -29,7 +29,6 @@ from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
 from .optim import (SolverSettings, _threshold, distance_to_family,
                     min_positive_part, rel_ent_of_resource)
 
-PURIFIED_DIM_CAP = 4096
 PREMISE_WINDOW = 1e-4
 CERT_TOL = 1e-8
 DOMINATED_STATE_TOL = 1e-9
@@ -81,7 +80,7 @@ def _epsilon_terms(N: int, M: int, R: int, y: float,
     """Mixing weight eps and the weights a (conditioning) and b (tail
     truncation) of its two approximation steps."""
     a = _conditioning_weight(N, M, R, mu)
-    b = 2.0 * math.sqrt(2.0 * R) / N
+    b = symmetry.truncation_weight(N, R)
     return 2.0 * mu ** 3 / _threshold(y, N) * (a + b), a, b
 
 
@@ -120,7 +119,7 @@ class PipelineTrace:
         return all(c.passed for c in self.certificates)
 
 
-def dominated_state(rho: DensityMatrix | HermitianOperator,
+def dominated_state(rho: HermitianOperator,
                     X: HermitianOperator, Delta: HermitianOperator
                     ) -> tuple[DensityMatrix, float, float]:
     """State close in fidelity to rho and dominated by X/(1 - Tr Delta).
@@ -141,7 +140,7 @@ def dominated_state(rho: DensityMatrix | HermitianOperator,
     tr = float(np.trace(out).real)
     if tr <= 0.0:
         raise ConstructionFailed("contraction annihilated the state")
-    tilde = DensityMatrix(HermitianOperator(rho.shape, out / tr))
+    tilde = DensityMatrix(rho.shape, out / tr)
     bound = X.mat / (1.0 - tr_delta)
     m_op = float(eigh(bound - tilde.mat)[0][0])
     m_fid = opalg.fidelity(tilde, rho) - (1.0 - tr_delta)
@@ -169,10 +168,11 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
         raise DimensionCap(
             f"dense dimension {rho.total_dim ** N} exceeds the 1024 cap")
     trace = PipelineTrace(rho, y, N, family)
-    rho_pow = opalg.tensor_power(rho.op, N)
+    rho_pow = opalg.tensor_power(rho, N)
     b = _threshold(y, N)
     res = min_positive_part(rho_pow, b, family.at_copies(N), settings)
-    sigma_N = DensityMatrix(symmetry.twirl(res.minimizer))
+    sigma_N = DensityMatrix(res.minimizer.shape,
+                            symmetry.twirl(res.minimizer).mat)
     X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
     Delta = opalg.positive_part(rho_pow - X)
     value = Delta.trace()
@@ -201,14 +201,14 @@ def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     d = rho.total_dim
     if schedule.N != N:
         raise ValueError("schedule does not match the trace")
-    if (d * d) ** N <= PURIFIED_DIM_CAP:
+    if (d * d) ** N <= opalg.DENSE_DIM_CAP:
         return _step2_purified(trace, schedule)
     w, V = rho.eig()
-    if w[-1] >= 1.0 - 1e-10 and d ** N <= PURIFIED_DIM_CAP:
+    if w[-1] >= 1.0 - 1e-10 and d ** N <= opalg.DENSE_DIM_CAP:
         trace.reduced_mode = True
         return _step2_reduced(trace, schedule, PureState(rho.shape, V[:, -1]))
     raise DimensionCap(
-        f"purified dimension {(d * d) ** N} exceeds cap {PURIFIED_DIM_CAP} "
+        f"purified dimension {(d * d) ** N} exceeds cap {opalg.DENSE_DIM_CAP} "
         f"and the reduced route needs a pure base state")
 
 
@@ -234,13 +234,13 @@ def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
     trace.c_N = eps * threshold / (2.0 * mu)
     blended = (a * delta_nm.mat + b * delta_nmr.mat) / (a + b)
     shape = delta_nm.shape
-    trace.delta_tilde = DensityMatrix(HermitianOperator(shape, blended))
-    marg = opalg.partial_trace(trace.sigma_N.op, range(M + R))
+    trace.delta_tilde = DensityMatrix(shape, blended)
+    marg = opalg.partial_trace(trace.sigma_N, range(M + R))
     sig_tilde = (marg.mat + 0.5 * eps * blended) / (1.0 + 0.5 * eps)
-    trace.sigma_tilde = DensityMatrix(HermitianOperator(shape, sig_tilde))
+    trace.sigma_tilde = DensityMatrix(shape, sig_tilde)
 
     factor = 2.0 ** _log2_dominance_factor(trace, schedule)
-    rho_red = opalg.tensor_power(trace.rho.op, schedule.reduced_copies)
+    rho_red = opalg.tensor_power(trace.rho, schedule.reduced_copies)
     margin = float(eigh(factor * sig_tilde - rho_red.mat)[0][0])
     trace.add(Certificate("assembled power-state dominance", margin, CERT_TOL))
 
@@ -354,8 +354,8 @@ def _step2_reduced(trace: PipelineTrace, schedule: Schedule,
 def relent_bound_certificate(trace: PipelineTrace,
                              schedule: Schedule) -> Certificate:
     """Relative-entropy consequence of the assembled dominance."""
-    rho_red = opalg.tensor_power(trace.rho.op, schedule.reduced_copies)
-    dval = relative_entropy(rho_red, trace.sigma_tilde).value
+    rho_red = opalg.tensor_power(trace.rho, schedule.reduced_copies)
+    dval = relative_entropy(rho_red, trace.sigma_tilde)
     cert = Certificate("relative-entropy budget",
                        _log2_dominance_factor(trace, schedule) - dval,
                        CERT_TOL)
@@ -367,7 +367,7 @@ def asym_free_certificate(trace: PipelineTrace, schedule: Schedule,
                           family_reduced: FreeFamily,
                           settings: SolverSettings = SolverSettings()) -> Certificate:
     """Certify that sigma_tilde sits within eps_N of the free family."""
-    marg = opalg.partial_trace(trace.sigma_N.op, range(schedule.M + schedule.R))
+    marg = opalg.partial_trace(trace.sigma_N, range(schedule.M + schedule.R))
     res = distance_to_family(trace.sigma_tilde, family_reduced, settings,
                              start=marg)
     cert = Certificate("near-free distance", trace.eps_N - res.value, 1e-6)
@@ -398,15 +398,14 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     N = family.copies
-    rho_pow = opalg.tensor_power(rho.op, N)
+    rho_pow = opalg.tensor_power(rho, N)
     res = rel_ent_of_resource(rho_pow, family, settings)
     d_free = res.value
     sigma_star = res.minimizer.mat
 
     def candidate(t: float) -> float:
         mix = (sigma_star + t * rho_pow.mat) / (1.0 + t)
-        return relative_entropy(rho_pow,
-                                HermitianOperator(family.shape, mix)).value
+        return relative_entropy(rho_pow, HermitianOperator(family.shape, mix))
 
     ts = np.linspace(0.0, eps / 2.0, 9)
     best = min(candidate(float(t)) for t in ts)
@@ -451,7 +450,7 @@ def save_trace(trace: PipelineTrace, outdir: str) -> None:
     }
     for name, state in named.items():
         if state is not None:
-            opalg.save_density(state, os.path.join(outdir, f"{name}.op"))
+            opalg.save_operator(state, os.path.join(outdir, f"{name}.op"))
     with open(os.path.join(outdir, "certificates.csv"), "w", newline="",
               encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .opalg import DensityMatrix, HermitianOperator, PureState, SystemShape
+from .symmetry import twirl
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
@@ -34,7 +35,7 @@ def random_psd(rng: np.random.Generator, shape: SystemShape) -> HermitianOperato
 
 def random_density(rng: np.random.Generator, shape: SystemShape) -> DensityMatrix:
     m = random_psd(rng, shape).mat
-    return DensityMatrix(HermitianOperator(shape, m / np.trace(m).real))
+    return DensityMatrix(shape, m / np.trace(m).real)
 
 
 def random_pure(rng: np.random.Generator, shape: SystemShape) -> PureState:
@@ -57,7 +58,5 @@ def random_kraus_channel(rng: np.random.Generator, d: int) -> list[np.ndarray]:
 def random_perm_invariant_density(rng: np.random.Generator, d: int,
                                   copies: int) -> DensityMatrix:
     """Random permutation-invariant mixed state on (C^d)^{x copies}."""
-    from .symmetry import twirl  # local import avoids a module cycle
-
-    rho = random_density(rng, SystemShape((d,) * copies))
-    return DensityMatrix(twirl(rho.op))
+    shape = SystemShape((d,) * copies)
+    return DensityMatrix(shape, twirl(random_density(rng, shape)).mat)

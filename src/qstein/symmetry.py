@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,11 +29,9 @@ from .entropy import binary_entropy
 from .errors import (ConstructionFailed, DimensionCap,
                      NotPermutationInvariant, PremiseFailed, ZeroNorm,
                      ZeroOverlap)
-from .freesets import _type_classes
 from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     eigh, partial_trace_pure, sqrt_psd)
 
-SYM_DIM_CAP = 4096
 CONDITIONING_TOL = 1e-9
 
 
@@ -41,6 +40,20 @@ def sym_dim(n: int, d: int) -> int:
     if n < 1 or d < 1:
         raise ValueError("sym_dim needs n >= 1 and d >= 1")
     return math.comb(n + d - 1, n)
+
+
+@lru_cache(maxsize=None)
+def _type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Type-class label of every basis string of n digits base d, and the
+    size of each class."""
+    digits = np.indices((d,) * n).reshape(n, -1)
+    counts = np.stack([(digits == a).sum(axis=0) for a in range(d)], axis=1)
+    _, labels = np.unique(counts, axis=0, return_inverse=True)
+    labels = labels.reshape(-1)
+    sizes = np.bincount(labels).astype(float)
+    labels.setflags(write=False)
+    sizes.setflags(write=False)
+    return labels, sizes
 
 
 def sym_isometry(n: int, d: int) -> np.ndarray:
@@ -54,8 +67,8 @@ def sym_isometry(n: int, d: int) -> np.ndarray:
 
 def sym_projector(n: int, d: int) -> HermitianOperator:
     """Projector onto the symmetric subspace of (C^d)^{x n}."""
-    if d ** n > SYM_DIM_CAP:
-        raise DimensionCap(f"d^n = {d ** n} exceeds cap {SYM_DIM_CAP}")
+    if d ** n > opalg.DENSE_DIM_CAP:
+        raise DimensionCap(f"d^n = {d ** n} exceeds cap {opalg.DENSE_DIM_CAP}")
     basis = sym_isometry(n, d)
     return HermitianOperator(SystemShape((d,) * n), basis @ basis.T)
 
@@ -252,11 +265,11 @@ def perm_invariant_purification(rho: DensityMatrix,
     n = len(dims)
     if any(x != d for x in dims):
         raise ValueError("rho_N must consist of copies of rho's system")
-    if not is_perm_invariant(rho_N.op):
+    if not is_perm_invariant(rho_N):
         raise NotPermutationInvariant("rho_N is not permutation invariant")
 
-    rho_pow = opalg.tensor_power(rho.op, n)
-    fid = opalg.fidelity(rho_N.op, rho_pow)
+    rho_pow = opalg.tensor_power(rho, n)
+    fid = opalg.fidelity(rho_N, rho_pow)
 
     sqrt_N = sqrt_psd(rho_N.mat)
     _, vec_pow, on = opalg._support_split(rho_pow.mat)
@@ -356,13 +369,19 @@ def beta_truncation_delta(v: PureState, base: PureState, N: int) -> np.ndarray:
         np.outer(tilde, tilde.conj()) - proj_v, proj_v)
 
 
+def truncation_weight(N: int, R: int) -> float:
+    """2 sqrt(2R)/N, the weight of the tail-truncation correction Delta."""
+    return 2.0 * math.sqrt(2.0 * R) / N
+
+
 def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
                             R: int) -> Certificate:
     """Certify the tail bound relating an almost power state to the IID state.
 
     Checks base^{x (N-M-R)} <= 2^{N h(R/(N-M))} N^2 Tr_{1..R}[vv* + c Delta]
-    with c = 2 sqrt(2R)/N and Delta the normalized positive part of the
-    difference between the large-amplitude truncation of v and v itself.
+    with c = 2 sqrt(2R)/N (:func:`truncation_weight`) and Delta the
+    normalized positive part of the difference between the large-amplitude
+    truncation of v and v itself.
     """
     n = len(v.shape.dims)
     if n != N - M:
@@ -371,7 +390,7 @@ def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
         raise PremiseFailed(f"need N - M >= 2R, got N-M={N - M}, R={R}")
     proj_v = np.outer(v.vec, v.vec.conj())
     delta = beta_truncation_delta(v, base, N)
-    c = 2.0 * math.sqrt(2.0 * R) / N
+    c = truncation_weight(N, R)
     inner = HermitianOperator(v.shape, proj_v + c * delta)
     reduced = opalg.partial_trace(inner, range(R)) if R > 0 else inner
     factor = 2.0 ** (N * binary_entropy(R / (N - M))) * N ** 2

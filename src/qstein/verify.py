@@ -8,7 +8,6 @@ the ``verify`` CLI subcommand and the certificate acceptance tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +121,7 @@ def check_dominated_state(trials: int, seed: int) -> CheckResult:
         t = float(rng.uniform(0.05, 0.9))
         delta_raw = pos_mat(rng, n)
         delta = HermitianOperator(shape, t * delta_raw / np.trace(delta_raw).real)
-        x = opalg.positive_part(rho.op - delta)
+        x = opalg.positive_part(rho - delta)
         _, m_op, m_fid = pipeline.dominated_state(rho, x, delta)
         margins.append(min(m_op, m_fid))
     return CheckResult("dominated-state", np.array(margins), 1e-9)
@@ -159,8 +158,7 @@ def check_entropy_continuity(trials: int, seed: int) -> CheckResult:
         rho = random_density(rng, shape)
         tau = random_density(rng, shape)
         t = float(rng.uniform(0.0, 0.2))
-        sigma = DensityMatrix(HermitianOperator(
-            shape, (1.0 - t) * rho.mat + t * tau.mat))
+        sigma = DensityMatrix(shape, (1.0 - t) * rho.mat + t * tau.mat)
         eps = opalg.trace_norm(rho.mat - sigma.mat)
         if eps > 0.5:
             continue
@@ -184,8 +182,7 @@ def check_relent_continuity(trials: int, seed: int) -> CheckResult:
         s1 = random_density(rng, shape)
         tau = random_density(rng, shape)
         t = float(rng.uniform(0.0, 0.3))
-        s2 = DensityMatrix(HermitianOperator(
-            shape, (1.0 - t) * s1.mat + t * tau.mat))
+        s2 = DensityMatrix(shape, (1.0 - t) * s1.mat + t * tau.mat)
         eps = opalg.trace_norm(s1.mat - s2.mat)
         if eps <= 0.0:
             margins.append(0.0)
@@ -193,9 +190,9 @@ def check_relent_continuity(trials: int, seed: int) -> CheckResult:
         m_tilde = min(s1.lambda_min(), s2.lambda_min())
         if m_tilde <= 1e-8:
             continue
-        bound = relent_continuity_bound(m_tilde, eps).bound_value
-        d1 = relative_entropy(rho, s1).value
-        d2 = relative_entropy(rho, s2).value
+        bound = relent_continuity_bound(m_tilde, eps)
+        d1 = relative_entropy(rho, s1)
+        d2 = relative_entropy(rho, s2)
         margins.append(bound - abs(d1 - d2))
     return CheckResult("relent-continuity", np.array(margins), 1e-8)
 
@@ -210,7 +207,7 @@ def check_relent_upper_bound(trials: int, seed: int) -> CheckResult:
         if sigma.lambda_min() <= 1e-10:
             continue
         bound = relent_upper_bound(sigma)
-        margins.append(bound - relative_entropy(rho, sigma).value)
+        margins.append(bound - relative_entropy(rho, sigma))
     return CheckResult("relent-upper-bound", np.array(margins), 1e-9)
 
 
@@ -238,11 +235,9 @@ def check_joint_convexity(trials: int, seed: int) -> CheckResult:
         rho = random_density(rng, shape)
         s1 = random_density(rng, shape)
         s2 = random_density(rng, shape)
-        mix = DensityMatrix(HermitianOperator(shape,
-                                              0.5 * (s1.mat + s2.mat)))
-        avg = 0.5 * (relative_entropy(rho, s1).value
-                     + relative_entropy(rho, s2).value)
-        margins.append(avg - relative_entropy(rho, mix).value)
+        mix = DensityMatrix(shape, 0.5 * (s1.mat + s2.mat))
+        avg = 0.5 * (relative_entropy(rho, s1) + relative_entropy(rho, s2))
+        margins.append(avg - relative_entropy(rho, mix))
     return CheckResult("relent-convexity-second-arg", np.array(margins), 1e-9)
 
 
@@ -253,11 +248,10 @@ def check_relent_additivity(trials: int, seed: int) -> CheckResult:
         shape = SystemShape((int(rng.integers(2, 4)),))
         r1, r2 = random_density(rng, shape), random_density(rng, shape)
         s1, s2 = random_density(rng, shape), random_density(rng, shape)
-        joint = relative_entropy(
-            DensityMatrix(opalg.tensor(r1.op, r2.op)),
-            DensityMatrix(opalg.tensor(s1.op, s2.op))).value
-        split = (relative_entropy(r1, s1).value
-                 + relative_entropy(r2, s2).value)
+        r12, s12 = opalg.tensor(r1, r2), opalg.tensor(s1, s2)
+        joint = relative_entropy(DensityMatrix(r12.shape, r12.mat),
+                                 DensityMatrix(s12.shape, s12.mat))
+        split = relative_entropy(r1, s1) + relative_entropy(r2, s2)
         margins.append(-abs(joint - split))
     return CheckResult("relent-additivity", np.array(margins), 1e-8)
 
@@ -271,10 +265,10 @@ def check_classical_kl(trials: int, seed: int) -> CheckResult:
         p = rng.dirichlet(np.ones(n))
         q = rng.dirichlet(np.ones(n)) + 1e-6
         q /= q.sum()
-        rho = DensityMatrix(HermitianOperator(shape, np.diag(p)))
-        sigma = DensityMatrix(HermitianOperator(shape, np.diag(q)))
+        rho = DensityMatrix(shape, np.diag(p))
+        sigma = DensityMatrix(shape, np.diag(q))
         kl = float(np.sum(p[p > 0] * np.log2(p[p > 0] / q[p > 0])))
-        margins.append(-abs(relative_entropy(rho, sigma).value - kl))
+        margins.append(-abs(relative_entropy(rho, sigma) - kl))
     return CheckResult("classical-kl-agreement", np.array(margins), 1e-10)
 
 
@@ -328,8 +322,7 @@ def check_relent_coherence_closed_form(trials: int, seed: int) -> CheckResult:
     for _ in range(trials):
         rho = random_density(rng, SystemShape((2,)))
         res = rel_ent_of_resource(rho, fam, settings)
-        diag = DensityMatrix(HermitianOperator(SystemShape((2,)),
-                                               np.diag(np.diag(rho.mat))))
+        diag = DensityMatrix(SystemShape((2,)), np.diag(np.diag(rho.mat)))
         closed = von_neumann_entropy(diag) - von_neumann_entropy(rho)
         margins.append(-abs(res.value - closed))
     return CheckResult("coherence-closed-form", np.array(margins), 1e-6)
@@ -405,7 +398,7 @@ def check_conditioning_chain(trials: int, seed: int) -> CheckResult:
         cond, _, cert = symmetry.conditioned_state(pair, 1)
         margins.append(cert.margin)
         trunc, dist = symmetry.truncate_to_almost_power(cond, pair.rho_pur, 1)
-        bound = 2.0 * math.sqrt(2.0) / pair.overlap * math.exp(-1.0 / 6.0)
+        bound = pipeline._conditioning_weight(3, 1, 1, pair.overlap)
         margins.append(bound - dist)
     return CheckResult("conditioning-chain", np.array(margins), 1e-8)
 

@@ -59,7 +59,7 @@ def test_criterion_1_classical_stein_reproduction():
     values = {}
     for n in (2, 4, 6, 8, 10):
         fam = SingletonIIDFamily(2, n, sigma0=np.eye(2) / 2)
-        power = opalg.tensor_power(rho.op, n)
+        power = opalg.tensor_power(rho, n)
         for y in (0.10, kl, 0.30):
             res = min_positive_part(power, 2.0 ** (y * n), fam, settings)
             want = classical_threshold_value(n, y)

@@ -12,8 +12,29 @@ from oracles import classical_threshold_value
 @pytest.fixture()
 def sigma0_file(tmp_path):
     path = tmp_path / "sigma0.op"
-    opalg.save_density(opalg.maximally_mixed(SystemShape((2,))), str(path))
+    opalg.save_operator(opalg.maximally_mixed(SystemShape((2,))), str(path))
     return str(path)
+
+
+@pytest.fixture()
+def non_psd_file(tmp_path):
+    path = tmp_path / "neg.op"
+    path.write_text("dims: 2\n0 0 1.2 0.0\n1 1 -0.2 0.0\n")
+    return str(path)
+
+
+@pytest.fixture()
+def no_wide_power(monkeypatch):
+    """Fail, before allocating, any Kronecker power wider than 4096."""
+    kron_power = opalg.kron_power
+
+    def guarded(x, n):
+        width = np.asarray(x).shape[0] ** n
+        if width > 4096:
+            raise AssertionError(f"dense power of width {width}")
+        return kron_power(x, n)
+
+    monkeypatch.setattr(opalg, "kron_power", guarded)
 
 
 def write_cfg(tmp_path, name, text):
@@ -91,7 +112,7 @@ n_grid = 2,4
         # the only free state is pure, so each row is Tr[(rho^N - b s^N)_+]
         path = tmp_path / "pure.op"
         sigma0 = np.diag([1.0, 0.0])
-        opalg.save_density(opalg.density(sigma0), str(path))
+        opalg.save_operator(opalg.density(sigma0), str(path))
         out = str(tmp_path / "s.csv")
         cfg = write_cfg(tmp_path, "s.cfg", f"""
 state = classical:0.75
@@ -270,7 +291,7 @@ family = iid:{sigma0_file}
         # a singular iid member has no full-rank witness; the exact value
         # is 0.625 on both sides (b = 1/2)
         path = tmp_path / "pure.op"
-        opalg.save_density(opalg.density(np.diag([1.0, 0.0])), str(path))
+        opalg.save_operator(opalg.density(np.diag([1.0, 0.0])), str(path))
         cfg = write_cfg(tmp_path, "pn3.cfg", f"""
 state = classical:0.5
 family = iid:{path}
@@ -359,6 +380,59 @@ n_grid = 2
         assert cli.main(["exponent", "--config", cfg, "--out", out,
                          "--threads", "1"]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+    def test_exponent_rejects_non_psd_state_file(self, tmp_path, capsys,
+                                                 non_psd_file):
+        # a failed state check is rejected input (exit 2), not a failed
+        # verification (exit 1), and names its file
+        cfg = write_cfg(tmp_path, "exp.cfg", f"""
+state = {non_psd_file}
+family = diagonal
+y_grid = 0.5
+n_grid = 2
+""")
+        out = str(tmp_path / "e.csv")
+        assert cli.main(["exponent", "--config", cfg, "--out", out,
+                         "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"{non_psd_file}: density matrix has eigenvalue" in err
+
+    def test_pn_rejects_non_psd_iid_sigma0(self, tmp_path, capsys,
+                                           non_psd_file):
+        cfg = write_cfg(tmp_path, "pn.cfg", f"""
+state = classical:0.75
+family = iid:{non_psd_file}
+k = 2
+""")
+        assert cli.main(["pn", "--config", cfg]) == 2
+        assert f"{non_psd_file}: density matrix" in capsys.readouterr().err
+
+
+class TestDenseCap:
+    """A power wider than the dense cap exits 5 before it is built."""
+
+    def test_exponent(self, tmp_path, capsys, no_wide_power):
+        cfg = write_cfg(tmp_path, "exp.cfg", """
+state = coherence:0.8
+family = diagonal
+y_grid = 0.5
+n_grid = 13
+""")
+        out = str(tmp_path / "e.csv")
+        assert cli.main(["exponent", "--config", cfg, "--out", out,
+                         "--threads", "1"]) == 5
+        assert "dimension cap" in capsys.readouterr().err
+
+    def test_pn(self, tmp_path, capsys, no_wide_power):
+        cfg = write_cfg(tmp_path, "pn.cfg", """
+state = coherence:0.8
+family = diagonal
+n = 13
+k = 2
+""")
+        assert cli.main(["pn", "--config", cfg]) == 5
+        assert "dimension cap" in capsys.readouterr().err
 
 
 class TestUsage:

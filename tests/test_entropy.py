@@ -41,38 +41,35 @@ def test_binary_entropy_domain():
 class TestRelativeEntropy:
     def test_self_zero(self):
         rho = rand.random_density(RNG, SystemShape((3,)))
-        res = entropy.relative_entropy(rho, rho)
-        assert res.finite and abs(res.value) < 1e-9
+        assert abs(entropy.relative_entropy(rho, rho)) < 1e-9
 
     def test_support_condition(self):
         r0 = opalg.density(np.diag([1.0, 0.0]))
         r1 = opalg.density(np.diag([0.0, 1.0]))
-        res = entropy.relative_entropy(r0, r1)
-        assert res.value == math.inf
-        assert res.support_violation
-        assert res.support_leak > 0.9
+        assert entropy.relative_entropy(r0, r1) == math.inf
 
     def test_plus_vs_mixed(self):
         plus = opalg.density(0.5 * np.ones((2, 2)))
-        res = entropy.relative_entropy(plus, opalg.maximally_mixed(
+        d = entropy.relative_entropy(plus, opalg.maximally_mixed(
             SystemShape((2,))))
-        assert abs(res.value - 1.0) < 1e-12
+        assert abs(d - 1.0) < 1e-12
 
     def test_nonnegative(self):
         for _ in range(50):
             rho = rand.random_density(RNG, SystemShape((3,)))
             sig = rand.random_density(RNG, SystemShape((3,)))
-            assert entropy.relative_entropy(rho, sig).value >= -1e-9
+            assert entropy.relative_entropy(rho, sig) >= -1e-9
 
     def test_additivity_on_products(self):
         shape = SystemShape((2,))
         r1, r2 = rand.random_density(RNG, shape), rand.random_density(RNG, shape)
         s1, s2 = rand.random_density(RNG, shape), rand.random_density(RNG, shape)
+        r12, s12 = opalg.tensor(r1, r2), opalg.tensor(s1, s2)
         joint = entropy.relative_entropy(
-            opalg.DensityMatrix(opalg.tensor(r1.op, r2.op)),
-            opalg.DensityMatrix(opalg.tensor(s1.op, s2.op))).value
-        split = (entropy.relative_entropy(r1, s1).value
-                 + entropy.relative_entropy(r2, s2).value)
+            opalg.DensityMatrix(r12.shape, r12.mat),
+            opalg.DensityMatrix(s12.shape, s12.mat))
+        split = (entropy.relative_entropy(r1, s1)
+                 + entropy.relative_entropy(r2, s2))
         assert abs(joint - split) < 1e-8
 
 
@@ -91,12 +88,12 @@ class TestEntropyContinuityBound:
 
 class TestRelentContinuityBound:
     def test_zero_eps(self):
-        assert entropy.relent_continuity_bound(0.5, 0.0).bound_value == 0.0
+        assert entropy.relent_continuity_bound(0.5, 0.0) == 0.0
 
     def test_scalar_value(self):
         # 3 * 1 / (1/2) * sqrt(1/16) = 1.5
         b = entropy.relent_continuity_bound(0.5, 0.125)
-        assert abs(b.bound_value - 1.5) < 1e-14
+        assert abs(b - 1.5) < 1e-14
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -233,7 +233,7 @@ class TestParse:
 
     def test_iid_roundtrip(self, tmp_path):
         path = tmp_path / "sigma0.op"
-        opalg.save_density(opalg.density(np.diag([0.5, 0.5])), str(path))
+        opalg.save_operator(opalg.density(np.diag([0.5, 0.5])), str(path))
         fam = parse_family_spec(f"iid:{path}", 2, 2)
         assert fam.kind == "iid"
         assert np.allclose(fam.sigma0, np.eye(2) / 2)

@@ -8,14 +8,14 @@ import pytest
 from qstein import opalg, optim, rand
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
-                             SeparableHullFamily, SingletonIIDFamily,
-                             _type_classes)
+                             SeparableHullFamily, SingletonIIDFamily)
 from qstein.errors import DimensionCap, NoFullRankMember
 from qstein.opalg import SystemShape
 from qstein.optim import (SolverSettings, distance_to_family,
                           generalized_robustness, hypothesis_dual,
                           hypothesis_primal, min_positive_part,
                           regularized_sequence, rel_ent_of_resource)
+from qstein.symmetry import _type_classes
 
 from oracles import (classical_neyman_pearson, classical_threshold_value,
                      coherence_power_state, diagonal_dual_optimum,
@@ -203,7 +203,7 @@ class TestMinPositivePart:
         weights = np.ones(2 ** n)
         weights[1] = 3.0  # the string 00000001
         start = opalg.density(np.diag(weights / weights.sum()), (2,) * n)
-        power = opalg.tensor_power(opalg.density(np.diag([p, 1 - p])).op, n)
+        power = opalg.tensor_power(opalg.density(np.diag([p, 1 - p])), n)
         res = min_positive_part(power, 2.0 ** (y * n), DiagonalFamily(2, n),
                                 start=start)
         assert res.converged
@@ -342,7 +342,7 @@ class TestTypeClassCoordinates:
         n, p = 4, 0.7
         fam = DiagonalFamily(2, n)
         eta = opalg.density(np.diag([p, 1.0 - p]), (2,))
-        power = opalg.tensor_power(eta.op, n)
+        power = opalg.tensor_power(eta, n)
         assert optim._TypeClassCoords.of(fam, power.mat).small is None
         for y in (-0.25, -0.1, 0.1):
             res = min_positive_part(power, 2.0 ** (y * n), fam, FAST)
@@ -350,7 +350,8 @@ class TestTypeClassCoordinates:
                 <= 1e-9
         diag = np.diag(power.mat).real
         for K in (2.0, 8.0):
-            dual = hypothesis_dual(opalg.DensityMatrix(power), K, fam, FAST)
+            dual = hypothesis_dual(opalg.DensityMatrix(power.shape, power.mat),
+                                   K, fam, FAST)
             want = classical_neyman_pearson(diag, diag, 1.0 / K)
             assert abs(dual - want) <= 1e-6
 
@@ -845,7 +846,7 @@ class TestResourceMeasures:
         sigma0 = np.diag([0.6, 0.4])
         rho = rand.random_density(RNG, SystemShape((2,)))
         fam = SingletonIIDFamily(2, 1, sigma0=sigma0)
-        want = relative_entropy(rho, opalg.density(sigma0)).value
+        want = relative_entropy(rho, opalg.density(sigma0))
         seq = regularized_sequence(rho, fam, 3, FAST)
         for _, v, ok in seq:
             assert ok

@@ -65,7 +65,7 @@ class TestDominatedState:
         delta = HermitianOperator(shape, 0.05 * np.eye(2))
         tilde, m_op, m_fid = pipeline.dominated_state(rho, x, delta)
         assert min(m_op, m_fid) >= -pipeline.DOMINATED_STATE_TOL
-        assert opalg.fidelity(tilde.op, rho.op) >= 0.9 - 1e-10
+        assert opalg.fidelity(tilde, rho) >= 0.9 - 1e-10
 
     def test_premise_violated(self):
         shape = SystemShape((2,))
@@ -91,8 +91,8 @@ class TestStep1:
         trace = pipeline.step1(coherence_qubit(), H08, 4,
                                DiagonalFamily(2, 1), SET)
         assert 0.7 < trace.mu_N < 0.9
-        assert symmetry.is_perm_invariant(trace.sigma_N.op, 1e-8)
-        assert symmetry.is_perm_invariant(trace.rho_N.op, 1e-8)
+        assert symmetry.is_perm_invariant(trace.sigma_N, 1e-8)
+        assert symmetry.is_perm_invariant(trace.rho_N, 1e-8)
         assert trace.all_passed
 
     def test_step1_checks_each_conclusion_once(self, monkeypatch):
@@ -116,16 +116,17 @@ def synthetic_iid_trace(p=0.8, N=4, y=1.2):
     """Trace where rho_N is exactly IID; the chain collapses."""
     rho = coherence_qubit(p)
     fam = DiagonalFamily(2, 1)
-    power = opalg.tensor_power(rho.op, N)
+    power = opalg.tensor_power(rho, N)
     sigma = fam.at_copies(N).full_rank_witness()
     # mu chosen so the step-1 dominance holds for the witness
     lam = float(np.linalg.eigvalsh(
         np.linalg.inv(opalg.sqrt_psd(sigma.mat) + 0j)
         @ power.mat @ np.linalg.inv(opalg.sqrt_psd(sigma.mat)))[-1])
     mu = min(0.9, 2.0 ** (y * N) / lam * 0.9)
-    trace = pipeline.PipelineTrace(rho=rho, y=y, N=N, family=fam, mu_N=mu,
-                                   sigma_N=DensityMatrix(sigma),
-                                   rho_N=DensityMatrix(power))
+    trace = pipeline.PipelineTrace(
+        rho=rho, y=y, N=N, family=fam, mu_N=mu,
+        sigma_N=DensityMatrix(sigma.shape, sigma.mat),
+        rho_N=DensityMatrix(power.shape, power.mat))
     return trace
 
 

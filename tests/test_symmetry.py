@@ -159,7 +159,8 @@ class TestPurification:
     def test_iid_overlap_one(self):
         rng = np.random.default_rng(24)
         rho = rand.random_density(rng, SystemShape((2,)))
-        power = opalg.DensityMatrix(opalg.tensor_power(rho.op, 3))
+        op = opalg.tensor_power(rho, 3)
+        power = opalg.DensityMatrix(op.shape, op.mat)
         pair = symmetry.perm_invariant_purification(rho, power)
         assert abs(pair.overlap - 1.0) < 1e-9
 
@@ -169,7 +170,7 @@ class TestPurification:
             rho = rand.random_density(rng, SystemShape((2,)))
             rho_n = rand.random_perm_invariant_density(rng, 2, 3)
             pair = symmetry.perm_invariant_purification(rho, rho_n)
-            want = opalg.fidelity(rho_n.op, opalg.tensor_power(rho.op, 3))
+            want = opalg.fidelity(rho_n, opalg.tensor_power(rho, 3))
             assert abs(pair.overlap - want) < 1e-6
 
     def test_pure_base_state(self):
@@ -177,7 +178,7 @@ class TestPurification:
         v = rand.random_pure(rng, SystemShape((2,)))
         rho_n = rand.random_perm_invariant_density(rng, 2, 3)
         pair = symmetry.perm_invariant_purification(v.density(), rho_n)
-        want = opalg.fidelity(rho_n.op, opalg.tensor_power(v.projector(), 3))
+        want = opalg.fidelity(rho_n, opalg.tensor_power(v.projector(), 3))
         assert abs(pair.overlap - want) < 1e-8
 
     def test_purification_is_symmetric(self):
@@ -199,7 +200,8 @@ class TestConditionedState:
     def test_iid_collapses_to_power(self):
         rng = np.random.default_rng(29)
         rho = rand.random_density(rng, SystemShape((2,)))
-        power = opalg.DensityMatrix(opalg.tensor_power(rho.op, 3))
+        op = opalg.tensor_power(rho, 3)
+        power = opalg.DensityMatrix(op.shape, op.mat)
         pair = symmetry.perm_invariant_purification(rho, power)
         cond, _, cert = symmetry.conditioned_state(pair, 2)
         assert cert.passed
