@@ -134,6 +134,8 @@ def cmd_exponent(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     threads = args.threads or os.cpu_count() or 1
+    for n in n_grid:
+        opalg.check_dense_power(rho.total_dim, n)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(_exponent_row, rho, cfg["family"], n, y_grid,
                                settings) for n in n_grid]

@@ -250,14 +250,20 @@ def kron_power(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
+def check_dense_power(d: int, n: int) -> None:
+    """DimensionCap when the n-fold power of a d-dimensional space, d^n
+    wide, exceeds ``DENSE_DIM_CAP``."""
+    if d ** n > DENSE_DIM_CAP:
+        raise DimensionCap(f"dense dimension {d ** n} exceeds the "
+                           f"{DENSE_DIM_CAP} cap")
+
+
 def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
     """n-fold tensor power; DimensionCap, before anything is allocated, when
-    d^n exceeds ``DENSE_DIM_CAP``."""
+    d^n exceeds ``DENSE_DIM_CAP`` (``check_dense_power``)."""
     if n < 1:
         raise ValueError("tensor power requires n >= 1")
-    if a.total_dim ** n > DENSE_DIM_CAP:
-        raise DimensionCap(f"dense dimension {a.total_dim ** n} exceeds the "
-                           f"{DENSE_DIM_CAP} cap")
+    check_dense_power(a.total_dim, n)
     return HermitianOperator(SystemShape(a.shape.dims * n), kron_power(a.mat, n))
 
 

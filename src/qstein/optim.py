@@ -1,9 +1,12 @@
 """Convex optimization over free families.
 
 Every minimization here is projection-free and runs through one routine,
-``_anneal``: a fully-corrective Frank-Wolfe loop discovers extreme points
-through a linear minimization oracle and re-optimizes the weights over the
-discovered hull after every new atom.  The nonsmooth positive part is
+``_anneal``, except the threshold minimum of a rank-one target on the
+symmetric subspace (a pure power), which has a closed form
+(``_rank_one_optimum``).  ``_anneal`` is a fully-corrective Frank-Wolfe
+loop: it discovers extreme points through a linear minimization oracle
+and re-optimizes the weights over the discovered hull after every new
+atom.  The nonsmooth positive part is
 handled by annealing a smooth spectral surrogate over a schedule of
 temperatures tau while tracking the exact objective at every point probed;
 reported values are always exact evaluations, and the reported duality gap
@@ -31,6 +34,7 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
     solver                  tau schedule      calls/stage    gap
     rel_ent_of_resource     exact             max(12, m//8)  tol
     min_positive_part       1e-3, 1e-6, 1e-8  max(12, m//24) tol/4
+      rank-one target       none: the closed form, then the exit bound
     hypothesis_dual         1e-3, 1e-6, 1e-8  max(20, m//3)  tol/4
     hypothesis_primal       reads stage 2's end of the dual's solve
 
@@ -60,13 +64,15 @@ it runs over the invariant members in type-class coordinates: the iterate
 is the T x T diagonal of class weights, T the number of type classes, and
 the start enters as its twirl, so any free start will do.  On a target in
 the symmetric subspace, as a pure power is, each positive-part evaluation
-is one T x T eigendecomposition; other probes read the dense objective at
-the dense member.  Other inputs search the family's vertices.  Every exit
-bound reads the probe and the oracle its search ran with.  That is
-sound for the invariant searches: the objective is convex and permutation
-invariant, so its minimum over the family is its minimum over the
-invariant members, and the subgradient inequality over those gives a bound
-that, at the same point, is never looser than the vertex oracle's.
+is one T x T eigendecomposition (and ``min_positive_part`` on a rank-one
+target needs only the one at its closed-form minimizer); other probes
+read the dense objective at the dense member.  Other inputs search the
+family's vertices.  Every exit bound reads the probe and the oracle its
+search ran with.  That is sound for the invariant searches: the objective
+is convex and permutation invariant, so its minimum over the family is its
+minimum over the invariant members, and the subgradient inequality over
+those gives a bound that, at the same point, is never looser than the
+vertex oracle's.
 """
 
 from __future__ import annotations
@@ -74,6 +80,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -585,20 +592,101 @@ class _TypeClassCoords:
         return probe
 
 
-def _search(family: FreeFamily, seed: int, target: np.ndarray,
-            start: np.ndarray):
+class _Search(NamedTuple):
+    """The search of a solver over a family, for an objective in a target:
+    its type-class coordinates (None for the vertex search), its oracle, the
+    map ``enter`` of a dense start into its coordinates, the probe maker
+    ``pospart(b, tau, offset)`` of the surrogate of Tr[(target - b sigma)_+]
+    (exact at ``tau=None``), the reader of dense probes and the map to dense
+    matrices."""
+
+    coords: _TypeClassCoords | None
+    lmo: Callable
+    enter: Callable
+    pospart: Callable
+    read: Callable
+    to_dense: Callable
+
+
+def _search(family: FreeFamily, seed: int, target: np.ndarray) -> _Search:
     """The search of every solver over the family, for an objective in
-    ``target``: oracle, start point, probe maker ``pospart(b, tau, offset)``
-    of the surrogate of Tr[(target - b sigma)_+] (exact at ``tau=None``),
-    reader of dense probes and map to dense matrices.  In type-class
-    coordinates from the twirl of ``start`` where ``_TypeClassCoords.of``
-    holds, else over the family's vertices."""
+    ``target``: in type-class coordinates, entered at the twirl of the
+    start, where ``_TypeClassCoords.of`` holds, else over the family's
+    vertices."""
     coords = _TypeClassCoords.of(family, target)
     if coords is None:
-        return (partial(family.lmo, seed=seed), start,
-                partial(_pospart_eval, target), lambda p: p, lambda m: m)
-    return (coords.lmo, coords.weights(start), coords.pospart_eval,
-            coords.read, coords.dense)
+        return _Search(None, partial(family.lmo, seed=seed), lambda m: m,
+                       partial(_pospart_eval, target), lambda p: p,
+                       lambda m: m)
+    return _Search(coords, coords.lmo, coords.weights, coords.pospart_eval,
+                   coords.read, coords.dense)
+
+
+def _rank_one_optimum(coords: _TypeClassCoords | None,
+                      b: float) -> np.ndarray | None:
+    """The invariant minimizer of Tr[(A - b sigma)_+], in closed form, as
+    type-class coordinates diag(w), when A's symmetric block ``small`` is
+    rank one and PSD: ``small = a a^dag`` to 1e-12 max-abs, the tolerance
+    of the support test in ``_TypeClassCoords.of``.  Else None.
+
+    With v_t = b w_t / |T_t|, A - b sigma has the eigenvalues -v_t <= 0
+    and those of a a^dag - diag(v), of which one at most, lambda, is
+    positive: the root of the secular equation sum_t P_t / (lambda + v_t)
+    = 1, P_t = small_tt.  Minimizing lambda subject to sum_t |T_t| v_t = b
+    gives lambda + v_t = max(lambda, c r_t), r_t = sqrt(P_t / |T_t|), and
+    classes with P_t = 0 get no weight.  With s_t = sqrt(|T_t| P_t) and
+    S = sum_t s_t, the minimum is 0 if b >= S^2, at v proportional to r.
+    Otherwise the active classes (v_t > 0) are the k of largest r_t, for
+    some k.  For each such set A, with S_A = sum_A s_t, M_A = sum_A |T_t|
+    and Q = sum_{t not in A} P_t, the secular equation S_A / c + Q / lambda
+    = 1 and the budget c S_A - lambda M_A = b make c the larger root of
+    S_A c^2 - (S_A^2 + M_A Q + b) c + b S_A = 0, computed as S_A + delta
+    with no cancellation, and lambda = Q c / delta; when Q = 0, c = S and
+    lambda = (S^2 - b) / M_A.  The set kept is the first consistent one,
+    c r_t >= lambda on A and c r_t <= lambda off it (the least inconsistent
+    if rounding leaves none).  The caller's exact probe at the weights gives
+    the value and its Frank-Wolfe bound the gap, so a rounding slip here
+    can widen the gap but never pass as certified.
+    """
+    if coords is None or coords.small is None:
+        return None
+    small, sizes = coords.small, coords.sizes
+    P = np.diag(small).real
+    top = int(np.argmax(P))
+    if not P[top] > 0.0:
+        return None
+    a = small[:, top] / math.sqrt(P[top])
+    if float(np.abs(np.outer(a, a.conj()) - small).max()) > 1e-12:
+        return None
+    P = np.clip(P, 0.0, None)
+    r, s = np.sqrt(P / sizes), np.sqrt(P * sizes)
+    S = float(s.sum())
+    if b >= S * S:
+        return np.diag(s / S)
+    order = np.argsort(-r, kind="stable")[:np.count_nonzero(P)]
+
+    def candidate(k: int):
+        act, rest = order[:k], order[k:]
+        S_A, M_A = float(s[act].sum()), float(sizes[act].sum())
+        Q = float(P[rest].sum())
+        if Q == 0.0:
+            c, lam = S, (S * S - b) / M_A
+        else:
+            # delta = c - S_A > 0 solves S_A d^2 + beta d - M_A Q S_A = 0
+            beta = S_A * S_A - M_A * Q - b
+            root = math.sqrt(beta * beta + 4.0 * S_A * S_A * M_A * Q)
+            delta = (2.0 * S_A * M_A * Q / (beta + root) if beta > 0.0
+                     else (root - beta) / (2.0 * S_A))
+            c, lam = S_A + delta, Q * (S_A + delta) / delta
+        miss = max(lam - c * float(r[act].min()),
+                   c * float(r[rest].max(initial=0.0)) - lam, 0.0)
+        return miss, k, c, lam
+
+    _, k, c, lam = min(candidate(k) for k in range(1, order.size + 1))
+    act = order[:k]
+    w = np.zeros_like(P)
+    w[act] = sizes[act] * np.maximum(c * r[act] - lam, 0.0)
+    return np.diag(w / w.sum())
 
 
 def min_positive_part(rho: HermitianOperator, b: float,
@@ -618,6 +706,13 @@ def min_positive_part(rho: HermitianOperator, b: float,
     minimizer and then the stage ends (``_certified``): at a non-smooth
     minimizer P alone can leave a gap of order 10, and the end of a
     smoothed stage has a subgradient that certifies.
+
+    Where the type-class target's symmetric block is rank one and PSD (a
+    pure power), the minimizer has a closed form (``_rank_one_optimum``)
+    and nothing is annealed: ``start`` is ignored, ``iterations`` is 0, and
+    the value and gap come from the same exact probe and exit bound at the
+    closed-form weights, so a rounding slip can widen the gap but never
+    pass as certified.
     """
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")
@@ -626,15 +721,22 @@ def min_positive_part(rho: HermitianOperator, b: float,
         return OptResult(opalg.positive_part_trace(rho_mat),
                          HermitianOperator(family.shape, _feasible_start(
                              family, settings.seed)), 0.0, 0, True)
-    lmo, x0, pospart, _, to_dense = _search(
-        family, settings.seed, rho_mat,
-        _feasible_start(family, settings.seed) if start is None else start.mat)
-    tracker, iters = _anneal(partial(pospart, b), (1e-3, 1e-6, 1e-8), lmo, x0,
-                             max(12, settings.max_iters // 24),
-                             settings.tol / 4.0)
+    search = _search(family, settings.seed, rho_mat)
+    weights = _rank_one_optimum(search.coords, b)
+    exact = search.pospart(b, None)
+    if weights is None:
+        x0 = search.enter(_feasible_start(family, settings.seed)
+                          if start is None else start.mat)
+        tracker, iters = _anneal(partial(search.pospart, b),
+                                 (1e-3, 1e-6, 1e-8), search.lmo, x0,
+                                 max(12, settings.max_iters // 24),
+                                 settings.tol / 4.0)
+    else:
+        tracker, iters = _Tracker(), 0
+        tracker.offer(weights, exact(weights)[1])
     return _certified(tracker, iters,
-                      partial(_fw_bound, pospart(b, None), lmo=lmo),
-                      family, settings, to_dense(tracker.best_mat))
+                      partial(_fw_bound, exact, lmo=search.lmo),
+                      family, settings, search.to_dense(tracker.best_mat))
 
 
 # ---------------------------------------------------------------------------
@@ -688,17 +790,17 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     if (memo is not None and memo[2] is family and memo[1] == K
             and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
         return memo[4], memo[5]
-    member_lmo, member, pospart, _, to_dense = _search(
-        family, settings.seed, eta_mat, _feasible_start(family, settings.seed))
+    search = _search(family, settings.seed, eta_mat)
 
     def lmo(grad: np.ndarray) -> np.ndarray:
-        s = K * member_lmo(grad)
+        s = K * search.lmo(grad)
         return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
 
-    tracker, _ = _anneal(partial(_dual_eval, partial(pospart, 1.0), K),
+    member = search.enter(_feasible_start(family, settings.seed))
+    tracker, _ = _anneal(partial(_dual_eval, partial(search.pospart, 1.0), K),
                          (1e-3, 1e-6, 1e-8), lmo, min(1.0, K) * member,
                          max(20, settings.max_iters // 3), settings.tol / 4.0)
-    x = to_dense(tracker.stage_ends[:2][-1])
+    x = search.to_dense(tracker.stage_ends[:2][-1])
     _DUAL_MEMO = (eta_mat.copy(), K, family, settings, tracker.best_value, x)
     return tracker.best_value, x
 
@@ -876,14 +978,15 @@ def rel_ent_of_resource(rho: HermitianOperator,
     exit gap is certified against the search's own oracle.
     """
     witness = family.full_rank_witness().mat
-    lmo, x0, _, read, to_dense = _search(family, settings.seed, rho.mat,
-                                         witness)
-    probe = read(_relent_eval(rho.mat, witness))
-    tracker, iters = _anneal(lambda _: probe, (None,), lmo, x0,
+    search = _search(family, settings.seed, rho.mat)
+    probe = search.read(_relent_eval(rho.mat, witness))
+    tracker, iters = _anneal(lambda _: probe, (None,), search.lmo,
+                             search.enter(witness),
                              max(12, settings.max_iters // 8), settings.tol)
-    mixed = ((1.0 - RELENT_FLOOR) * to_dense(tracker.best_mat)
+    mixed = ((1.0 - RELENT_FLOOR) * search.to_dense(tracker.best_mat)
              + RELENT_FLOOR * witness)
-    return _certified(tracker, iters, partial(_fw_bound, probe, lmo=lmo),
+    return _certified(tracker, iters,
+                      partial(_fw_bound, probe, lmo=search.lmo),
                       family, settings, mixed)
 
 

@@ -26,9 +26,8 @@ import numpy as np
 from . import opalg
 from .certificates import Certificate
 from .entropy import binary_entropy
-from .errors import (ConstructionFailed, DimensionCap,
-                     NotPermutationInvariant, PremiseFailed, ZeroNorm,
-                     ZeroOverlap)
+from .errors import (ConstructionFailed, NotPermutationInvariant,
+                     PremiseFailed, ZeroNorm, ZeroOverlap)
 from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     eigh, partial_trace_pure, sqrt_psd)
 
@@ -67,8 +66,7 @@ def sym_isometry(n: int, d: int) -> np.ndarray:
 
 def sym_projector(n: int, d: int) -> HermitianOperator:
     """Projector onto the symmetric subspace of (C^d)^{x n}."""
-    if d ** n > opalg.DENSE_DIM_CAP:
-        raise DimensionCap(f"d^n = {d ** n} exceeds cap {opalg.DENSE_DIM_CAP}")
+    opalg.check_dense_power(d, n)
     basis = sym_isometry(n, d)
     return HermitianOperator(SystemShape((d,) * n), basis @ basis.T)
 

@@ -424,6 +424,25 @@ n_grid = 13
                          "--threads", "1"]) == 5
         assert "dimension cap" in capsys.readouterr().err
 
+    def test_exponent_checks_every_n_first(self, tmp_path, capsys,
+                                           monkeypatch, no_wide_power):
+        # the cap of the N = 13 row stops the run before the feasible N = 9
+        # row is solved
+        calls = []
+        monkeypatch.setattr(cli, "min_positive_part",
+                            lambda *a, **k: calls.append(a))
+        cfg = write_cfg(tmp_path, "exp.cfg", """
+state = coherence:0.8
+family = diagonal
+y_grid = 0.5
+n_grid = 9,13
+""")
+        out = str(tmp_path / "e.csv")
+        assert cli.main(["exponent", "--config", cfg, "--out", out,
+                         "--threads", "1"]) == 5
+        assert "dimension cap" in capsys.readouterr().err
+        assert not calls
+
     def test_pn(self, tmp_path, capsys, no_wide_power):
         cfg = write_cfg(tmp_path, "pn.cfg", """
 state = coherence:0.8

@@ -31,6 +31,21 @@ def coherence_qubit(p=0.8):
     return opalg.density(np.outer(v, v))
 
 
+def _anneal_only(monkeypatch):
+    """Make every threshold solve anneal, as for a target that is not rank
+    one: the closed form for rank-one targets is patched out."""
+    monkeypatch.setattr(optim, "_rank_one_optimum", lambda coords, b: None)
+
+
+def _count_anneals(monkeypatch):
+    """The list of the arguments of every ``_anneal`` call from here."""
+    calls = []
+    anneal = optim._anneal
+    monkeypatch.setattr(optim, "_anneal",
+                        lambda *a: calls.append(a) or anneal(*a))
+    return calls
+
+
 class TestFrankWolfe:
     def test_relent_objective_matches_closed_form(self):
         fam = DiagonalFamily(2, 1)
@@ -106,9 +121,11 @@ class TestMinPositivePart:
                 want = diagonal_threshold_optimum(n, y, p)
                 assert abs(res.value - want) < 1e-6
 
-    def test_invariant_search_reaches_n8_optimum(self):
+    def test_invariant_search_reaches_n8_optimum(self, monkeypatch):
         # at N = 8 the optimum is a mixture over up to 2^8 diagonal vertices,
-        # beyond the vertex oracle's atom budget at this max_iters
+        # beyond the vertex oracle's atom budget at this max_iters; the
+        # annealed type-class search reaches it
+        _anneal_only(monkeypatch)
         y = binary_entropy(0.8) + 0.1
         power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
         res = min_positive_part(power, 2.0 ** (y * 8), DiagonalFamily(2, 8),
@@ -116,10 +133,11 @@ class TestMinPositivePart:
                                                seed=0))
         assert abs(res.value - diagonal_threshold_optimum(8, y)) < 1e-4
 
-    def test_criterion_2_sweep_converges_at_n8(self):
-        # criterion 2's warm-started sweep at N = 8: the optima at R - 0.25
-        # and R are non-smooth, where the subgradient -b P_+ at the best
-        # probe alone leaves gaps of 10 and more
+    def test_criterion_2_sweep_converges_at_n8(self, monkeypatch):
+        # criterion 2's warm-started sweep at N = 8, annealed: the optima at
+        # R - 0.25 and R are non-smooth, where the subgradient -b P_+ at the
+        # best probe alone leaves gaps of 10 and more
+        _anneal_only(monkeypatch)
         R = binary_entropy(0.8)
         power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
         fam = DiagonalFamily(2, 8)
@@ -131,9 +149,11 @@ class TestMinPositivePart:
             start = res.minimizer
             assert res.converged, (dy, res.fw_gap)
 
-    def test_lower_bound_below_type_class_optimum(self):
+    def test_lower_bound_below_type_class_optimum(self, monkeypatch):
         # value - fw_gap is a Frank-Wolfe lower bound on the minimum, so it
-        # cannot exceed the optimum the type-class oracle finds
+        # cannot exceed the optimum the type-class oracle finds; checked on
+        # the annealed search, whose stage ends give the bound
+        _anneal_only(monkeypatch)
         R = binary_entropy(0.8)
         for n in range(2, 8):
             power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
@@ -160,10 +180,12 @@ class TestMinPositivePart:
         assert shapes and set(shapes) == {(9, 9)}
 
     def test_non_invariant_start_enters_as_its_twirl(self, monkeypatch):
-        # a free start off the invariant members: the type-class search
-        # starts at its twirl and reaches the optimum (a vertex search from
-        # this start stops near 0.3025).  Like the default start, it stops
-        # 1.3e-9 above the oracle, inside its certified gap
+        # a free start off the invariant members: the annealed type-class
+        # search starts at its twirl and reaches the optimum (a vertex
+        # search from this start stops near 0.3025).  Like the default
+        # start, it stops 1.3e-9 above the oracle, inside its certified gap.
+        # The closed form, which ignores the start, is patched out
+        _anneal_only(monkeypatch)
         n, y = 8, binary_entropy(0.8)
         p = np.ones(2 ** n)
         p[1] = 3.0  # the string 00000001
@@ -294,7 +316,9 @@ class TestTypeClassCoordinates:
         # N = 8 a stage can end anywhere within its gap target, and which
         # probe it ends at turns on rounding (R - 0.1 ends 1.3e-9 above the
         # type-class optimum on the reduced path, 4e-12 on the dense one),
-        # so there the paths agree to the gap target only
+        # so there the paths agree to the gap target only.  Both anneal: the
+        # closed form is pinned to the oracle in TestClosedForm
+        _anneal_only(monkeypatch)
         R = binary_entropy(0.8)
         power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
         fam = DiagonalFamily(2, n)
@@ -354,6 +378,109 @@ class TestTypeClassCoordinates:
                                    K, fam, FAST)
             want = classical_neyman_pearson(diag, diag, 1.0 / K)
             assert abs(dual - want) <= 1e-6
+
+
+class TestClosedForm:
+    """The threshold minimum of a rank-one target on the symmetric subspace
+    in closed form (``_rank_one_optimum``), read by the exact probe and
+    certified by the unchanged exit bound."""
+
+    @staticmethod
+    def _bracket(monkeypatch, power, b, fam):
+        """The closed-form solve, and the annealed one's bracket [value -
+        fw_gap, value] with 1e-12 of slack each way."""
+        res = min_positive_part(power, b, fam)
+        with monkeypatch.context() as m:
+            _anneal_only(m)
+            annealed = min_positive_part(power, b, fam)
+        assert annealed.value - annealed.fw_gap - 1e-12 <= res.value \
+            <= annealed.value + 1e-12
+        return res
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_coherence_sweep_matches_oracle(self, monkeypatch, n):
+        # the five rates of the benchmark sweep: no anneal, the oracle's
+        # value to 1e-10 and a gap of rounding size
+        R = binary_entropy(0.8)
+        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        fam = DiagonalFamily(2, n)
+        calls = _count_anneals(monkeypatch)
+        for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
+            y = R + dy
+            before = len(calls)
+            res = min_positive_part(power, 2.0 ** (y * n), fam)
+            assert len(calls) == before and res.iterations == 0
+            assert res.converged and res.fw_gap <= 1e-12
+            assert abs(res.value - diagonal_threshold_optimum(n, y)) <= 1e-10
+            self._bracket(monkeypatch, power, 2.0 ** (y * n), fam)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_qutrit_power(self, monkeypatch, n):
+        vec = rand.random_pure(np.random.default_rng(41),
+                               SystemShape((3,))).vec
+        probs = np.abs(vec) ** 2
+        R = float(-(probs * np.log2(probs)).sum())
+        fam = DiagonalFamily(3, n)
+        for dy in (-0.25, 0.0, 0.25):
+            res = self._bracket(monkeypatch, _pure_power(vec, n),
+                                2.0 ** ((R + dy) * n), fam)
+            assert res.converged and res.fw_gap <= 1e-12
+
+    def test_tied_classes(self, monkeypatch):
+        # coherence:0.5 gives every string the same amplitude, so every
+        # class ties and the optimum is the maximally mixed state:
+        # e = max(0, 1 - b / 2^N)
+        n = 4
+        power = opalg.operator(coherence_power_state(0.5, n), (2,) * n)
+        fam = DiagonalFamily(2, n)
+        for b in (0.5, 4.0, 15.0, 16.0, 20.0):
+            res = self._bracket(monkeypatch, power, b, fam)
+            assert res.converged and res.fw_gap <= 1e-12
+            assert abs(res.value - max(0.0, 1.0 - b / 2 ** n)) <= 1e-12
+            assert np.abs(res.minimizer.mat - np.eye(2 ** n) / 2 ** n).max() \
+                <= 1e-15
+
+    @pytest.mark.parametrize("p", (1.0, 0.0))
+    def test_one_class(self, monkeypatch, p):
+        # coherence:1.0 and :0.0 are a basis string: e = max(0, 1 - b)
+        n = 4
+        power = opalg.operator(coherence_power_state(p, n), (2,) * n)
+        fam = DiagonalFamily(2, n)
+        for b in (0.25, 0.5, 1.0, 3.0):
+            res = self._bracket(monkeypatch, power, b, fam)
+            assert res.converged and res.fw_gap <= 1e-12
+            assert abs(res.value - max(0.0, 1.0 - b)) <= 1e-12
+
+    def test_threshold_above_amplitude_sum(self):
+        # psi psi^T <= b sigma for sigma ~ |psi_x| once b >= (sum |psi_x|)^2
+        # = S^2: the value is 0 there, at that sigma, and positive below
+        n = 5
+        psi = opalg.kron_power(np.array([math.sqrt(0.8), math.sqrt(0.2)]), n)
+        power = opalg.operator(np.outer(psi, psi), (2,) * n)
+        fam = DiagonalFamily(2, n)
+        S2 = float(psi.sum()) ** 2
+        res = min_positive_part(power, 1.001 * S2, fam)
+        assert res.value == 0.0 and res.fw_gap == 0.0 and res.converged
+        diag = np.diag(res.minimizer.mat).real
+        assert np.abs(diag - psi / psi.sum()).max() <= 1e-15
+        assert min_positive_part(power, 0.999 * S2, fam).value > 0.0
+
+    def test_other_inputs_anneal(self, monkeypatch):
+        # a mixed power, a single copy and a pure power off the symmetric
+        # subspace keep the annealed search
+        calls = _count_anneals(monkeypatch)
+        n, p = 4, 0.7
+        mixed = opalg.tensor_power(opalg.density(np.diag([p, 1.0 - p])), n)
+        res = min_positive_part(mixed, 2.0 ** (0.1 * n), DiagonalFamily(2, n),
+                                FAST)
+        assert len(calls) == 1 and res.iterations > 0
+        min_positive_part(coherence_qubit(), 1.2, DiagonalFamily(2, 1), FAST)
+        assert len(calls) == 2
+        psi = np.kron([math.sqrt(0.8), math.sqrt(0.2)],
+                      [math.sqrt(0.6), math.sqrt(0.4)])
+        rho = opalg.operator(np.outer(psi, psi), (2, 2))
+        min_positive_part(rho, 1.2, DiagonalFamily(2, 2), FAST)
+        assert len(calls) == 3
 
 
 class TestNewtonReweight:
@@ -678,11 +805,7 @@ class TestHypothesisTesting:
     def _count_solves(monkeypatch):
         """Empty the dual's memo and count the annealed solves from here."""
         monkeypatch.setattr(optim, "_DUAL_MEMO", None)
-        calls = []
-        anneal = optim._anneal
-        monkeypatch.setattr(optim, "_anneal",
-                            lambda *a: calls.append(a) or anneal(*a))
-        return calls
+        return _count_anneals(monkeypatch)
 
     def test_bracket_shares_one_solve(self, monkeypatch):
         eta = rand.random_density(np.random.default_rng(41), SystemShape((3,)))
