@@ -33,9 +33,9 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
 
     solver                  tau schedule      calls/stage    gap
     rel_ent_of_resource     exact             max(12, m//8)  tol
-    min_positive_part       1e-3, 1e-6, 1e-8  max(12, m//24) tol/4
+    min_positive_part       ANNEAL_TAUS       max(12, m//24) tol/4
       rank-one target       none: the closed form, then the exit bound
-    hypothesis_dual         1e-3, 1e-6, 1e-8  max(20, m//3)  tol/4
+    hypothesis_dual         ANNEAL_TAUS       max(20, m//3)  tol/4
     hypothesis_primal       reads stage 2's end of the dual's solve
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
@@ -96,6 +96,8 @@ RELENT_FLOOR = 1e-9
 # the exact positive-part probe's P keeps the eigenvalues of rho - b sigma
 # above POSPART_FLOOR (1 + b), the rounding level of ||rho|| + ||b sigma||
 POSPART_FLOOR = 1e-14
+# the temperatures of the annealed threshold and dual searches
+ANNEAL_TAUS = (1e-3, 1e-6, 1e-8)
 
 
 def _threshold(y: float, n: int) -> float:
@@ -716,6 +718,7 @@ def min_positive_part(rho: HermitianOperator, b: float,
     """
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")
+    family.check_dim(rho)
     rho_mat = rho.mat
     if b == 0.0:
         return OptResult(opalg.positive_part_trace(rho_mat),
@@ -728,7 +731,7 @@ def min_positive_part(rho: HermitianOperator, b: float,
         x0 = search.enter(_feasible_start(family, settings.seed)
                           if start is None else start.mat)
         tracker, iters = _anneal(partial(search.pospart, b),
-                                 (1e-3, 1e-6, 1e-8), search.lmo, x0,
+                                 ANNEAL_TAUS, search.lmo, x0,
                                  max(12, settings.max_iters // 24),
                                  settings.tol / 4.0)
     else:
@@ -798,7 +801,7 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
 
     member = search.enter(_feasible_start(family, settings.seed))
     tracker, _ = _anneal(partial(_dual_eval, partial(search.pospart, 1.0), K),
-                         (1e-3, 1e-6, 1e-8), lmo, min(1.0, K) * member,
+                         ANNEAL_TAUS, lmo, min(1.0, K) * member,
                          max(20, settings.max_iters // 3), settings.tol / 4.0)
     x = search.to_dense(tracker.stage_ends[:2][-1])
     _DUAL_MEMO = (eta_mat.copy(), K, family, settings, tracker.best_value, x)
@@ -822,6 +825,7 @@ def hypothesis_dual(eta: HermitianOperator, K: float,
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
+    family.check_dim(eta)
     return _dual_search(eta.mat, K, family, settings)[0]
 
 
@@ -860,6 +864,7 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
 
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
+    family.check_dim(eta)
     budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
     x = _dual_search(eta_mat, K, family, settings)[1]
@@ -977,6 +982,7 @@ def rel_ent_of_resource(rho: HermitianOperator,
     ``min_positive_part``: on a power the optimum mixes every vertex.  The
     exit gap is certified against the search's own oracle.
     """
+    family.check_dim(rho)
     witness = family.full_rank_witness().mat
     search = _search(family, settings.seed, rho.mat)
     probe = search.read(_relent_eval(rho.mat, witness))

@@ -12,10 +12,6 @@ from .opalg import DensityMatrix, HermitianOperator, PureState, SystemShape
 from .symmetry import twirl
 
 
-def rng_from_seed(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def ginibre(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))

@@ -143,7 +143,7 @@ def test_criterion_2_coherence_stein_trend():
 def test_criterion_3_resource_measure_oracles():
     t0 = time.time()
     failures = []
-    rng = rand.rng_from_seed(2024)
+    rng = np.random.default_rng(2024)
     settings = SolverSettings(max_iters=240, tol=1e-9, seed=0)
     fam = DiagonalFamily(2, 1)
     worst = 0.0
@@ -183,7 +183,7 @@ def test_criterion_3_resource_measure_oracles():
 def test_criterion_4_duality():
     t0 = time.time()
     failures = []
-    rng = rand.rng_from_seed(4)
+    rng = np.random.default_rng(4)
     settings = SolverSettings(max_iters=120, tol=1e-8, seed=0)
 
     worst_gap, worst_oracle = 0.0, 0.0
@@ -269,7 +269,7 @@ def test_criterion_6_symmetry_machinery():
             if not cert.passed:
                 failures.append(f"N={n}: {name} margin {cert.margin:.2e}")
 
-    rng = rand.rng_from_seed(6)
+    rng = np.random.default_rng(6)
     for N, M, R in [(4, 1, 1), (5, 1, 2), (6, 2, 2)]:
         for _ in range(5):
             base = rand.random_pure(rng, SystemShape((2,)))

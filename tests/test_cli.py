@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qstein import cli, opalg
+from qstein import cli, opalg, verify
 from qstein.opalg import SystemShape
 
 from oracles import classical_threshold_value
@@ -166,6 +166,46 @@ class TestVerify:
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "suite,check,trial,margin,tolerance"
         assert len(lines) > 10
+
+    # each suite's (check, tolerance) pairs, in run order
+    CHECKS = {
+        "opalg": [("cptp-positive-part", "1e-09"),
+                  ("partial-trace-monotone", "1e-09"),
+                  ("log-monotone", "1e-08"),
+                  ("trace-distance-dominance", "1e-10"),
+                  ("dominated-state", "1e-09"),
+                  ("positive-part-idempotent", "1e-10"),
+                  ("trace-norm-triangle", "1e-10")],
+        "entropy": [("entropy-continuity", "1e-09"),
+                    ("relent-continuity", "1e-08"),
+                    ("relent-upper-bound", "1e-09"),
+                    ("dominance-to-relent", "1e-09"),
+                    ("relent-convexity-second-arg", "1e-09"),
+                    ("relent-additivity", "1e-08"),
+                    ("classical-kl-agreement", "1e-10")],
+        "optim": [("weak-duality", "1e-06"), ("threshold-monotone", "1e-09"),
+                  ("coherence-closed-form", "1e-06"),
+                  ("robustness-witness", "1e-08")],
+        "symmetry": [("sym-projector", "1e-08"),
+                     ("almost-power-fixed-point", "1e-10"),
+                     ("power-tail-bound", "1e-08"),
+                     ("conditioning-chain", "1e-08")],
+    }
+
+    def test_all_suites_rerun_byte_identical(self, tmp_path):
+        outs = [str(tmp_path / f"v{k}.csv") for k in range(2)]
+        for out in outs:
+            assert cli.main(["verify", "--suite", "all", "--trials", "2",
+                             "--seed", "7", "--out", out]) == 0
+        first, second = (open(out, "rb").read() for out in outs)
+        assert first == second
+        rows = [line.split(",") for line in first.decode().splitlines()[1:]]
+        triples = list(dict.fromkeys((r[0], r[1], r[4]) for r in rows))
+        assert [len(checks) for checks in verify.SUITES.values()] == [
+            len(checks) for checks in self.CHECKS.values()]
+        assert triples == [("all", name, tol)
+                           for checks in self.CHECKS.values()
+                           for name, tol in checks]
 
     def test_bad_trials_usage_error(self):
         assert cli.main(["verify", "--suite", "opalg", "--trials", "-1"]) == 2

@@ -181,6 +181,25 @@ def test_lmo_contract(kind):
             assert val <= float(np.einsum("ij,ji->", g, m).real) + slack
 
 
+@pytest.mark.parametrize("fam", [
+    DiagonalFamily(2, 2), DiagonalFamily(3, 1),
+    SingletonIIDFamily(2, 2, sigma0=np.diag([0.8, 0.2])),
+    FullSpaceFamily(3, 1), FullSpaceFamily(2, 2),
+    SeparableHullFamily(4, 1, dim_a=2, dim_b=2),
+    SeparableHullFamily(6, 1, dim_a=2, dim_b=3)],
+    ids=["diagonal-2-2", "diagonal-3-1", "iid-2-2", "full-3-1", "full-2-2",
+         "sep-2x2", "sep-2x3"])
+def test_random_member_is_a_state_and_a_member(fam):
+    # random_member is not validated; this pins what validation would check
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        member = fam.random_member(rng)
+        assert member.shape == fam.shape
+        assert np.linalg.eigvalsh(member.mat)[0] >= -opalg.PSD_TOL
+        assert abs(member.trace() - 1.0) <= opalg.TRACE_TOL
+        assert fam.membership(member, fam.membership_check_tol)
+
+
 class TestWitness:
     def test_diagonal(self):
         fam = DiagonalFamily(2, 2)
@@ -202,7 +221,7 @@ class TestProperties:
     @pytest.mark.parametrize("prop", [1, 2, 3, 4, 5])
     def test_diagonal_all_properties(self, prop):
         rep = check_property(DiagonalFamily(2, 2), prop, trials=40, seed=5)
-        assert rep.passed, f"property {prop}: {rep.worst_margin}"
+        assert rep.passed, f"property {prop}: {rep.worst}"
 
     def test_singleton_tensor_power(self):
         fam = SingletonIIDFamily(2, 1, sigma0=np.diag([0.8, 0.2]))

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from qstein import opalg, optim, rand
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
-from qstein.errors import DimensionCap, NoFullRankMember
+from qstein.errors import DimensionCap, NoFullRankMember, ShapeMismatch
 from qstein.opalg import SystemShape
 from qstein.optim import (SolverSettings, distance_to_family,
                           generalized_robustness, hypothesis_dual,
@@ -378,6 +378,37 @@ class TestTypeClassCoordinates:
                                    K, fam, FAST)
             want = classical_neyman_pearson(diag, diag, 1.0 / K)
             assert abs(dual - want) <= 1e-6
+
+
+@dataclass(frozen=True)
+class _VertexDiagonal(DiagonalFamily):
+    """The diagonal family searched over its vertices only."""
+
+    type_classes = False
+
+
+class TestNonCommutingMixedPower:
+    """A mixed power that does not commute with the diagonal family's
+    members: the type-class search against the dense vertex search.  Half
+    of these solves stop uncertified, so ``converged`` is not asserted."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4))
+    def test_matches_vertex_search(self, n):
+        rho = opalg.density(np.array([[0.7, 0.2], [0.2, 0.3]]))
+        power = opalg.tensor_power(rho, n)
+        fam, vertex = DiagonalFamily(2, n), _VertexDiagonal(2, n)
+        assert optim._TypeClassCoords.of(fam, power.mat) is not None
+        assert optim._TypeClassCoords.of(vertex, power.mat) is None
+        prev = math.inf
+        for y in (0.0, 0.1, 0.2, 0.3):
+            b = optim._threshold(y, n)
+            red = min_positive_part(power, b, fam)
+            dense = min_positive_part(power, b, vertex)
+            assert abs(red.value - dense.value) <= 1e-10
+            assert red.value <= prev
+            prev = red.value
+            assert red.value - red.fw_gap <= dense.value + 1e-12
+            assert dense.value - dense.fw_gap <= red.value + 1e-12
 
 
 class TestClosedForm:
@@ -1066,3 +1097,32 @@ class TestResourceMeasures:
                             / (1.0 + 0.5 * eps))
         res = distance_to_family(mix, fam, FAST, start=free)
         assert res.value <= eps
+
+
+class TestDimensionCheck:
+    """A target whose dimension differs from the family's is refused before
+    any work, on every entry point."""
+
+    RHO = opalg.density(np.diag([0.6, 0.4]))
+    FAM = DiagonalFamily(2, 2)
+
+    @pytest.mark.parametrize("b", (0.0, 1.5))
+    def test_min_positive_part(self, b):
+        with pytest.raises(ShapeMismatch):
+            min_positive_part(self.RHO, b, self.FAM, FAST)
+
+    @pytest.mark.parametrize("solve", (rel_ent_of_resource,
+                                       distance_to_family,
+                                       generalized_robustness))
+    def test_measures(self, solve):
+        with pytest.raises(ShapeMismatch):
+            solve(self.RHO, self.FAM, FAST)
+
+    @pytest.mark.parametrize("solve", (hypothesis_primal, hypothesis_dual))
+    def test_hypothesis(self, solve):
+        with pytest.raises(ShapeMismatch):
+            solve(self.RHO, 2.0, self.FAM, FAST)
+
+    def test_membership(self):
+        with pytest.raises(ShapeMismatch):
+            self.FAM.membership(self.RHO, 1e-8)
