@@ -469,16 +469,15 @@ def save_operator(a: HermitianOperator, path: str) -> None:
     upper-triangle entry.  Floats are printed with full precision (repr), so
     readers reconstruct the matrix bit-exactly.
     """
-    lines = ["dims: " + ",".join(str(d) for d in a.shape.dims)]
     m = a.mat
-    n = m.shape[0]
-    for i in range(n):
-        for j in range(i, n):
-            z = m[i, j]
-            if z != 0:
-                lines.append(f"{i} {j} {float(z.real)!r} {float(z.imag)!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("dims: " + ",".join(str(d) for d in a.shape.dims) + "\n")
+        for i in range(m.shape[0]):  # a row at a time: never the whole text
+            row = m[i, i:]
+            cols = np.flatnonzero(row)
+            fh.writelines(f"{i} {j} {re!r} {im!r}\n" for j, re, im in zip(
+                (cols + i).tolist(), row[cols].real.tolist(),
+                row[cols].imag.tolist()))
 
 
 def load_operator(path: str) -> HermitianOperator:

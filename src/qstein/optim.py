@@ -36,7 +36,7 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
     min_positive_part       ANNEAL_TAUS       max(12, m//24) tol/4
       rank-one target       none: the closed form, then the exit bound
     hypothesis_dual         ANNEAL_TAUS       max(20, m//3)  tol/4
-    hypothesis_primal       reads stage 2's end of the dual's solve
+    hypothesis_primal       reads stage 2's end, and its atoms, of the dual
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
 lower bound f(x) - gap(x) over its best probe and its stage ends
@@ -49,9 +49,10 @@ unit-trace states, and (1+s) sigma >= rho iff Tr[(rho - (1+s) sigma)_+]
 vanishes.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
-dual's second stage with a cutting-plane linear program.  Both ends of the
-bracket share one solve: the last dual solve is memoized, so a primal and
-a dual call on the same inputs, in either order, anneal once.
+dual's second stage with a cutting-plane linear program, whose first cuts
+are that iterate's atoms.  Both ends of the bracket share one solve: the
+last dual solve is memoized, so a primal and a dual call on the same
+inputs, in either order, anneal once.
 Oracles and iterates are plain matrices, and a solver returns its minimizer
 unvalidated, as a ``HermitianOperator``: a ``DensityMatrix`` is built where
 a state enters the program, since its check is a full eigendecomposition.
@@ -155,12 +156,12 @@ class OptResult:
 
 class _Tracker:
     """Remembers the best exact objective value seen at any probed member,
-    and the iterate at the end of each annealing stage."""
+    and the iterate and its atoms at the end of each annealing stage."""
 
     def __init__(self):
         self.best_value = math.inf
         self.best_mat = None
-        self.stage_ends: list[np.ndarray] = []
+        self.stage_ends: list[tuple[np.ndarray, list]] = []
 
     def offer(self, mat: np.ndarray, exact: float) -> None:
         if exact < self.best_value:
@@ -219,7 +220,7 @@ def _pairwise_direction(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
 def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
                jac: np.ndarray, value: float, radius: float,
                tracker: _Tracker):
-    """Backtracking along d on the weight simplex.
+    """Safeguarded backtracking along d on the weight simplex.
 
     The first trial step is the nearer of the simplex boundary and the trust
     radius (in the l1 norm of the weights); a boundary step sets the
@@ -228,11 +229,13 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
     along d at the step that is still <= 0: by convexity that step
     descends, and near a hull optimum of a sharply curved surrogate the
     decrease is below what the value resolves while the slope still shows
-    it.  Returns (weights, surrogate value, the probe's ``local``, next
-    radius), or None
-    when no step of at least 1e-15 in the weights is accepted.  The radius
-    grows fourfold after a first trial that holds, and is twice the
-    accepted step after one that had to shrink.
+    it.  A rejected step t is followed by the minimizer of the quadratic
+    through the value and slope at 0 and the value at t, kept in [t/10,
+    t/2] (t/2 if that is not convex), so a step far past a kink shrinks
+    tenfold per probe.  Returns (weights, surrogate value, the probe's
+    ``local``, next radius), or None when no step of at least 1e-15 in the
+    weights is accepted.  The radius grows fourfold after a first trial
+    that holds, and is twice the accepted step after one that had to shrink.
     """
     slope = float(jac @ d)
     shrink = np.flatnonzero(d < 0.0)
@@ -241,52 +244,55 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
     ratios = w[shrink] / -d[shrink]
     hit = float(ratios.min())
     size = float(np.abs(d).sum())
+    flat = mats.reshape(len(w), -1)
     t = min(1.0, hit, radius / size)
-    for halvings in range(60):
+    for tries in range(60):
         if t * size <= 1e-15:
             break
-        trial = np.clip(w + t * d, 0.0, None)
+        trial = np.maximum(w + t * d, 0.0)
         if t == hit:
             trial[shrink[np.argmin(ratios)]] = 0.0
         trial /= trial.sum()
-        x = np.tensordot(trial, mats, 1)
+        x = (trial @ flat).reshape(mats.shape[1:])
         v, exact, _, local = probe(x)
         tracker.offer(x, exact)
-        grown = (max(radius, 4.0 * t * size) if halvings == 0
-                 else 2.0 * t * size)
+        grown = max(radius, 4.0 * t * size) if tries == 0 else 2.0 * t * size
         if v < value and v <= value + 1e-4 * t * slope:
             return trial, v, local, grown
         if v <= value + 1e-15 * abs(value):
             derivs = local(mats)
             if derivs[0] @ d <= 0.0:
                 return trial, v, lambda _: derivs, grown
-        t *= 0.5
+        curv = v - value - slope * t
+        t *= min(0.5, max(0.1, -slope * t / (2.0 * curv))) if curv > 0 else 0.5
     return None
 
 
 def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
-                     hull_tol: float) -> None:
+                     hull_tol: float, start=None) -> None:
     """Fully-corrective step by Newton's method on the weight simplex.
 
     ``probe(x)`` returns (surrogate value, exact value, ``grad``,
     ``local``) at x, and ``local(mats)`` the gradient and the exact Hessian
-    in the coordinates of the atoms ``mats``.  Each step is backtracked to
-    the Armijo condition (``_backtrack``); when the Newton step does not
-    descend, the pairwise step is tried.  The solve stops at a hull gap
-    jac.w - min(jac) of at most ``hull_tol``, when no step descends, or
-    after 60 steps.
-    Every probe's exact value goes to the tracker.
+    in the coordinates of the atoms ``mats``; ``start`` is that probe at the
+    atoms' mixture when the caller has made it, else it is made here.  Each
+    step is backtracked to the Armijo condition (``_backtrack``); when the
+    Newton step does not descend, the pairwise step is tried.  The solve
+    stops at a hull gap jac.w - min(jac) of at most ``hull_tol``, when no
+    step descends, or after 60 steps.  Every probe's exact value goes to
+    the tracker.
     """
     mats = np.array([a for a, _ in atoms])
     w = np.array([v for _, v in atoms], dtype=float)
-    value, _, _, local = probe(np.tensordot(w, mats, 1))
+    value, _, _, local = start or probe(np.tensordot(w, mats, 1))
     radius, moved = 1.0, False
     for _ in range(60):
         jac, hess = local(mats)
         if jac @ w - jac.min() <= hull_tol:
             break
-        for d in (_newton_direction(w, jac, hess),
-                  _pairwise_direction(w, jac)):
+        for direction in (partial(_newton_direction, w, jac, hess),
+                          partial(_pairwise_direction, w, jac)):
+            d = direction()  # the pairwise step only if Newton's fails
             step = None if d is None else _backtrack(
                 probe, mats, w, d, jac, value, radius, tracker)
             if step is not None:
@@ -308,7 +314,8 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
     atom by Newton's method to a hull gap of ``gap_tol / 2``.
 
     One ``probe(mat)`` per point serves both: the oracle reads its
-    ``grad()``, the corrective step its ``local(mats)``.  Exact values of
+    ``grad()``, the corrective step its ``local(mats)`` (a new atom enters
+    at weight 0, so the re-solve starts from that probe).  Exact values of
     every probe go to the tracker.  The solve ends when the oracle
     certifies the gap target, after ``max_outer`` oracle calls, or when an
     iteration leaves the atom set as it was: the answer was already held, or
@@ -321,13 +328,13 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
     def probe_mixture():
         total = sum(e[1] for e in atoms)
         x = sum(e[0] * (e[1] / total) for e in atoms)
-        _, exact, grad, _ = probe(x)
-        tracker.offer(x, exact)
-        return x, grad
+        here = probe(x)
+        tracker.offer(x, here[1])
+        return x, here
 
-    sigma, grad = probe_mixture()
+    sigma, here = probe_mixture()
     for k in range(max_outer):
-        g = grad()
+        g = here[2]()
         s = lmo(g)
         if _tr_prod(g, sigma - s) <= gap_tol:
             return sigma, atoms, k + 1, k == 0
@@ -337,9 +344,9 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
                 break
         else:
             atoms.append([s, 0.0])
-        _newton_reweight(atoms, probe, tracker, gap_tol / 2.0)
+        _newton_reweight(atoms, probe, tracker, gap_tol / 2.0, here)
         atoms = [e for e in atoms if e[1] > 1e-14] or atoms[:1]
-        sigma, grad = probe_mixture()
+        sigma, here = probe_mixture()
         if len(atoms) == len(held) and all(
                 e[0] is m for e, m in zip(atoms, held)):
             return sigma, atoms, k + 1, False
@@ -355,15 +362,15 @@ def _anneal(make_probe, taus, lmo, start: np.ndarray, stage_atoms: int,
     and starts from the atoms and weights the one before ended with; the
     schedule stops after a stage whose first oracle call certifies its
     start.  Returns the tracker of exact values, whose ``stage_ends`` are
-    the iterates at the end of the stages run, and the oracle calls summed
-    over the stages.
+    the iterates at the end of the stages run with their atoms of positive
+    weight, and the oracle calls summed over the stages.
     """
     tracker = _Tracker()
     atoms, total = [[start.copy(), 1.0]], 0
     for tau in taus:
         x, atoms, it, settled = _fcfw_minimize(make_probe(tau), lmo, atoms,
                                                stage_atoms, gap_tol, tracker)
-        tracker.stage_ends.append(x)
+        tracker.stage_ends.append((x, [m for m, v in atoms if v > 0.0]))
         total += it
         if settled:
             break  # the oracle certifies the start point already
@@ -401,7 +408,7 @@ def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
     """
     value = tracker.best_value
     gap = value - bound(tracker.best_mat)
-    for x in reversed(tracker.stage_ends):
+    for x, _ in reversed(tracker.stage_ends):
         if gap <= settings.tol:
             break
         gap = min(gap, value - bound(x))
@@ -757,7 +764,7 @@ def _dual_eval(pospart, K: float, tau: float):
 
     def probe(x: np.ndarray):
         smooth, exact, grad, local = pospart(x)
-        mass = float(np.trace(x).real) / K
+        mass = float(x.trace().real) / K
 
         def with_mass(mats: np.ndarray):
             jac, hess = local(mats)
@@ -768,16 +775,16 @@ def _dual_eval(pospart, K: float, tau: float):
 
 
 # The last dual solve: (copy of eta, K, family, settings, best value,
-# primal iterate).
+# primal iterate, its atoms).
 _DUAL_MEMO = None
 
 
 def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
-                 settings: SolverSettings) -> tuple[float, np.ndarray]:
+                 settings: SolverSettings) -> tuple[float, np.ndarray, list]:
     """Annealed solve of the dual over X = b sigma: the exact value at its
     best probe, and the dense iterate at the end of its second temperature
-    (of its first, if the schedule stops there), from which the primal
-    reads its test.
+    (of its first, if the schedule stops there) and its atoms of positive
+    weight, from which the primal reads its test and its first cuts.
 
     The last solve is kept in a one-entry memo, so that a primal and a dual
     call on the same inputs share it, in either order.  A call reuses it
@@ -792,7 +799,7 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     memo = _DUAL_MEMO
     if (memo is not None and memo[2] is family and memo[1] == K
             and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
-        return memo[4], memo[5]
+        return memo[4:]
     search = _search(family, settings.seed, eta_mat)
 
     def lmo(grad: np.ndarray) -> np.ndarray:
@@ -803,9 +810,11 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     tracker, _ = _anneal(partial(_dual_eval, partial(search.pospart, 1.0), K),
                          ANNEAL_TAUS, lmo, min(1.0, K) * member,
                          max(20, settings.max_iters // 3), settings.tol / 4.0)
-    x = search.to_dense(tracker.stage_ends[:2][-1])
-    _DUAL_MEMO = (eta_mat.copy(), K, family, settings, tracker.best_value, x)
-    return tracker.best_value, x
+    x, held = tracker.stage_ends[:2][-1]
+    out = (tracker.best_value, search.to_dense(x),
+           [search.to_dense(m) for m in held])
+    _DUAL_MEMO = (eta_mat.copy(), K, family, settings) + out
+    return out
 
 
 def hypothesis_dual(eta: HermitianOperator, K: float,
@@ -847,12 +856,16 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
     complementary slackness.  (The best exact probe is no substitute: its
     eigenbasis can sit far off along directions in which the dual is flat.)
     So E = sum_j e_j v_j v_j^dag, with e in [0, 1]^d maximizing sum_j e_j
-    <v_j|eta|v_j> by one linear program per round.  Its rows are Kelley
-    cutting planes sum_j e_j <v_j|s_k|v_j> <= budget, one per oracle answer
-    s_k to -E; a round adds the cut of the current answer until that answer
-    exceeds the budget by at most a relative 1e-9, for at most ``max_iters``
-    rounds.  The first round has no rows, so its optimum is e_j = 1 where
-    <v_j|eta|v_j> > 0 and 0 elsewhere, with no linear program.  The rows
+    <v_j|eta|v_j> by one linear program per round, whose rows are Kelley
+    cutting planes sum_j e_j <v_j|s|v_j> <= budget, s free.  The first
+    round has no rows, so its optimum is e_j = 1 where <v_j|eta|v_j> > 0
+    and 0 elsewhere, with no linear program.  If the oracle's answer to -E
+    breaks the budget, the rows become its cut and one cut per nonzero atom
+    K s of X*, cut with s: by complementary slackness an optimal test makes
+    those tight, so one program usually suffices.  Each later round adds
+    the cut of its answer, until that answer exceeds the budget by at most
+    a relative 1e-9, for at most ``max_iters`` rounds; any free s gives a
+    valid cut, so feasibility rests on the oracle alone.  The rows
     are divided by the budget and solved to HiGHS' tightest feasibility
     tolerance, 1e-10: at its default of 1e-7 a cut the LP already holds can
     stay violated by more than the 1e-9, and the same cut is added round
@@ -867,7 +880,7 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
     family.check_dim(eta)
     budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
-    x = _dual_search(eta_mat, K, family, settings)[1]
+    _, x, held = _dual_search(eta_mat, K, family, settings)
     _, V = eigh(eta_mat - x)
 
     def diag_in_basis(mat: np.ndarray) -> np.ndarray:
@@ -886,6 +899,8 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
         cost = diag_in_basis(family.lmo(-(V * e) @ V.conj().T, settings.seed))
         if cost @ e <= budget * (1.0 + 1e-9):
             break
+        if not cuts:  # the dual's atoms, as K times free states
+            cuts = [diag_in_basis(a) / a.trace().real for a in held if a.any()]
         cuts.append(cost)
     used = float(cost @ e)
     return float(gain @ e) * (budget / used if used > budget else 1.0)

@@ -461,6 +461,18 @@ class TestSerialization:
         opalg.save_operator(rho, str(path))
         assert np.array_equal(opalg.load_density(str(path)).mat, rho.mat)
 
+    def test_exact_text(self, tmp_path):
+        # upper triangle, row by row; zero entries are skipped, a nonzero
+        # entry with a zero part prints that part as 0.0
+        mat = np.array([[0.5, 0.0, -0.25 + 0.125j],
+                        [0.0, -1.5, 0.3j],
+                        [-0.25 - 0.125j, -0.3j, 0.1]])
+        path = tmp_path / "op.txt"
+        opalg.save_operator(opalg.operator(mat, (1, 3)), str(path))
+        assert path.read_text() == (
+            "dims: 1,3\n0 0 0.5 0.0\n0 2 -0.25 0.125\n1 1 -1.5 0.0\n"
+            "1 2 0.0 0.3\n2 2 0.1 0.0\n")
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 1.0 0.0\n")

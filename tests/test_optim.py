@@ -543,6 +543,29 @@ class TestNewtonReweight:
         jac = local(mats)[0]
         return value, float(jac @ w - jac.min()), w
 
+    def test_backtrack_on_a_kink(self):
+        # X = w_1 K sigma0 with eta = sigma0: eta - X has a kink 1e-5 along
+        # d, and the first trial (the radius, 1/2) overshoots it 5e4 times;
+        # plain halving would take 16 probes to come back
+        eta = np.diag([0.6, 0.4]).astype(complex)
+        probe = optim._dual_eval(
+            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), 2.0, 1e-8)
+        mats = np.array([np.zeros_like(eta), 2.0 * eta])
+        w, d = np.array([0.5 + 1e-5, 0.5 - 1e-5]), np.array([-1.0, 1.0])
+        value, _, _, local = probe(np.tensordot(w, mats, 1))
+        jac = local(mats)[0]
+        probes = []
+
+        def counted(x):
+            probes.append(x)
+            return probe(x)
+        step = optim._backtrack(counted, mats, w, d, jac, value, 1.0,
+                                optim._Tracker())
+        assert step is not None and len(probes) <= 10
+        trial, v = step[0], step[1]
+        t = float(trial[1] - w[1])
+        assert v < value and v <= value + 1e-4 * t * float(jac @ d)
+
     @pytest.mark.parametrize("duplicate", (False, True))
     def test_meets_hull_gap(self, duplicate):
         # a repeated atom makes the Hessian singular; the ridged KKT system
@@ -912,6 +935,29 @@ class TestHypothesisTesting:
         eta = opalg.density(np.diag([0.6, 0.4, 0.0]))
         assert abs(hypothesis_primal(eta, 4.0, fam, FAST) - 1.0) <= 1e-12
         assert not calls
+
+    def test_primal_one_lp_per_bracket(self, monkeypatch):
+        # the dual's atoms are the cuts an optimal test makes tight, so the
+        # first linear program already meets the budget
+        import scipy.optimize
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: calls.append(a) or linprog(*a, **k))
+        rng = np.random.default_rng(29)
+        for d in range(2, 7):
+            for K in (2.0, 4.0, 8.0):
+                eta = rand.random_density(rng, SystemShape((d,)))
+                calls.clear()
+                p = hypothesis_primal(eta, K, FullSpaceFamily(d, 1), FAST)
+                assert len(calls) <= 1
+                assert abs(p - 1.0 / K) <= 1e-9
+        eta_diag, sigma_diag = rng.dirichlet(np.ones(5), 2)
+        fam = SingletonIIDFamily(5, 1, sigma0=np.diag(sigma_diag))
+        p = hypothesis_primal(opalg.density(np.diag(eta_diag)), 4.0, fam,
+                              FAST)
+        want = classical_neyman_pearson(eta_diag, sigma_diag, 0.25)
+        assert abs(p - want) <= 1e-9
 
     def test_dual_stages_end_before_their_cap(self, monkeypatch):
         # a stage ends once an oracle answer earns no weight in the hull
