@@ -3,10 +3,12 @@
 Each family exposes the three capabilities every solver in this package
 needs: a membership test, a linear-minimization oracle (``lmo``), and a
 full-rank witness; it may declare ``type_classes``, that its invariant
-members are the mixtures of uniform states on type classes.  Oracles return
-plain complex matrices, and the witness and ``random_member`` unvalidated
-``HermitianOperator``s: solvers call them thousands of times, and
-validation belongs where a state enters the program.  Families are
+members are the mixtures of uniform states on type classes, or
+``one_member``, that it holds one state, which every oracle answer is.
+Oracles return plain complex matrices, and the witness and
+``random_member`` unvalidated ``HermitianOperator``s: solvers call them
+thousands of times, and validation belongs where a state enters the
+program.  Families are
 immutable descriptors; oracles are pure given an explicit seed, so
 concurrent use is safe.
 
@@ -49,6 +51,10 @@ class FreeFamily:
     # mixtures of uniform states on type classes, the full-rank witness among
     # them; optim then searches invariant inputs in type-class coordinates
     type_classes = False
+    # optional capability: the family holds one state, so every oracle answer
+    # is that state; optim then solves the hypothesis-test dual as a 1-D
+    # problem in its weight and the primal's one-row LP in closed form
+    one_member = False
 
     @property
     def shape(self) -> SystemShape:
@@ -131,6 +137,7 @@ class SingletonIIDFamily(FreeFamily):
     sigma0: np.ndarray = field(default=None, repr=False)
 
     kind = "iid"
+    one_member = True
 
     def __post_init__(self):
         m = 0.5 * (np.asarray(self.sigma0, complex)

@@ -3,11 +3,12 @@
 Every minimization here is projection-free and runs through one routine,
 ``_anneal``, except the threshold minimum of a rank-one target on the
 symmetric subspace (a pure power), which has a closed form
-(``_rank_one_optimum``).  ``_anneal`` is a fully-corrective Frank-Wolfe
-loop: it discovers extreme points through a linear minimization oracle
-and re-optimizes the weights over the discovered hull after every new
-atom.  The nonsmooth positive part is
-handled by annealing a smooth spectral surrogate over a schedule of
+(``_rank_one_optimum``), and the hypothesis-test dual on a family that
+declares ``one_member``, a bisection in one weight (``_one_member_dual``).
+``_anneal`` is a fully-corrective Frank-Wolfe loop: it discovers extreme
+points through a linear minimization oracle and re-optimizes the weights
+over the discovered hull after every new atom.  The nonsmooth positive
+part is handled by annealing a smooth spectral surrogate over a schedule of
 temperatures tau while tracking the exact objective at every point probed;
 reported values are always exact evaluations, and the reported duality gap
 is computed from the exact subgradient, so it upper-bounds the true
@@ -36,7 +37,9 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
     min_positive_part       ANNEAL_TAUS       max(12, m//24) tol/4
       rank-one target       none: the closed form, then the exit bound
     hypothesis_dual         ANNEAL_TAUS       max(20, m//3)  tol/4
+      one-member family     none: bisection on the slope in b, exact probes
     hypothesis_primal       reads stage 2's end, and its atoms, of the dual
+      one-member family     reads the bisection's end; one cut, closed form
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
 lower bound f(x) - gap(x) over its best probe and its stage ends
@@ -50,9 +53,10 @@ vanishes.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
 dual's second stage with a cutting-plane linear program, whose first cuts
-are that iterate's atoms.  Both ends of the bracket share one solve: the
-last dual solve is memoized, so a primal and a dual call on the same
-inputs, in either order, anneal once.
+are that iterate's atoms; a program of one cut is a fractional knapsack,
+solved in closed form (``_one_row_optimum``).  Both ends of the bracket
+share one solve: the last dual solve is memoized, so a primal and a dual
+call on the same inputs, in either order, solve once.
 Oracles and iterates are plain matrices, and a solver returns its minimizer
 unvalidated, as a ``HermitianOperator``: a ``DensityMatrix`` is built where
 a state enters the program, since its check is a full eigendecomposition.
@@ -186,15 +190,17 @@ def _newton_direction(w: np.ndarray, jac: np.ndarray,
     while True:
         idx = np.flatnonzero(free)
         n = idx.size
-        kkt = np.zeros((n + 1, n + 1))
-        kkt[:n, :n] = hess[np.ix_(idx, idx)]
-        ridge = 1e-12 * max(float(np.abs(np.diag(kkt)).max()),
-                            float(np.abs(jac[idx]).max()))
-        kkt[:n, :n] += ridge * np.eye(n)
-        kkt[:n, n] = kkt[n, :n] = 1.0
+        kkt = np.ones((n + 1, n + 1))
+        kkt[n, n] = 0.0
+        kkt[:n, :n] = hess if n == w.size else hess[np.ix_(idx, idx)]
+        rhs = np.zeros(n + 1)
+        rhs[:n] = -jac[idx]
+        diag = slice(0, n * (n + 2), n + 2)  # kkt.flat of the Hessian block
+        kkt.flat[diag] += 1e-12 * max(float(np.abs(kkt.flat[diag]).max()),
+                                      float(np.abs(rhs).max()))
         with np.errstate(all="ignore"):
             try:
-                sol = np.linalg.solve(kkt, np.append(-jac[idx], 0.0))
+                sol = np.linalg.solve(kkt, rhs)
             except np.linalg.LinAlgError:
                 return None
         if not np.isfinite(sol).all():
@@ -800,21 +806,54 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     if (memo is not None and memo[2] is family and memo[1] == K
             and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
         return memo[4:]
-    search = _search(family, settings.seed, eta_mat)
+    if family.one_member:
+        out = _one_member_dual(eta_mat, K, family.lmo(np.zeros_like(eta_mat),
+                                                      settings.seed))
+    else:
+        search = _search(family, settings.seed, eta_mat)
 
-    def lmo(grad: np.ndarray) -> np.ndarray:
-        s = K * search.lmo(grad)
-        return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
+        def lmo(grad: np.ndarray) -> np.ndarray:
+            s = K * search.lmo(grad)
+            return s if _tr_prod(grad, s) < 0.0 else np.zeros_like(s)
 
-    member = search.enter(_feasible_start(family, settings.seed))
-    tracker, _ = _anneal(partial(_dual_eval, partial(search.pospart, 1.0), K),
-                         ANNEAL_TAUS, lmo, min(1.0, K) * member,
-                         max(20, settings.max_iters // 3), settings.tol / 4.0)
-    x, held = tracker.stage_ends[:2][-1]
-    out = (tracker.best_value, search.to_dense(x),
-           [search.to_dense(m) for m in held])
+        member = search.enter(_feasible_start(family, settings.seed))
+        tracker, _ = _anneal(
+            partial(_dual_eval, partial(search.pospart, 1.0), K),
+            ANNEAL_TAUS, lmo, min(1.0, K) * member,
+            max(20, settings.max_iters // 3), settings.tol / 4.0)
+        x, held = tracker.stage_ends[:2][-1]
+        out = (tracker.best_value, search.to_dense(x),
+               [search.to_dense(m) for m in held])
     _DUAL_MEMO = (eta_mat.copy(), K, family, settings) + out
     return out
+
+
+def _one_member_dual(eta_mat: np.ndarray, K: float,
+                     s: np.ndarray) -> tuple[float, np.ndarray, list]:
+    """min over b in [0, K] of g(b) = Tr[(eta - b s)_+] + b/K, the dual on
+    {s}: the dual's exact probe at b s gives g(b) and the slope Tr[grad s]
+    = 1/K - Tr[P s], non-decreasing in b as g is convex.  The optimum is 0
+    or K if the slope there says so, else in a bracket [lo, hi] halved to
+    adjacent floats or 60 times.  Returns the least g probed (feasible, so
+    an upper bound), the iterate hi s, where the slope is >= 0, no atoms."""
+    probe = _dual_eval(partial(_pospart_eval, eta_mat, 1.0), K, None)
+    values = []
+
+    def slope(b: float) -> float:
+        _, exact, grad, _ = probe(b * s)
+        values.append(exact)
+        return _tr_prod(grad(), s)
+
+    lo, hi = 0.0, K
+    if slope(0.0) >= 0.0:
+        hi = 0.0
+    elif slope(K) > 0.0:
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            lo, hi = (lo, mid) if slope(mid) >= 0.0 else (mid, hi)
+    return min(values), hi * s, []
 
 
 def hypothesis_dual(eta: HermitianOperator, K: float,
@@ -829,13 +868,27 @@ def hypothesis_dual(eta: HermitianOperator, K: float,
     K, X / b free by convexity) and the exact value at the best probe is a
     certified upper bound on the primal.  Invariant multi-copy inputs are
     searched in type-class coordinates, as in ``min_positive_part``
-    (``_search``).  A ``hypothesis_primal`` call on the same
-    inputs just before or after shares the solve (``_dual_search``).
+    (``_search``).  On a family that declares ``one_member``, {s}, X = b s
+    and b is bisected with the same exact probe (``_one_member_dual``).  A
+    ``hypothesis_primal`` call on the same inputs just before or after
+    shares the solve (``_dual_search``).
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     family.check_dim(eta)
     return _dual_search(eta.mat, K, family, settings)[0]
+
+
+def _one_row_optimum(gain: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """argmax gain.e subject to row.e <= 1 and 0 <= e <= 1, for a row >= 0
+    up to rounding (a fractional knapsack): e = 1 where gain > 0 and row <=
+    0, then the entries with gain, row > 0 by decreasing gain / row."""
+    e = ((gain > 0.0) & (row <= 0.0)) * 1.0
+    items = np.flatnonzero((gain > 0.0) & (row > 0.0))
+    order = items[np.argsort(-gain[items] / row[items], kind="stable")]
+    before = np.concatenate(([0.0], np.cumsum(row[order])[:-1]))
+    e[order] = np.clip((1.0 - row @ e - before) / row[order], 0.0, 1.0)
+    return e
 
 
 def hypothesis_primal(eta: HermitianOperator, K: float,
@@ -859,19 +912,25 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
     <v_j|eta|v_j> by one linear program per round, whose rows are Kelley
     cutting planes sum_j e_j <v_j|s|v_j> <= budget, s free.  The first
     round has no rows, so its optimum is e_j = 1 where <v_j|eta|v_j> > 0
-    and 0 elsewhere, with no linear program.  If the oracle's answer to -E
-    breaks the budget, the rows become its cut and one cut per nonzero atom
-    K s of X*, cut with s: by complementary slackness an optimal test makes
-    those tight, so one program usually suffices.  Each later round adds
-    the cut of its answer, until that answer exceeds the budget by at most
-    a relative 1e-9, for at most ``max_iters`` rounds; any free s gives a
-    valid cut, so feasibility rests on the oracle alone.  The rows
-    are divided by the budget and solved to HiGHS' tightest feasibility
-    tolerance, 1e-10: at its default of 1e-7 a cut the LP already holds can
-    stay violated by more than the 1e-9, and the same cut is added round
-    after round.  The weights are clipped to [0, 1] (the LP meets its
-    bounds only to about 1e-9), and the value Tr[E eta] is scaled by
-    min(1, budget / Tr[E s]) at the last answer s.
+    and 0 elsewhere, with no linear program; a round with one row is a
+    fractional knapsack, solved without one too (``_one_row_optimum``).
+    If the oracle's answer to -E breaks the budget, the rows become its cut
+    and one cut per nonzero atom K s of X*, cut with s: by complementary
+    slackness an optimal test makes those tight, so one program usually
+    suffices.  Each later round adds the cut of its answer, until that
+    answer exceeds the budget by at most a relative 1e-9, for at most
+    ``max_iters`` rounds; any free s gives a valid cut, so feasibility
+    rests on the oracle alone.  The rows are divided by the budget and
+    solved to HiGHS' tightest feasibility tolerance, 1e-10: at its default
+    of 1e-7 a cut the LP already holds can stay violated by more than the
+    1e-9, and the same cut is added round after round.  The weights are
+    clipped to [0, 1] (the LP meets its bounds only to about 1e-9), and the
+    value Tr[E eta] is scaled by min(1, budget / Tr[E s]) at the last
+    answer s.
+
+    On a one-member family {s}, X* = b s with no atoms: the test is the
+    Neyman-Pearson test {eta - b s > 0} plus a fraction on the kernel, from
+    the one row of the second round, and the third round passes.
     """
     from scipy.optimize import linprog
 
@@ -890,7 +949,9 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
     e = (gain > 0.0) * 1.0  # the optimum with no cuts
     cuts: list[np.ndarray] = []
     for _ in range(settings.max_iters):
-        if cuts:
+        if len(cuts) == 1:
+            e = _one_row_optimum(gain, cuts[0] / budget)
+        elif cuts:
             res = linprog(-gain, A_ub=np.array(cuts) / budget,
                           b_ub=np.ones(len(cuts)), bounds=(0.0, 1.0),
                           method="highs",

@@ -856,6 +856,16 @@ class TestHypothesisTesting:
             assert p <= du + 1e-12
 
     @staticmethod
+    def _count_linprog(monkeypatch):
+        """The list of the arguments of every ``linprog`` call from here."""
+        import scipy.optimize
+        calls = []
+        linprog = scipy.optimize.linprog
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            lambda *a, **k: calls.append(a) or linprog(*a, **k))
+        return calls
+
+    @staticmethod
     def _count_solves(monkeypatch):
         """Empty the dual's memo and count the annealed solves from here."""
         monkeypatch.setattr(optim, "_DUAL_MEMO", None)
@@ -926,11 +936,7 @@ class TestHypothesisTesting:
     def test_primal_first_round_needs_no_lp(self, monkeypatch):
         # with no cuts the LP's optimum is e = 1 where the gain is positive;
         # on disjoint supports that test already meets the budget
-        import scipy.optimize
-        calls = []
-        linprog = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *a, **k: calls.append(a) or linprog(*a, **k))
+        calls = self._count_linprog(monkeypatch)
         fam = SingletonIIDFamily(3, 1, sigma0=np.diag([0.0, 0.0, 1.0]))
         eta = opalg.density(np.diag([0.6, 0.4, 0.0]))
         assert abs(hypothesis_primal(eta, 4.0, fam, FAST) - 1.0) <= 1e-12
@@ -939,11 +945,7 @@ class TestHypothesisTesting:
     def test_primal_one_lp_per_bracket(self, monkeypatch):
         # the dual's atoms are the cuts an optimal test makes tight, so the
         # first linear program already meets the budget
-        import scipy.optimize
-        calls = []
-        linprog = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *a, **k: calls.append(a) or linprog(*a, **k))
+        calls = self._count_linprog(monkeypatch)
         rng = np.random.default_rng(29)
         for d in range(2, 7):
             for K in (2.0, 4.0, 8.0):
@@ -980,6 +982,62 @@ class TestHypothesisTesting:
                 val = hypothesis_dual(eta, K, FullSpaceFamily(d, 1), settings)
                 assert all(calls < cap for calls, cap in stages)
                 assert abs(val - 1.0 / K) <= 1e-9
+
+    def test_one_member_brackets_are_exact_and_solve_no_lp(self,
+                                                           monkeypatch):
+        # on {s} the dual is a 1-D problem in b and the primal's one cut
+        # has a closed form, so both ends meet and no LP is solved
+        calls = self._count_linprog(monkeypatch)
+
+        def bracket(eta, K, fam):
+            ends = (hypothesis_primal(eta, K, fam, FAST),
+                    hypothesis_dual(eta, K, fam, FAST))
+            assert not calls
+            return ends
+
+        rng = np.random.default_rng(4)  # criterion 4's commuting instances
+        for _ in range(50):
+            d = int(rng.integers(2, 5))
+            eta_diag = rng.dirichlet(np.ones(d))
+            sig_diag = rng.dirichlet(np.ones(d)) + 0.05
+            sig_diag /= sig_diag.sum()
+            K = float(rng.choice([2.0, 4.0, 8.0]))
+            want = classical_neyman_pearson(eta_diag, sig_diag, 1.0 / K)
+            fam = SingletonIIDFamily(d, 1, sigma0=np.diag(sig_diag))
+            for end in bracket(opalg.density(np.diag(eta_diag)), K, fam):
+                assert abs(end - want) <= 1e-12
+        rng = np.random.default_rng(53)
+        for d in range(2, 7):
+            shape = SystemShape((d,))
+            for K in (2.0, 4.0, 8.0):
+                fam = SingletonIIDFamily(
+                    d, 1, sigma0=rand.random_density(rng, shape).mat)
+                p, du = bracket(rand.random_density(rng, shape), K, fam)
+                assert du - p <= 1e-12
+        fam = SingletonIIDFamily(2, 1, sigma0=np.diag([1.0, 0.0]))
+        for end in bracket(opalg.density(np.eye(2) / 2), 4.0, fam):
+            assert abs(end - 0.625) <= 1e-12
+        eta_diag = rng.dirichlet(np.ones(4))
+        sig = np.array([0.7, 0.3])
+        want = classical_neyman_pearson(eta_diag, np.kron(sig, sig), 1.0 / 3.0)
+        for end in bracket(opalg.density(np.diag(eta_diag), (2, 2)), 3.0,
+                           SingletonIIDFamily(2, 2, sigma0=np.diag(sig))):
+            assert abs(end - want) <= 1e-12
+
+    def test_one_row_optimum_matches_linprog(self):
+        from scipy.optimize import linprog
+        rng = np.random.default_rng(59)
+        for i in range(60):
+            d = int(rng.integers(1, 9))
+            gain = rng.normal(size=d)  # negative gains included
+            row = rng.random(d) * (0.2 if i % 3 == 0 else 2.0)  # sum < 1
+            row[rng.random(d) < 0.2] = 0.0  # free entries
+            e = optim._one_row_optimum(gain, row)
+            assert ((0.0 <= e) & (e <= 1.0)).all()
+            assert row @ e <= 1.0 + 1e-12
+            res = linprog(-gain, A_ub=row[None, :], b_ub=[1.0],
+                          bounds=(0.0, 1.0), method="highs")
+            assert abs(gain @ e + res.fun) <= 1e-9
 
     def test_primal_power_state_meets_type_class_dual(self):
         # the primal is a lower bound on the exact dual optimum, and the
