@@ -83,12 +83,15 @@ def state_from_spec(spec: str) -> DensityMatrix:
 
 
 def _settings_from(cfg: dict[str, str], args) -> SolverSettings:
-    """Flags override config keys, which override defaults."""
-    tol = args.tol if args.tol is not None else float(cfg.get("tol", "1e-7"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", "0"))
-    max_iters = (args.max_iters if getattr(args, "max_iters", None) is not None
-                 else int(cfg.get("max_iters", "400")))
-    return SolverSettings(max_iters=max_iters, tol=tol, seed=seed)
+    """Flags override config keys, which override ``SolverSettings``'
+    defaults."""
+    given = {}
+    for name, kind in (("max_iters", int), ("tol", float), ("seed", int)):
+        if getattr(args, name, None) is not None:
+            given[name] = getattr(args, name)
+        elif name in cfg:
+            given[name] = kind(cfg[name])
+    return SolverSettings(**given)
 
 
 def _floats(csv_text: str) -> list[float]:

@@ -33,6 +33,8 @@ SUPPORT_CUTOFF = 1e-12  # relative to the largest eigenvalue
 TRACE_TOL = 1e-10
 # widest dense power: a complex 4096 x 4096 matrix takes 256 MiB
 DENSE_DIM_CAP = 4096
+# widest power a solve runs on (pipeline step 1, ``regularized_sequence``)
+SOLVE_DIM_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -250,12 +252,24 @@ def kron_power(x: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def check_dense_power(d: int, n: int) -> None:
+def check_dense_power(d: int, n: int, cap: int = DENSE_DIM_CAP) -> None:
     """DimensionCap when the n-fold power of a d-dimensional space, d^n
-    wide, exceeds ``DENSE_DIM_CAP``."""
-    if d ** n > DENSE_DIM_CAP:
-        raise DimensionCap(f"dense dimension {d ** n} exceeds the "
-                           f"{DENSE_DIM_CAP} cap")
+    wide, exceeds ``cap``."""
+    if d ** n > cap:
+        raise DimensionCap(f"dense dimension {d ** n} exceeds the {cap} cap")
+
+
+def rank_one_factor(mat: np.ndarray) -> np.ndarray | None:
+    """a with mat = a a^dag to 1e-12 max-abs, else None: the column of the
+    largest diagonal entry, divided by that entry's square root."""
+    diag = np.diag(mat).real
+    top = int(np.argmax(diag))
+    if not diag[top] > 0.0:
+        return None
+    a = mat[:, top] / math.sqrt(diag[top])
+    if float(np.abs(np.outer(a, a.conj()) - mat).max()) > 1e-12:
+        return None
+    return a
 
 
 def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:

@@ -91,7 +91,7 @@ import numpy as np
 
 from . import opalg, symmetry
 from .entropy import _tr_x_log_x
-from .errors import DimensionCap, Infeasible, NoFullRankMember
+from .errors import Infeasible, NoFullRankMember
 from .freesets import FreeFamily
 from .opalg import DensityMatrix, HermitianOperator, eigh
 from .symmetry import _type_classes
@@ -641,8 +641,9 @@ def _rank_one_optimum(coords: _TypeClassCoords | None,
                       b: float) -> np.ndarray | None:
     """The invariant minimizer of Tr[(A - b sigma)_+], in closed form, as
     type-class coordinates diag(w), when A's symmetric block ``small`` is
-    rank one and PSD: ``small = a a^dag`` to 1e-12 max-abs, the tolerance
-    of the support test in ``_TypeClassCoords.of``.  Else None.
+    rank one and PSD (``opalg.rank_one_factor``: ``small = a a^dag`` to
+    1e-12 max-abs, the tolerance of the support test in
+    ``_TypeClassCoords.of``).  Else None.
 
     With v_t = b w_t / |T_t|, A - b sigma has the eigenvalues -v_t <= 0
     and those of a a^dag - diag(v), of which one at most, lambda, is
@@ -663,17 +664,11 @@ def _rank_one_optimum(coords: _TypeClassCoords | None,
     the value and its Frank-Wolfe bound the gap, so a rounding slip here
     can widen the gap but never pass as certified.
     """
-    if coords is None or coords.small is None:
+    if (coords is None or coords.small is None
+            or opalg.rank_one_factor(coords.small) is None):
         return None
-    small, sizes = coords.small, coords.sizes
-    P = np.diag(small).real
-    top = int(np.argmax(P))
-    if not P[top] > 0.0:
-        return None
-    a = small[:, top] / math.sqrt(P[top])
-    if float(np.abs(np.outer(a, a.conj()) - small).max()) > 1e-12:
-        return None
-    P = np.clip(P, 0.0, None)
+    sizes = coords.sizes
+    P = np.clip(np.diag(coords.small).real, 0.0, None)
     r, s = np.sqrt(P / sizes), np.sqrt(P * sizes)
     S = float(s.sum())
     if b >= S * S:
@@ -871,12 +866,22 @@ def hypothesis_dual(eta: HermitianOperator, K: float,
     (``_search``).  On a family that declares ``one_member``, {s}, X = b s
     and b is bisected with the same exact probe (``_one_member_dual``).  A
     ``hypothesis_primal`` call on the same inputs just before or after
-    shares the solve (``_dual_search``).
+    shares the solve (``_dual_search``).  The value is returned moved up by
+    ``_rounding_allowance``, and the primal's moved down by it.
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     family.check_dim(eta)
-    return _dual_search(eta.mat, K, family, settings)[0]
+    value = _dual_search(eta.mat, K, family, settings)[0]
+    return float(value) + _rounding_allowance(eta)
+
+
+def _rounding_allowance(eta: HermitianOperator) -> float:
+    """d eps for a d-dimensional eta: each end of the bracket moves outward
+    by it, so that rounding cannot put the dual below the primal where the
+    two meet (a one-member family's do).  Both values lie in [0, 1], so
+    their rounding is absolute, and the primal stays at least 0."""
+    return eta.total_dim * float(np.finfo(float).eps)
 
 
 def _one_row_optimum(gain: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -964,7 +969,8 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
             cuts = [diag_in_basis(a) / a.trace().real for a in held if a.any()]
         cuts.append(cost)
     used = float(cost @ e)
-    return float(gain @ e) * (budget / used if used > budget else 1.0)
+    value = float(gain @ e) * (budget / used if used > budget else 1.0)
+    return max(0.0, value - _rounding_allowance(eta))
 
 
 # ---------------------------------------------------------------------------
@@ -1079,10 +1085,7 @@ def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
     """Per-copy values of the family relative entropy on powers of rho, as
     (n, value / n, converged) triples; ``converged`` is the solve's
     ``OptResult.converged``."""
-    d = rho.total_dim
-    if d ** n_max > 1024:
-        raise DimensionCap(
-            f"dimension {d ** n_max} at n_max={n_max} exceeds cap 1024")
+    opalg.check_dense_power(rho.total_dim, n_max, opalg.SOLVE_DIM_CAP)
     out = []
     for n in range(1, n_max + 1):
         res = rel_ent_of_resource(opalg.tensor_power(rho, n),

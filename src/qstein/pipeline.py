@@ -24,8 +24,7 @@ from .entropy import binary_entropy, relative_entropy
 from .errors import (CertificateFailed, ConstructionFailed, DimensionCap,
                      PremiseFailed, PremiseOutOfInterval)
 from .freesets import FreeFamily
-from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
-                    eigh)
+from .opalg import DensityMatrix, HermitianOperator, PureState, eigh
 from .optim import (SolverSettings, _threshold, distance_to_family,
                     min_positive_part, rel_ent_of_resource)
 
@@ -164,9 +163,7 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"the rate y={y} must be positive and finite")
-    if rho.total_dim ** N > 1024:
-        raise DimensionCap(
-            f"dense dimension {rho.total_dim ** N} exceeds the 1024 cap")
+    opalg.check_dense_power(rho.total_dim, N, opalg.SOLVE_DIM_CAP)
     trace = PipelineTrace(rho, y, N, family)
     rho_pow = opalg.tensor_power(rho, N)
     b = _threshold(y, N)
@@ -194,22 +191,78 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
 def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     """Conditioning, tail truncation, and the assembled dominance certificate.
 
-    Purified route when (d^2)^N fits the cap; for pure base states beyond the
-    cap a reduced route runs the analogous chain directly on rho_N.
+    One chain for every base state, on the pair of ``_purified_pair``: the
+    pair's overlap floor, conditioning the first M copies on the IID ray,
+    the cut to at most R defects, and the system marginal of the correction
+    states.  The second correction state differs by pair: the purification
+    takes the large-amplitude cut of ``beta_truncation_delta`` with its
+    power-state tail bound, and a ray pair (reduced mode) the truncated
+    state itself.  Giving the ray pair the beta cut moves sigma~ at N >= 7
+    and leaves the near-free distance at N = 7, y = h(0.8) + 0.1 short of
+    certified (gap 3.0e-3 against 3.6e-9).
     """
+    N, M, R = schedule.N, schedule.M, schedule.R
+    if N != trace.N:
+        raise ValueError("schedule does not match the trace")
+    trace.schedule = schedule
+    pair = _purified_pair(trace)
+    trace.add(Certificate("purification overlap floor",
+                          pair.overlap - trace.mu_N, CERT_TOL))
+
+    v1, reduced, cert_cond = symmetry.conditioned_state(pair, M)
+    trace.add(cert_cond)
+
+    v2, dist = symmetry.truncate_to_almost_power(v1, pair.rho_pur, R)
+    proj_v2 = np.outer(v2.vec, v2.vec.conj())
+    delta_nm_mat = _truncation_certificates(
+        trace, schedule, pair.overlap, dist, reduced.mat,
+        np.outer(v1.vec, v1.vec.conj()), proj_v2)
+
+    if trace.reduced_mode:
+        delta_nmr_mat = proj_v2
+    else:
+        trace.add(symmetry.verify_power_inequality(v2, pair.rho_pur, N, M, R))
+        delta_nmr_mat = symmetry.beta_truncation_delta(v2, pair.rho_pur, N)
+
+    d = trace.rho.total_dim
+    env = pair.rho_pur.shape.total_dim // d
+    pair_dims = (d, env) * schedule.reduced_copies
+
+    def system_marginal(mat: np.ndarray) -> HermitianOperator:
+        """Trace out the first R copy pairs, then every pair's environment."""
+        tail = opalg.partial_trace(HermitianOperator(v2.shape, mat), range(R))
+        return opalg.partial_trace(opalg.operator(tail.mat, pair_dims),
+                                   range(1, len(pair_dims), 2))
+
+    _assemble_sigma_tilde(trace, schedule, system_marginal(delta_nm_mat),
+                          system_marginal(delta_nmr_mat))
+    return trace
+
+
+def _purified_pair(trace: PipelineTrace) -> symmetry.PurificationPair:
+    """The pair step 2 runs on.  While (d^2)^N fits the dense cap, the
+    permutation invariant purification (environment dimension d).  Beyond
+    it, for a pure base state q with d^N within the cap, the ray pair
+    (q, phi) with environment dimension 1: step 1 builds rho_N = T q^{x N}
+    T^dag / Tr, the ray of phi, and a ray is its own purification.  An
+    rho_N that is not a ray is refused."""
     rho, N = trace.rho, trace.N
     d = rho.total_dim
-    if schedule.N != N:
-        raise ValueError("schedule does not match the trace")
     if (d * d) ** N <= opalg.DENSE_DIM_CAP:
-        return _step2_purified(trace, schedule)
+        return symmetry.perm_invariant_purification(rho, trace.rho_N)
     w, V = rho.eig()
-    if w[-1] >= 1.0 - 1e-10 and d ** N <= opalg.DENSE_DIM_CAP:
-        trace.reduced_mode = True
-        return _step2_reduced(trace, schedule, PureState(rho.shape, V[:, -1]))
-    raise DimensionCap(
-        f"purified dimension {(d * d) ** N} exceeds cap {opalg.DENSE_DIM_CAP} "
-        f"and the reduced route needs a pure base state")
+    if w[-1] < 1.0 - 1e-10 or d ** N > opalg.DENSE_DIM_CAP:
+        raise DimensionCap(
+            f"purified dimension {(d * d) ** N} exceeds cap "
+            f"{opalg.DENSE_DIM_CAP} and the ray pair needs a pure base state")
+    trace.reduced_mode = True
+    a = opalg.rank_one_factor(trace.rho_N.mat)
+    if a is None:
+        raise ConstructionFailed("rho_N of a pure base state is not a ray")
+    phi = PureState(trace.rho_N.shape, a / np.linalg.norm(a))
+    q = PureState(rho.shape, V[:, -1])
+    overlap = abs(complex(np.vdot(opalg.pure_power(q, N).vec, phi.vec)))
+    return symmetry.PurificationPair(q, phi, overlap)
 
 
 def _log2_dominance_factor(trace: PipelineTrace, schedule: Schedule) -> float:
@@ -224,8 +277,8 @@ def _log2_dominance_factor(trace: PipelineTrace, schedule: Schedule) -> float:
 def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
                           delta_nm: HermitianOperator,
                           delta_nmr: HermitianOperator) -> None:
-    """Common tail of both routes: mixing weight, blended correction state,
-    near-free state, and the final dominance certificate."""
+    """Tail of step 2: mixing weight, blended correction state, near-free
+    state, and the final dominance certificate."""
     N, M, R = schedule.N, schedule.M, schedule.R
     mu, y = trace.mu_N, trace.y
     eps, a, b = _epsilon_terms(N, M, R, y, mu)
@@ -253,7 +306,7 @@ def _truncation_certificates(trace: PipelineTrace, schedule: Schedule,
                              overlap: float, dist: float, reduced: np.ndarray,
                              before: np.ndarray,
                              after: np.ndarray) -> np.ndarray:
-    """Certificates of the tail truncation shared by both routes.
+    """Certificates of the tail truncation.
 
     ``before`` and ``after`` are the conditioned and the truncated state,
     ``dist`` their trace distance, ``overlap`` the fidelity floor that
@@ -270,85 +323,6 @@ def _truncation_certificates(trace: PipelineTrace, schedule: Schedule,
     trace.add(Certificate("conditioned-to-truncated dominance",
                           float(eigh(gap)[0][0]), CERT_TOL))
     return delta
-
-
-def _step2_purified(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
-    N, M, R = schedule.N, schedule.M, schedule.R
-    d = trace.rho.total_dim
-    mu = trace.mu_N
-    trace.schedule = schedule
-
-    pair = symmetry.perm_invariant_purification(trace.rho, trace.rho_N)
-    ovl = pair.overlap
-    trace.add(Certificate("purification overlap floor", ovl - mu, CERT_TOL))
-
-    v1, reduced, cert_cond = symmetry.conditioned_state(pair, M)
-    trace.add(cert_cond)
-
-    v2, dist = symmetry.truncate_to_almost_power(v1, pair.rho_pur, R)
-    delta_nm_mat = _truncation_certificates(
-        trace, schedule, ovl, dist, reduced.mat,
-        np.outer(v1.vec, v1.vec.conj()), np.outer(v2.vec, v2.vec.conj()))
-
-    trace.add(symmetry.verify_power_inequality(v2, pair.rho_pur, N, M, R))
-    delta_nmr_mat = symmetry.beta_truncation_delta(v2, pair.rho_pur, N)
-
-    pair_dims = (d, d) * schedule.reduced_copies
-
-    def system_marginal(mat: np.ndarray) -> HermitianOperator:
-        """Trace out the first R copy pairs, then every pair's environment."""
-        tail = opalg.partial_trace(HermitianOperator(v2.shape, mat), range(R))
-        return opalg.partial_trace(opalg.operator(tail.mat, pair_dims),
-                                   range(1, len(pair_dims), 2))
-
-    _assemble_sigma_tilde(trace, schedule, system_marginal(delta_nm_mat),
-                          system_marginal(delta_nmr_mat))
-    return trace
-
-
-def _step2_reduced(trace: PipelineTrace, schedule: Schedule,
-                   q: PureState) -> PipelineTrace:
-    """Unpurified route for a pure base state q: conditioning and truncation
-    act on rho_N itself, with the fidelity floor taken from the first step.
-    rho_N is read in q's frame (``symmetry._defect_frame``), where q^{x M}
-    is the first string of M factors: conditioning is a slice, the cut a
-    mask, and the certificates are spectra, which the frame keeps."""
-    N, M, R = schedule.N, schedule.M, schedule.R
-    d = trace.rho.total_dim
-    mu = trace.mu_N
-    trace.schedule = schedule
-
-    U, defects = symmetry._defect_frame(q, N - M)
-    framed = symmetry._conjugate_factors(trace.rho_N.mat, U.conj().T, N)
-    t = framed.reshape((d ** M, d ** (N - M)) * 2)
-    weight = float(np.trace(t[0, :, 0, :]).real)
-    if weight <= 1e-12:
-        raise PremiseFailed("conditioning annihilated rho_N")
-    rho_nm = t[0, :, 0, :] / weight
-    reduced = np.trace(t, axis1=0, axis2=2)
-    trace.add(Certificate("conditioned-state dominance",
-                          float(eigh(reduced / mu ** 2 - rho_nm)[0][0]),
-                          symmetry.CONDITIONING_TOL))
-
-    kept = rho_nm * np.outer(defects <= R, defects <= R)
-    p_keep = float(np.trace(kept).real)
-    if p_keep <= 1e-12:
-        raise PremiseFailed("tail truncation annihilated the state")
-    rho_r = kept / p_keep
-    dist = opalg.trace_norm(rho_r - rho_nm)
-    delta_nm = _truncation_certificates(trace, schedule, mu, dist, reduced,
-                                        rho_nm, rho_r)
-
-    def system_marginal(mat: np.ndarray) -> HermitianOperator:
-        """Trace out the first R factors, then leave the frame."""
-        tail = opalg.partial_trace(
-            HermitianOperator(SystemShape((d,) * (N - M)), mat), range(R))
-        return HermitianOperator(tail.shape, symmetry._conjugate_factors(
-            tail.mat, U, schedule.reduced_copies))
-
-    _assemble_sigma_tilde(trace, schedule, system_marginal(delta_nm),
-                          system_marginal(rho_r))
-    return trace
 
 
 def relent_bound_certificate(trace: PipelineTrace,

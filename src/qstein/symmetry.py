@@ -9,10 +9,12 @@ Almost power states, the symmetric vectors with at most R factors off a
 base ray, are drawn and cut in one frame, ``_defect_frame``.
 
 Conventions: purified systems store one (system, environment) pair per copy
-as a single subsystem of dimension d^2, so copy permutations act on whole
-pairs.  The pair order (s1 e1 s2 e2 ...) and the block order (system block,
-environment block) are converted by :func:`opalg.pairs_to_blocks` and
-:func:`opalg.blocks_to_pairs`.
+as a single subsystem of dimension d e, so copy permutations act on whole
+pairs.  The purification of :func:`perm_invariant_purification` has e = d;
+a ray is its own purification, with e = 1, and conditioning and truncation
+act on it unchanged.  The pair order (s1 e1 s2 e2 ...) and the block order
+(system block, environment block) are converted by
+:func:`opalg.pairs_to_blocks` and :func:`opalg.blocks_to_pairs`.
 """
 
 from __future__ import annotations
@@ -152,15 +154,6 @@ def _rotate_factors(t: np.ndarray, U: np.ndarray) -> np.ndarray:
     return t
 
 
-def _conjugate_factors(a: np.ndarray, U: np.ndarray, n: int) -> np.ndarray:
-    """U^{x n} a U^{x n dag} for a matrix a on n factors of U's size: each
-    copy's (row, column) factor pair is rotated by U x conj(U)."""
-    d = U.shape[0]
-    pairs = opalg.blocks_to_pairs(a.reshape(-1), d, d, n)
-    out = _rotate_factors(pairs.reshape((d * d,) * n), np.kron(U, U.conj()))
-    return opalg.pairs_to_blocks(out.reshape(-1), d, d, n).reshape(a.shape)
-
-
 def _defect_frame(base: PureState, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The base ray's frame on n factors: a unitary U whose first column is
     the base vector, and the defect count (digits other than 0) of each of
@@ -213,9 +206,10 @@ def truncate_to_almost_power(v: PureState, base: PureState,
 class PurificationPair:
     """Aligned purifications of a single-copy state and an N-copy state.
 
-    Both live on pair subsystems of dimension d^2 (system tensor
-    environment per copy); ``overlap`` equals the fidelity between the
-    N-copy state and the IID power state.
+    Both live on pair subsystems of dimension d e (system tensor an
+    environment of dimension e per copy; e = 1 when both states are rays);
+    ``overlap`` equals the fidelity between the N-copy state and the IID
+    power state.
     """
 
     rho_pur: PureState

@@ -8,10 +8,12 @@ and grid searches.
 
 from __future__ import annotations
 
-from math import comb, log2, sqrt
+from math import comb, exp, log2, sqrt
 
 import numpy as np
 from scipy.optimize import minimize
+
+from qstein.opalg import kron_power
 
 
 def binary_entropy(p: float) -> float:
@@ -91,6 +93,49 @@ def coherence_power_state(p: float, N: int) -> np.ndarray:
     for _ in range(N - 1):
         out = np.kron(out, rho1)
     return out
+
+
+def ray_step2_reference(q: np.ndarray, rho_N: np.ndarray,
+                        sigma_N: np.ndarray, mu: float, y: float, N: int,
+                        M: int, R: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma~, Delta~) of pipeline step 2 for a pure base state q, dense.
+
+    rho_N is conditioned on q^{x M} by a quadratic form and cut to at most
+    R factors off q by the projector U^{x n} diag(defects <= R) U^{x n dag},
+    n = N - M, U a unitary whose first column is q (from a QR factoring).
+    The correction states, the positive part of the cut minus the
+    conditioned state and the cut itself, lose their first R factors and
+    are blended with the weights a = 2 sqrt(2) e^{-MR/(2N)} / mu and
+    b = 2 sqrt(2R) / N; sigma~ mixes the blend into the marginal of
+    sigma_N with eps = 2 mu^3 2^{-yN} (a + b).
+    """
+    d = q.size
+    n = N - M
+    qm = kron_power(q, M)
+    t = rho_N.reshape(d ** M, d ** n, d ** M, d ** n)
+    cond = np.einsum("a,abcd,c->bd", qm.conj(), t, qm)
+    cond /= np.trace(cond)
+    U = np.linalg.qr(np.column_stack([q, np.eye(d)]))[0]
+    un = kron_power(U, n)
+    defects = (np.indices((d,) * n).reshape(n, -1) != 0).sum(axis=0)
+    proj = (un * (defects <= R)) @ un.conj().T
+    cut = proj @ cond @ proj
+    cut /= np.trace(cut)
+    w, V = np.linalg.eigh(cut - cond)
+    pos = np.clip(w, 0.0, None)
+    delta = (V * pos) @ V.conj().T / pos.sum()
+
+    def drop_first(mat: np.ndarray, k: int) -> np.ndarray:
+        keep = mat.shape[0] // d ** k
+        return np.einsum("abac->bc", mat.reshape(d ** k, keep, d ** k, keep))
+
+    a = 2.0 * sqrt(2.0) * exp(-M * R / (2.0 * N)) / mu
+    b = 2.0 * sqrt(2.0 * R) / N
+    eps = 2.0 * mu ** 3 * 2.0 ** (-y * N) * (a + b)
+    blend = (a * drop_first(delta, R) + b * drop_first(cut, R)) / (a + b)
+    marg = drop_first(sigma_N, M + R)
+    sigma = (marg + 0.5 * eps * blend) / (1.0 + 0.5 * eps)
+    return sigma, blend
 
 
 def diagonal_threshold_optimum(N: int, y: float, p: float = 0.8,

@@ -295,6 +295,20 @@ n = 13
         assert cli.main(["pipeline", "--config", cfg,
                          "--out", str(tmp_path / "t")]) == 5
 
+    def test_mixed_base_exits_at_step2_cap(self, tmp_path, sigma0_file,
+                                           capsys):
+        # N = 7 passes step 1's cap; (d^2)^N = 16384 exceeds step 2's, and a
+        # mixed base state has no ray pair
+        cfg = write_cfg(tmp_path, "p7.cfg", f"""
+state = classical:0.75
+family = iid:{sigma0_file}
+y = 0.1
+n = 7
+""")
+        assert cli.main(["pipeline", "--config", cfg,
+                         "--out", str(tmp_path / "t")]) == 5
+        assert "purified dimension 16384" in capsys.readouterr().err
+
     @pytest.mark.parametrize("y", ["300", "nan", "inf"])
     def test_rate_without_finite_threshold(self, tmp_path, capsys, y):
         cfg = write_cfg(tmp_path, "p6.cfg", f"""

@@ -1,0 +1,63 @@
+"""Static checks on the package source: every import is used, and every
+private module-level function or class is referenced somewhere in it."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qstein"
+TREES = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The string entries of a module's ``__all__``."""
+    out = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            out |= {e.value for e in node.value.elts
+                    if isinstance(e, ast.Constant)}
+    return out
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Names a module reads: bare names, attribute names, imported names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_unused_import(name):
+    tree = TREES[name]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= _exported(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = (alias.asname or alias.name).split(".")[0]
+                if bound not in read:
+                    unused.append(bound)
+    assert not unused, f"{name} imports but never uses {unused}"
+
+
+def test_no_unreferenced_private_definition():
+    referenced = set().union(*(_referenced(t) for t in TREES.values()))
+    orphans = [f"{name}:{node.name}"
+               for name, tree in TREES.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")
+               and node.name not in referenced]
+    assert not orphans, f"private definitions nothing references: {orphans}"

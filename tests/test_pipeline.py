@@ -6,11 +6,13 @@ import pytest
 
 from qstein import opalg, pipeline, rand, symmetry
 from qstein.entropy import binary_entropy, relative_entropy
-from qstein.errors import (CertificateFailed, PremiseFailed,
-                           PremiseOutOfInterval)
+from qstein.errors import (CertificateFailed, ConstructionFailed,
+                           PremiseFailed, PremiseOutOfInterval)
 from qstein.freesets import DiagonalFamily, SingletonIIDFamily
 from qstein.opalg import DensityMatrix, HermitianOperator, SystemShape
 from qstein.optim import SolverSettings
+
+from oracles import ray_step2_reference
 
 SET = SolverSettings(max_iters=256, tol=1e-7, seed=0)
 H08 = binary_entropy(0.8)
@@ -165,6 +167,53 @@ class TestStep2:
                                          DiagonalFamily(2, 1), settings)
         assert trace.reduced_mode
         assert trace.all_passed
+
+
+@pytest.fixture(scope="module")
+def ray_traces():
+    """Steps 1 and 2 of the coherence pipeline at N = 7 and 8, where step 2
+    runs on the ray pair."""
+    settings = SolverSettings(max_iters=160, tol=1e-6, seed=0)
+    out = {}
+    for N in (7, 8):
+        trace = pipeline.step1(coherence_qubit(), H08, N,
+                               DiagonalFamily(2, 1), settings)
+        out[N] = pipeline.step2(trace, pipeline.mr_schedule(N))
+    return out
+
+
+class TestRayPair:
+    @pytest.mark.parametrize("N", [7, 8])
+    def test_matches_dense_reference(self, ray_traces, N):
+        trace = ray_traces[N]
+        s = trace.schedule
+        q = np.array([math.sqrt(0.8), math.sqrt(0.2)])
+        sigma, delta = ray_step2_reference(
+            q, trace.rho_N.mat, trace.sigma_N.mat, trace.mu_N, trace.y, N,
+            s.M, s.R)
+        assert trace.reduced_mode
+        assert np.abs(trace.sigma_tilde.mat - sigma).max() <= 1e-12
+        assert np.abs(trace.delta_tilde.mat - delta).max() <= 1e-12
+
+    def test_overlap_floor_certified(self, ray_traces):
+        trace = ray_traces[7]
+        names = [c.name for c in trace.certificates]
+        assert "purification overlap floor" in names
+        assert "power-state tail bound" not in names
+        assert trace.all_passed
+
+    def test_mixed_rho_n_refused(self):
+        # a pure base state's rho_N must be a ray; step 1 never builds
+        # another, so a hand-built mixed one is refused
+        rho = coherence_qubit()
+        power = opalg.tensor_power(rho, 7).mat
+        mixed = 0.5 * power + 0.5 * np.eye(2 ** 7) / 2 ** 7
+        trace = pipeline.PipelineTrace(
+            rho=rho, y=H08, N=7, family=DiagonalFamily(2, 1), mu_N=0.5,
+            sigma_N=opalg.maximally_mixed(SystemShape((2,) * 7)),
+            rho_N=opalg.density(mixed, (2,) * 7))
+        with pytest.raises(ConstructionFailed, match="not a ray"):
+            pipeline.step2(trace, pipeline.mr_schedule(7))
 
 
 class TestRelentCertificate:
