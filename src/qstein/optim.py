@@ -4,7 +4,7 @@ Every minimization here is projection-free and runs through one routine,
 ``_anneal``, except the threshold minimum of a rank-one target on the
 symmetric subspace (a pure power), which has a closed form
 (``_rank_one_optimum``), and the hypothesis-test dual on a family that
-declares ``one_member``, a bisection in one weight (``_one_member_dual``).
+declares ``one_member``, a search in one weight (``_one_member_dual``).
 ``_anneal`` is a fully-corrective Frank-Wolfe loop: it discovers extreme
 points through a linear minimization oracle and re-optimizes the weights
 over the discovered hull after every new atom.  The nonsmooth positive
@@ -23,7 +23,8 @@ local)``: one eigendecomposition at x gives the surrogate and exact values,
 and two lazy derivatives share it.  ``grad()`` is the gradient matrix the
 linear oracle and the exit bound read; ``local(mats)`` is the gradient and
 exact Hessian in the coordinates of a stack of atoms, which the corrective
-step reads.  The weights are re-optimized by that one step, Newton's method
+step reads, passing the stack as an ``_AtomStack`` prepared once per
+re-solve.  The weights are re-optimized by that one step, Newton's method
 on the simplex (``_newton_reweight``), with the Daleckii-Krein form of the
 softplus surrogate of the positive part, and its second-order form for the
 relative entropy.
@@ -37,9 +38,9 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
     min_positive_part       ANNEAL_TAUS       max(12, m//24) tol/4
       rank-one target       none: the closed form, then the exit bound
     hypothesis_dual         ANNEAL_TAUS       max(20, m//3)  tol/4
-      one-member family     none: bisection on the slope in b, exact probes
+      one-member family     none: tangent and secant steps in b, exact probes
     hypothesis_primal       reads stage 2's end, and its atoms, of the dual
-      one-member family     reads the bisection's end; one cut, closed form
+      one-member family     reads the search's end; one cut, closed form
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
 lower bound f(x) - gap(x) over its best probe and its stage ends
@@ -84,7 +85,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -103,6 +104,13 @@ RELENT_FLOOR = 1e-9
 POSPART_FLOOR = 1e-14
 # the temperatures of the annealed threshold and dual searches
 ANNEAL_TAUS = (1e-3, 1e-6, 1e-8)
+# the one-member search's ends: a gap below TANGENT_GAP between the value at
+# hi and the tangents' bound puts hi at the minimum to rounding; a slope jump
+# above SLOPE_JUMP across the bracket is a kink, and below it the minimum is
+# smooth and the secant steps end at a slope of at most SLOPE_FLAT
+TANGENT_GAP = 16.0 * float(np.finfo(float).eps)
+SLOPE_JUMP = 1e-6
+SLOPE_FLAT = 1e-14
 
 
 def _threshold(y: float, n: int) -> float:
@@ -173,6 +181,50 @@ class _Tracker:
             self.best_mat = mat.copy()
 
 
+class _AtomStack:
+    """A stack of atoms ``mats`` as the local derivatives read it.
+
+    ``_newton_reweight`` holds one stack for its whole loop, so what a
+    ``local`` reads off it is worked out once per re-solve, not once per
+    call: the traces, the stack ``_in_eigenbasis`` transforms (the diagonals
+    of diagonal matrices) and its real part, and the stacks a reader derives
+    from it (``derived``).  A ``local`` takes a stack or a plain array of
+    matrices (``of``)."""
+
+    def __init__(self, mats: np.ndarray):
+        self.mats = mats
+        self._derived: dict = {}
+
+    @classmethod
+    def of(cls, mats) -> "_AtomStack":
+        return mats if isinstance(mats, cls) else cls(mats)
+
+    @cached_property
+    def traces(self) -> np.ndarray:
+        return np.trace(self.mats, axis1=1, axis2=2).real
+
+    @cached_property
+    def diagonals(self) -> np.ndarray:
+        return np.diagonal(self.mats, axis1=1, axis2=2).real
+
+    @cached_property
+    def dirs(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The matrices, or the diagonals of diagonal ones (a 2-D stack is
+        read as diagonals), and their real part if it is all of them."""
+        dirs = self.mats
+        if dirs.ndim == 3:
+            diag = np.diagonal(dirs, axis1=1, axis2=2)
+            if np.count_nonzero(dirs) == np.count_nonzero(diag):
+                dirs = diag
+        return dirs, None if dirs.imag.any() else dirs.real
+
+    def derived(self, key, make: Callable) -> "_AtomStack":
+        """The stack of ``make(self)``, made once per ``key``."""
+        if key not in self._derived:
+            self._derived[key] = _AtomStack(make(self))
+        return self._derived[key]
+
+
 def _newton_direction(w: np.ndarray, jac: np.ndarray,
                       hess: np.ndarray) -> np.ndarray | None:
     """Newton step on the weight simplex, or None if its KKT system is
@@ -223,8 +275,8 @@ def _pairwise_direction(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return d
 
 
-def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
-               jac: np.ndarray, value: float, radius: float,
+def _backtrack(probe, mats: np.ndarray | _AtomStack, w: np.ndarray,
+               d: np.ndarray, jac: np.ndarray, value: float, radius: float,
                tracker: _Tracker):
     """Safeguarded backtracking along d on the weight simplex.
 
@@ -243,6 +295,8 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
     weights is accepted.  The radius grows fourfold after a first trial
     that holds, and is twice the accepted step after one that had to shrink.
     """
+    stack = _AtomStack.of(mats)
+    mats = stack.mats
     slope = float(jac @ d)
     shrink = np.flatnonzero(d < 0.0)
     if slope >= 0.0 or not shrink.size:
@@ -266,7 +320,7 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray, d: np.ndarray,
         if v < value and v <= value + 1e-4 * t * slope:
             return trial, v, local, grown
         if v <= value + 1e-15 * abs(value):
-            derivs = local(mats)
+            derivs = local(stack)
             if derivs[0] @ d <= 0.0:
                 return trial, v, lambda _: derivs, grown
         curv = v - value - slope * t
@@ -280,27 +334,27 @@ def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
 
     ``probe(x)`` returns (surrogate value, exact value, ``grad``,
     ``local``) at x, and ``local(mats)`` the gradient and the exact Hessian
-    in the coordinates of the atoms ``mats``; ``start`` is that probe at the
-    atoms' mixture when the caller has made it, else it is made here.  Each
-    step is backtracked to the Armijo condition (``_backtrack``); when the
-    Newton step does not descend, the pairwise step is tried.  The solve
-    stops at a hull gap jac.w - min(jac) of at most ``hull_tol``, when no
-    step descends, or after 60 steps.  Every probe's exact value goes to
-    the tracker.
+    in the coordinates of the atoms, passed as one ``_AtomStack`` for the
+    whole solve; ``start`` is that probe at the atoms' mixture when the
+    caller has made it, else it is made here.  Each step is backtracked to
+    the Armijo condition (``_backtrack``); when the Newton step does not
+    descend, the pairwise step is tried.  The solve stops at a hull gap
+    jac.w - min(jac) of at most ``hull_tol``, when no step descends, or
+    after 60 steps.  Every probe's exact value goes to the tracker.
     """
-    mats = np.array([a for a, _ in atoms])
+    stack = _AtomStack(np.array([a for a, _ in atoms]))
     w = np.array([v for _, v in atoms], dtype=float)
-    value, _, _, local = start or probe(np.tensordot(w, mats, 1))
+    value, _, _, local = start or probe(np.tensordot(w, stack.mats, 1))
     radius, moved = 1.0, False
     for _ in range(60):
-        jac, hess = local(mats)
+        jac, hess = local(stack)
         if jac @ w - jac.min() <= hull_tol:
             break
         for direction in (partial(_newton_direction, w, jac, hess),
                           partial(_pairwise_direction, w, jac)):
             d = direction()  # the pairwise step only if Newton's fails
             step = None if d is None else _backtrack(
-                probe, mats, w, d, jac, value, radius, tracker)
+                probe, stack, w, d, jac, value, radius, tracker)
             if step is not None:
                 break
         else:
@@ -427,46 +481,53 @@ def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
 # positive-part minimization
 # ---------------------------------------------------------------------------
 
-def _softplus(w: np.ndarray, tau: float, offset: float, mult=1.0):
-    """tau * sum_i mult_i softplus(w_i / tau + offset), and the sigmoids that
-    are its derivatives in w."""
-    x = w / tau + offset
+def _softplus(w: np.ndarray, tau: float, offset: float,
+              mult: np.ndarray | None = None):
+    """tau * sum_i mult_i softplus(w_i / tau + offset) (mult_i = 1 if
+    ``mult`` is None), and the sigmoids that are its derivatives in w."""
+    x = w / tau
+    x += offset
     # softplus, stable for large |x|
-    smooth = float(tau * np.sum(mult * np.logaddexp(0.0, x)))
-    return smooth, 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500)))
+    terms = np.logaddexp(0.0, x)
+    if mult is not None:
+        terms *= mult
+    # the sigmoid 1 / (1 + exp(-x)), x clipped to [-500, 500], in place
+    sig = np.minimum(np.maximum(x, -500.0, out=x), 500.0, out=x)
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    return float(tau * terms.sum()), np.divide(1.0, sig, out=sig)
 
 
-def _in_eigenbasis(V: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The stack V^dag dirs_k V, real when V and dirs are; ``dirs`` holds
-    matrices, or the diagonals of diagonal ones.  One matrix product per
-    direction when every direction is diagonal, two otherwise."""
-    if not V.imag.any() and not dirs.imag.any():
-        V, dirs = V.real, dirs.real
+def _in_eigenbasis(V: np.ndarray, stack: _AtomStack) -> np.ndarray:
+    """The stack V^dag A_k V over the atoms A_k of ``stack``, real when V
+    and the atoms are.  One matrix product per atom when every atom is
+    diagonal, two otherwise."""
+    dirs, real = stack.dirs
+    if real is not None and not V.imag.any():
+        V, dirs = V.real, real
     if dirs.ndim == 3:
-        diag = np.diagonal(dirs, axis1=1, axis2=2)
-        if np.count_nonzero(dirs) != np.count_nonzero(diag):
-            return V.conj().T @ dirs @ V
-        dirs = diag
+        return V.conj().T @ dirs @ V
     return (V.conj().T * dirs[:, None, :]) @ V
 
 
 def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
-                          tau: float, dirs: np.ndarray):
+                          tau: float, stack: _AtomStack):
     """First and second derivatives of tau sum_i softplus(lam_i / tau + c)
     at the spectrum (lam, V), along a stack of Hermitian directions.
 
-    With B_k = V^dag dirs_k V and s the sigmoids, they are s . diag(B_k) and
-    the Daleckii-Krein form sum_ij G_ij (B_k)_ij (B_l)_ji, where G_ij =
-    (s_i - s_j) / (lam_i - lam_j), or s (1 - s) / tau for eigenvalues closer
-    than 1e-6 tau.
+    With B_k = V^dag A_k V, A_k the directions of ``stack``, and s the
+    sigmoids, they are s . diag(B_k) and the Daleckii-Krein form sum_ij
+    G_ij (B_k)_ij (B_l)_ji, where G_ij = (s_i - s_j) / (lam_i - lam_j), or
+    s (1 - s) / tau for eigenvalues closer than 1e-6 tau.
     """
-    B = _in_eigenbasis(V, dirs)
+    B = _in_eigenbasis(V, stack)
     slope = sig * (1.0 - sig) / tau
     gaps = lam[:, None] - lam[None, :]
     near = np.abs(gaps) <= 1e-6 * tau
     G = np.where(near, 0.5 * (slope[:, None] + slope[None, :]),
                  (sig[:, None] - sig[None, :]) / np.where(near, 1.0, gaps))
-    flat = B.reshape(len(dirs), -1)
+    flat = B.reshape(len(B), -1)
     first = np.diagonal(B, axis1=1, axis2=2).real @ sig
     return first, ((flat * G.ravel()) @ flat.conj().T).real
 
@@ -490,14 +551,15 @@ def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float | None,
                     lambda: -b * (pos @ pos.conj().T), None)
         smooth, sig = _softplus(w, tau, offset)
 
-        def local(mats: np.ndarray):
-            first, second = _softplus_derivatives(w, V, sig, tau, mats)
+        def local(mats):
+            first, second = _softplus_derivatives(w, V, sig, tau,
+                                                  _AtomStack.of(mats))
             return -b * first, b * b * second
         return smooth, exact, lambda: -b * ((V * sig) @ V.conj().T), local
     return probe
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _TypeClassCoords:
     """Type-class coordinates of a search over the invariant members of a
     family that declares ``type_classes``, for an invariant target A.
@@ -557,12 +619,15 @@ class _TypeClassCoords:
         """The dense ``probe`` in these coordinates: evaluated at the dense
         member, its gradient averaged over each class, and its ``local``
         taken along the dense class atoms, passed as their diagonals."""
+        def dense_atoms(stack: _AtomStack) -> np.ndarray:
+            return (stack.diagonals / self.sizes)[:, self.labels]
+
         def class_probe(w_mat: np.ndarray):
             smooth, exact, grad, local = probe(self.dense(w_mat))
 
-            def class_local(mats: np.ndarray):
-                cls = np.diagonal(mats, axis1=1, axis2=2).real / self.sizes
-                return local(cls[:, self.labels])
+            def class_local(mats):
+                return local(_AtomStack.of(mats).derived((self, "dense"),
+                                                         dense_atoms))
             return (smooth, exact, lambda: self.weights(grad()) / self.sizes,
                     None if local is None else class_local)
         return class_probe
@@ -595,11 +660,12 @@ class _TypeClassCoords:
                 return np.diag(-b * ((np.abs(V) ** 2) @ sig[:t]
                                      + rest * sig[t:]) / self.sizes)
 
-            def local(mats: np.ndarray):
-                dirs = mats / self.sizes
+            def local(mats):
+                scaled = _AtomStack.of(mats).derived(
+                    (self, "per member"), lambda st: st.mats / self.sizes)
                 first, second = _softplus_derivatives(w, V, sig[:t], tau,
-                                                      dirs)
-                cls = np.diagonal(dirs, axis1=1, axis2=2).real
+                                                      scaled)
+                cls = scaled.diagonals
                 first = first + cls @ (rest * sig[t:])
                 curv = rest * sig[t:] * (1.0 - sig[t:]) / tau
                 return -b * first, b * b * (second + (cls * curv) @ cls.T)
@@ -767,9 +833,10 @@ def _dual_eval(pospart, K: float, tau: float):
         smooth, exact, grad, local = pospart(x)
         mass = float(x.trace().real) / K
 
-        def with_mass(mats: np.ndarray):
-            jac, hess = local(mats)
-            return jac + np.trace(mats, axis1=1, axis2=2).real / K, hess
+        def with_mass(mats):
+            stack = _AtomStack.of(mats)
+            jac, hess = local(stack)
+            return jac + stack.traces / K, hess
         return (smooth + mass, exact + mass,
                 lambda: grad() + np.eye(len(x)) / K, with_mass)
     return probe
@@ -828,27 +895,67 @@ def _one_member_dual(eta_mat: np.ndarray, K: float,
     """min over b in [0, K] of g(b) = Tr[(eta - b s)_+] + b/K, the dual on
     {s}: the dual's exact probe at b s gives g(b) and the slope Tr[grad s]
     = 1/K - Tr[P s], non-decreasing in b as g is convex.  The optimum is 0
-    or K if the slope there says so, else in a bracket [lo, hi] halved to
-    adjacent floats or 60 times.  Returns the least g probed (feasible, so
-    an upper bound), the iterate hi s, where the slope is >= 0, no atoms."""
+    or K if the slope there says so, else in the bracket [0, K], which
+    ``_kink_search`` closes.  Returns the least g probed (feasible, so an
+    upper bound), the iterate hi s, where the slope is >= 0, no atoms."""
     probe = _dual_eval(partial(_pospart_eval, eta_mat, 1.0), K, None)
     values = []
 
-    def slope(b: float) -> float:
+    def at(b: float) -> tuple[float, float, float]:
         _, exact, grad, _ = probe(b * s)
         values.append(exact)
-        return _tr_prod(grad(), s)
+        return b, exact, _tr_prod(grad(), s)
 
-    lo, hi = 0.0, K
-    if slope(0.0) >= 0.0:
-        hi = 0.0
-    elif slope(K) > 0.0:
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
+    lo = at(0.0)
+    hi = lo if lo[2] >= 0.0 else at(K)
+    if lo[2] < 0.0 < hi[2]:
+        hi = _kink_search(at, lo, hi)
+    return min(values), hi[0] * s, []
+
+
+def _kink_search(at, lo: tuple, hi: tuple) -> tuple:
+    """The end hi = (b, g(b), g'(b)) of a bracket [lo, hi] about the
+    minimum of a convex g, g'(lo) < 0 <= g'(hi), closed with the probe
+    ``at(b) -> (b, g(b), g'(b))``.
+
+    Each step probes where the tangents at lo and hi meet, the minimizer
+    of Kelley's cutting-plane model; on a kink between two linear pieces
+    (eta and s commute) that is the kink to rounding.  The tangents stop
+    helping when their meeting point leaves the open bracket, or g(hi)
+    lies within ``TANGENT_GAP`` of their bound, which no g on the bracket
+    undercuts.  Then a slope jump above ``SLOPE_JUMP`` across the bracket
+    is a kink, and hi, on it, ends the search.  Below that jump the
+    minimum is smooth and the value, which places it only to sqrt(eps),
+    gives way to secant steps on the slope until g'(hi) <= ``SLOPE_FLAT``:
+    the primal reads its eigenbasis at hi.  A step bisects after three
+    moves of the same end; the search stops at adjacent floats or after
+    60 steps.  The gap test, not the slope's sign, ends the search at a
+    kink: the exact probe drops eigenvalues below ``POSPART_FLOOR`` (1 +
+    b), so the slope is flat over a band about 1e-14 wide beside it, and
+    walking that band costs hundreds of probes."""
+    smooth, moves = False, 0
+    for _ in range(60):
+        (a, ga, sa), (c, gc, sc) = lo, hi
+        if not smooth:
+            b = (gc - ga + sa * a - sc * c) / (sa - sc)
+            if not a < b < c or gc - (ga + sa * (b - a)) <= TANGENT_GAP:
+                if sc - sa > SLOPE_JUMP:
+                    break
+                smooth = True
+        if smooth:
+            if sc <= SLOPE_FLAT:
                 break
-            lo, hi = (lo, mid) if slope(mid) >= 0.0 else (mid, hi)
-    return min(values), hi * s, []
+            b = a - sa * (c - a) / (sc - sa)
+        if abs(moves) >= 3 or not a < b < c:
+            b = 0.5 * (a + c)
+            if not a < b < c:
+                break
+        probe = at(b)
+        if probe[2] >= 0.0:
+            hi, moves = probe, max(moves, 0) + 1
+        else:
+            lo, moves = probe, min(moves, 0) - 1
+    return hi
 
 
 def hypothesis_dual(eta: HermitianOperator, K: float,
@@ -864,10 +971,12 @@ def hypothesis_dual(eta: HermitianOperator, K: float,
     certified upper bound on the primal.  Invariant multi-copy inputs are
     searched in type-class coordinates, as in ``min_positive_part``
     (``_search``).  On a family that declares ``one_member``, {s}, X = b s
-    and b is bisected with the same exact probe (``_one_member_dual``).  A
-    ``hypothesis_primal`` call on the same inputs just before or after
-    shares the solve (``_dual_search``).  The value is returned moved up by
-    ``_rounding_allowance``, and the primal's moved down by it.
+    and the one weight b is searched with the same exact probe, by tangent
+    steps to a kink and secant steps on the slope at a smooth minimum
+    (``_one_member_dual``).  A ``hypothesis_primal`` call on the same inputs
+    just before or after shares the solve (``_dual_search``).  The value is
+    returned moved up by ``_rounding_allowance``, and the primal's moved
+    down by it.
     """
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
@@ -1032,12 +1141,13 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray):
             return -c * (V @ (_log_first_differences(w) * rho_t)
                          @ V.conj().T)
 
-        def local(mats: np.ndarray):
-            B = _in_eigenbasis(V, mats)
+        def local(mats):
+            stack = _AtomStack.of(mats)
+            B = _in_eigenbasis(V, stack)
             F1 = _log_first_differences(w)
             rho_T = rho_t.T if rho_t.imag.any() else rho_t.T.real
             jac = -c * np.einsum("ij,kij->k", F1 * rho_T, B).real
-            S = np.zeros((len(mats), len(mats)))
+            S = np.zeros((len(B), len(B)))
             # slabs of j with at most about 2^20 triples bound the memory
             step = max(1, 2 ** 20 // w.size ** 2)
             for start in range(0, w.size, step):

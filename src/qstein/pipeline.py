@@ -239,28 +239,39 @@ def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     return trace
 
 
+def _check_step2_cap(rho: DensityMatrix, N: int) -> None:
+    """DimensionCap unless step 2 has a pair within the dense cap: the
+    purification while (d^2)^N fits it, else the ray pair of a pure base
+    state while d^N does.  It reads the base state and N alone, so the
+    chain checks it before step 1."""
+    d = rho.total_dim
+    if (d * d) ** N <= opalg.DENSE_DIM_CAP or (
+            d ** N <= opalg.DENSE_DIM_CAP
+            and rho.eigvals()[-1] >= 1.0 - 1e-10):
+        return
+    raise DimensionCap(
+        f"purified dimension {(d * d) ** N} exceeds cap "
+        f"{opalg.DENSE_DIM_CAP} and the ray pair needs a pure base state")
+
+
 def _purified_pair(trace: PipelineTrace) -> symmetry.PurificationPair:
-    """The pair step 2 runs on.  While (d^2)^N fits the dense cap, the
-    permutation invariant purification (environment dimension d).  Beyond
-    it, for a pure base state q with d^N within the cap, the ray pair
-    (q, phi) with environment dimension 1: step 1 builds rho_N = T q^{x N}
-    T^dag / Tr, the ray of phi, and a ray is its own purification.  An
-    rho_N that is not a ray is refused."""
+    """The pair step 2 runs on (``_check_step2_cap``).  While (d^2)^N fits
+    the dense cap, the permutation invariant purification (environment
+    dimension d).  Beyond it, for a pure base state q with d^N within the
+    cap, the ray pair (q, phi) with environment dimension 1: step 1 builds
+    rho_N = T q^{x N} T^dag / Tr, the ray of phi, and a ray is its own
+    purification.  An rho_N that is not a ray is refused."""
     rho, N = trace.rho, trace.N
+    _check_step2_cap(rho, N)
     d = rho.total_dim
     if (d * d) ** N <= opalg.DENSE_DIM_CAP:
         return symmetry.perm_invariant_purification(rho, trace.rho_N)
-    w, V = rho.eig()
-    if w[-1] < 1.0 - 1e-10 or d ** N > opalg.DENSE_DIM_CAP:
-        raise DimensionCap(
-            f"purified dimension {(d * d) ** N} exceeds cap "
-            f"{opalg.DENSE_DIM_CAP} and the ray pair needs a pure base state")
     trace.reduced_mode = True
     a = opalg.rank_one_factor(trace.rho_N.mat)
     if a is None:
         raise ConstructionFailed("rho_N of a pure base state is not a ray")
     phi = PureState(trace.rho_N.shape, a / np.linalg.norm(a))
-    q = PureState(rho.shape, V[:, -1])
+    q = PureState(rho.shape, rho.eig()[1][:, -1])
     overlap = abs(complex(np.vdot(opalg.pure_power(q, N).vec, phi.vec)))
     return symmetry.PurificationPair(q, phi, overlap)
 
@@ -402,9 +413,11 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
 
 def run_direct_part(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> PipelineTrace:
-    """Full chain; aborts at the first failed certificate.  The schedule is
-    built first, so an N it rejects costs no threshold solve."""
+    """Full chain; aborts at the first failed certificate.  The schedule and
+    step 2's cap are checked first, so an N either rejects costs no
+    threshold solve."""
     sched = mr_schedule(N)
+    _check_step2_cap(rho, N)
     trace = step1(rho, y, N, family, settings)
     step2(trace, sched)
     relent_bound_certificate(trace, sched)

@@ -309,6 +309,26 @@ n = 7
                          "--out", str(tmp_path / "t")]) == 5
         assert "purified dimension 16384" in capsys.readouterr().err
 
+    def test_step2_cap_is_checked_before_step1(self, tmp_path, sigma0_file,
+                                               capsys, monkeypatch):
+        # N = 10 passes step 1's cap, but step 2's depends only on the base
+        # state and N, so no threshold is solved before the refusal
+        from qstein import pipeline
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("step 1 ran before step 2's cap")
+        monkeypatch.setattr(pipeline, "min_positive_part", no_solve)
+        cfg = write_cfg(tmp_path, "p10.cfg", f"""
+state = classical:0.75
+family = iid:{sigma0_file}
+y = 0.1
+n = 10
+""")
+        assert cli.main(["pipeline", "--config", cfg,
+                         "--out", str(tmp_path / "t")]) == 5
+        assert ("purified dimension 1048576 exceeds cap 4096"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("y", ["300", "nan", "inf"])
     def test_rate_without_finite_threshold(self, tmp_path, capsys, y):
         cfg = write_cfg(tmp_path, "p6.cfg", f"""

@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -745,6 +746,98 @@ class TestProbe:
             assert optim._fw_bound(reduced, w, coords.lmo) >= vertex - 1e-12
 
 
+class TestAtomStack:
+    """A ``local`` read off one prepared stack, whose facts are worked out
+    once for every probe, equals one that re-derives them on every call,
+    bit for bit."""
+
+    @staticmethod
+    def _per_call_in_eigenbasis(V, stack):
+        """``_in_eigenbasis`` with its realness and diagonal tests made on
+        every call."""
+        dirs = stack.mats
+        if not V.imag.any() and not dirs.imag.any():
+            V, dirs = V.real, dirs.real
+        if dirs.ndim == 3:
+            diag = np.diagonal(dirs, axis1=1, axis2=2)
+            if np.count_nonzero(dirs) != np.count_nonzero(diag):
+                return V.conj().T @ dirs @ V
+            dirs = diag
+        return (V.conj().T * dirs[:, None, :]) @ V
+
+    def _check(self, monkeypatch, probes, mats):
+        """Every probe of ``probes`` at three mixtures of ``mats`` reads one
+        shared stack, then a fresh array per call through the per-call
+        transform."""
+        rng = np.random.default_rng(97)
+        points = [(probe, np.tensordot(rng.dirichlet(np.ones(len(mats))),
+                                       mats, 1))
+                  for probe in probes for _ in range(3)]
+        stack = optim._AtomStack(mats)
+        shared = [probe(x)[3](stack) for probe, x in points]
+        monkeypatch.setattr(optim, "_in_eigenbasis",
+                            self._per_call_in_eigenbasis)
+        for (probe, x), derivs in zip(points, shared):
+            for got, want in zip(derivs, probe(x)[3](mats.copy())):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def _dual(eta, K=4.0, tau=1e-3):
+        return optim._dual_eval(
+            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), K, tau)
+
+    def test_dense_stacks(self, monkeypatch):
+        # a complex and a real stack, each read by a probe with a complex
+        # and one with a real eigenbasis
+        rng = np.random.default_rng(93)
+        shape = SystemShape((3,))
+        complex_eta = rand.random_density(rng, shape).mat
+        real_eta = complex_eta.real + 0j
+        states = np.array([rand.random_density(rng, shape).mat
+                           for _ in range(4)])
+        for mats in (4.0 * states, 4.0 * states.real + 0j):
+            self._check(monkeypatch, [self._dual(complex_eta),
+                                      self._dual(real_eta),
+                                      optim._relent_eval(complex_eta,
+                                                         np.eye(3) / 3)],
+                        mats)
+
+    def test_diagonal_stacks(self, monkeypatch):
+        rng = np.random.default_rng(95)
+        eta = rand.random_density(rng, SystemShape((4,))).mat
+        mats = np.array([np.diag(rng.dirichlet(np.ones(4))) + 0j
+                         for _ in range(4)])
+        mats[0] = 0.0  # the dual's atom 0
+        self._check(monkeypatch, [self._dual(eta), self._dual(eta.real),
+                                  optim._pospart_eval(eta, 1.5, 1e-6)],
+                    mats)
+
+    def test_type_class_coordinates(self, monkeypatch):
+        # the mixed power reads the dense probe through the class averages
+        # (``read``); the pure power evaluates in the T x T block
+        n = 4
+        fam = DiagonalFamily(2, n)
+        mixed = opalg.tensor_power(
+            rand.random_density(np.random.default_rng(99),
+                                SystemShape((2,))), n).mat
+        pure = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
+        rng = np.random.default_rng(101)
+        mats = np.array([np.diag(rng.dirichlet(np.ones(n + 1)))
+                         for _ in range(4)])
+        b = 2.0 ** (binary_entropy(0.8) * n)
+        for target in (mixed, pure):
+            coords = optim._TypeClassCoords.of(fam, target)
+            assert (coords.small is None) == (target is mixed)
+            self._check(monkeypatch, [
+                coords.pospart_eval(b, 1e-3),
+                optim._dual_eval(partial(coords.pospart_eval, 1.0), 4.0,
+                                 1e-6),
+                coords.read(optim._relent_eval(target,
+                                               np.eye(2 ** n) / 2 ** n))],
+                mats)
+
+
 class TestHypothesisTesting:
     def test_k_one_is_trivial(self):
         fam = DiagonalFamily(2, 1)
@@ -1023,6 +1116,74 @@ class TestHypothesisTesting:
         for end in bracket(opalg.density(np.diag(eta_diag), (2, 2)), 3.0,
                            SingletonIIDFamily(2, 2, sigma0=np.diag(sig))):
             assert abs(end - want) <= 1e-12
+
+    @staticmethod
+    def _count_probes(monkeypatch):
+        """Exact probes per one-member solve: one entry per solve, which
+        makes one ``_pospart_eval``."""
+        counts = []
+        pospart = optim._pospart_eval
+
+        def counted(*args):
+            probe = pospart(*args)
+            counts.append(0)
+
+            def run(x):
+                counts[-1] += 1
+                return probe(x)
+            return run
+        monkeypatch.setattr(optim, "_pospart_eval", counted)
+        return counts
+
+    def test_one_member_search_is_cheap_and_exact(self, monkeypatch):
+        # g(b) = Tr[(eta - b s)_+] + b/K is convex, and piecewise linear
+        # when eta and s commute: the tangents at the bracket's ends meet on
+        # the kink, so a bracket takes a handful of probes, not a bisection
+        # to adjacent floats (57)
+        counts = self._count_probes(monkeypatch)
+
+        def bracket(eta, K, fam):
+            monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+            return (hypothesis_primal(eta, K, fam, FAST),
+                    hypothesis_dual(eta, K, fam, FAST))
+
+        rng = np.random.default_rng(4)  # criterion 4's commuting instances
+        for _ in range(50):
+            d = int(rng.integers(2, 5))
+            eta_diag = rng.dirichlet(np.ones(d))
+            sig_diag = rng.dirichlet(np.ones(d)) + 0.05
+            sig_diag /= sig_diag.sum()
+            K = float(rng.choice([2.0, 4.0, 8.0]))
+            want = classical_neyman_pearson(eta_diag, sig_diag, 1.0 / K)
+            fam = SingletonIIDFamily(d, 1, sigma0=np.diag(sig_diag))
+            for end in bracket(opalg.density(np.diag(eta_diag)), K, fam):
+                assert abs(end - want) <= 1e-12
+        assert len(counts) == 50 and max(counts) <= 10
+        counts.clear()
+        rng = np.random.default_rng(53)
+        for d in range(2, 7):
+            shape = SystemShape((d,))
+            for K in (2.0, 4.0, 8.0):
+                fam = SingletonIIDFamily(
+                    d, 1, sigma0=rand.random_density(rng, shape).mat)
+                p, du = bracket(rand.random_density(rng, shape), K, fam)
+                assert 0.0 <= du - p <= 1e-12
+        assert len(counts) == 15 and np.median(counts) <= 20
+        # (eta, s, K, value, probes): b* = 0 where eta is orthogonal to s;
+        # g flat on [0, K], so its minimum is at K as well as at 0 (the
+        # slope at K is never negative: eta > K s on P bounds Tr[P s] below
+        # 1/K); the singular member, a kink at b = 1/2; a kink at b = 3 of
+        # [0, 4], whose tangents meet at 3.0 exactly
+        cases = (([1.0, 0.0], [0.0, 1.0], 4.0, 1.0, 1),
+                 ([1.0, 0.0], [0.25, 0.75], 4.0, 1.0, 1),
+                 ([0.5, 0.5], [1.0, 0.0], 4.0, 0.625, 3),
+                 ([15 / 16, 1 / 16], [5 / 16, 11 / 16], 4.0, 0.75, 4))
+        for eta_diag, sig_diag, K, want, probes in cases:
+            counts.clear()
+            fam = SingletonIIDFamily(2, 1, sigma0=np.diag(sig_diag))
+            for end in bracket(opalg.density(np.diag(eta_diag)), K, fam):
+                assert abs(end - want) <= 1e-12
+            assert counts == [probes]
 
     def test_one_row_optimum_matches_linprog(self):
         from scipy.optimize import linprog
