@@ -377,6 +377,14 @@ def _support_split(mat: np.ndarray):
     return w, V, w > SUPPORT_CUTOFF * max(float(w[-1]), 0.0)
 
 
+def support_ray(mat: np.ndarray) -> np.ndarray | None:
+    """The unit vector spanning a PSD matrix's support when
+    :func:`_support_split` finds one eigenvalue on it, else None: the one
+    test of whether a state read from input is pure."""
+    _, V, on = _support_split(mat)
+    return V[:, -1] if on.sum() == 1 else None
+
+
 def sqrt_psd(mat: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """PSD square root; eigenvalues in (-tol, 0) are clamped to zero.
 

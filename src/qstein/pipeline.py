@@ -24,7 +24,7 @@ from .entropy import binary_entropy, relative_entropy
 from .errors import (CertificateFailed, ConstructionFailed, DimensionCap,
                      PremiseFailed, PremiseOutOfInterval)
 from .freesets import FreeFamily
-from .opalg import DensityMatrix, HermitianOperator, PureState, eigh
+from .opalg import DensityMatrix, HermitianOperator, eigh
 from .optim import (SolverSettings, _threshold, distance_to_family,
                     min_positive_part, rel_ent_of_resource)
 
@@ -191,21 +191,27 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
 def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
     """Conditioning, tail truncation, and the assembled dominance certificate.
 
-    One chain for every base state, on the pair of ``_purified_pair``: the
-    pair's overlap floor, conditioning the first M copies on the IID ray,
-    the cut to at most R defects, and the system marginal of the correction
-    states.  The second correction state differs by pair: the purification
-    takes the large-amplitude cut of ``beta_truncation_delta`` with its
-    power-state tail bound, and a ray pair (reduced mode) the truncated
-    state itself.  Giving the ray pair the beta cut moves sigma~ at N >= 7
-    and leaves the near-free distance at N = 7, y = h(0.8) + 0.1 short of
-    certified (gap 3.0e-3 against 3.6e-9).
+    One chain for every base state, on the pair of
+    :func:`symmetry.perm_invariant_purification`: the pair's overlap floor,
+    conditioning the first M copies on the IID ray, the cut to at most R
+    defects, and the system marginal of the correction states.  The second
+    correction state differs by pair: the purification of a mixed base
+    state takes the large-amplitude cut of ``beta_truncation_delta`` with
+    its power-state tail bound, and the ray pair of a pure one (reduced
+    mode, environment dimension 1) the truncated state itself.  Giving the
+    ray pair the beta cut moves sigma~ at N >= 7 and leaves the near-free
+    distance at N = 7, y = h(0.8) + 0.1 short of certified (gap 3.0e-3
+    against 3.6e-9).
     """
     N, M, R = schedule.N, schedule.M, schedule.R
     if N != trace.N:
         raise ValueError("schedule does not match the trace")
     trace.schedule = schedule
-    pair = _purified_pair(trace)
+    _check_step2_cap(trace.rho, N)
+    pair = symmetry.perm_invariant_purification(trace.rho, trace.rho_N)
+    d = trace.rho.total_dim
+    env = pair.rho_pur.shape.total_dim // d
+    trace.reduced_mode = env == 1
     trace.add(Certificate("purification overlap floor",
                           pair.overlap - trace.mu_N, CERT_TOL))
 
@@ -224,8 +230,6 @@ def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
         trace.add(symmetry.verify_power_inequality(v2, pair.rho_pur, N, M, R))
         delta_nmr_mat = symmetry.beta_truncation_delta(v2, pair.rho_pur, N)
 
-    d = trace.rho.total_dim
-    env = pair.rho_pur.shape.total_dim // d
     pair_dims = (d, env) * schedule.reduced_copies
 
     def system_marginal(mat: np.ndarray) -> HermitianOperator:
@@ -240,40 +244,16 @@ def step2(trace: PipelineTrace, schedule: Schedule) -> PipelineTrace:
 
 
 def _check_step2_cap(rho: DensityMatrix, N: int) -> None:
-    """DimensionCap unless step 2 has a pair within the dense cap: the
-    purification while (d^2)^N fits it, else the ray pair of a pure base
-    state while d^N does.  It reads the base state and N alone, so the
-    chain checks it before step 1."""
+    """DimensionCap unless step 2's pair fits the dense cap: d^N for the ray
+    pair of a pure base state (``opalg.support_ray``), (d^2)^N for the
+    purification of a mixed one.  It reads the base state and N alone, so
+    the chain checks it before step 1."""
     d = rho.total_dim
-    if (d * d) ** N <= opalg.DENSE_DIM_CAP or (
-            d ** N <= opalg.DENSE_DIM_CAP
-            and rho.eigvals()[-1] >= 1.0 - 1e-10):
-        return
-    raise DimensionCap(
-        f"purified dimension {(d * d) ** N} exceeds cap "
-        f"{opalg.DENSE_DIM_CAP} and the ray pair needs a pure base state")
-
-
-def _purified_pair(trace: PipelineTrace) -> symmetry.PurificationPair:
-    """The pair step 2 runs on (``_check_step2_cap``).  While (d^2)^N fits
-    the dense cap, the permutation invariant purification (environment
-    dimension d).  Beyond it, for a pure base state q with d^N within the
-    cap, the ray pair (q, phi) with environment dimension 1: step 1 builds
-    rho_N = T q^{x N} T^dag / Tr, the ray of phi, and a ray is its own
-    purification.  An rho_N that is not a ray is refused."""
-    rho, N = trace.rho, trace.N
-    _check_step2_cap(rho, N)
-    d = rho.total_dim
-    if (d * d) ** N <= opalg.DENSE_DIM_CAP:
-        return symmetry.perm_invariant_purification(rho, trace.rho_N)
-    trace.reduced_mode = True
-    a = opalg.rank_one_factor(trace.rho_N.mat)
-    if a is None:
-        raise ConstructionFailed("rho_N of a pure base state is not a ray")
-    phi = PureState(trace.rho_N.shape, a / np.linalg.norm(a))
-    q = PureState(rho.shape, rho.eig()[1][:, -1])
-    overlap = abs(complex(np.vdot(opalg.pure_power(q, N).vec, phi.vec)))
-    return symmetry.PurificationPair(q, phi, overlap)
+    pure = opalg.support_ray(rho.mat) is not None
+    width = (d if pure else d * d) ** N
+    if width > opalg.DENSE_DIM_CAP:
+        raise DimensionCap(f"{'ray pair' if pure else 'purified'} dimension "
+                           f"{width} exceeds cap {opalg.DENSE_DIM_CAP}")
 
 
 def _log2_dominance_factor(trace: PipelineTrace, schedule: Schedule) -> float:

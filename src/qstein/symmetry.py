@@ -10,11 +10,11 @@ base ray, are drawn and cut in one frame, ``_defect_frame``.
 
 Conventions: purified systems store one (system, environment) pair per copy
 as a single subsystem of dimension d e, so copy permutations act on whole
-pairs.  The purification of :func:`perm_invariant_purification` has e = d;
-a ray is its own purification, with e = 1, and conditioning and truncation
-act on it unchanged.  The pair order (s1 e1 s2 e2 ...) and the block order
-(system block, environment block) are converted by
-:func:`opalg.pairs_to_blocks` and :func:`opalg.blocks_to_pairs`.
+pairs.  :func:`perm_invariant_purification` gives a mixed base state e = d,
+and a pure one its ray pair with e = 1 (a ray is its own purification);
+conditioning and truncation act on either unchanged.  The pair order
+(s1 e1 s2 e2 ...) and the block order (system block, environment block) are
+converted by :func:`opalg.pairs_to_blocks` and :func:`opalg.blocks_to_pairs`.
 """
 
 from __future__ import annotations
@@ -207,7 +207,8 @@ class PurificationPair:
     """Aligned purifications of a single-copy state and an N-copy state.
 
     Both live on pair subsystems of dimension d e (system tensor an
-    environment of dimension e per copy; e = 1 when both states are rays);
+    environment of dimension e per copy; e = 1 for the ray pair of a pure
+    base state);
     ``overlap`` equals the fidelity between the N-copy state and the IID
     power state.
     """
@@ -224,39 +225,36 @@ def canonical_purification(rho: DensityMatrix) -> PureState:
     return PureState(SystemShape((d * d,)), vec)
 
 
-def _plane_rotation(q: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
-    """Unitary mapping q to w_hat, acting only on their span."""
-    dim = q.size
-    c = complex(np.vdot(q, w_hat))
-    resid = w_hat - c * q
-    s = float(np.linalg.norm(resid))
-    V = np.eye(dim, dtype=complex)
-    if s < 1e-14:
-        return V + (c - 1.0) * np.outer(q, q.conj())
-    u2 = resid / s
-    V += (c - 1.0) * np.outer(q, q.conj())
-    V += (np.conj(c) - 1.0) * np.outer(u2, u2.conj())
-    V += s * np.outer(u2, q.conj())
-    V -= s * np.outer(q, u2.conj())
-    return V
-
-
 def perm_invariant_purification(rho: DensityMatrix,
                                 rho_N: DensityMatrix) -> PurificationPair:
-    """Purify a permutation-invariant rho_N so that it is itself permutation
-    invariant (as a vector over copy pairs) and overlaps the IID purification
-    of rho at exactly their fidelity.
+    """The pair step 2 runs on: purifications of rho and of a
+    permutation-invariant rho_N, the second symmetric (as a vector over copy
+    pairs), whose overlap is their fidelity.
 
-    The N-copy purification is ((sqrt(rho_N) V) x 1)|Omega> with V the
-    alignment unitary from the polar part of sqrt(rho^{x N}) sqrt(rho_N); V is
-    assembled from permutation-invariant operators, which keeps the output in
-    the permutation-fixed subspace of the pair system.
+    A pure base state (:func:`opalg.support_ray`) takes the ray pair
+    (q, phi) with e = 1: rho_N must then be the ray of a symmetric phi, and
+    a ray is its own purification.  A mixed one takes e = d: the N-copy
+    purification is ((sqrt(rho_N) V) x 1)|Omega> with V the alignment
+    unitary from the polar part of sqrt(rho^{x N}) sqrt(rho_N); V is
+    assembled from permutation-invariant operators, which keeps the output
+    in the permutation-fixed subspace of the pair system.
     """
     d = rho.total_dim
     dims = rho_N.shape.dims
     n = len(dims)
     if any(x != d for x in dims):
         raise ValueError("rho_N must consist of copies of rho's system")
+    q = opalg.support_ray(rho.mat)
+    if q is not None:
+        a = opalg.rank_one_factor(rho_N.mat)
+        if a is None:
+            raise ConstructionFailed("rho_N of a pure base state is not a ray")
+        phi = PureState(rho_N.shape, a / np.linalg.norm(a))
+        if sym_residual(phi) > 1e-8:
+            raise NotPermutationInvariant("rho_N is not a symmetric ray")
+        ray = PureState(rho.shape, q)
+        overlap = abs(complex(np.vdot(opalg.pure_power(ray, n).vec, phi.vec)))
+        return PurificationPair(ray, phi, overlap)
     if not is_perm_invariant(rho_N):
         raise NotPermutationInvariant("rho_N is not permutation invariant")
 
@@ -264,18 +262,8 @@ def perm_invariant_purification(rho: DensityMatrix,
     fid = opalg.fidelity(rho_N, rho_pow)
 
     sqrt_N = sqrt_psd(rho_N.mat)
-    _, vec_pow, on = opalg._support_split(rho_pow.mat)
-    if on.sum() == 1:
-        # rank-one power state: align along the ray pair
-        q = vec_pow[:, -1]
-        w_vec = sqrt_N @ q
-        nw = float(np.linalg.norm(w_vec))
-        if nw < 1e-14:
-            raise ZeroOverlap("rho_N has no weight on the power ray")
-        V = _plane_rotation(q, w_vec / nw)
-    else:
-        P, _, Qh = np.linalg.svd(sqrt_psd(rho_pow.mat) @ sqrt_N)
-        V = Qh.conj().T @ P.conj().T
+    P, _, Qh = np.linalg.svd(sqrt_psd(rho_pow.mat) @ sqrt_N)
+    V = Qh.conj().T @ P.conj().T
 
     amps = opalg.blocks_to_pairs((sqrt_N @ V).reshape(-1), d, d, n)
     nrm = float(np.linalg.norm(amps))

@@ -61,3 +61,26 @@ def test_no_unreferenced_private_definition():
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in referenced]
     assert not orphans, f"private definitions nothing references: {orphans}"
+
+
+SPECTRAL = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}
+
+
+def test_one_spectral_backend():
+    """``np.linalg`` spectral routines are called only in ``opalg.eigh``,
+    the one backend, and for the polar factor of
+    ``symmetry.perm_invariant_purification``."""
+    calls = set()
+    for name, tree in TREES.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in SPECTRAL
+                        and isinstance(node.value, ast.Attribute)
+                        and node.value.attr == "linalg"):
+                    calls.add((name, getattr(top, "name", None), node.attr))
+                elif (isinstance(node, ast.ImportFrom) and node.module
+                      and node.module.endswith("linalg")):
+                    calls |= {(name, None, alias.name) for alias in node.names
+                              if alias.name in SPECTRAL}
+    assert calls <= {("opalg.py", "eigh", "eigh"),
+                     ("symmetry.py", "perm_invariant_purification", "svd")}

@@ -275,6 +275,23 @@ class TestSupportCutoff:
         assert abs(out[1, 1] - math.log2(self.above)) <= 1e-12
         assert out[2, 2] == 0.0
 
+    def test_support_ray(self):
+        rng = np.random.default_rng(41)
+        v = rand.random_pure(rng, SystemShape((3,)))
+        ray = opalg.support_ray(v.projector().mat)
+        # rays are compared as projectors, so the phase does not count
+        assert_allclose(np.outer(ray, ray.conj()), v.projector().mat,
+                        atol=1e-12)
+        chopped = opalg.support_ray(np.diag([self.top, self.below]))
+        assert_allclose(np.abs(chopped), [1.0, 0.0], atol=1e-12)
+        w = rand.random_pure(rng, SystemShape((3,))).vec
+        w = w - v.vec * np.vdot(v.vec, w)
+        w /= np.linalg.norm(w)
+        for eps in (self.above, 1e-10):
+            mixed = ((1.0 - eps) * v.projector().mat
+                     + eps * np.outer(w, w.conj()))
+            assert opalg.support_ray(mixed) is None
+
     def test_log2_of_zero_operator_is_zero(self):
         for m in (np.zeros((2, 2)), -np.eye(2)):
             out = opalg.log2_on_support(opalg.operator(m))

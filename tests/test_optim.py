@@ -6,7 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from qstein import opalg, optim, rand
+from qstein import opalg, optim, rand, verify
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
@@ -882,6 +882,13 @@ class TestHypothesisTesting:
         eta = opalg.density(np.eye(2) / 2)
         assert abs(hypothesis_dual(eta, 4.0, fam, FAST) - 0.625) < 1e-6
 
+    def test_weak_duality_check_reaches_full_family(self):
+        # trial i draws the full family when i % 3 == 2, so three trials are
+        # the fewest that run it
+        res = verify.check_weak_duality(3, 0)
+        assert len(res.margins) == 3
+        assert res.passed
+
     def test_dual_full_family_closed_form(self):
         # for K >= 1, Tr[(eta - X)_+] >= Tr[eta - X] / K bounds the dual
         # below by 1/K, attained at X = eta when eta is free
@@ -1320,6 +1327,17 @@ class TestResourceMeasures:
         got = generalized_robustness(rho, DiagonalFamily(2, 1), FAST)
         want = robustness_qubit_diagonal_grid(rho.mat)
         assert abs(got - want) < 5e-4
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_robustness_maximally_coherent(self, d):
+        # the robustness of coherence of a pure state is its l1 coherence
+        # (Napoli et al., PRL 116, 150502, 2016), here d - 1 > 1: past the
+        # first bracket [0, 1], so the bracket doubles before it bisects
+        rho = opalg.density(np.ones((d, d)) / d)
+        s, sigma = generalized_robustness(rho, DiagonalFamily(d, 1), FAST,
+                                          return_witness=True)
+        assert abs(s - (d - 1)) <= 1e-5
+        assert opalg.eigh((1.0 + s) * sigma.mat - rho.mat)[0][0] >= -1e-9
 
     def test_singular_sigma0_family(self):
         # distance and robustness start from the only member; the relative

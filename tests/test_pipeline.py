@@ -7,7 +7,8 @@ import pytest
 from qstein import opalg, pipeline, rand, symmetry
 from qstein.entropy import binary_entropy, relative_entropy
 from qstein.errors import (CertificateFailed, ConstructionFailed,
-                           PremiseFailed, PremiseOutOfInterval)
+                           DimensionCap, PremiseFailed,
+                           PremiseOutOfInterval)
 from qstein.freesets import DiagonalFamily, SingletonIIDFamily
 from qstein.opalg import DensityMatrix, HermitianOperator, SystemShape
 from qstein.optim import SolverSettings
@@ -214,6 +215,69 @@ class TestRayPair:
             rho_N=opalg.density(mixed, (2,) * 7))
         with pytest.raises(ConstructionFailed, match="not a ray"):
             pipeline.step2(trace, pipeline.mr_schedule(7))
+
+
+def nearly_pure_qubit(eps, p=0.8):
+    """Eigenvalues (1 - eps, eps), the first on the coherent ray."""
+    q = np.array([math.sqrt(p), math.sqrt(1 - p)])
+    q_perp = np.array([-math.sqrt(1 - p), math.sqrt(p)])
+    return opalg.density((1 - eps) * np.outer(q, q)
+                         + eps * np.outer(q_perp, q_perp))
+
+
+class TestSupportRule:
+    """One purity test, ``opalg.support_ray`` on the base state, picks both
+    step 2's cap and its pair."""
+
+    def test_eigenvalue_below_cutoff_takes_ray_pair(self):
+        # eps is off the support, so the base counts as pure; a purification
+        # through sqrt_psd would drop eps and come out short of norm 1
+        trace = pipeline.run_direct_part(nearly_pure_qubit(1e-12), H08, 5,
+                                         DiagonalFamily(2, 1), SET)
+        assert trace.reduced_mode
+        assert trace.all_passed
+
+    def test_eigenvalue_above_cutoff_refused_before_step1(self, monkeypatch):
+        # a mixed base at N = 7 needs (d^2)^N = 16384 > 4096
+        def no_solve(*args, **kwargs):
+            raise AssertionError("step 1 ran before step 2's cap")
+        monkeypatch.setattr(pipeline, "min_positive_part", no_solve)
+        with pytest.raises(DimensionCap, match="purified dimension 16384"):
+            pipeline.run_direct_part(nearly_pure_qubit(5e-11), H08, 7,
+                                     DiagonalFamily(2, 1), SET)
+
+
+# certificates.csv of the mixed qubit below at N = 5, y = 0.1: the rows of
+# the purified route, which no pure-base pipeline runs
+MIXED_N5_ROWS = [
+    ("dominated-state construction", 6.72423656748e-06, 1e-09),
+    ("step1 operator dominance", 6.72423656748e-06, 1e-08),
+    ("step1 fidelity floor", 0.243024836951, 1e-08),
+    ("purification overlap floor", 0.243024836951, 1e-08),
+    ("conditioned-state dominance", -1.11674007405e-17, 1e-09),
+    ("tail-truncation distance bound", 2.08571558737, 1e-08),
+    ("conditioned-to-truncated dominance", -1.09192992224e-16, 1e-08),
+    ("power-state tail bound", -1.21891065721e-14, 1e-08),
+    ("assembled power-state dominance", 1973.16443352, 1e-08),
+    ("mixing-weight decay", 0.556739790332, 1e-12),
+    ("relative-entropy budget", 12.3358936612, 1e-08),
+    ("near-free distance", 1.87831029805, 1e-06),
+]
+
+
+def test_mixed_base_runs_purified_route(tmp_path):
+    rho = opalg.density(np.array([[0.7, 0.2], [0.2, 0.3]]))
+    trace = pipeline.run_direct_part(rho, 0.1, 5, DiagonalFamily(2, 1), SET)
+    assert not trace.reduced_mode
+    pipeline.save_trace(trace, str(tmp_path))
+    with open(tmp_path / "certificates.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["name"] for r in rows] == [n for n, _, _ in MIXED_N5_ROWS]
+    assert all(r["pass"] == "true" for r in rows)
+    for row, (_, margin, tol) in zip(rows, MIXED_N5_ROWS):
+        assert float(row["tolerance"]) == tol
+        assert math.isclose(float(row["margin"]), margin, rel_tol=1e-9,
+                            abs_tol=1e-12), row["name"]
 
 
 class TestRelentCertificate:

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qstein import opalg, rand, symmetry
-from qstein.errors import (NotPermutationInvariant, PremiseFailed,
-                           ZeroOverlap)
+from qstein.errors import (ConstructionFailed, NotPermutationInvariant,
+                           PremiseFailed, ZeroOverlap)
 from qstein.opalg import SystemShape
 
 @pytest.mark.parametrize("n,d,want", [(3, 2, 4), (2, 3, 6), (1, 5, 5)])
@@ -171,12 +171,21 @@ class TestPurification:
             assert abs(pair.overlap - want) < 1e-6
 
     def test_pure_base_state(self):
+        # a pure base state takes the ray pair (environment dimension 1),
+        # so its rho_N must be a symmetric ray
         rng = np.random.default_rng(26)
         v = rand.random_pure(rng, SystemShape((2,)))
-        rho_n = rand.random_perm_invariant_density(rng, 2, 3)
-        pair = symmetry.perm_invariant_purification(v.density(), rho_n)
-        want = opalg.fidelity(rho_n, opalg.tensor_power(v.projector(), 3))
+        phi = symmetry.random_almost_power(rng, v, 3, 1)
+        pair = symmetry.perm_invariant_purification(v.density(),
+                                                    phi.density())
+        assert pair.rho_pur.shape.dims == (2,)
+        assert pair.rhoN_pur.shape.dims == (2, 2, 2)
+        want = opalg.fidelity(phi.density(),
+                              opalg.tensor_power(v.projector(), 3))
         assert abs(pair.overlap - want) < 1e-8
+        rho_n = rand.random_perm_invariant_density(rng, 2, 3)
+        with pytest.raises(ConstructionFailed, match="not a ray"):
+            symmetry.perm_invariant_purification(v.density(), rho_n)
 
     def test_purification_is_symmetric(self):
         rng = np.random.default_rng(27)
@@ -191,6 +200,11 @@ class TestPurification:
         rho_n = rand.random_density(rng, SystemShape((2, 2, 2)))
         with pytest.raises(NotPermutationInvariant):
             symmetry.perm_invariant_purification(rho, rho_n)
+        # a pure base state's ray pair checks phi on the vector
+        v = rand.random_pure(rng, SystemShape((2,)))
+        phi = rand.random_pure(rng, SystemShape((2, 2, 2)))
+        with pytest.raises(NotPermutationInvariant):
+            symmetry.perm_invariant_purification(v.density(), phi.density())
 
 
 class TestConditionedState:
