@@ -10,6 +10,7 @@ with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -107,20 +108,21 @@ def _ints(csv_text: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _exponent_row(rho, fam_spec, n, y_grid, settings):
-    """Ascending-rate sweep at fixed N with warm starts.
+    """Ascending-rate sweep at fixed N on ``opalg.Power(rho, n)``, each
+    rate started at the previous rate's result.
 
-    Warm starting each rate at the previous optimizer makes the reported
-    curve non-increasing by construction, matching the underlying monotone
-    quantity.
+    Only an annealed solve reads that start; the closed form of a pure
+    power does not.  So the start guarantees no monotonicity:
+    ``cmd_exponent`` checks that each row is at most the one before plus
+    1e-12.
     """
     rows = []
     family = parse_family_spec(fam_spec, rho.total_dim, n)
-    power = opalg.tensor_power(rho, n)
-    start = None
+    power = opalg.Power(rho, n)
+    res = None
     for y in sorted(y_grid):
         res = min_positive_part(power, _threshold(y, n), family, settings,
-                                start=start)
-        start = res.minimizer
+                                start=res)
         rows.append((n, y, res.value, res.fw_gap))
     return rows
 
@@ -256,7 +258,9 @@ def cmd_pn(args) -> int:
 # entry
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     p = argparse.ArgumentParser(
         prog="steincli",
         description="Exponent sweeps, verification suites and certificate "

@@ -43,6 +43,39 @@ def _tr_x_log_x(mat: np.ndarray) -> float:
     return float((w * np.log2(w)).sum())
 
 
+def _log_first_differences(lam: np.ndarray) -> np.ndarray:
+    """F1[i, j] = f[lam_i, lam_j], the divided difference of the natural log
+    at a positive spectrum (1 / lam_i where the two coincide): log1p(x) /
+    (x lo), with lo the smaller eigenvalue and x = |lam_i - lam_j| / lo,
+    accurate for close and far eigenvalues alike."""
+    lo = np.minimum.outer(lam, lam)
+    x = np.abs(lam[:, None] - lam[None, :]) / lo
+    return np.where(x > 0.0, np.log1p(x) / np.where(x > 0.0, x, 1.0),
+                    1.0) / lo
+
+
+def _log_second_differences(lam: np.ndarray, F1: np.ndarray,
+                            js: slice) -> np.ndarray:
+    """F2[i, j, m] = f[lam_i, lam_j, lam_m] of the natural log at a positive
+    spectrum for the j in ``js``, from its first differences F1.
+
+    Over the sorted triple x >= y >= z it is (f[x, y] - f[y, z]) / (x - z);
+    f[., .] decreases in each argument, so f[x, y] and f[y, z] are the least
+    and the largest of the triple's three first differences.  Where x - z <=
+    1e-5 z it is -1 / (2 m^2) at the mean m instead.  Either way its relative
+    error is about 1e-10.
+    """
+    li, lj, lm = lam[:, None, None], lam[None, js, None], lam[None, None, :]
+    pairs = (F1[:, js, None], F1[None, js, :], F1[:, None, :])
+    low = np.minimum(np.minimum(li, lj), lm)
+    spread = np.maximum(np.maximum(li, lj), lm) - low
+    near = spread <= 1e-5 * low
+    num = (np.minimum(np.minimum(*pairs[:2]), pairs[2])
+           - np.maximum(np.maximum(*pairs[:2]), pairs[2]))
+    return np.where(near, -4.5 / (li + lj + lm) ** 2,
+                    num / np.where(near, 1.0, spread))
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda log2 lambda over the nonzero spectrum."""
     return -_tr_x_log_x(rho.mat)

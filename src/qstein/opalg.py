@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -279,6 +280,39 @@ def tensor_power(a: HermitianOperator, n: int) -> HermitianOperator:
         raise ValueError("tensor power requires n >= 1")
     check_dense_power(a.total_dim, n)
     return HermitianOperator(SystemShape(a.shape.dims * n), kron_power(a.mat, n))
+
+
+@dataclass(frozen=True)
+class Power:
+    """The n-fold tensor power of a state, held as its ``base`` and n.
+
+    A solver that can read the power off its base (a pure base in
+    type-class coordinates) builds nothing d^n wide.  ``mat`` is the dense
+    power, built by ``tensor_power`` under the dense cap on first use."""
+
+    base: DensityMatrix
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("tensor power requires n >= 1")
+
+    @property
+    def shape(self) -> SystemShape:
+        return SystemShape(self.base.shape.dims * self.n)
+
+    @property
+    def total_dim(self) -> int:
+        return self.base.total_dim ** self.n
+
+    @cached_property
+    def ray(self) -> np.ndarray | None:
+        """The base's ``support_ray``: its unit vector if it is pure."""
+        return support_ray(self.base.mat)
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        return tensor_power(self.base, self.n).mat
 
 
 def pure_power(a: PureState, n: int) -> PureState:

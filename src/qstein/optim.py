@@ -59,9 +59,11 @@ solved in closed form (``_one_row_optimum``).  Both ends of the bracket
 share one solve: the last dual solve is memoized, so a primal and a dual
 call on the same inputs, in either order, solve once.
 Oracles and iterates are plain matrices, and a solver returns its minimizer
-unvalidated, as a ``HermitianOperator``: a ``DensityMatrix`` is built where
-a state enters the program, since its check is a full eigendecomposition.
-A solver's target is a ``HermitianOperator``; a ``DensityMatrix`` is one.
+unvalidated, as a ``HermitianOperator`` built on first read
+(``OptResult.minimizer``): a ``DensityMatrix`` is built where a state
+enters the program, since its check is a full eigendecomposition.  A
+solver's target is a ``HermitianOperator``; a ``DensityMatrix`` is one.
+``min_positive_part`` also takes an ``opalg.Power``, a base state and N.
 
 One function, ``_search``, picks the search of every solver.  Where
 ``_TypeClassCoords.of`` holds (the family declares ``type_classes``, there
@@ -72,7 +74,9 @@ the start enters as its twirl, so any free start will do.  On a target in
 the symmetric subspace, as a pure power is, each positive-part evaluation
 is one T x T eigendecomposition (and ``min_positive_part`` on a rank-one
 target needs only the one at its closed-form minimizer); other probes
-read the dense objective at the dense member.  Other inputs search the
+read the dense objective at the dense member.  A power of a pure base
+(``_TypeClassCoords.of_ray``) gives its T x T block from the base's ray,
+so its solve makes nothing d^N wide.  Other inputs search the
 family's vertices.  Every exit bound reads the probe and the oracle its
 search ran with.  That is sound for the invariant searches: the objective
 is convex and permutation invariant, so its minimum over the family is its
@@ -84,14 +88,15 @@ vertex oracle's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import opalg, symmetry
-from .entropy import _tr_x_log_x
+from .entropy import (_log_first_differences, _log_second_differences,
+                      _tr_x_log_x)
 from .errors import Infeasible, NoFullRankMember
 from .freesets import FreeFamily
 from .opalg import DensityMatrix, HermitianOperator, eigh
@@ -150,8 +155,10 @@ class OptResult:
     gap exceeds tol, each stage end, and the best bound is kept (the trace
     distance doubles its positive-part gap).  ``converged`` is
     ``fw_gap <= tol``.  ``iterations`` counts the oracle calls of the
-    Frank-Wolfe stages.  ``minimizer`` is the mixture of oracle answers the
-    solver built, returned unvalidated.
+    Frank-Wolfe stages.  ``weights`` is the minimizer in the search's
+    coordinates; ``minimizer``, the mixture of oracle answers as a dense
+    unvalidated operator, is built by ``to_dense`` on first read only, so a
+    type-class solve makes nothing d^N wide unless a caller reads it.
 
     The bound is only as exact as the family's oracle.  On the separable
     hull the oracle is a seesaw heuristic, so there ``fw_gap`` and
@@ -160,10 +167,15 @@ class OptResult:
     """
 
     value: float
-    minimizer: HermitianOperator
+    weights: np.ndarray = field(repr=False)
     fw_gap: float
     iterations: int
     converged: bool
+    to_dense: Callable[[np.ndarray], HermitianOperator] = field(repr=False)
+
+    @cached_property
+    def minimizer(self) -> HermitianOperator:
+        return self.to_dense(self.weights)
 
 
 class _Tracker:
@@ -458,8 +470,9 @@ def _fw_bound(probe, x: np.ndarray, lmo) -> float:
 
 
 def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
-               settings: SolverSettings, minimizer: np.ndarray) -> OptResult:
-    """Result with the best probe's value and ``minimizer``.
+               settings: SolverSettings, to_dense: Callable) -> OptResult:
+    """Result with the best probe's value, at the best probe, which
+    ``to_dense`` maps to the dense minimizer.
 
     Each point x tried gives the Frank-Wolfe lower bound ``bound(x)``
     (``_fw_bound``) on the minimum.  ``fw_gap`` is the value minus the best
@@ -473,8 +486,8 @@ def _certified(tracker: _Tracker, iters: int, bound, family: FreeFamily,
             break
         gap = min(gap, value - bound(x))
     gap = max(0.0, gap)
-    return OptResult(value, HermitianOperator(family.shape, minimizer), gap,
-                     iters, gap <= settings.tol)
+    return OptResult(value, tracker.best_mat, gap, iters, gap <= settings.tol,
+                     lambda w: HermitianOperator(family.shape, to_dense(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,12 +586,17 @@ class _TypeClassCoords:
     D^T, so A - b sigma has the spectrum of small - b diag(w / |T|) plus
     the eigenvalue -b w_t / |T_t| with multiplicity |T_t| - 1 (the rest of
     class t): one T x T eigendecomposition evaluates the positive part.
+    Only the maps to and from dense matrices read the d^N class labels.
     """
 
-    labels: np.ndarray
+    family: FreeFamily
     sizes: np.ndarray
     small: np.ndarray | None
-    target: np.ndarray
+    target: np.ndarray | None
+
+    @property
+    def labels(self) -> np.ndarray:
+        return _type_classes(self.family.base_dim, self.family.copies)[0]
 
     @classmethod
     def of(cls, family: FreeFamily,
@@ -589,7 +607,6 @@ class _TypeClassCoords:
         that a pure power pays for no invariance scan."""
         if family.copies == 1 or not family.type_classes:
             return None
-        labels, sizes = _type_classes(family.base_dim, family.copies)
         iso = symmetry.sym_isometry(family.copies, family.base_dim)
         small = iso.T @ target @ iso
         if float(np.abs(iso @ small @ iso.T - target).max()) > 1e-12:
@@ -597,7 +614,24 @@ class _TypeClassCoords:
                     HermitianOperator(family.shape, target)):
                 return None
             small = None
-        return cls(labels, sizes, small, target)
+        return cls(family, _type_classes(family.base_dim, family.copies)[1],
+                   small, target)
+
+    @classmethod
+    def of_ray(cls, family: FreeFamily,
+               power: opalg.Power) -> "_TypeClassCoords | None":
+        """The coordinates of a power read off its base, with no d^N
+        object: None unless ``of``'s family test holds, the power is
+        ``family.copies`` copies of a ``family.base_dim`` base and the base
+        is pure (``opalg.Power.ray``).  Then ``small`` is u u^dag, u =
+        D^T a^{x N} (``symmetry.power_coefficients``), and ``target`` is
+        None: the power is on the symmetric subspace by construction."""
+        if (family.copies == 1 or not family.type_classes
+                or (power.base.total_dim, power.n)
+                != (family.base_dim, family.copies) or power.ray is None):
+            return None
+        u, sizes = symmetry.power_coefficients(power.ray, power.n)
+        return cls(family, sizes, np.outer(u, u.conj()), None)
 
     def weights(self, mat: np.ndarray) -> np.ndarray:
         """diag(w) of the twirl of a diagonal matrix, itself when that is
@@ -689,12 +723,19 @@ class _Search(NamedTuple):
     to_dense: Callable
 
 
-def _search(family: FreeFamily, seed: int, target: np.ndarray) -> _Search:
+def _search(family: FreeFamily, seed: int, target) -> _Search:
     """The search of every solver over the family, for an objective in
     ``target``: in type-class coordinates, entered at the twirl of the
     start, where ``_TypeClassCoords.of`` holds, else over the family's
-    vertices."""
-    coords = _TypeClassCoords.of(family, target)
+    vertices.  A target given as an ``opalg.Power`` is read off its base
+    where ``_TypeClassCoords.of_ray`` holds, else made dense."""
+    coords = None
+    if isinstance(target, opalg.Power):
+        coords = _TypeClassCoords.of_ray(family, target)
+        if coords is None:
+            target = target.mat
+    if coords is None:
+        coords = _TypeClassCoords.of(family, target)
     if coords is None:
         return _Search(None, partial(family.lmo, seed=seed), lambda m: m,
                        partial(_pospart_eval, target), lambda p: p,
@@ -765,12 +806,17 @@ def _rank_one_optimum(coords: _TypeClassCoords | None,
     return np.diag(w / w.sum())
 
 
-def min_positive_part(rho: HermitianOperator, b: float,
+def min_positive_part(rho: HermitianOperator | opalg.Power, b: float,
                       family: FreeFamily,
                       settings: SolverSettings = SolverSettings(),
-                      start: HermitianOperator | None = None
+                      start: HermitianOperator | OptResult | None = None
                       ) -> OptResult:
     """Minimize Tr[(rho - b sigma)_+] over the family.
+
+    ``rho`` may be an ``opalg.Power``, read off its base where that is pure
+    and the family declares ``type_classes``, else made dense.  ``start``
+    may be an earlier result, whose minimizer is read only by an annealed
+    solve.
 
     The search (``_search``) runs over the permutation-invariant members
     in type-class coordinates where ``_TypeClassCoords.of`` holds, else
@@ -785,7 +831,7 @@ def min_positive_part(rho: HermitianOperator, b: float,
 
     Where the type-class target's symmetric block is rank one and PSD (a
     pure power), the minimizer has a closed form (``_rank_one_optimum``)
-    and nothing is annealed: ``start`` is ignored, ``iterations`` is 0, and
+    and nothing is annealed: ``start`` is unread, ``iterations`` is 0, and
     the value and gap come from the same exact probe and exit bound at the
     closed-form weights, so a rounding slip can widen the gap but never
     pass as certified.
@@ -793,15 +839,17 @@ def min_positive_part(rho: HermitianOperator, b: float,
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")
     family.check_dim(rho)
-    rho_mat = rho.mat
     if b == 0.0:
-        return OptResult(opalg.positive_part_trace(rho_mat),
-                         HermitianOperator(family.shape, _feasible_start(
-                             family, settings.seed)), 0.0, 0, True)
-    search = _search(family, settings.seed, rho_mat)
+        return OptResult(opalg.positive_part_trace(rho.mat),
+                         _feasible_start(family, settings.seed), 0.0, 0, True,
+                         partial(HermitianOperator, family.shape))
+    search = _search(family, settings.seed,
+                     rho if isinstance(rho, opalg.Power) else rho.mat)
     weights = _rank_one_optimum(search.coords, b)
     exact = search.pospart(b, None)
     if weights is None:
+        if isinstance(start, OptResult):
+            start = start.minimizer
         x0 = search.enter(_feasible_start(family, settings.seed)
                           if start is None else start.mat)
         tracker, iters = _anneal(partial(search.pospart, b),
@@ -813,7 +861,7 @@ def min_positive_part(rho: HermitianOperator, b: float,
         tracker.offer(weights, exact(weights)[1])
     return _certified(tracker, iters,
                       partial(_fw_bound, exact, lmo=search.lmo),
-                      family, settings, search.to_dense(tracker.best_mat))
+                      family, settings, search.to_dense)
 
 
 # ---------------------------------------------------------------------------
@@ -1086,39 +1134,6 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
 # relative entropy of resource
 # ---------------------------------------------------------------------------
 
-def _log_first_differences(lam: np.ndarray) -> np.ndarray:
-    """F1[i, j] = f[lam_i, lam_j], the divided difference of the natural log
-    at a positive spectrum (1 / lam_i where the two coincide): log1p(x) /
-    (x lo), with lo the smaller eigenvalue and x = |lam_i - lam_j| / lo,
-    accurate for close and far eigenvalues alike."""
-    lo = np.minimum.outer(lam, lam)
-    x = np.abs(lam[:, None] - lam[None, :]) / lo
-    return np.where(x > 0.0, np.log1p(x) / np.where(x > 0.0, x, 1.0),
-                    1.0) / lo
-
-
-def _log_second_differences(lam: np.ndarray, F1: np.ndarray,
-                            js: slice) -> np.ndarray:
-    """F2[i, j, m] = f[lam_i, lam_j, lam_m] of the natural log at a positive
-    spectrum for the j in ``js``, from its first differences F1.
-
-    Over the sorted triple x >= y >= z it is (f[x, y] - f[y, z]) / (x - z);
-    f[., .] decreases in each argument, so f[x, y] and f[y, z] are the least
-    and the largest of the triple's three first differences.  Where x - z <=
-    1e-5 z it is -1 / (2 m^2) at the mean m instead.  Either way its relative
-    error is about 1e-10.
-    """
-    li, lj, lm = lam[:, None, None], lam[None, js, None], lam[None, None, :]
-    pairs = (F1[:, js, None], F1[None, js, :], F1[:, None, :])
-    low = np.minimum(np.minimum(li, lj), lm)
-    spread = np.maximum(np.maximum(li, lj), lm) - low
-    near = spread <= 1e-5 * low
-    num = (np.minimum(np.minimum(*pairs[:2]), pairs[2])
-           - np.maximum(np.maximum(*pairs[:2]), pairs[2]))
-    return np.where(near, -4.5 / (li + lj + lm) ** 2,
-                    num / np.where(near, 1.0, spread))
-
-
 def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray):
     """Probe of D(rho || M) in bits at M = (1 - floor) sigma + floor
     witness, floor = ``RELENT_FLOOR``, an exact objective.  Its ``local`` is
@@ -1181,11 +1196,11 @@ def rel_ent_of_resource(rho: HermitianOperator,
     tracker, iters = _anneal(lambda _: probe, (None,), search.lmo,
                              search.enter(witness),
                              max(12, settings.max_iters // 8), settings.tol)
-    mixed = ((1.0 - RELENT_FLOOR) * search.to_dense(tracker.best_mat)
-             + RELENT_FLOOR * witness)
     return _certified(tracker, iters,
                       partial(_fw_bound, probe, lmo=search.lmo),
-                      family, settings, mixed)
+                      family, settings,
+                      lambda w: ((1.0 - RELENT_FLOOR) * search.to_dense(w)
+                                 + RELENT_FLOOR * witness))
 
 
 def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
@@ -1266,5 +1281,5 @@ def distance_to_family(sigma_tilde: DensityMatrix, family: FreeFamily,
     """
     res = min_positive_part(sigma_tilde, 1.0, family, settings, start)
     gap = 2.0 * res.fw_gap
-    return OptResult(2.0 * res.value, res.minimizer, gap, res.iterations,
-                     gap <= settings.tol)
+    return replace(res, value=2.0 * res.value, fw_gap=gap,
+                   converged=gap <= settings.tol)

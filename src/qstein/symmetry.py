@@ -57,6 +57,41 @@ def _type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, sizes
 
 
+def _compositions(n: int, d: int):
+    """The count vectors (c_0, ..., c_{d-1}) summing to n, ascending."""
+    if d == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, d - 1):
+            yield (first, *rest)
+
+
+@lru_cache(maxsize=None)
+def _class_counts(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit counts c_t of every type class of n digits base d, one row
+    per class in ``_type_classes``' order (ascending counts), and each
+    class's size n! / prod_i c_{t,i}!; nothing d^n long is built."""
+    counts = np.array(list(_compositions(n, d)))
+    sizes = np.array([math.factorial(n) // math.prod(map(math.factorial, c))
+                      for c in counts.tolist()], dtype=float)
+    counts.setflags(write=False)
+    sizes.setflags(write=False)
+    return counts, sizes
+
+
+def power_coefficients(ray: np.ndarray,
+                       n: int) -> tuple[np.ndarray, np.ndarray]:
+    """D^T a^{x n} for a unit vector a of C^d, D the isometry of
+    ``sym_isometry``, with the class sizes: entry t is sqrt(|T_t|) prod_i
+    a_i^{c_{t,i}} (``_class_counts``), as every string of class t carries
+    the same product.  So the symmetric block D^T (a a^dag)^{x n} D is
+    u u^dag, read off a alone."""
+    counts, sizes = _class_counts(ray.size, n)
+    pows = np.vander(ray, n + 1, increasing=True)[np.arange(ray.size), counts]
+    return np.sqrt(sizes) * pows.prod(axis=1), sizes
+
+
 def sym_isometry(n: int, d: int) -> np.ndarray:
     """Orthonormal basis of the symmetric subspace of (C^d)^{x n}: column t
     is the normalized indicator of type class t of ``_type_classes``."""

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qstein import cli, opalg, verify
 from qstein.opalg import SystemShape
+from qstein.optim import SolverSettings
 
 from oracles import classical_threshold_value
 
@@ -155,6 +157,23 @@ n_grid = 1
         assert cli.main(["exponent", "--config", cfg, "--out",
                          str(tmp_path / "r.csv"), "--threads", "1"]) == 2
         assert f"rate y={y}" in capsys.readouterr().err
+
+
+    def test_pure_row_allocates_no_wide_object(self):
+        # one N = 12 row of a pure base: a dense 4096 x 4096 complex matrix
+        # is 256 MiB, and the row's solves peak below 1 MiB
+        rho = cli.state_from_spec("coherence:0.8")
+        ys = [0.5, 0.6, 0.7, 0.8, 0.9]
+        tracemalloc.start()
+        try:
+            rows = cli._exponent_row(rho, "diagonal", 12, ys,
+                                     SolverSettings())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert [row[1] for row in rows] == ys
+        assert all(gap <= 1e-7 for *_, gap in rows)
 
 
 class TestVerify:
@@ -558,6 +577,9 @@ n_grid = 2
         assert cli.main(["exponent", "--config", cfg, "--threads", threads,
                          "--out", str(tmp_path / "x.csv")]) == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
 
     def test_missing_config(self):
         assert cli.main(["exponent", "--config", "/nonexistent/x.cfg"]) == 2

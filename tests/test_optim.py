@@ -515,6 +515,103 @@ class TestClosedForm:
         assert len(calls) == 3
 
 
+class TestPowerTarget:
+    """``min_positive_part`` on an ``opalg.Power``: a pure base is read off
+    its ray in type-class coordinates, with no d^N object, and agrees with
+    the dense power's solve; other bases are made dense."""
+
+    RATES = (-0.25, -0.1, 0.0, 0.1, 0.25)
+
+    @staticmethod
+    def _worst(base, n, rates, R):
+        """The largest value and gap differences between the power's and
+        the dense power's solves over the rates R + dy."""
+        fam = DiagonalFamily(base.total_dim, n)
+        power, dense = opalg.Power(base, n), opalg.tensor_power(base, n)
+        worst = 0.0
+        for dy in rates:
+            b = 2.0 ** ((R + dy) * n)
+            a, d = (min_positive_part(power, b, fam),
+                    min_positive_part(dense, b, fam))
+            worst = max(worst, abs(a.value - d.value),
+                        abs(a.fw_gap - d.fw_gap))
+        return worst
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_coherence_sweep_matches_dense(self, n):
+        R = binary_entropy(0.8)
+        assert self._worst(coherence_qubit(), n, self.RATES, R) <= 1e-12
+
+    @pytest.mark.parametrize("n", (3, 4, 5))
+    def test_complex_qutrit_matches_dense(self, n):
+        vec = rand.random_pure(np.random.default_rng(41),
+                               SystemShape((3,))).vec
+        assert np.abs(vec.imag).max() > 0.1
+        probs = np.abs(vec) ** 2
+        R = float(-(probs * np.log2(probs)).sum())
+        base = opalg.density(np.outer(vec, vec.conj()))
+        assert self._worst(base, n, (-0.25, 0.0, 0.25), R) <= 1e-12
+
+    @pytest.mark.parametrize("n", (2, 6, 10))
+    def test_nearly_pure_base(self, n):
+        # eigenvalues 1 - 1e-13 and 1e-13: support_ray calls the base pure,
+        # so the power drops a weight of about n 1e-13 that the dense power
+        # keeps
+        eps = 1e-13
+        v = np.array([math.sqrt(0.8), math.sqrt(0.2)])
+        w = np.array([-v[1], v[0]])
+        base = opalg.density((1.0 - eps) * np.outer(v, v)
+                             + eps * np.outer(w, w))
+        assert opalg.Power(base, n).ray is not None
+        worst = self._worst(base, n, self.RATES, binary_entropy(0.8))
+        assert worst <= 2 * n * eps + 1e-12
+
+    def test_reads_no_dense_power(self, monkeypatch):
+        # the pure power's solve builds no Kronecker power or class labels,
+        # and its minimizer only when read
+        def refuse(*args):
+            raise AssertionError("dense object built")
+
+        n = 6
+        power = opalg.Power(coherence_qubit(), n)
+        want = min_positive_part(opalg.tensor_power(coherence_qubit(), n),
+                                 2.0 ** (0.6 * n), DiagonalFamily(2, n))
+        with monkeypatch.context() as m:
+            m.setattr(opalg, "kron_power", refuse)
+            m.setattr(optim, "_type_classes", refuse)
+            res = min_positive_part(power, 2.0 ** (0.6 * n),
+                                    DiagonalFamily(2, n))
+        assert "mat" not in vars(power) and "minimizer" not in vars(res)
+        assert np.abs(res.minimizer.mat - want.minimizer.mat).max() <= 1e-12
+
+    def test_other_bases_are_made_dense(self):
+        # a mixed base, and a pure base of another dimension than the
+        # family's, solve the dense power, as the operator would
+        vec = rand.random_pure(np.random.default_rng(7), SystemShape((4,))).vec
+        for base, n, fam in (
+                (opalg.density(np.diag([0.7, 0.3])), 3, DiagonalFamily(2, 3)),
+                (opalg.density(np.outer(vec, vec.conj())), 2,
+                 DiagonalFamily(2, 4))):
+            power = opalg.Power(base, n)
+            res = min_positive_part(power, 1.5, fam, FAST)
+            want = min_positive_part(opalg.tensor_power(base, n), 1.5, fam,
+                                     FAST)
+            assert "mat" in vars(power)
+            assert res.value == want.value and res.fw_gap == want.fw_gap
+
+    def test_result_start_is_read_as_its_minimizer(self):
+        # an annealed solve started at an earlier result starts where its
+        # dense minimizer would
+        n = 3
+        power = opalg.tensor_power(opalg.density(np.diag([0.7, 0.3])), n)
+        fam = DiagonalFamily(2, n)
+        first = min_positive_part(power, 2.0 ** (0.1 * n), fam, FAST)
+        a = min_positive_part(power, 2.0 ** (0.3 * n), fam, FAST, first)
+        b = min_positive_part(power, 2.0 ** (0.3 * n), fam, FAST,
+                              first.minimizer)
+        assert a.value == b.value and a.fw_gap == b.fw_gap
+
+
 class TestNewtonReweight:
     """The Newton corrective step on the atom weights of a dual instance:
     atoms 0 and K times family members, surrogate of Tr[(eta - X)_+] +

@@ -15,6 +15,32 @@ def test_sym_dim(n, d, want):
     assert symmetry.sym_dim(n, d) == want
 
 
+class TestClassCounts:
+    """``_class_counts`` lists the type classes in ``_type_classes``'
+    order without the d^n labels, and ``power_coefficients`` is D^T a^{x n}
+    from those counts."""
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 7), (3, 4), (4, 3), (1, 3)])
+    def test_matches_type_classes(self, d, n):
+        labels, sizes = symmetry._type_classes(d, n)
+        counts, count_sizes = symmetry._class_counts(d, n)
+        digits = np.indices((d,) * n).reshape(n, -1)
+        first = [int(np.flatnonzero(labels == t)[0])
+                 for t in range(sizes.size)]
+        for t, string in enumerate(first):
+            assert counts[t].tolist() == [int((digits[:, string] == a).sum())
+                                          for a in range(d)]
+        assert np.array_equal(count_sizes, sizes)
+
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4)])
+    def test_power_coefficients(self, d, n):
+        vec = rand.random_pure(np.random.default_rng(5), SystemShape((d,))).vec
+        u, sizes = symmetry.power_coefficients(vec, n)
+        want = symmetry.sym_isometry(n, d).T @ opalg.kron_power(vec, n)
+        assert np.abs(u - want).max() <= 1e-14
+        assert np.array_equal(sizes, symmetry._type_classes(d, n)[1])
+
+
 class TestSymProjector:
     def test_single_copy_identity(self):
         assert_allclose(symmetry.sym_projector(1, 3).mat, np.eye(3))
