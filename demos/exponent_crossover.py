@@ -40,7 +40,7 @@ def main():
     print(header)
     for n in (2, 4, 6, 8, 10):
         fam = SingletonIIDFamily(2, n, sigma0=np.eye(2) / 2)
-        power = opalg.tensor_power(rho, n)
+        power = opalg.Power(rho, n)
         row = [f"{n:<5d}"]
         for y in ys:
             val = min_positive_part(power, 2.0 ** (y * n), fam,

@@ -107,19 +107,18 @@ def _ints(csv_text: str) -> list[int]:
 # exponent
 # ---------------------------------------------------------------------------
 
-def _exponent_row(rho, fam_spec, n, y_grid, settings):
-    """Ascending-rate sweep at fixed N on ``opalg.Power(rho, n)``, each
-    rate started at the previous rate's result.
+def _exponent_row(power, fam_spec, y_grid, settings):
+    """Ascending-rate sweep at fixed N on ``power``, an ``opalg.Power``,
+    each rate started at the previous rate's result.
 
     Only an annealed solve reads that start; the closed form of a pure
     power does not.  So the start guarantees no monotonicity:
     ``cmd_exponent`` checks that each row is at most the one before plus
     1e-12.
     """
-    rows = []
-    family = parse_family_spec(fam_spec, rho.total_dim, n)
-    power = opalg.Power(rho, n)
-    res = None
+    n = power.n
+    family = parse_family_spec(fam_spec, power.base.total_dim, n)
+    rows, res = [], None
     for y in sorted(y_grid):
         res = min_positive_part(power, _threshold(y, n), family, settings,
                                 start=res)
@@ -139,11 +138,10 @@ def cmd_exponent(args) -> int:
     if args.threads is not None and args.threads < 1:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     threads = args.threads or os.cpu_count() or 1
-    for n in n_grid:
-        opalg.check_dense_power(rho.total_dim, n)
+    powers = [opalg.Power(rho, n) for n in n_grid]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_exponent_row, rho, cfg["family"], n, y_grid,
-                               settings) for n in n_grid]
+        futures = [pool.submit(_exponent_row, power, cfg["family"], y_grid,
+                               settings) for power in powers]
         per_n = [f.result() for f in futures]
     lines = ["N,y,e,gap"]
     for rows in per_n:
@@ -245,7 +243,7 @@ def cmd_pn(args) -> int:
         raise ConfigError("pn needs either 'k' or 'y' (with 'n') in the config")
     settings = _settings_from(cfg, args)
     family = parse_family_spec(cfg["family"], rho.total_dim, n)
-    eta = opalg.tensor_power(rho, n)
+    eta = opalg.Power(rho, n)
     primal = hypothesis_primal(eta, K, family, settings)
     dual = hypothesis_dual(eta, K, family, settings)
     print(f"primal = {_fmt(primal)}")

@@ -288,7 +288,9 @@ class Power:
 
     A solver that can read the power off its base (a pure base in
     type-class coordinates) builds nothing d^n wide.  ``mat`` is the dense
-    power, built by ``tensor_power`` under the dense cap on first use."""
+    power, built by ``tensor_power`` on first use.  A power wider than
+    ``DENSE_DIM_CAP`` is refused at construction (``check_dense_power``):
+    the solvers are certified up to that width only."""
 
     base: DensityMatrix
     n: int
@@ -296,6 +298,7 @@ class Power:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("tensor power requires n >= 1")
+        check_dense_power(self.base.total_dim, self.n)
 
     @property
     def shape(self) -> SystemShape:

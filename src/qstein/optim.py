@@ -62,27 +62,27 @@ Oracles and iterates are plain matrices, and a solver returns its minimizer
 unvalidated, as a ``HermitianOperator`` built on first read
 (``OptResult.minimizer``): a ``DensityMatrix`` is built where a state
 enters the program, since its check is a full eigendecomposition.  A
-solver's target is a ``HermitianOperator``; a ``DensityMatrix`` is one.
-``min_positive_part`` also takes an ``opalg.Power``, a base state and N.
+solver's target is a ``HermitianOperator`` (a ``DensityMatrix`` is one) or
+an ``opalg.Power``, a base state and N.
 
-One function, ``_search``, picks the search of every solver.  Where
-``_TypeClassCoords.of`` holds (the family declares ``type_classes``, there
-are several copies and the target, rho or eta, is permutation invariant)
-it runs over the invariant members in type-class coordinates: the iterate
-is the T x T diagonal of class weights, T the number of type classes, and
-the start enters as its twirl, so any free start will do.  On a target in
-the symmetric subspace, as a pure power is, each positive-part evaluation
-is one T x T eigendecomposition (and ``min_positive_part`` on a rank-one
-target needs only the one at its closed-form minimizer); other probes
-read the dense objective at the dense member.  A power of a pure base
-(``_TypeClassCoords.of_ray``) gives its T x T block from the base's ray,
-so its solve makes nothing d^N wide.  Other inputs search the
-family's vertices.  Every exit bound reads the probe and the oracle its
-search ran with.  That is sound for the invariant searches: the objective
-is convex and permutation invariant, so its minimum over the family is its
-minimum over the invariant members, and the subgradient inequality over
-those gives a bound that, at the same point, is never looser than the
-vertex oracle's.
+One function, ``_search``, picks the search of every solver, from the
+target's type alone.  A power, on a family that declares ``type_classes``
+and has several copies, is invariant by construction, and its search
+(``_TypeClassCoords.of``) runs over the invariant members in type-class
+coordinates: the iterate is the T x T diagonal of class weights, T the
+number of type classes, and the start enters as its twirl, so any free
+start will do.  A pure base gives the power's T x T block on the
+symmetric subspace from its ray, so each positive-part evaluation is one
+T x T eigendecomposition (and ``min_positive_part`` needs only the one at
+its closed-form minimizer) and the solve makes nothing d^N wide; the
+probes of a mixed base read the dense objective at the dense member.  A
+dense operator searches the family's vertices, whatever its structure,
+and so does any other input.  Every exit bound reads the probe and the
+oracle its search ran with.  That is sound for the invariant searches:
+the objective is convex and permutation invariant, so its minimum over the
+family is its minimum over the invariant members, and the subgradient
+inequality over those gives a bound that, at the same point, is never
+looser than the vertex oracle's.
 """
 
 from __future__ import annotations
@@ -575,17 +575,18 @@ def _pospart_eval(rho_mat: np.ndarray, b: float, tau: float | None,
 @dataclass(frozen=True, eq=False)
 class _TypeClassCoords:
     """Type-class coordinates of a search over the invariant members of a
-    family that declares ``type_classes``, for an invariant target A.
+    family that declares ``type_classes``, for a power A.
 
     The member sum_t w_t P_t / |T_t|, with P_t the projector onto type class
     t, is stored as the T x T matrix diag(w).  Gradients are diag(g), g_t
     the class average of the dense gradient's diagonal, so Tr[g (w - s)] is
-    the dense Frank-Wolfe gap.  ``small`` is None unless A lies on the
-    symmetric subspace.  There, with D the isometry whose column t is the
-    normalized indicator of class t, ``small`` is D^T A D and A = D small
-    D^T, so A - b sigma has the spectrum of small - b diag(w / |T|) plus
-    the eigenvalue -b w_t / |T_t| with multiplicity |T_t| - 1 (the rest of
-    class t): one T x T eigendecomposition evaluates the positive part.
+    the dense Frank-Wolfe gap.  ``small`` is None unless the base is pure,
+    and then A lies on the symmetric subspace: with D the isometry whose
+    column t is the normalized indicator of class t, ``small`` is D^T A D
+    and A = D small D^T, so A - b sigma has the spectrum of small - b
+    diag(w / |T|) plus the eigenvalue -b w_t / |T_t| with multiplicity
+    |T_t| - 1 (the rest of class t): one T x T eigendecomposition evaluates
+    the positive part.
     Only the maps to and from dense matrices read the d^N class labels.
     """
 
@@ -600,36 +601,23 @@ class _TypeClassCoords:
 
     @classmethod
     def of(cls, family: FreeFamily,
-           target: np.ndarray) -> "_TypeClassCoords | None":
-        """The coordinates, or None unless the family declares
-        ``type_classes``, has several copies and ``target`` is invariant.
-        The support test ||D D^T A D D^T - A||_max <= 1e-12 runs first, so
-        that a pure power pays for no invariance scan."""
-        if family.copies == 1 or not family.type_classes:
-            return None
-        iso = symmetry.sym_isometry(family.copies, family.base_dim)
-        small = iso.T @ target @ iso
-        if float(np.abs(iso @ small @ iso.T - target).max()) > 1e-12:
-            if not symmetry.is_perm_invariant(
-                    HermitianOperator(family.shape, target)):
-                return None
-            small = None
-        return cls(family, _type_classes(family.base_dim, family.copies)[1],
-                   small, target)
-
-    @classmethod
-    def of_ray(cls, family: FreeFamily,
-               power: opalg.Power) -> "_TypeClassCoords | None":
-        """The coordinates of a power read off its base, with no d^N
-        object: None unless ``of``'s family test holds, the power is
-        ``family.copies`` copies of a ``family.base_dim`` base and the base
-        is pure (``opalg.Power.ray``).  Then ``small`` is u u^dag, u =
-        D^T a^{x N} (``symmetry.power_coefficients``), and ``target`` is
-        None: the power is on the symmetric subspace by construction."""
-        if (family.copies == 1 or not family.type_classes
+           power: opalg.Power) -> "_TypeClassCoords | None":
+        """The coordinates of a power, or None unless it is one, the family
+        declares ``type_classes`` and has several copies, and the power is
+        ``family.copies`` copies of a ``family.base_dim`` base: a dense
+        operator takes the vertex search.  A pure base (``opalg.Power.ray``)
+        gives ``small`` = u u^dag, u = D^T a^{x N}
+        (``symmetry.power_coefficients``), and no d^N object; a mixed one
+        gives no ``small`` and the dense power as ``target``."""
+        if (not isinstance(power, opalg.Power) or family.copies == 1
+                or not family.type_classes
                 or (power.base.total_dim, power.n)
-                != (family.base_dim, family.copies) or power.ray is None):
+                != (family.base_dim, family.copies)):
             return None
+        if power.ray is None:
+            return cls(family, _type_classes(family.base_dim,
+                                             family.copies)[1],
+                       None, power.mat)
         u, sizes = symmetry.power_coefficients(power.ray, power.n)
         return cls(family, sizes, np.outer(u, u.conj()), None)
 
@@ -726,19 +714,12 @@ class _Search(NamedTuple):
 def _search(family: FreeFamily, seed: int, target) -> _Search:
     """The search of every solver over the family, for an objective in
     ``target``: in type-class coordinates, entered at the twirl of the
-    start, where ``_TypeClassCoords.of`` holds, else over the family's
-    vertices.  A target given as an ``opalg.Power`` is read off its base
-    where ``_TypeClassCoords.of_ray`` holds, else made dense."""
-    coords = None
-    if isinstance(target, opalg.Power):
-        coords = _TypeClassCoords.of_ray(family, target)
-        if coords is None:
-            target = target.mat
-    if coords is None:
-        coords = _TypeClassCoords.of(family, target)
+    start, where ``_TypeClassCoords.of`` gives them (a power), else over the
+    family's vertices."""
+    coords = _TypeClassCoords.of(family, target)
     if coords is None:
         return _Search(None, partial(family.lmo, seed=seed), lambda m: m,
-                       partial(_pospart_eval, target), lambda p: p,
+                       partial(_pospart_eval, target.mat), lambda p: p,
                        lambda m: m)
     return _Search(coords, coords.lmo, coords.weights, coords.pospart_eval,
                    coords.read, coords.dense)
@@ -747,10 +728,9 @@ def _search(family: FreeFamily, seed: int, target) -> _Search:
 def _rank_one_optimum(coords: _TypeClassCoords | None,
                       b: float) -> np.ndarray | None:
     """The invariant minimizer of Tr[(A - b sigma)_+], in closed form, as
-    type-class coordinates diag(w), when A's symmetric block ``small`` is
-    rank one and PSD (``opalg.rank_one_factor``: ``small = a a^dag`` to
-    1e-12 max-abs, the tolerance of the support test in
-    ``_TypeClassCoords.of``).  Else None.
+    type-class coordinates diag(w), when the coordinates hold A's symmetric
+    block ``small``: A is the power of a pure base, and ``small`` = a a^dag
+    (``_TypeClassCoords.of``).  Else None.
 
     With v_t = b w_t / |T_t|, A - b sigma has the eigenvalues -v_t <= 0
     and those of a a^dag - diag(v), of which one at most, lambda, is
@@ -771,8 +751,7 @@ def _rank_one_optimum(coords: _TypeClassCoords | None,
     the value and its Frank-Wolfe bound the gap, so a rounding slip here
     can widen the gap but never pass as certified.
     """
-    if (coords is None or coords.small is None
-            or opalg.rank_one_factor(coords.small) is None):
+    if coords is None or coords.small is None:
         return None
     sizes = coords.sizes
     P = np.clip(np.diag(coords.small).real, 0.0, None)
@@ -813,28 +792,27 @@ def min_positive_part(rho: HermitianOperator | opalg.Power, b: float,
                       ) -> OptResult:
     """Minimize Tr[(rho - b sigma)_+] over the family.
 
-    ``rho`` may be an ``opalg.Power``, read off its base where that is pure
-    and the family declares ``type_classes``, else made dense.  ``start``
-    may be an earlier result, whose minimizer is read only by an annealed
-    solve.
+    ``start`` may be an earlier result, whose minimizer is read only by an
+    annealed solve.
 
     The search (``_search``) runs over the permutation-invariant members
-    in type-class coordinates where ``_TypeClassCoords.of`` holds, else
-    over the family's vertices: the objective is convex and permutation
-    invariant, so twirling a minimizer gives an invariant one, and
-    Frank-Wolfe needs at most one atom per type class.  The exit gap is
-    certified with the search's own probe and oracle, at the exact probe's
-    -b P (P over the eigenvalues above ``POSPART_FLOOR`` (1 + b)) at the
-    minimizer and then the stage ends (``_certified``): at a non-smooth
-    minimizer P alone can leave a gap of order 10, and the end of a
-    smoothed stage has a subgradient that certifies.
+    in type-class coordinates where ``rho`` is an ``opalg.Power`` and
+    ``_TypeClassCoords.of`` holds, else over the family's vertices: on a
+    power the objective is convex and permutation invariant, so twirling a
+    minimizer gives an invariant one, and Frank-Wolfe needs at most one
+    atom per type class.  The exit gap is certified with the search's own
+    probe and oracle, at the exact probe's -b P (P over the eigenvalues
+    above ``POSPART_FLOOR`` (1 + b)) at the minimizer and then the stage
+    ends (``_certified``): at a non-smooth minimizer P alone can leave a
+    gap of order 10, and the end of a smoothed stage has a subgradient that
+    certifies.
 
-    Where the type-class target's symmetric block is rank one and PSD (a
-    pure power), the minimizer has a closed form (``_rank_one_optimum``)
-    and nothing is annealed: ``start`` is unread, ``iterations`` is 0, and
-    the value and gap come from the same exact probe and exit bound at the
-    closed-form weights, so a rounding slip can widen the gap but never
-    pass as certified.
+    Where the power's base is pure, its symmetric block is rank one, the
+    minimizer has a closed form (``_rank_one_optimum``) and nothing is
+    annealed: ``start`` is unread, ``iterations`` is 0, and the value and
+    gap come from the same exact probe and exit bound at the closed-form
+    weights, so a rounding slip can widen the gap but never pass as
+    certified.
     """
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")
@@ -843,8 +821,7 @@ def min_positive_part(rho: HermitianOperator | opalg.Power, b: float,
         return OptResult(opalg.positive_part_trace(rho.mat),
                          _feasible_start(family, settings.seed), 0.0, 0, True,
                          partial(HermitianOperator, family.shape))
-    search = _search(family, settings.seed,
-                     rho if isinstance(rho, opalg.Power) else rho.mat)
+    search = _search(family, settings.seed, rho)
     weights = _rank_one_optimum(search.coords, b)
     exact = search.pospart(b, None)
     if weights is None:
@@ -895,7 +872,8 @@ def _dual_eval(pospart, K: float, tau: float):
 _DUAL_MEMO = None
 
 
-def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
+def _dual_search(eta: HermitianOperator | opalg.Power, K: float,
+                 family: FreeFamily,
                  settings: SolverSettings) -> tuple[float, np.ndarray, list]:
     """Annealed solve of the dual over X = b sigma: the exact value at its
     best probe, and the dense iterate at the end of its second temperature
@@ -905,14 +883,14 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
     The last solve is kept in a one-entry memo, so that a primal and a dual
     call on the same inputs share it, in either order.  A call reuses it
     when ``family`` is the same object, K and ``settings`` are equal and
-    eta equals the memo's copy entry by entry.  Families are matched by
-    identity because not all of them can be hashed; the memo holds the
-    family, so its identity cannot pass to a new object.  Reading the memo
-    and replacing it are each one atomic step, so threads that race at
-    worst both solve.
+    ``eta.mat`` equals the memo's copy entry by entry.  Families are
+    matched by identity because not all of them can be hashed; the memo
+    holds the family, so its identity cannot pass to a new object.  Reading
+    the memo and replacing it are each one atomic step, so threads that
+    race at worst both solve.
     """
     global _DUAL_MEMO
-    memo = _DUAL_MEMO
+    memo, eta_mat = _DUAL_MEMO, eta.mat
     if (memo is not None and memo[2] is family and memo[1] == K
             and memo[3] == settings and np.array_equal(memo[0], eta_mat)):
         return memo[4:]
@@ -920,7 +898,7 @@ def _dual_search(eta_mat: np.ndarray, K: float, family: FreeFamily,
         out = _one_member_dual(eta_mat, K, family.lmo(np.zeros_like(eta_mat),
                                                       settings.seed))
     else:
-        search = _search(family, settings.seed, eta_mat)
+        search = _search(family, settings.seed, eta)
 
         def lmo(grad: np.ndarray) -> np.ndarray:
             s = K * search.lmo(grad)
@@ -1006,7 +984,7 @@ def _kink_search(at, lo: tuple, hi: tuple) -> tuple:
     return hi
 
 
-def hypothesis_dual(eta: HermitianOperator, K: float,
+def hypothesis_dual(eta: HermitianOperator | opalg.Power, K: float,
                     family: FreeFamily,
                     settings: SolverSettings = SolverSettings()) -> float:
     """min over b in [0, K] and sigma of Tr[(eta - b sigma)_+] + b/K.
@@ -1016,7 +994,7 @@ def hypothesis_dual(eta: HermitianOperator, K: float,
     times the family.  The oracle at gradient g returns K s, s the family's
     answer, if Tr[g s] < 0, else 0; so every probe is feasible (b = Tr X <=
     K, X / b free by convexity) and the exact value at the best probe is a
-    certified upper bound on the primal.  Invariant multi-copy inputs are
+    certified upper bound on the primal.  An ``opalg.Power`` eta is
     searched in type-class coordinates, as in ``min_positive_part``
     (``_search``).  On a family that declares ``one_member``, {s}, X = b s
     and the one weight b is searched with the same exact probe, by tangent
@@ -1029,11 +1007,11 @@ def hypothesis_dual(eta: HermitianOperator, K: float,
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     family.check_dim(eta)
-    value = _dual_search(eta.mat, K, family, settings)[0]
+    value = _dual_search(eta, K, family, settings)[0]
     return float(value) + _rounding_allowance(eta)
 
 
-def _rounding_allowance(eta: HermitianOperator) -> float:
+def _rounding_allowance(eta: HermitianOperator | opalg.Power) -> float:
     """d eps for a d-dimensional eta: each end of the bracket moves outward
     by it, so that rounding cannot put the dual below the primal where the
     two meet (a one-member family's do).  Both values lie in [0, 1], so
@@ -1053,7 +1031,7 @@ def _one_row_optimum(gain: np.ndarray, row: np.ndarray) -> np.ndarray:
     return e
 
 
-def hypothesis_primal(eta: HermitianOperator, K: float,
+def hypothesis_primal(eta: HermitianOperator | opalg.Power, K: float,
                       family: FreeFamily,
                       settings: SolverSettings = SolverSettings()) -> float:
     """Best acceptance probability Tr[E eta] of a test 0 <= E <= I whose
@@ -1101,7 +1079,7 @@ def hypothesis_primal(eta: HermitianOperator, K: float,
     family.check_dim(eta)
     budget = min(1.0, 1.0 / K)
     eta_mat = eta.mat
-    _, x, held = _dual_search(eta_mat, K, family, settings)
+    _, x, held = _dual_search(eta, K, family, settings)
     _, V = eigh(eta_mat - x)
 
     def diag_in_basis(mat: np.ndarray) -> np.ndarray:
@@ -1177,21 +1155,21 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray):
     return probe
 
 
-def rel_ent_of_resource(rho: HermitianOperator,
+def rel_ent_of_resource(rho: HermitianOperator | opalg.Power,
                         family: FreeFamily,
                         settings: SolverSettings = SolverSettings()) -> OptResult:
     """min over the family of D(rho || sigma).
 
     Iterates are kept full rank by mixing a sliver of the full-rank witness
     into every evaluation point (the witness is free and the family convex,
-    so membership is preserved exactly).  Invariant inputs search the
-    invariant members only, in type-class coordinates (``_search``), as in
-    ``min_positive_part``: on a power the optimum mixes every vertex.  The
+    so membership is preserved exactly).  An ``opalg.Power`` rho searches
+    the invariant members only, in type-class coordinates (``_search``), as
+    in ``min_positive_part``: on a power the optimum mixes every vertex.  The
     exit gap is certified against the search's own oracle.
     """
     family.check_dim(rho)
     witness = family.full_rank_witness().mat
-    search = _search(family, settings.seed, rho.mat)
+    search = _search(family, settings.seed, rho)
     probe = search.read(_relent_eval(rho.mat, witness))
     tracker, iters = _anneal(lambda _: probe, (None,), search.lmo,
                              search.enter(witness),
@@ -1213,8 +1191,8 @@ def regularized_sequence(rho: DensityMatrix, family: FreeFamily,
     opalg.check_dense_power(rho.total_dim, n_max, opalg.SOLVE_DIM_CAP)
     out = []
     for n in range(1, n_max + 1):
-        res = rel_ent_of_resource(opalg.tensor_power(rho, n),
-                                  family.at_copies(n), settings)
+        res = rel_ent_of_resource(opalg.Power(rho, n), family.at_copies(n),
+                                  settings)
         out.append((n, res.value / n, res.converged))
     return out
 

@@ -118,7 +118,7 @@ class PipelineTrace:
         return all(c.passed for c in self.certificates)
 
 
-def dominated_state(rho: HermitianOperator,
+def dominated_state(rho: HermitianOperator | opalg.Power,
                     X: HermitianOperator, Delta: HermitianOperator
                     ) -> tuple[DensityMatrix, float, float]:
     """State close in fidelity to rho and dominated by X/(1 - Tr Delta).
@@ -165,19 +165,19 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
         raise ValueError(f"the rate y={y} must be positive and finite")
     opalg.check_dense_power(rho.total_dim, N, opalg.SOLVE_DIM_CAP)
     trace = PipelineTrace(rho, y, N, family)
-    rho_pow = opalg.tensor_power(rho, N)
+    power = opalg.Power(rho, N)
     b = _threshold(y, N)
-    res = min_positive_part(rho_pow, b, family.at_copies(N), settings)
+    res = min_positive_part(power, b, family.at_copies(N), settings)
     sigma_N = DensityMatrix(res.minimizer.shape,
                             symmetry.twirl(res.minimizer).mat)
     X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
-    Delta = opalg.positive_part(rho_pow - X)
+    Delta = opalg.positive_part(HermitianOperator(X.shape, power.mat - X.mat))
     value = Delta.trace()
     if value <= PREMISE_WINDOW or value >= 1.0 - PREMISE_WINDOW:
         raise PremiseOutOfInterval(
             f"threshold value {value:.6f} outside ({PREMISE_WINDOW}, "
             f"{1.0 - PREMISE_WINDOW}) at y={y}, N={N}")
-    rho_N, m_op, m_fid = dominated_state(rho_pow, X, Delta)
+    rho_N, m_op, m_fid = dominated_state(power, X, Delta)
     trace.mu_N = 1.0 - value
     trace.sigma_N = sigma_N
     trace.rho_N = rho_N
@@ -363,10 +363,11 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     N = family.copies
-    rho_pow = opalg.tensor_power(rho, N)
-    res = rel_ent_of_resource(rho_pow, family, settings)
+    power = opalg.Power(rho, N)
+    res = rel_ent_of_resource(power, family, settings)
     d_free = res.value
     sigma_star = res.minimizer.mat
+    rho_pow = HermitianOperator(power.shape, power.mat)
 
     def candidate(t: float) -> float:
         mix = (sigma_star + t * rho_pow.mat) / (1.0 + t)

@@ -8,6 +8,7 @@ and grid searches.
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb, exp, log2, sqrt
 
 import numpy as np
@@ -161,6 +162,46 @@ def diagonal_threshold_optimum(N: int, y: float, p: float = 0.8,
     for _ in range(starts):
         res = minimize(f, rng.dirichlet(np.ones(N + 1)), method="SLSQP",
                        bounds=[(0.0, 1.0)] * (N + 1), constraints=cons,
+                       options={"maxiter": 600, "ftol": 1e-14})
+        if best is None or res.fun < best:
+            best = float(res.fun)
+    return best
+
+
+def pure_power_threshold_optimum(vec: np.ndarray, N: int, y: float,
+                                 starts: int = 4, seed: int = 0) -> float:
+    """min over diagonal sigma of Tr[(psi psi^dag - 2^{yN} sigma)_+], psi =
+    vec^{x N}, over the type classes by SLSQP as in
+    ``diagonal_threshold_optimum``, with each evaluation made in the
+    classes so that it stays cheap past N = 8.
+
+    The d^N strings are enumerated and grouped by their letter counts.
+    Every string of class t carries the same amplitude psi_t, so for sigma
+    = sum_t w_t P_t / |T_t|, psi psi^dag - b sigma is u u^dag - diag(b w /
+    |T|) on the normalized class indicators, u_t = sqrt(|T_t|) psi_t, and
+    -b w_t / |T_t| <= 0 on the rest of class t: its positive part is that
+    of the T x T matrix.
+    """
+    rng = np.random.default_rng(seed)
+    classes: dict[tuple, int] = {}
+    for string in product(range(len(vec)), repeat=N):
+        key = tuple(sorted(string))
+        classes[key] = classes.get(key, 0) + 1
+    keys = sorted(classes)
+    sizes = np.array([classes[k] for k in keys], dtype=float)
+    u = np.sqrt(sizes) * np.array([np.prod(vec[list(k)]) for k in keys])
+    rank_one = np.outer(u, u.conj())
+    b = 2.0 ** (y * N)
+
+    def f(w):
+        ev = np.linalg.eigvalsh(rank_one - b * np.diag(w / sizes))
+        return float(ev[ev > 0.0].sum())
+
+    cons = [{"type": "eq", "fun": lambda w: w.sum() - 1.0}]
+    best = None
+    for _ in range(starts):
+        res = minimize(f, rng.dirichlet(np.ones(len(keys))), method="SLSQP",
+                       bounds=[(0.0, 1.0)] * len(keys), constraints=cons,
                        options={"maxiter": 600, "ftol": 1e-14})
         if best is None or res.fun < best:
             best = float(res.fun)

@@ -23,7 +23,7 @@ from qstein.optim import (SolverSettings, generalized_robustness,
                           min_positive_part, rel_ent_of_resource)
 
 from oracles import (classical_neyman_pearson, classical_threshold_value,
-                     coherence_power_state, diagonal_threshold_optimum,
+                     diagonal_threshold_optimum,
                      robustness_qubit_diagonal_grid)
 
 # minutes of solver work in all; ``pytest -m "not slow"`` skips them
@@ -102,7 +102,7 @@ def test_criterion_2_coherence_stein_trend():
         iters = 512 if n <= 6 else 160
         settings = SolverSettings(max_iters=iters, tol=1e-7, seed=0)
         fam = DiagonalFamily(2, n)
-        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(), n)
         start, prev = None, None
         for y in y_grid:
             res = min_positive_part(power, 2.0 ** (y * n), fam, settings,

@@ -8,7 +8,7 @@ from qstein import cli, opalg, verify
 from qstein.opalg import SystemShape
 from qstein.optim import SolverSettings
 
-from oracles import classical_threshold_value
+from oracles import classical_threshold_value, diagonal_dual_optimum
 
 
 @pytest.fixture()
@@ -166,7 +166,7 @@ n_grid = 1
         ys = [0.5, 0.6, 0.7, 0.8, 0.9]
         tracemalloc.start()
         try:
-            rows = cli._exponent_row(rho, "diagonal", 12, ys,
+            rows = cli._exponent_row(opalg.Power(rho, 12), "diagonal", ys,
                                      SolverSettings())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -418,6 +418,25 @@ k = 8
         out = capsys.readouterr().out
         gap = float(out.split("gap    = ")[1].split()[0])
         assert 0.0 <= gap <= 1e-7
+        primal = float(out.split("primal = ")[1].split()[0])
+        dual = float(out.split("dual   = ")[1].split()[0])
+        want = diagonal_dual_optimum(6, 8.0)
+        assert abs(want - 0.969292720055) <= 1e-12
+        assert primal <= want <= dual
+
+    def test_mixed_power(self, tmp_path, capsys):
+        # diag(0.7, 0.3)^{x4} is free, so the best test at budget 1/4
+        # accepts it with probability 1/4
+        cfg = write_cfg(tmp_path, "pn6.cfg", """
+state = classical:0.7
+family = diagonal
+n = 4
+k = 4
+""")
+        assert cli.main(["pn", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "primal = 0.25\n" in out
+        assert "dual   = 0.25\n" in out
 
     @pytest.mark.parametrize("k", ["nan", "inf"])
     def test_non_finite_k_usage(self, tmp_path, capsys, k):

@@ -277,8 +277,8 @@ class TestTypeClassOracle:
 
     @staticmethod
     def _answer(fam, g):
-        d = fam.total_dim
-        coords = optim._TypeClassCoords.of(fam, np.eye(d) / d)
+        base = opalg.maximally_mixed(SystemShape((fam.base_dim,)))
+        coords = optim._TypeClassCoords.of(fam, opalg.Power(base, fam.copies))
         return coords.dense(coords.lmo(coords.weights(g) / coords.sizes))
 
     def test_output_is_member(self):

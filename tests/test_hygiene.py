@@ -84,3 +84,11 @@ def test_one_spectral_backend():
                               if alias.name in SPECTRAL}
     assert calls <= {("opalg.py", "eigh", "eigh"),
                      ("symmetry.py", "perm_invariant_purification", "svd")}
+
+
+def test_optim_guesses_no_structure():
+    """Type-class coordinates come from an ``opalg.Power`` alone: ``optim``
+    runs no invariance scan, symmetric-subspace support test or rank-one
+    test on a dense operator."""
+    guesses = {"is_perm_invariant", "sym_isometry", "rank_one_factor"}
+    assert not guesses & _referenced(TREES["optim.py"])

@@ -6,8 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from qstein import entropy, opalg, optim, rand
-from qstein.errors import (NegativeEigenvalue, NotTracePreserving,
-                           ShapeMismatch, SingularSigma)
+from qstein.errors import (DimensionCap, NegativeEigenvalue,
+                           NotTracePreserving, ShapeMismatch, SingularSigma)
 from qstein.freesets import DiagonalFamily
 from qstein.opalg import SystemShape
 
@@ -369,6 +369,17 @@ class TestKronPower:
         for n in range(4):
             assert np.array_equal(opalg.kron_power(x, n), want)
             want = np.kron(want, x)
+
+
+class TestPower:
+    def test_refuses_a_power_past_the_cap(self):
+        # past N of about 48 the closed form on a pure power returns values
+        # out of [0, 1], so a power is refused where the dense cap ends
+        v = np.array([math.sqrt(0.8), math.sqrt(0.2)])
+        coherence = opalg.density(np.outer(v, v))
+        assert opalg.Power(coherence, 12).total_dim == opalg.DENSE_DIM_CAP
+        with pytest.raises(DimensionCap):
+            opalg.Power(coherence, 13)
 
 
 class TestPairRegrouping:

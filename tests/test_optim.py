@@ -2,11 +2,12 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from qstein import opalg, optim, rand, verify
+from qstein import opalg, optim, rand, symmetry, verify
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
@@ -21,6 +22,7 @@ from qstein.symmetry import _type_classes
 from oracles import (classical_neyman_pearson, classical_threshold_value,
                      coherence_power_state, diagonal_dual_optimum,
                      diagonal_threshold_optimum, hull_minimum_slsqp,
+                     pure_power_threshold_optimum,
                      robustness_qubit_diagonal_grid)
 
 RNG = np.random.default_rng(313)
@@ -72,8 +74,8 @@ class TestFrankWolfe:
             results.append((fam, rel_ent_of_resource(rho, fam, FAST)))
             results.append((fam, distance_to_family(rho, fam, FAST)))
         fam = DiagonalFamily(2, 4)
-        power = opalg.operator(coherence_power_state(0.8, 4), (2,) * 4)
-        assert optim._TypeClassCoords.of(fam, power.mat) is not None
+        power = opalg.Power(coherence_qubit(), 4)
+        assert optim._TypeClassCoords.of(fam, power) is not None
         results.append((fam, min_positive_part(power, 6.0, fam, FAST)))
         for fam, res in results:
             sigma = res.minimizer
@@ -116,7 +118,7 @@ class TestMinPositivePart:
         s = SolverSettings(max_iters=512, tol=1e-8, seed=0)
         for n in (2, 3):
             fam = DiagonalFamily(2, n)
-            power = opalg.operator(coherence_power_state(p, n), (2,) * n)
+            power = opalg.Power(coherence_qubit(p), n)
             for y in (R - 0.2, R, R + 0.1):
                 res = min_positive_part(power, 2.0 ** (y * n), fam, s)
                 want = diagonal_threshold_optimum(n, y, p)
@@ -128,7 +130,7 @@ class TestMinPositivePart:
         # annealed type-class search reaches it
         _anneal_only(monkeypatch)
         y = binary_entropy(0.8) + 0.1
-        power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
+        power = opalg.Power(coherence_qubit(), 8)
         res = min_positive_part(power, 2.0 ** (y * 8), DiagonalFamily(2, 8),
                                 SolverSettings(max_iters=160, tol=1e-7,
                                                seed=0))
@@ -140,7 +142,7 @@ class TestMinPositivePart:
         # best probe alone leaves gaps of 10 and more
         _anneal_only(monkeypatch)
         R = binary_entropy(0.8)
-        power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
+        power = opalg.Power(coherence_qubit(), 8)
         fam = DiagonalFamily(2, 8)
         settings = SolverSettings(max_iters=160, tol=1e-7, seed=0)
         start = None
@@ -157,7 +159,7 @@ class TestMinPositivePart:
         _anneal_only(monkeypatch)
         R = binary_entropy(0.8)
         for n in range(2, 8):
-            power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+            power = opalg.Power(coherence_qubit(), n)
             fam = DiagonalFamily(2, n)
             for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
                 res = min_positive_part(power, 2.0 ** ((R + dy) * n), fam)
@@ -169,13 +171,15 @@ class TestMinPositivePart:
     def test_type_class_search_makes_no_dense_eigh(self, monkeypatch):
         # a pure power searches and certifies in type-class coordinates, and
         # no state is validated on the way: every eigendecomposition the
-        # solve makes, in optim and in opalg, is (N+1) x (N+1)
+        # solve makes, in optim and in opalg, is (N+1) x (N+1).  The base's
+        # purity is decided on the base, once, before the solve
+        power = opalg.Power(coherence_qubit(), 8)
+        assert power.ray is not None
         shapes = []
         eigh = opalg.eigh
         for module in (optim, opalg):
             monkeypatch.setattr(module, "eigh",
                                 lambda m: shapes.append(m.shape) or eigh(m))
-        power = opalg.operator(coherence_power_state(0.8, 8), (2,) * 8)
         min_positive_part(power, 2.0 ** (binary_entropy(0.8) * 8),
                           DiagonalFamily(2, 8))
         assert shapes and set(shapes) == {(9, 9)}
@@ -196,7 +200,7 @@ class TestMinPositivePart:
         monkeypatch.setattr(optim._TypeClassCoords, "pospart_eval",
                             lambda self, *a: calls.append(a)
                             or pospart(self, *a))
-        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(), n)
         res = min_positive_part(power, 2.0 ** (y * n), DiagonalFamily(2, n),
                                 start=start)
         want = diagonal_threshold_optimum(n, y)
@@ -226,14 +230,14 @@ class TestMinPositivePart:
         weights = np.ones(2 ** n)
         weights[1] = 3.0  # the string 00000001
         start = opalg.density(np.diag(weights / weights.sum()), (2,) * n)
-        power = opalg.tensor_power(opalg.density(np.diag([p, 1 - p])), n)
+        power = opalg.Power(opalg.density(np.diag([p, 1 - p])), n)
         res = min_positive_part(power, 2.0 ** (y * n), DiagonalFamily(2, n),
                                 start=start)
         assert res.converged
         assert abs(res.value - classical_threshold_value(n, y, p, p)) <= 1e-9
         assert shapes == {(n + 1, n + 1)}
         shapes.clear()
-        power = opalg.density(coherence_power_state(0.8, 6), (2,) * 6)
+        power = opalg.Power(coherence_qubit(), 6)
         res = rel_ent_of_resource(power, DiagonalFamily(2, 6),
                                   SolverSettings(max_iters=200))
         assert res.converged
@@ -274,7 +278,7 @@ def test_no_solver_calls_slsqp(monkeypatch):
         hypothesis_dual(rho, 3.0, fam, FAST)
         distance_to_family(rho, fam, FAST)
         generalized_robustness(rho, fam, FAST)
-    power = opalg.density(coherence_power_state(0.8, 4), (2,) * 4)
+    power = opalg.Power(coherence_qubit(), 4)
     min_positive_part(power, 6.0, DiagonalFamily(2, 4), FAST)
     hypothesis_dual(power, 6.0, DiagonalFamily(2, 4), FAST)
     rel_ent_of_resource(coherence_qubit(), DiagonalFamily(2, 1), FAST)
@@ -286,17 +290,17 @@ def test_no_solver_calls_slsqp(monkeypatch):
                         SolverSettings(max_iters=100, tol=1e-6, seed=0))
 
 
-def _pure_power(vec: np.ndarray, n: int) -> opalg.HermitianOperator:
-    power = opalg.kron_power(vec, n)
-    return opalg.operator(np.outer(power, power.conj()), (vec.size,) * n)
+def _pure_power(vec: np.ndarray, n: int) -> opalg.Power:
+    return opalg.Power(opalg.density(np.outer(vec, vec.conj())), n)
 
 
 def _dense_only(monkeypatch):
     """Make every type-class search read the dense objective at the dense
-    member, as for an invariant input off the symmetric subspace."""
+    member, as for the power of a mixed base."""
     of = optim._TypeClassCoords.of
     monkeypatch.setattr(optim._TypeClassCoords, "of", classmethod(
-        lambda cls, family, target: replace(of(family, target), small=None)))
+        lambda cls, family, power: replace(of(family, power), small=None,
+                                           target=power.mat)))
 
 
 class TestTypeClassCoordinates:
@@ -304,7 +308,7 @@ class TestTypeClassCoordinates:
     against the dense evaluator, both in type-class coordinates."""
 
     def _both(self, monkeypatch, power, b, fam):
-        assert optim._TypeClassCoords.of(fam, power.mat) is not None
+        assert optim._TypeClassCoords.of(fam, power) is not None
         reduced = min_positive_part(power, b, fam)
         with monkeypatch.context() as m:
             _dense_only(m)
@@ -321,7 +325,7 @@ class TestTypeClassCoordinates:
         # closed form is pinned to the oracle in TestClosedForm
         _anneal_only(monkeypatch)
         R = binary_entropy(0.8)
-        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(), n)
         fam = DiagonalFamily(2, n)
         for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
             red, dense = self._both(monkeypatch, power, 2.0 ** ((R + dy) * n),
@@ -346,7 +350,8 @@ class TestTypeClassCoordinates:
         rng = np.random.default_rng(43)
         n = 5
         power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
-        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n), power)
+        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n),
+                                           opalg.Power(coherence_qubit(), n))
         labels, sizes = _type_classes(2, n)
         w = np.diag(rng.dirichlet(np.ones(sizes.size)))
         b = 2.0 ** (binary_entropy(0.8) * n)
@@ -367,16 +372,15 @@ class TestTypeClassCoordinates:
         n, p = 4, 0.7
         fam = DiagonalFamily(2, n)
         eta = opalg.density(np.diag([p, 1.0 - p]), (2,))
-        power = opalg.tensor_power(eta, n)
-        assert optim._TypeClassCoords.of(fam, power.mat).small is None
+        power = opalg.Power(eta, n)
+        assert optim._TypeClassCoords.of(fam, power).small is None
         for y in (-0.25, -0.1, 0.1):
             res = min_positive_part(power, 2.0 ** (y * n), fam, FAST)
             assert abs(res.value - classical_threshold_value(n, y, p, p)) \
                 <= 1e-9
         diag = np.diag(power.mat).real
         for K in (2.0, 8.0):
-            dual = hypothesis_dual(opalg.DensityMatrix(power.shape, power.mat),
-                                   K, fam, FAST)
+            dual = hypothesis_dual(power, K, fam, FAST)
             want = classical_neyman_pearson(diag, diag, 1.0 / K)
             assert abs(dual - want) <= 1e-6
 
@@ -396,10 +400,10 @@ class TestNonCommutingMixedPower:
     @pytest.mark.parametrize("n", (2, 3, 4))
     def test_matches_vertex_search(self, n):
         rho = opalg.density(np.array([[0.7, 0.2], [0.2, 0.3]]))
-        power = opalg.tensor_power(rho, n)
+        power = opalg.Power(rho, n)
         fam, vertex = DiagonalFamily(2, n), _VertexDiagonal(2, n)
-        assert optim._TypeClassCoords.of(fam, power.mat) is not None
-        assert optim._TypeClassCoords.of(vertex, power.mat) is None
+        assert optim._TypeClassCoords.of(fam, power) is not None
+        assert optim._TypeClassCoords.of(vertex, power) is None
         prev = math.inf
         for y in (0.0, 0.1, 0.2, 0.3):
             b = optim._threshold(y, n)
@@ -434,7 +438,7 @@ class TestClosedForm:
         # the five rates of the benchmark sweep: no anneal, the oracle's
         # value to 1e-10 and a gap of rounding size
         R = binary_entropy(0.8)
-        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(), n)
         fam = DiagonalFamily(2, n)
         calls = _count_anneals(monkeypatch)
         for dy in (-0.25, -0.1, 0.0, 0.1, 0.25):
@@ -463,7 +467,7 @@ class TestClosedForm:
         # class ties and the optimum is the maximally mixed state:
         # e = max(0, 1 - b / 2^N)
         n = 4
-        power = opalg.operator(coherence_power_state(0.5, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(0.5), n)
         fam = DiagonalFamily(2, n)
         for b in (0.5, 4.0, 15.0, 16.0, 20.0):
             res = self._bracket(monkeypatch, power, b, fam)
@@ -476,7 +480,7 @@ class TestClosedForm:
     def test_one_class(self, monkeypatch, p):
         # coherence:1.0 and :0.0 are a basis string: e = max(0, 1 - b)
         n = 4
-        power = opalg.operator(coherence_power_state(p, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(p), n)
         fam = DiagonalFamily(2, n)
         for b in (0.25, 0.5, 1.0, 3.0):
             res = self._bracket(monkeypatch, power, b, fam)
@@ -488,7 +492,7 @@ class TestClosedForm:
         # = S^2: the value is 0 there, at that sigma, and positive below
         n = 5
         psi = opalg.kron_power(np.array([math.sqrt(0.8), math.sqrt(0.2)]), n)
-        power = opalg.operator(np.outer(psi, psi), (2,) * n)
+        power = opalg.Power(coherence_qubit(), n)
         fam = DiagonalFamily(2, n)
         S2 = float(psi.sum()) ** 2
         res = min_positive_part(power, 1.001 * S2, fam)
@@ -502,7 +506,7 @@ class TestClosedForm:
         # subspace keep the annealed search
         calls = _count_anneals(monkeypatch)
         n, p = 4, 0.7
-        mixed = opalg.tensor_power(opalg.density(np.diag([p, 1.0 - p])), n)
+        mixed = opalg.Power(opalg.density(np.diag([p, 1.0 - p])), n)
         res = min_positive_part(mixed, 2.0 ** (0.1 * n), DiagonalFamily(2, n),
                                 FAST)
         assert len(calls) == 1 and res.iterations > 0
@@ -517,99 +521,205 @@ class TestClosedForm:
 
 class TestPowerTarget:
     """``min_positive_part`` on an ``opalg.Power``: a pure base is read off
-    its ray in type-class coordinates, with no d^N object, and agrees with
-    the dense power's solve; other bases are made dense."""
+    its ray in type-class coordinates, with no d^N object, and pinned to
+    the type-class optimum of the pure power and to the certified bracket
+    of the vertex search on the dense power; other bases are made dense."""
 
     RATES = (-0.25, -0.1, 0.0, 0.1, 0.25)
+    COHERENT = np.array([math.sqrt(0.8), math.sqrt(0.2)])
 
     @staticmethod
-    def _worst(base, n, rates, R):
-        """The largest value and gap differences between the power's and
-        the dense power's solves over the rates R + dy."""
+    def _vertex_miss(base, n, rates, R):
+        """The largest distance by which the power's value leaves the
+        certified bracket [value - fw_gap, value] of the vertex search on
+        the dense power, over the rates R + dy.  The dense power is exactly
+        invariant, and gets no type-class coordinates."""
         fam = DiagonalFamily(base.total_dim, n)
         power, dense = opalg.Power(base, n), opalg.tensor_power(base, n)
+        assert optim._TypeClassCoords.of(fam, dense) is None
         worst = 0.0
         for dy in rates:
             b = 2.0 ** ((R + dy) * n)
-            a, d = (min_positive_part(power, b, fam),
-                    min_positive_part(dense, b, fam))
-            worst = max(worst, abs(a.value - d.value),
-                        abs(a.fw_gap - d.fw_gap))
+            got, ref = (min_positive_part(power, b, fam),
+                        min_positive_part(dense, b, fam))
+            assert got.converged
+            worst = max(worst, ref.value - ref.fw_gap - got.value,
+                        got.value - ref.value)
+        return worst
+
+    def _oracle_miss(self, vec, n, rates, R):
+        """The largest distance between the power's value and the
+        type-class optimum of vec^{x n}, over the rates R + dy, where each
+        solve is certified to a gap of rounding size."""
+        power = opalg.Power(opalg.density(np.outer(vec, vec.conj())), n)
+        fam, worst = DiagonalFamily(vec.size, n), 0.0
+        for dy in rates:
+            res = min_positive_part(power, 2.0 ** ((R + dy) * n), fam)
+            assert res.converged and res.fw_gap <= 1e-12
+            want = pure_power_threshold_optimum(vec, n, R + dy)
+            worst = max(worst, abs(res.value - want))
         return worst
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_coherence_sweep_matches_dense(self, n):
+        # the optimum of the dense program to 1e-10, as in TestClosedForm,
+        # with the oracle evaluated in the classes (the dense evaluation
+        # takes over a minute a rate at N = 10); up to N = 4, also inside
+        # the dense power's vertex-search bracket
         R = binary_entropy(0.8)
-        assert self._worst(coherence_qubit(), n, self.RATES, R) <= 1e-12
+        assert self._oracle_miss(self.COHERENT, n, self.RATES, R) <= 1e-10
+        if n <= 4:
+            assert self._vertex_miss(coherence_qubit(), n, self.RATES,
+                                     R) <= 1e-12
+
+    def test_class_oracle_matches_dense_oracle(self):
+        R = binary_entropy(0.8)
+        for n in range(2, 5):
+            for dy in self.RATES:
+                assert abs(pure_power_threshold_optimum(self.COHERENT, n,
+                                                        R + dy)
+                           - diagonal_threshold_optimum(n, R + dy)) <= 1e-12
 
     @pytest.mark.parametrize("n", (3, 4, 5))
     def test_complex_qutrit_matches_dense(self, n):
+        # the oracle at every n, and the vertex-search bracket at N = 3 (on
+        # 243 x 243 that search takes a minute)
         vec = rand.random_pure(np.random.default_rng(41),
                                SystemShape((3,))).vec
         assert np.abs(vec.imag).max() > 0.1
         probs = np.abs(vec) ** 2
         R = float(-(probs * np.log2(probs)).sum())
-        base = opalg.density(np.outer(vec, vec.conj()))
-        assert self._worst(base, n, (-0.25, 0.0, 0.25), R) <= 1e-12
+        rates = (-0.25, 0.0, 0.25)
+        assert self._oracle_miss(vec, n, rates, R) <= 1e-10
+        if n == 3:
+            base = opalg.density(np.outer(vec, vec.conj()))
+            assert self._vertex_miss(base, n, rates, R) <= 1e-12
 
     @pytest.mark.parametrize("n", (2, 6, 10))
     def test_nearly_pure_base(self, n):
         # eigenvalues 1 - 1e-13 and 1e-13: support_ray calls the base pure,
         # so the power drops a weight of about n 1e-13 that the dense power
-        # keeps
+        # keeps.  Against the pure power's oracle at every n, and at N = 2
+        # the dense power's vertex-search bracket
         eps = 1e-13
-        v = np.array([math.sqrt(0.8), math.sqrt(0.2)])
+        v = self.COHERENT
         w = np.array([-v[1], v[0]])
         base = opalg.density((1.0 - eps) * np.outer(v, v)
                              + eps * np.outer(w, w))
-        assert opalg.Power(base, n).ray is not None
-        worst = self._worst(base, n, self.RATES, binary_entropy(0.8))
-        assert worst <= 2 * n * eps + 1e-12
+        power, R = opalg.Power(base, n), binary_entropy(0.8)
+        assert power.ray is not None
+        fam = DiagonalFamily(2, n)
+        for dy in self.RATES:
+            res = min_positive_part(power, 2.0 ** ((R + dy) * n), fam)
+            want = pure_power_threshold_optimum(v, n, R + dy)
+            assert abs(res.value - want) <= 2 * n * eps + 1e-10
+        if n == 2:
+            worst = self._vertex_miss(base, n, self.RATES, R)
+            assert worst <= 2 * n * eps + 1e-12
 
     def test_reads_no_dense_power(self, monkeypatch):
         # the pure power's solve builds no Kronecker power or class labels,
-        # and its minimizer only when read
+        # and its minimizer only when read: a diagonal state at which the
+        # dense objective is the value reported
         def refuse(*args):
             raise AssertionError("dense object built")
 
-        n = 6
+        n, b = 6, 2.0 ** (0.6 * 6)
         power = opalg.Power(coherence_qubit(), n)
-        want = min_positive_part(opalg.tensor_power(coherence_qubit(), n),
-                                 2.0 ** (0.6 * n), DiagonalFamily(2, n))
         with monkeypatch.context() as m:
             m.setattr(opalg, "kron_power", refuse)
             m.setattr(optim, "_type_classes", refuse)
-            res = min_positive_part(power, 2.0 ** (0.6 * n),
-                                    DiagonalFamily(2, n))
+            res = min_positive_part(power, b, DiagonalFamily(2, n))
         assert "mat" not in vars(power) and "minimizer" not in vars(res)
-        assert np.abs(res.minimizer.mat - want.minimizer.mat).max() <= 1e-12
+        sigma = res.minimizer.mat
+        assert DiagonalFamily(2, n).membership(res.minimizer, 1e-12)
+        assert abs(np.trace(sigma).real - 1.0) <= 1e-12
+        dense = coherence_power_state(0.8, n) - b * sigma
+        assert abs(opalg.positive_part_trace(dense) - res.value) <= 1e-12
 
     def test_other_bases_are_made_dense(self):
-        # a mixed base, and a pure base of another dimension than the
-        # family's, solve the dense power, as the operator would
+        # a mixed base solves in type-class coordinates on the dense power,
+        # free here, so the value is the binomial sum at sigma0 = rho; a
+        # pure base of another dimension than the family's solves the dense
+        # power over the vertices, as the operator does
+        n, p = 3, 0.7
+        power = opalg.Power(opalg.density(np.diag([p, 1.0 - p])), n)
+        fam = DiagonalFamily(2, n)
+        assert optim._TypeClassCoords.of(fam, power).small is None
+        res = min_positive_part(power, 1.5, fam, FAST)
+        assert "mat" in vars(power)
+        assert abs(res.value - classical_threshold_value(
+            n, math.log2(1.5) / n, p, p)) <= 1e-9
         vec = rand.random_pure(np.random.default_rng(7), SystemShape((4,))).vec
-        for base, n, fam in (
-                (opalg.density(np.diag([0.7, 0.3])), 3, DiagonalFamily(2, 3)),
-                (opalg.density(np.outer(vec, vec.conj())), 2,
-                 DiagonalFamily(2, 4))):
-            power = opalg.Power(base, n)
-            res = min_positive_part(power, 1.5, fam, FAST)
-            want = min_positive_part(opalg.tensor_power(base, n), 1.5, fam,
-                                     FAST)
-            assert "mat" in vars(power)
-            assert res.value == want.value and res.fw_gap == want.fw_gap
+        base = opalg.density(np.outer(vec, vec.conj()))
+        fam, power = DiagonalFamily(2, 4), opalg.Power(base, 2)
+        assert optim._TypeClassCoords.of(fam, power) is None
+        res = min_positive_part(power, 1.5, fam, FAST)
+        want = min_positive_part(opalg.tensor_power(base, 2), 1.5, fam, FAST)
+        assert "mat" in vars(power)
+        assert res.value == want.value and res.fw_gap == want.fw_gap
 
     def test_result_start_is_read_as_its_minimizer(self):
         # an annealed solve started at an earlier result starts where its
         # dense minimizer would
         n = 3
-        power = opalg.tensor_power(opalg.density(np.diag([0.7, 0.3])), n)
+        power = opalg.Power(opalg.density(np.diag([0.7, 0.3])), n)
         fam = DiagonalFamily(2, n)
         first = min_positive_part(power, 2.0 ** (0.1 * n), fam, FAST)
         a = min_positive_part(power, 2.0 ** (0.3 * n), fam, FAST, first)
         b = min_positive_part(power, 2.0 ** (0.3 * n), fam, FAST,
                               first.minimizer)
         assert a.value == b.value and a.fw_gap == b.fw_gap
+
+
+class TestStructureFromType:
+    """Type-class coordinates come from an ``opalg.Power`` alone: no
+    support test or invariance scan reads a dense operator's structure."""
+
+    def test_invariant_dense_operator_takes_vertex_search(self, monkeypatch):
+        # the dense power is invariant, but only its type says so: it gets
+        # no coordinates, its solve never asks the type-class oracle, and
+        # its certified bracket holds the power's closed-form value
+        n, R = 4, binary_entropy(0.8)
+        fam = DiagonalFamily(2, n)
+        power = opalg.Power(coherence_qubit(), n)
+        dense = opalg.HermitianOperator(power.shape, power.mat)
+        assert symmetry.is_perm_invariant(dense)
+        assert optim._TypeClassCoords.of(fam, dense) is None
+
+        def refuse(*args):
+            raise AssertionError("type-class oracle asked")
+        for dy in (-0.1, 0.0, 0.1):
+            b = 2.0 ** ((R + dy) * n)
+            got = min_positive_part(power, b, fam)
+            with monkeypatch.context() as m:
+                m.setattr(optim._TypeClassCoords, "lmo", refuse)
+                ref = min_positive_part(dense, b, fam)
+            assert ref.value - ref.fw_gap - 1e-12 <= got.value \
+                <= ref.value + 1e-12
+
+    def test_mixed_power_guesses_no_structure(self, monkeypatch):
+        # no invariance scan or symmetric isometry runs, and every solver
+        # returns, bit for bit, what it gave when a dense power's
+        # invariance was scanned for
+        def refuse(*args, **kwargs):
+            raise AssertionError("structure guessed")
+        monkeypatch.setattr(symmetry, "is_perm_invariant", refuse)
+        monkeypatch.setattr(symmetry, "sym_isometry", refuse)
+        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+        n = 3
+        fam = DiagonalFamily(2, n)
+        power = opalg.Power(opalg.density(np.array([[0.7, 0.2],
+                                                    [0.2, 0.3]])), n)
+        res = min_positive_part(power, optim._threshold(0.1, n), fam)
+        assert (res.value, res.fw_gap) == (0.2035685148070615,
+                                           0.05411630318375485)
+        assert (hypothesis_primal(power, 4.0, fam),
+                hypothesis_dual(power, 4.0, fam)) == (0.5107323210773795,
+                                                      0.5107323214228638)
+        res = rel_ent_of_resource(power, fam)
+        assert (res.value, res.fw_gap) == (0.3790445438636949,
+                                           1.1185552484249683e-11)
 
 
 class TestNewtonReweight:
@@ -770,8 +880,8 @@ class TestProbe:
 
     def test_type_class_coordinates(self):
         n = 5
-        power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
-        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n), power)
+        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n),
+                                           opalg.Power(coherence_qubit(), n))
         rng = np.random.default_rng(83)
         mats = np.array([np.diag(rng.dirichlet(np.ones(n + 1)))
                          for _ in range(5)])
@@ -823,7 +933,8 @@ class TestProbe:
         n = 6
         power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
         fam = DiagonalFamily(2, n)
-        coords = optim._TypeClassCoords.of(fam, power)
+        coords = optim._TypeClassCoords.of(fam,
+                                           opalg.Power(coherence_qubit(), n))
         labels, sizes = _type_classes(2, n)
         rng = np.random.default_rng(91)
         for dy in (-0.1, 0.0, 0.1):
@@ -915,10 +1026,10 @@ class TestAtomStack:
         # (``read``); the pure power evaluates in the T x T block
         n = 4
         fam = DiagonalFamily(2, n)
-        mixed = opalg.tensor_power(
+        mixed = opalg.Power(
             rand.random_density(np.random.default_rng(99),
-                                SystemShape((2,))), n).mat
-        pure = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
+                                SystemShape((2,))), n)
+        pure = opalg.Power(coherence_qubit(), n)
         rng = np.random.default_rng(101)
         mats = np.array([np.diag(rng.dirichlet(np.ones(n + 1)))
                          for _ in range(4)])
@@ -930,7 +1041,7 @@ class TestAtomStack:
                 coords.pospart_eval(b, 1e-3),
                 optim._dual_eval(partial(coords.pospart_eval, 1.0), 4.0,
                                  1e-6),
-                coords.read(optim._relent_eval(target,
+                coords.read(optim._relent_eval(target.mat,
                                                np.eye(2 ** n) / 2 ** n))],
                 mats)
 
@@ -1024,7 +1135,7 @@ class TestHypothesisTesting:
         # solve runs over invariant X in type-class coordinates
         y = binary_entropy(0.8) + 0.1
         K = 2.0 ** (y * 7)
-        eta = opalg.density(coherence_power_state(0.8, 7), (2,) * 7)
+        eta = opalg.Power(coherence_qubit(), 7)
         # a memo left on equal inputs but another family object must not
         # stand in for the solve the spy watches
         primal = hypothesis_primal(eta, K, DiagonalFamily(2, 7), FAST)
@@ -1095,11 +1206,12 @@ class TestHypothesisTesting:
         hypothesis_dual(eta, 3.0, fam, SolverSettings(max_iters=201))
         assert len(calls) == 4
         mat = eta.mat.copy()
-        optim._dual_search(mat, 3.0, fam, FAST)
+        target = SimpleNamespace(mat=mat)
+        optim._dual_search(target, 3.0, fam, FAST)
         assert len(calls) == 5
         mat[0, 1] += 0.01
         mat[1, 0] += 0.01
-        optim._dual_search(mat, 3.0, fam, FAST)
+        optim._dual_search(target, 3.0, fam, FAST)
         assert len(calls) == 6
 
     def test_bracket_values_match_fresh_solves(self, monkeypatch):
@@ -1308,7 +1420,7 @@ class TestHypothesisTesting:
         # the primal is a lower bound on the exact dual optimum, and the
         # test read off the dual's probe comes close to it
         for n in range(2, 8):
-            eta = opalg.density(coherence_power_state(0.8, n), (2,) * n)
+            eta = opalg.Power(coherence_qubit(), n)
             fam = DiagonalFamily(2, n)
             for K in (1.5, 2.0, 8.0):
                 p = hypothesis_primal(eta, K, fam, FAST)
@@ -1347,7 +1459,7 @@ class TestResourceMeasures:
     def test_relent_on_powers(self, n):
         # the relative entropy of coherence is additive: n h(0.8) on the
         # n-th power, whose optimum mixes all 2^n diagonal vertices
-        power = opalg.density(coherence_power_state(0.8, n), (2,) * n)
+        power = opalg.Power(coherence_qubit(), n)
         res = rel_ent_of_resource(power, DiagonalFamily(2, n),
                                   SolverSettings(max_iters=200))
         assert abs(res.value / n - binary_entropy(0.8)) <= 1e-8
