@@ -422,6 +422,20 @@ def support_ray(mat: np.ndarray) -> np.ndarray | None:
     return V[:, -1] if on.sum() == 1 else None
 
 
+def _checked_psd(split, tol: float):
+    """A ``_support_split`` whose least eigenvalue is not below -tol."""
+    w = split[0]
+    if w[0] < -tol:
+        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{tol:.0e}")
+    return split
+
+
+def _sqrt_of_split(w: np.ndarray, V: np.ndarray,
+                   on: np.ndarray) -> np.ndarray:
+    ws = np.where(on, np.sqrt(np.clip(w, 0.0, None)), 0.0)
+    return (V * ws) @ V.conj().T
+
+
 def sqrt_psd(mat: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """PSD square root; eigenvalues in (-tol, 0) are clamped to zero.
 
@@ -429,11 +443,7 @@ def sqrt_psd(mat: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     the root, which would otherwise amplify them to sqrt-of-noise size in
     arbitrary directions.
     """
-    w, V, on = _support_split(mat)
-    if w[0] < -tol:
-        raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{tol:.0e}")
-    ws = np.where(on, np.sqrt(np.clip(w, 0.0, None)), 0.0)
-    return (V * ws) @ V.conj().T
+    return _sqrt_of_split(*_checked_psd(_support_split(mat), tol))
 
 
 def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
@@ -444,8 +454,22 @@ def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def fidelity(p: HermitianOperator, q: HermitianOperator) -> float:
-    """Trace norm of sqrt(p) sqrt(q) for PSD operators p, q."""
-    return trace_norm_mat(sqrt_psd(p.mat) @ sqrt_psd(q.mat))
+    """Trace norm of sqrt(p) sqrt(q) for PSD operators p, q.
+
+    When q's support (:func:`_support_split`) is one eigenvector v, with
+    eigenvalue lam, this is sqrt(lam <v|p|v>): one eigendecomposition of q,
+    in place of two square roots and the 2n-wide dilation of
+    :func:`trace_norm_mat`.  That route checks p only through <v|p|v>.
+    """
+    w, V, on = _checked_psd(_support_split(q.mat), PSD_TOL)
+    if on.sum() == 1:
+        v = V[:, -1]
+        quad = float(np.vdot(v, p.mat @ v).real)
+        if quad < -PSD_TOL:
+            raise NegativeEigenvalue(f"<v|p|v> = {quad:.3e} below "
+                                     f"-{PSD_TOL:.0e}")
+        return math.sqrt(float(w[-1]) * max(quad, 0.0))
+    return trace_norm_mat(sqrt_psd(p.mat) @ _sqrt_of_split(w, V, on))
 
 
 def log2_on_support(a: HermitianOperator) -> HermitianOperator:

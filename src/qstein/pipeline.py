@@ -25,8 +25,9 @@ from .errors import (CertificateFailed, ConstructionFailed, DimensionCap,
                      PremiseFailed, PremiseOutOfInterval)
 from .freesets import FreeFamily
 from .opalg import DensityMatrix, HermitianOperator, eigh
-from .optim import (SolverSettings, _threshold, distance_to_family,
-                    min_positive_part, rel_ent_of_resource)
+from .optim import (OptResult, SolverSettings, _threshold, _TypeClassCoords,
+                    distance_to_family, min_positive_part,
+                    rel_ent_of_resource)
 
 PREMISE_WINDOW = 1e-4
 CERT_TOL = 1e-8
@@ -118,17 +119,24 @@ class PipelineTrace:
         return all(c.passed for c in self.certificates)
 
 
-def dominated_state(rho: HermitianOperator | opalg.Power,
-                    X: HermitianOperator, Delta: HermitianOperator
-                    ) -> tuple[DensityMatrix, float, float]:
-    """State close in fidelity to rho and dominated by X/(1 - Tr Delta).
+def _dominated(rho: HermitianOperator | opalg.Power, X: HermitianOperator,
+               Delta: HermitianOperator, rest: np.ndarray
+               ) -> tuple[HermitianOperator, float, float]:
+    """The dominated-state lemma on a block of operators rho (+) 0,
+    X (+) diag(rest) and Delta (+) 0; ``rest`` is empty for dense operators.
 
     Premise: rho <= X + Delta with Tr Delta < 1.  The witness is the
-    contraction T = X^{1/2} (X + Delta)^{-1/2} applied to rho; it is returned
-    with the operator and fidelity margins of both conclusions, checked here.
+    contraction T = X^{1/2} (X + Delta)^{-1/2} applied to rho; it is
+    returned normalized on the block, with the operator and fidelity
+    margins of both conclusions, checked here.  Off the block rho and the
+    witness vanish, so there the margins are the values of ``rest``.  Each
+    value of ``rest`` is also a diagonal entry of X's block, so the largest
+    eigenvalues of X and X + Delta, which set the support cutoffs of T's
+    roots (``opalg._support_split``), are their blocks'.
     """
+    floor = float(rest.min(initial=math.inf))
     s_mat = X.mat + Delta.mat
-    lam = float(eigh(s_mat - rho.mat)[0][0])
+    lam = min(float(eigh(s_mat - rho.mat)[0][0]), floor)
     tr_delta = Delta.trace()
     if lam < -DOMINATED_STATE_TOL or tr_delta >= 1.0:
         raise PremiseFailed(
@@ -139,9 +147,10 @@ def dominated_state(rho: HermitianOperator | opalg.Power,
     tr = float(np.trace(out).real)
     if tr <= 0.0:
         raise ConstructionFailed("contraction annihilated the state")
-    tilde = DensityMatrix(rho.shape, out / tr)
+    tilde = HermitianOperator(rho.shape, out / tr)
     bound = X.mat / (1.0 - tr_delta)
-    m_op = float(eigh(bound - tilde.mat)[0][0])
+    m_op = min(float(eigh(bound - tilde.mat)[0][0]),
+               floor / (1.0 - tr_delta))
     m_fid = opalg.fidelity(tilde, rho) - (1.0 - tr_delta)
     if min(m_op, m_fid) < -DOMINATED_STATE_TOL:
         raise ConstructionFailed(
@@ -150,16 +159,55 @@ def dominated_state(rho: HermitianOperator | opalg.Power,
     return tilde, m_op, m_fid
 
 
+def dominated_state(rho: HermitianOperator | opalg.Power,
+                    X: HermitianOperator, Delta: HermitianOperator
+                    ) -> tuple[DensityMatrix, float, float]:
+    """State close in fidelity to rho and dominated by X/(1 - Tr Delta),
+    with the margins of both conclusions: :func:`_dominated` on dense
+    operators."""
+    tilde, m_op, m_fid = _dominated(rho, X, Delta, np.zeros(0))
+    return DensityMatrix(rho.shape, tilde.mat), m_op, m_fid
+
+
+def _lemma_operands(power: opalg.Power, b: float, res: OptResult,
+                    coords: _TypeClassCoords | None):
+    """sigma_N, the lemma's rho, X = b sigma_N and complement values, and
+    the map of its witness to the dense rho_N.
+
+    Where the threshold solve ran on the power's class block
+    (``coords.small``, a pure base), each is the T x T block on the class
+    vectors D: rho = u u^dag, X = diag(v) with v = b w / |T|, and X's
+    complement values v_t (multiplicity |T_t| - 1), with rho_N = D rho~ D^T.
+    Else they are the dense power and b times the twirled minimizer."""
+    if coords is None or coords.small is None:
+        sigma_N = DensityMatrix(res.minimizer.shape,
+                                symmetry.twirl(res.minimizer).mat)
+        X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
+        return sigma_N, power, X, np.zeros(0), lambda m: m
+    sizes, labels = coords.sizes, coords.labels
+    sigma_N = DensityMatrix(power.shape, coords.dense(res.weights))
+    v = b * np.diag(res.weights).real / sizes
+    scale = 1.0 / np.sqrt(sizes)
+
+    def to_dense(block: np.ndarray) -> np.ndarray:
+        return (scale[:, None] * block * scale)[np.ix_(labels, labels)]
+    return (sigma_N, opalg.operator(coords.small), opalg.operator(np.diag(v)),
+            v[sizes > 1], to_dense)
+
+
 def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
           settings: SolverSettings = SolverSettings()) -> PipelineTrace:
-    """Threshold minimization, twirled optimizer, dominated-state extraction.
+    """Threshold minimization, optimizer, dominated-state extraction.
 
     Requires the minimized value to sit strictly inside (0, 1); produces
     mu_N, the permutation-invariant free optimizer sigma_N, and the
     permutation-invariant rho_N dominated by (2^{yN}/mu_N) sigma_N with
     fidelity at least mu_N to the power state.  mu_N = 1 - Tr Delta for
     Delta = (rho^{x N} - 2^{yN} sigma_N)_+, so one check of the lemma
-    (:func:`dominated_state`) fills all three step-1 rows.
+    (:func:`_dominated`) fills all three step-1 rows.  A solve in type-class
+    coordinates on a pure base (``_TypeClassCoords.of``) runs it on the
+    class block (:func:`_lemma_operands`); only sigma_N and rho_N are
+    built d^N wide.
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"the rate y={y} must be positive and finite")
@@ -167,20 +215,21 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     trace = PipelineTrace(rho, y, N, family)
     power = opalg.Power(rho, N)
     b = _threshold(y, N)
-    res = min_positive_part(power, b, family.at_copies(N), settings)
-    sigma_N = DensityMatrix(res.minimizer.shape,
-                            symmetry.twirl(res.minimizer).mat)
-    X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
-    Delta = opalg.positive_part(HermitianOperator(X.shape, power.mat - X.mat))
+    family_N = family.at_copies(N)
+    res = min_positive_part(power, b, family_N, settings)
+    sigma_N, target, X, rest, to_dense = _lemma_operands(
+        power, b, res, _TypeClassCoords.of(family_N, power))
+    Delta = opalg.positive_part(HermitianOperator(X.shape,
+                                                  target.mat - X.mat))
     value = Delta.trace()
     if value <= PREMISE_WINDOW or value >= 1.0 - PREMISE_WINDOW:
         raise PremiseOutOfInterval(
             f"threshold value {value:.6f} outside ({PREMISE_WINDOW}, "
             f"{1.0 - PREMISE_WINDOW}) at y={y}, N={N}")
-    rho_N, m_op, m_fid = dominated_state(power, X, Delta)
+    tilde, m_op, m_fid = _dominated(target, X, Delta, rest)
     trace.mu_N = 1.0 - value
     trace.sigma_N = sigma_N
-    trace.rho_N = rho_N
+    trace.rho_N = DensityMatrix(power.shape, to_dense(tilde.mat))
     trace.add(Certificate("dominated-state construction", min(m_op, m_fid),
                           DOMINATED_STATE_TOL))
     trace.add(Certificate("step1 operator dominance", m_op, CERT_TOL))

@@ -1,8 +1,11 @@
-"""Static checks on the package source: every import is used, and every
-private module-level function or class is referenced somewhere in it."""
+"""Static checks on the package source: every import is used, every
+private module-level function or class is referenced somewhere in it, and
+no module is long enough to double the parser's token array."""
 
 import ast
+import io
 import pathlib
+import tokenize
 
 import pytest
 
@@ -92,3 +95,26 @@ def test_optim_guesses_no_structure():
     test on a dense operator."""
     guesses = {"is_perm_invariant", "sym_isometry", "rank_one_factor"}
     assert not guesses & _referenced(TREES["optim.py"])
+
+
+# CPython's parser holds a module's tokens in an array it doubles when
+# full; compiling a module of more than this many tokens doubles it past
+# 8192 entries.  Under ``tracemalloc`` on Python 3.11, compiling optim.py
+# padded to 8,192 tokens peaks at 2.73 MiB and at 8,193 at 3.17 MiB.  The
+# benchmark compiles the package from source, so a module past the mark
+# raises its peak memory.
+PARSER_TOKEN_MARK = 8192
+
+
+def _parser_tokens(source: str) -> int:
+    """Tokens of a source as the parser counts them: ``tokenize``'s, less
+    the COMMENT and NL tokens the parser's tokenizer never emits."""
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sum(1 for tok in tokens
+               if tok.type not in (tokenize.COMMENT, tokenize.NL))
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_module_within_parser_token_array(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert _parser_tokens(source) <= PARSER_TOKEN_MARK

@@ -229,6 +229,33 @@ class TestFidelity:
             opalg.fidelity(opalg.operator(np.diag([1.0, -0.5])),
                            opalg.operator(np.eye(2)))
 
+    def test_rank_one_q_matches_dilation(self, monkeypatch):
+        # a q supported on one eigenvector takes sqrt(lam <v|p|v>): one
+        # eigendecomposition, equal to the square roots and the dilation
+        rng = np.random.default_rng(5)
+        calls = []
+
+        def spy(m, _eigh=np.linalg.eigh):
+            calls.append(m.shape)
+            return _eigh(m)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for n in range(2, 33):
+            p = rand.random_density(rng, SystemShape((n,)))
+            a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            q = opalg.operator(rng.uniform(0.1, 2.0) * np.outer(a, a.conj())
+                               / np.vdot(a, a).real)
+            calls.clear()
+            got = opalg.fidelity(p, q)
+            assert calls == [(n, n)]
+            want = opalg.trace_norm_mat(opalg.sqrt_psd(p.mat)
+                                        @ opalg.sqrt_psd(q.mat))
+            assert abs(got - want) < 1e-12
+
+    def test_rank_one_q_rejects_non_psd_p(self):
+        with pytest.raises(NegativeEigenvalue):
+            opalg.fidelity(opalg.operator(np.diag([-0.5, 1.0])),
+                           opalg.operator(np.diag([1.0, 0.0])))
+
 
 class TestLog2OnSupport:
     def test_maximally_mixed(self):

@@ -11,7 +11,7 @@ from qstein.errors import (CertificateFailed, ConstructionFailed,
                            PremiseOutOfInterval)
 from qstein.freesets import DiagonalFamily, SingletonIIDFamily
 from qstein.opalg import DensityMatrix, HermitianOperator, SystemShape
-from qstein.optim import SolverSettings
+from qstein.optim import SolverSettings, _threshold, min_positive_part
 
 from oracles import ray_step2_reference
 
@@ -113,6 +113,73 @@ class TestStep1:
         rows = {c.name: c.margin for c in trace.certificates}
         assert rows["dominated-state construction"] == min(
             rows["step1 operator dominance"], rows["step1 fidelity floor"])
+
+
+def bell_state():
+    v = np.zeros(4)
+    v[0] = v[3] = 1.0 / math.sqrt(2.0)
+    return opalg.density(np.outer(v, v))
+
+
+def qutrit_ray():
+    rng = np.random.default_rng(7)
+    return rand.random_pure(rng, SystemShape((3,))).density()
+
+
+BLOCK_CASES = ([(coherence_qubit, H08, N) for N in range(4, 9)]
+               + [(bell_state, 0.7, 4), (qutrit_ray, 1.0, 4),
+                  (qutrit_ray, 1.0, 5)])
+
+
+class TestStep1ClassBlock:
+    """Step 1 of a pure base runs on the power's T x T class block."""
+
+    @pytest.mark.parametrize("make,y,N", BLOCK_CASES)
+    def test_matches_dense_lemma(self, make, y, N):
+        # the dense route on the same sigma_N: the twirled minimizer,
+        # the dense positive part and ``dominated_state``
+        rho = make()
+        family = DiagonalFamily(rho.total_dim, 1)
+        trace = pipeline.step1(rho, y, N, family, SET)
+        power = opalg.Power(rho, N)
+        b = _threshold(y, N)
+        res = min_positive_part(power, b, family.at_copies(N), SET)
+        twirled = symmetry.twirl(res.minimizer).mat
+        assert np.abs(trace.sigma_N.mat - twirled).max() <= 1e-12
+        x = HermitianOperator(power.shape, b * trace.sigma_N.mat)
+        delta = opalg.positive_part(HermitianOperator(power.shape,
+                                                      power.mat - x.mat))
+        rho_N, m_op, m_fid = pipeline.dominated_state(power, x, delta)
+        rows = {c.name: c.margin for c in trace.certificates}
+        assert abs(trace.mu_N - (1.0 - delta.trace())) <= 1e-12
+        assert np.abs(trace.rho_N.mat - rho_N.mat).max() <= 1e-12
+        assert abs(rows["step1 fidelity floor"] - m_fid) <= 1e-12
+        assert rows["step1 operator dominance"] >= m_op - 1e-12
+
+    def test_zero_weight_class_gives_exact_zero(self):
+        # a class with no weight and |T_t| > 1 makes X singular where
+        # rho~ vanishes: the operator margin is 0 by structure
+        trace = pipeline.step1(coherence_qubit(), H08, 6,
+                               DiagonalFamily(2, 1), SET)
+        labels, sizes = symmetry._type_classes(2, 6)
+        w = np.bincount(labels, weights=np.diag(trace.sigma_N.mat).real)
+        assert ((w == 0.0) & (sizes > 1)).any()
+        rows = {c.name: c.margin for c in trace.certificates}
+        assert rows["step1 operator dominance"] == 0.0
+
+    @pytest.mark.parametrize("N", [4, 7])
+    def test_two_wide_eigendecompositions(self, monkeypatch, N):
+        # only the state checks of sigma_N and rho_N are wider than the
+        # N + 1 type classes of a qubit
+        rho = coherence_qubit()
+        widths = []
+
+        def spy(m, _eigh=np.linalg.eigh):
+            widths.append(m.shape[-1])
+            return _eigh(m)
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        pipeline.step1(rho, H08, N, DiagonalFamily(2, 1), SET)
+        assert sum(w > N + 1 for w in widths) <= 2
 
 
 def synthetic_iid_trace(p=0.8, N=4, y=1.2):
