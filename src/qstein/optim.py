@@ -747,8 +747,10 @@ def _rank_one_optimum(coords: _TypeClassCoords | None,
     with no cancellation, and lambda = Q c / delta; when Q = 0, c = S and
     lambda = (S^2 - b) / M_A.  The set kept is the first consistent one,
     c r_t >= lambda on A and c r_t <= lambda off it (the least inconsistent
-    if rounding leaves none).  The caller's exact probe at the weights gives
-    the value and its Frank-Wolfe bound the gap, so a rounding slip here
+    if rounding leaves none), or all on the top class, the limit b -> 0, if
+    it leaves no class weight (b below about 1e-16).  The caller's exact
+    probe at the weights gives the value and its Frank-Wolfe bound the gap,
+    so a rounding slip here
     can widen the gap but never pass as certified.
     """
     if coords is None or coords.small is None:
@@ -782,6 +784,8 @@ def _rank_one_optimum(coords: _TypeClassCoords | None,
     act = order[:k]
     w = np.zeros_like(P)
     w[act] = sizes[act] * np.maximum(c * r[act] - lam, 0.0)
+    if w.sum() == 0.0:
+        w[order[0]] = 1.0
     return np.diag(w / w.sum())
 
 
@@ -879,6 +883,8 @@ def _dual_search(eta: HermitianOperator | opalg.Power, K: float,
     best probe, and the dense iterate at the end of its second temperature
     (of its first, if the schedule stops there) and its atoms of positive
     weight, from which the primal reads its test and its first cuts.
+    Below K = 1 it starts at the optimum X = 0 (value >= 1 - b + b/K >= 1),
+    as the oracle's zero atom would absorb a start K sigma near 0.
 
     The last solve is kept in a one-entry memo, so that a primal and a dual
     call on the same inputs share it, in either order.  A call reuses it
@@ -907,7 +913,7 @@ def _dual_search(eta: HermitianOperator | opalg.Power, K: float,
         member = search.enter(_feasible_start(family, settings.seed))
         tracker, _ = _anneal(
             partial(_dual_eval, partial(search.pospart, 1.0), K),
-            ANNEAL_TAUS, lmo, min(1.0, K) * member,
+            ANNEAL_TAUS, lmo, (K >= 1.0) * member,
             max(20, settings.max_iters // 3), settings.tol / 4.0)
         x, held = tracker.stage_ends[:2][-1]
         out = (tracker.best_value, search.to_dense(x),

@@ -98,8 +98,8 @@ class PipelineTrace:
     N: int
     family: FreeFamily
     mu_N: float = 0.0
-    sigma_N: DensityMatrix | None = None
-    rho_N: DensityMatrix | None = None
+    sigma_N: HermitianOperator | None = None
+    rho_N: HermitianOperator | None = None
     schedule: Schedule | None = None
     eps_N: float = 0.0
     c_N: float = 0.0
@@ -119,22 +119,23 @@ class PipelineTrace:
         return all(c.passed for c in self.certificates)
 
 
-def _dominated(rho: HermitianOperator | opalg.Power, X: HermitianOperator,
-               Delta: HermitianOperator, rest: np.ndarray
-               ) -> tuple[HermitianOperator, float, float]:
+def dominated_state(rho: HermitianOperator | opalg.Power,
+                    X: HermitianOperator, Delta: HermitianOperator,
+                    rest: np.ndarray | tuple = ()
+                    ) -> tuple[DensityMatrix, float, float]:
     """The dominated-state lemma on a block of operators rho (+) 0,
     X (+) diag(rest) and Delta (+) 0; ``rest`` is empty for dense operators.
 
-    Premise: rho <= X + Delta with Tr Delta < 1.  The witness is the
-    contraction T = X^{1/2} (X + Delta)^{-1/2} applied to rho; it is
-    returned normalized on the block, with the operator and fidelity
-    margins of both conclusions, checked here.  Off the block rho and the
-    witness vanish, so there the margins are the values of ``rest``.  Each
-    value of ``rest`` is also a diagonal entry of X's block, so the largest
-    eigenvalues of X and X + Delta, which set the support cutoffs of T's
-    roots (``opalg._support_split``), are their blocks'.
+    Premise: rho <= X + Delta with Tr Delta < 1.  The witness T rho T^dag,
+    T = X^{1/2} (X + Delta)^{-1/2}, is returned as a state on rho's shape
+    with the margins of its fidelity to rho and its dominance by
+    X/(1 - Tr Delta), checked here.  Off the block rho and the witness
+    vanish, so there the margins are the values of ``rest``, which are also
+    diagonal entries of X's block: the largest eigenvalues of X and
+    X + Delta, which set the support cutoffs of T's roots
+    (``opalg._support_split``), are their blocks'.
     """
-    floor = float(rest.min(initial=math.inf))
+    floor = float(np.min(rest, initial=math.inf))
     s_mat = X.mat + Delta.mat
     lam = min(float(eigh(s_mat - rho.mat)[0][0]), floor)
     tr_delta = Delta.trace()
@@ -147,7 +148,7 @@ def _dominated(rho: HermitianOperator | opalg.Power, X: HermitianOperator,
     tr = float(np.trace(out).real)
     if tr <= 0.0:
         raise ConstructionFailed("contraction annihilated the state")
-    tilde = HermitianOperator(rho.shape, out / tr)
+    tilde = DensityMatrix(rho.shape, out / tr)
     bound = X.mat / (1.0 - tr_delta)
     m_op = min(float(eigh(bound - tilde.mat)[0][0]),
                floor / (1.0 - tr_delta))
@@ -159,16 +160,6 @@ def _dominated(rho: HermitianOperator | opalg.Power, X: HermitianOperator,
     return tilde, m_op, m_fid
 
 
-def dominated_state(rho: HermitianOperator | opalg.Power,
-                    X: HermitianOperator, Delta: HermitianOperator
-                    ) -> tuple[DensityMatrix, float, float]:
-    """State close in fidelity to rho and dominated by X/(1 - Tr Delta),
-    with the margins of both conclusions: :func:`_dominated` on dense
-    operators."""
-    tilde, m_op, m_fid = _dominated(rho, X, Delta, np.zeros(0))
-    return DensityMatrix(rho.shape, tilde.mat), m_op, m_fid
-
-
 def _lemma_operands(power: opalg.Power, b: float, res: OptResult,
                     coords: _TypeClassCoords | None):
     """sigma_N, the lemma's rho, X = b sigma_N and complement values, and
@@ -177,15 +168,18 @@ def _lemma_operands(power: opalg.Power, b: float, res: OptResult,
     Where the threshold solve ran on the power's class block
     (``coords.small``, a pure base), each is the T x T block on the class
     vectors D: rho = u u^dag, X = diag(v) with v = b w / |T|, and X's
-    complement values v_t (multiplicity |T_t| - 1), with rho_N = D rho~ D^T.
-    Else they are the dense power and b times the twirled minimizer."""
+    complement values v_t (multiplicity |T_t| - 1), with rho_N = D rho~ D^T;
+    sigma_N is checked as the state diag(w), a check at least as strict as
+    one of its d^N eigenvalues w_t / |T_t|.  Else they are the dense power
+    and b times the twirled minimizer, checked d^N wide."""
     if coords is None or coords.small is None:
         sigma_N = DensityMatrix(res.minimizer.shape,
                                 symmetry.twirl(res.minimizer).mat)
         X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
-        return sigma_N, power, X, np.zeros(0), lambda m: m
+        return sigma_N, power, X, (), lambda m: m
     sizes, labels = coords.sizes, coords.labels
-    sigma_N = DensityMatrix(power.shape, coords.dense(res.weights))
+    opalg.density(res.weights)  # sigma_N's state check
+    sigma_N = HermitianOperator(power.shape, coords.dense(res.weights))
     v = b * np.diag(res.weights).real / sizes
     scale = 1.0 / np.sqrt(sizes)
 
@@ -204,10 +198,10 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     permutation-invariant rho_N dominated by (2^{yN}/mu_N) sigma_N with
     fidelity at least mu_N to the power state.  mu_N = 1 - Tr Delta for
     Delta = (rho^{x N} - 2^{yN} sigma_N)_+, so one check of the lemma
-    (:func:`_dominated`) fills all three step-1 rows.  A solve in type-class
-    coordinates on a pure base (``_TypeClassCoords.of``) runs it on the
-    class block (:func:`_lemma_operands`); only sigma_N and rho_N are
-    built d^N wide.
+    (:func:`dominated_state`) fills all three step-1 rows.  A solve in
+    type-class coordinates on a pure base (``_TypeClassCoords.of``) runs it,
+    and the state checks, on the class block (:func:`_lemma_operands`);
+    sigma_N and rho_N are then built d^N wide, and not decomposed.
     """
     if not 0.0 < y < math.inf:
         raise ValueError(f"the rate y={y} must be positive and finite")
@@ -226,10 +220,10 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
         raise PremiseOutOfInterval(
             f"threshold value {value:.6f} outside ({PREMISE_WINDOW}, "
             f"{1.0 - PREMISE_WINDOW}) at y={y}, N={N}")
-    tilde, m_op, m_fid = _dominated(target, X, Delta, rest)
+    tilde, m_op, m_fid = dominated_state(target, X, Delta, rest)
     trace.mu_N = 1.0 - value
     trace.sigma_N = sigma_N
-    trace.rho_N = DensityMatrix(power.shape, to_dense(tilde.mat))
+    trace.rho_N = HermitianOperator(power.shape, to_dense(tilde.mat))
     trace.add(Certificate("dominated-state construction", min(m_op, m_fid),
                           DOMINATED_STATE_TOL))
     trace.add(Certificate("step1 operator dominance", m_op, CERT_TOL))
@@ -416,11 +410,10 @@ def finite_n_sandwich(rho: DensityMatrix, family: FreeFamily, eps: float,
     res = rel_ent_of_resource(power, family, settings)
     d_free = res.value
     sigma_star = res.minimizer.mat
-    rho_pow = HermitianOperator(power.shape, power.mat)
 
     def candidate(t: float) -> float:
-        mix = (sigma_star + t * rho_pow.mat) / (1.0 + t)
-        return relative_entropy(rho_pow, HermitianOperator(family.shape, mix))
+        mix = (sigma_star + t * power.mat) / (1.0 + t)
+        return relative_entropy(power, HermitianOperator(family.shape, mix))
 
     ts = np.linspace(0.0, eps / 2.0, 9)
     best = min(candidate(float(t)) for t in ts)

@@ -261,7 +261,7 @@ def canonical_purification(rho: DensityMatrix) -> PureState:
 
 
 def perm_invariant_purification(rho: DensityMatrix,
-                                rho_N: DensityMatrix) -> PurificationPair:
+                                rho_N: HermitianOperator) -> PurificationPair:
     """The pair step 2 runs on: purifications of rho and of a
     permutation-invariant rho_N, the second symmetric (as a vector over copy
     pairs), whose overlap is their fidelity.

@@ -85,6 +85,20 @@ n_grid = 2,4
             want = classical_threshold_value(int(n_s), float(y_s))
             assert abs(float(e_s) - want) < 1e-9
 
+    def test_tiny_threshold_row(self, tmp_path):
+        # y = -20 makes b = 2^-80: the closed form's limit b -> 0, e = 1
+        out = str(tmp_path / "t.csv")
+        cfg = write_cfg(tmp_path, "t.cfg", """
+state = coherence:0.8
+family = diagonal
+y_grid = -20
+n_grid = 4
+""")
+        assert cli.main(["exponent", "--config", cfg, "--out", out]) == 0
+        n_s, y_s, e_s, gap_s = open(out).read().splitlines()[1].split(",")
+        assert (n_s, y_s, e_s) == ("4", "-20", "1")
+        assert float(gap_s) <= 1e-15
+
     def test_byte_identical_reruns(self, tmp_path, sigma0_file):
         cfg = write_cfg(tmp_path, "e.cfg", f"""
 state = classical:0.75

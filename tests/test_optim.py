@@ -487,6 +487,19 @@ class TestClosedForm:
             assert res.converged and res.fw_gap <= 1e-12
             assert abs(res.value - max(0.0, 1.0 - b)) <= 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_tiny_threshold(self, n):
+        # below b ~ 1e-16, c r_t - lambda rounds to <= 0 on every class:
+        # all weight goes to the top class, the limit b -> 0, where the
+        # value is 1
+        power = opalg.Power(coherence_qubit(), n)
+        fam = DiagonalFamily(2, n)
+        for b in (1e-16, 1e-30, 1e-100, 1e-300):
+            res = min_positive_part(power, b, fam)
+            assert np.isfinite(res.weights).all()
+            assert abs(res.value - 1.0) <= 1e-15
+            assert res.converged and res.fw_gap <= 1e-15
+
     def test_threshold_above_amplitude_sum(self):
         # psi psi^T <= b sigma for sigma ~ |psi_x| once b >= (sum |psi_x|)^2
         # = S^2: the value is 0 there, at that sigma, and positive below
@@ -1126,7 +1139,7 @@ class TestHypothesisTesting:
             sigma0 = rand.random_density(rng, SystemShape((d,))).mat
             for fam in (FullSpaceFamily(d, 1), DiagonalFamily(d, 1),
                         SingletonIIDFamily(d, 1, sigma0=sigma0)):
-                for K in (0.5, 1.0):
+                for K in (1e-20, 1e-13, 0.5, 1.0):
                     dual = hypothesis_dual(eta, K, fam, FAST)
                     assert abs(dual - 1.0) <= 1e-9
 

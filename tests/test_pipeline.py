@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from qstein import opalg, pipeline, rand, symmetry
 from qstein.entropy import binary_entropy, relative_entropy
 from qstein.errors import (CertificateFailed, ConstructionFailed,
-                           DimensionCap, PremiseFailed,
+                           DimensionCap, NegativeEigenvalue, PremiseFailed,
                            PremiseOutOfInterval)
 from qstein.freesets import DiagonalFamily, SingletonIIDFamily
 from qstein.opalg import DensityMatrix, HermitianOperator, SystemShape
@@ -168,18 +169,38 @@ class TestStep1ClassBlock:
         assert rows["step1 operator dominance"] == 0.0
 
     @pytest.mark.parametrize("N", [4, 7])
-    def test_two_wide_eigendecompositions(self, monkeypatch, N):
-        # only the state checks of sigma_N and rho_N are wider than the
-        # N + 1 type classes of a qubit
-        rho = coherence_qubit()
-        widths = []
+    def test_no_wide_eigendecomposition(self, eigh_widths, N):
+        # sigma_N and the witness are checked as states on the N + 1 type
+        # classes of a qubit, so nothing wider is decomposed
+        pipeline.step1(coherence_qubit(), H08, N, DiagonalFamily(2, 1), SET)
+        assert eigh_widths and max(eigh_widths) <= N + 1
 
-        def spy(m, _eigh=np.linalg.eigh):
-            widths.append(m.shape[-1])
-            return _eigh(m)
-        monkeypatch.setattr(np.linalg, "eigh", spy)
-        pipeline.step1(rho, H08, N, DiagonalFamily(2, 1), SET)
-        assert sum(w > N + 1 for w in widths) <= 2
+    def test_run_decomposes_nothing_wider_than_the_conditioned_copies(
+            self, eigh_widths):
+        # a pure-base chain at N = 8 decomposes nothing 2^N wide: the widest
+        # is the 2^(N - M) of the copies left after conditioning
+        trace = pipeline.run_direct_part(coherence_qubit(), H08, 8,
+                                         DiagonalFamily(2, 1), SET)
+        assert max(eigh_widths) <= 2 ** (8 - trace.schedule.M)
+
+    def test_negative_class_weight_raises(self, monkeypatch):
+        # sigma_N's state check on its class weights: a weight of -1e-6 on
+        # a singleton class, trace kept at 1, is a d^N eigenvalue of -1e-6
+        solve = pipeline.min_positive_part
+        sizes = symmetry._type_classes(2, 6)[1]
+        t = int(np.flatnonzero(sizes == 1)[-1])
+
+        def planted(*args):
+            res = solve(*args)
+            w = np.diag(res.weights).copy()
+            w[np.argmax(w)] += w[t] + 1e-6
+            w[t] = -1e-6
+            return replace(res, weights=np.diag(w))
+        monkeypatch.setattr(pipeline, "min_positive_part", planted)
+        with pytest.raises(NegativeEigenvalue,
+                           match="density matrix has eigenvalue -1.000e-06"):
+            pipeline.step1(coherence_qubit(), H08, 6, DiagonalFamily(2, 1),
+                           SET)
 
 
 def synthetic_iid_trace(p=0.8, N=4, y=1.2):
