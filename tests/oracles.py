@@ -262,15 +262,68 @@ def hull_minimum_slsqp(probe, atoms, maxiter: int = 80) -> float:
     return probe(point(w / w.sum()))[0]
 
 
-def sequential_seesaw_lmo(family, grad: np.ndarray,
-                          seed: int = 0) -> np.ndarray:
+def _seesaw_newton_step(g4: np.ndarray, a: np.ndarray, b: np.ndarray,
+                        val: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """One saddle-free Newton step on the product of unit spheres from the
+    pair (a, b) of value ``val``, for one restart.
+
+    The second-order model of the normalized value is written as complex
+    terms in (da, db); its Hessian and gradient in real coordinates of all
+    of C^dA x C^dB come from evaluating those terms on the basis vectors,
+    and are projected onto the tangent space by the complex projectors
+    I - aa*, I - bb*.  Eigenvalues are taken in absolute value, those at
+    most 1e-12 times the largest dropped; of the step and its seven
+    halvings the least exact value is kept if it is below ``val``.
+    """
+    da, db = len(a), len(b)
+    n = 2 * (da + db)
+    m_b = np.einsum("ijkl,j,l->ik", g4, b.conj(), b)
+    m_a = np.einsum("ijkl,i,k->jl", g4, a.conj(), a)
+    K = np.einsum("ijkl,j,k->il", g4, b.conj(), a)
+    N = np.einsum("ijkl,i,j->kl", g4, a.conj(), b.conj())
+
+    def split(z):
+        return (z[..., :da] + 1j * z[..., da:2 * da],
+                z[..., 2 * da:2 * da + db] + 1j * z[..., 2 * da + db:])
+
+    # row i of xa, xb is the (da, db) of the i-th real basis vector
+    xa, xb = split(np.eye(n))
+    form = ((xa.conj() @ (m_b - val * np.eye(da)) @ xa.T)
+            + (xb.conj() @ (m_a - val * np.eye(db)) @ xb.T)
+            + 2.0 * (xa.conj() @ K @ xb.T) + 2.0 * (xa @ N @ xb.T)).real
+    hess = 0.5 * (form + form.T)
+    grad = 2.0 * (xa.conj() @ m_b @ a + xb.conj() @ m_a @ b).real
+    pa = np.eye(da) - np.outer(a, a.conj())
+    pb = np.eye(db) - np.outer(b, b.conj())
+    ya, yb = xa @ pa.T, xb @ pb.T
+    proj = np.concatenate([ya.real, ya.imag, yb.real, yb.imag], axis=1).T
+    lam, u = np.linalg.eigh(proj @ hess @ proj)
+    keep = np.abs(lam) > 1e-12 * np.abs(lam).max()
+    coef = (u[:, keep].T @ (proj @ grad)) / np.abs(lam[keep])
+    step_a, step_b = split(-0.5 * (u[:, keep] @ coef))
+    best = (a, b, val)
+    for t in 0.5 ** np.arange(8):
+        a2, b2 = a + t * step_a, b + t * step_b
+        a2, b2 = a2 / np.linalg.norm(a2), b2 / np.linalg.norm(b2)
+        v = float(np.einsum("ijkl,i,j,k,l->", g4, a2.conj(), b2.conj(), a2,
+                            b2).real)
+        if v < best[2]:
+            best = (a2, b2, v)
+    return best
+
+
+def sequential_seesaw_lmo(family, grad: np.ndarray, seed: int = 0,
+                          newton: bool = True,
+                          sweeps: list | None = None) -> np.ndarray:
     """The separable-hull oracle run one restart at a time.
 
     The same multi-start alternating-eigenvector search as
     ``SeparableHullFamily.lmo``, written as a loop over restarts with one
-    2-D ``eigh`` per half-sweep: each restart draws its own B start, stops
-    once a sweep fails to lower its value by ``seesaw_tol``, and the first
-    restart with the least value wins.
+    2-D ``eigh`` per half-sweep: each restart draws its own B start, takes
+    a Newton step after each sweep from its third on (none if ``newton`` is
+    False: the plain seesaw), stops once a sweep fails to lower its value by
+    ``seesaw_tol``, and the first restart with the least value wins.  The
+    number of sweeps each restart ran is appended to ``sweeps`` if given.
     """
     from qstein import opalg
     n = family.copies
@@ -284,7 +337,7 @@ def sequential_seesaw_lmo(family, grad: np.ndarray,
         b /= np.linalg.norm(b)
         a = None
         prev = np.inf
-        for _ in range(family.seesaw_iters):
+        for sweep in range(family.seesaw_iters):
             ma = np.einsum("ijkl,j,l->ik", g4, b.conj(), b)
             w, V = opalg.eigh(ma)
             a = V[:, 0]
@@ -292,9 +345,13 @@ def sequential_seesaw_lmo(family, grad: np.ndarray,
             w, V = opalg.eigh(mb)
             b = V[:, 0]
             val = float(w[0])
+            if newton and sweep >= 2:
+                a, b, val = _seesaw_newton_step(g4, a, b, val)
             if prev - val < family.seesaw_tol:
                 break
             prev = val
+        if sweeps is not None:
+            sweeps.append(sweep + 1)
         val = float(np.einsum("ijkl,i,j,k,l->", g4, a.conj(), b.conj(),
                               a, b).real)
         if val < best_val:

@@ -140,8 +140,10 @@ class TestLinearOracle:
 @pytest.mark.parametrize("copies,n_restarts",
                          [(1, 1), (1, 5), (1, 32), (2, 1), (2, 32)])
 def test_sep_lmo_matches_sequential_restarts(copies, n_restarts):
-    # the batched seesaw draws the same starts, stops each restart by the
-    # same rule and keeps the first least value as the loop over restarts
+    # the batched seesaw draws the same starts, takes the same Newton steps,
+    # stops each restart by the same rule and keeps the first least value as
+    # the loop over restarts; the Newton finish never ends above the plain
+    # seesaw
     fam = SeparableHullFamily(4, copies, dim_a=2, dim_b=2,
                               n_restarts=n_restarts)
     rng = np.random.default_rng(100 * copies + n_restarts)
@@ -150,7 +152,49 @@ def test_sep_lmo_matches_sequential_restarts(copies, n_restarts):
         got = float(np.einsum("ij,ji->", g, fam.lmo(g, seed=seed)).real)
         want = float(np.einsum("ij,ji->", g,
                                sequential_seesaw_lmo(fam, g, seed)).real)
+        plain = float(np.einsum("ij,ji->", g, sequential_seesaw_lmo(
+            fam, g, seed, newton=False)).real)
         assert abs(got - want) <= 1e-12
+        assert got <= plain + 1e-12
+
+
+# An oracle gradient of E_R on the Bell state, met by Frank-Wolfe with the
+# plain seesaw (rounded to 8 decimals): about -2.885 on |Phi> plus entries
+# near 1e-5, so every product state with b close to conj(a) is nearly
+# optimal, and most plain restarts creep along that valley for 100 sweeps.
+BELL_VALLEY_GRAD = (np.array(
+    [[-1.44269979, -1.346e-05, -8.33e-06, -1.44268924],
+     [-1.346e-05, -4.658e-05, -2.76e-06, 1.044e-05],
+     [-8.33e-06, -2.76e-06, -4.662e-05, 1.561e-05],
+     [-1.44268924, 1.044e-05, 1.561e-05, -1.44270188]])
+    + 1j * np.array(
+    [[0.0, 7.89e-06, -1.267e-05, 2.08e-06],
+     [-7.89e-06, 0.0, -4.651e-05, 1.466e-05],
+     [1.267e-05, 4.651e-05, 0.0, -9.86e-06],
+     [-2.08e-06, -1.466e-05, 9.86e-06, 0.0]]))
+
+
+def test_sep_lmo_newton_finish_leaves_the_valley(eigh_widths):
+    fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2)
+    g = BELL_VALLEY_GRAD
+    sweeps = []
+    plain = sequential_seesaw_lmo(fam, g, 0, newton=False, sweeps=sweeps)
+    assert sweeps.count(fam.seesaw_iters) >= 16
+    eigh_widths.clear()
+    out = fam.lmo(g, seed=0)
+    # two eigh calls per sweep and one per Newton step, over all restarts
+    assert len(eigh_widths) <= 3 * 10
+    val = float(np.einsum("ij,ji->", g, out).real)
+    assert val <= float(np.einsum("ij,ji->", g, plain).real) + 1e-12
+    # the returned pair is stationary on the product of spheres
+    u, _, vh = np.linalg.svd(np.linalg.eigh(out)[1][:, -1].reshape(2, 2))
+    a, b = u[:, 0], vh[0]
+    g4 = g.reshape(2, 2, 2, 2)
+    m_b = np.einsum("ijkl,j,l->ik", g4, b.conj(), b)
+    m_a = np.einsum("ijkl,i,k->jl", g4, a.conj(), a)
+    bound = 1e-8 * np.linalg.norm(g, 2)
+    assert np.linalg.norm(m_b @ a - a * (a.conj() @ m_b @ a)) <= bound
+    assert np.linalg.norm(m_a @ b - b * (b.conj() @ m_a @ b)) <= bound
 
 
 LMO_FAMILIES = {

@@ -1454,19 +1454,41 @@ class TestResourceMeasures:
                                   SolverSettings(max_iters=240, tol=1e-9))
         assert abs(res.value - binary_entropy(0.8)) < 1e-7
 
-    def test_relent_certifies_at_last_iterate(self):
-        # E_R of two Bell pairs on the separable hull is 2; the best probe,
-        # a line-search point under 1e-15 lower in value, leaves a Frank-Wolfe gap
-        # above tol, and the stage's last iterate certifies
+    def test_relent_certifies_at_last_iterate(self, monkeypatch):
+        # E_R of coherence on three qubit copies is 3 h(0.8); the best probe
+        # leaves a Frank-Wolfe gap above tol, so a second bound is taken, at
+        # the stage's last iterate, and that one certifies
+        bounds = []
+        fw_bound = optim._fw_bound
+
+        def spy(*args, **kwargs):
+            bounds.append(fw_bound(*args, **kwargs))
+            return bounds[-1]
+        monkeypatch.setattr(optim, "_fw_bound", spy)
+        res = rel_ent_of_resource(opalg.Power(coherence_qubit(), 3),
+                                  DiagonalFamily(2, 3),
+                                  SolverSettings(max_iters=200, tol=1e-8))
+        assert len(bounds) == 2
+        assert res.converged
+        assert abs(res.value / 3 - binary_entropy(0.8)) < 1e-8
+
+    @pytest.mark.parametrize("copies,F", [(1, 1.0), (2, 1.0), (1, 0.9)],
+                             ids=["bell-x1", "bell-x2", "isotropic-0.9"])
+    def test_relent_separable_hull(self, copies, F):
+        # E_R on the separable hull is 1 per Bell pair and 1 - h(F) for the
+        # isotropic qubit pair of fidelity F; each solve certifies against
+        # the seesaw's answers
         bell = np.zeros(4)
         bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
         phi = np.outer(bell, bell)
+        iso = F * phi + (1.0 - F) * (np.eye(4) - phi) / 3.0
+        rho = iso if copies == 1 else np.kron(iso, iso)
         res = rel_ent_of_resource(
-            opalg.density(np.kron(phi, phi), (4, 4)),
-            SeparableHullFamily(4, 2, dim_a=2, dim_b=2),
+            opalg.density(rho, (4,) * copies),
+            SeparableHullFamily(4, copies, dim_a=2, dim_b=2),
             SolverSettings(max_iters=400, tol=1e-7, seed=0))
-        assert abs(res.value - 2.0) < 1e-6
-        assert res.converged
+        assert res.converged and res.fw_gap <= 1e-7
+        assert abs(res.value - copies * (1.0 - binary_entropy(F))) < 1e-6
 
     @pytest.mark.parametrize("n", (5, 6))
     def test_relent_on_powers(self, n):
