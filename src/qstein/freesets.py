@@ -420,8 +420,9 @@ def check_property(family: FreeFamily, property_id: int, trials: int,
     Randomized probing, not a proof.  On ``SeparableHullFamily(4, 1)``
     axioms 4 and 5 test members on a 4 x 4 cut, where membership is the
     seesaw-driven distance after 300 iterations, an upper bound above
-    ``SEP_MEMBER_TOL`` on true members: they report violations (-0.22 and
-    -0.014 at seed 1).
+    ``SEP_MEMBER_TOL`` on true members: they report violations (least
+    margins over 5 trials -0.22 and -0.014 at seed 1, -0.14 and -0.029 at
+    seed 2).
     """
     if property_id not in (1, 2, 3, 4, 5):
         raise ValueError("property_id must be in 1..5")

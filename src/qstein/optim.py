@@ -27,7 +27,9 @@ step reads, passing the stack as an ``_AtomStack`` prepared once per
 re-solve.  The weights are re-optimized by that one step, Newton's method
 on the simplex (``_newton_reweight``), with the Daleckii-Krein form of the
 softplus surrogate of the positive part, and its second-order form for the
-relative entropy.
+relative entropy.  Its line search reads the slope at a trial off the
+trial's ``grad()`` and steps back to where the tangents meet, the cut of
+Kelley's method that the one-member search also takes.
 
 A solver is that routine plus its data (m is ``settings.max_iters``; a tau of
 ``exact`` runs on the exact objective and its gradient; a stage makes at
@@ -287,7 +289,15 @@ def _pairwise_direction(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return d
 
 
-def _backtrack(probe, mats: np.ndarray | _AtomStack, w: np.ndarray,
+def _tangents_meet(lo: tuple, hi: tuple) -> float:
+    """Where the tangents at lo = (a, g(a), g'(a)) and hi = (c, g(c),
+    g'(c)) of a function g meet, the minimizer of Kelley's cutting-plane
+    model on [a, c]; g'(a) != g'(c)."""
+    (a, ga, sa), (c, gc, sc) = lo, hi
+    return (gc - ga + sa * a - sc * c) / (sa - sc)
+
+
+def _backtrack(probe, mats: np.ndarray, w: np.ndarray,
                d: np.ndarray, jac: np.ndarray, value: float, radius: float,
                tracker: _Tracker):
     """Safeguarded backtracking along d on the weight simplex.
@@ -299,16 +309,18 @@ def _backtrack(probe, mats: np.ndarray | _AtomStack, w: np.ndarray,
     along d at the step that is still <= 0: by convexity that step
     descends, and near a hull optimum of a sharply curved surrogate the
     decrease is below what the value resolves while the slope still shows
-    it.  A rejected step t is followed by the minimizer of the quadratic
-    through the value and slope at 0 and the value at t, kept in [t/10,
-    t/2] (t/2 if that is not convex), so a step far past a kink shrinks
-    tenfold per probe.  Returns (weights, surrogate value, the probe's
-    ``local``, next radius), or None when no step of at least 1e-15 in the
-    weights is accepted.  The radius grows fourfold after a first trial
-    that holds, and is twice the accepted step after one that had to shrink.
+    it.  That slope is Tr[grad D], D = sum_k d_k A_k the step in the
+    iterate, with ``grad()`` from the trial's own probe, so it costs no
+    eigendecomposition and no Hessian.  A rejected step t is followed by
+    the point where the tangents at 0 and t meet (``_tangents_meet``), kept
+    in [t/100, 0.9 t], or by t/2 if the slope at t is not above the slope at
+    0: past a kink of the surrogate the tangent at t is steep, and the
+    tangents meet near the kink.  Returns (weights, surrogate value, the
+    probe's ``local``, next radius), or None when no step of at least 1e-15
+    in the weights is accepted.  The radius grows fourfold after a first
+    trial that holds, and is twice the accepted step after one that had to
+    shrink.
     """
-    stack = _AtomStack.of(mats)
-    mats = stack.mats
     slope = float(jac @ d)
     shrink = np.flatnonzero(d < 0.0)
     if slope >= 0.0 or not shrink.size:
@@ -317,6 +329,7 @@ def _backtrack(probe, mats: np.ndarray | _AtomStack, w: np.ndarray,
     hit = float(ratios.min())
     size = float(np.abs(d).sum())
     flat = mats.reshape(len(w), -1)
+    step_dir = (d @ flat).reshape(mats.shape[1:])
     t = min(1.0, hit, radius / size)
     for tries in range(60):
         if t * size <= 1e-15:
@@ -326,17 +339,19 @@ def _backtrack(probe, mats: np.ndarray | _AtomStack, w: np.ndarray,
             trial[shrink[np.argmin(ratios)]] = 0.0
         trial /= trial.sum()
         x = (trial @ flat).reshape(mats.shape[1:])
-        v, exact, _, local = probe(x)
+        v, exact, grad, local = probe(x)
         tracker.offer(x, exact)
         grown = max(radius, 4.0 * t * size) if tries == 0 else 2.0 * t * size
         if v < value and v <= value + 1e-4 * t * slope:
             return trial, v, local, grown
-        if v <= value + 1e-15 * abs(value):
-            derivs = local(stack)
-            if derivs[0] @ d <= 0.0:
-                return trial, v, lambda _: derivs, grown
-        curv = v - value - slope * t
-        t *= min(0.5, max(0.1, -slope * t / (2.0 * curv))) if curv > 0 else 0.5
+        slope_t = _tr_prod(grad(), step_dir)
+        if v <= value + 1e-15 * abs(value) and slope_t <= 0.0:
+            return trial, v, local, grown
+        if slope_t > slope:
+            meet = _tangents_meet((0.0, value, slope), (t, v, slope_t))
+            t = min(0.9 * t, max(0.01 * t, meet))
+        else:
+            t *= 0.5
     return None
 
 
@@ -349,8 +364,9 @@ def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
     in the coordinates of the atoms, passed as one ``_AtomStack`` for the
     whole solve; ``start`` is that probe at the atoms' mixture when the
     caller has made it, else it is made here.  Each step is backtracked to
-    the Armijo condition (``_backtrack``); when the Newton step does not
-    descend, the pairwise step is tried.  The solve stops at a hull gap
+    the Armijo condition (``_backtrack``, which steps back to where the
+    tangents at the start and the trial meet); when the Newton step does
+    not descend, the pairwise step is tried.  The solve stops at a hull gap
     jac.w - min(jac) of at most ``hull_tol``, when no step descends, or
     after 60 steps.  Every probe's exact value goes to the tracker.
     """
@@ -366,7 +382,7 @@ def _newton_reweight(atoms: list[list], probe, tracker: _Tracker,
                           partial(_pairwise_direction, w, jac)):
             d = direction()  # the pairwise step only if Newton's fails
             step = None if d is None else _backtrack(
-                probe, stack, w, d, jac, value, radius, tracker)
+                probe, stack.mats, w, d, jac, value, radius, tracker)
             if step is not None:
                 break
         else:
@@ -950,9 +966,9 @@ def _kink_search(at, lo: tuple, hi: tuple) -> tuple:
     minimum of a convex g, g'(lo) < 0 <= g'(hi), closed with the probe
     ``at(b) -> (b, g(b), g'(b))``.
 
-    Each step probes where the tangents at lo and hi meet, the minimizer
-    of Kelley's cutting-plane model; on a kink between two linear pieces
-    (eta and s commute) that is the kink to rounding.  The tangents stop
+    Each step probes where the tangents at lo and hi meet
+    (``_tangents_meet``); on a kink between two linear pieces (eta and s
+    commute) that is the kink to rounding.  The tangents stop
     helping when their meeting point leaves the open bracket, or g(hi)
     lies within ``TANGENT_GAP`` of their bound, which no g on the bracket
     undercuts.  Then a slope jump above ``SLOPE_JUMP`` across the bracket
@@ -969,7 +985,7 @@ def _kink_search(at, lo: tuple, hi: tuple) -> tuple:
     for _ in range(60):
         (a, ga, sa), (c, gc, sc) = lo, hi
         if not smooth:
-            b = (gc - ga + sa * a - sc * c) / (sa - sc)
+            b = _tangents_meet(lo, hi)
             if not a < b < c or gc - (ga + sa * (b - a)) <= TANGENT_GAP:
                 if sc - sa > SLOPE_JUMP:
                     break

@@ -725,14 +725,14 @@ class TestStructureFromType:
         power = opalg.Power(opalg.density(np.array([[0.7, 0.2],
                                                     [0.2, 0.3]])), n)
         res = min_positive_part(power, optim._threshold(0.1, n), fam)
-        assert (res.value, res.fw_gap) == (0.2035685148070615,
-                                           0.05411630318375485)
+        assert (res.value, res.fw_gap) == (0.2035685073015513,
+                                           0.05411632006378192)
         assert (hypothesis_primal(power, 4.0, fam),
-                hypothesis_dual(power, 4.0, fam)) == (0.5107323210773795,
-                                                      0.5107323214228638)
+                hypothesis_dual(power, 4.0, fam)) == (0.5107323210771566,
+                                                      0.5107323288255563)
         res = rel_ent_of_resource(power, fam)
-        assert (res.value, res.fw_gap) == (0.3790445438636949,
-                                           1.1185552484249683e-11)
+        assert (res.value, res.fw_gap) == (0.37904454386369446,
+                                           1.300626273348371e-13)
 
 
 class TestNewtonReweight:
@@ -767,7 +767,8 @@ class TestNewtonReweight:
     def test_backtrack_on_a_kink(self):
         # X = w_1 K sigma0 with eta = sigma0: eta - X has a kink 1e-5 along
         # d, and the first trial (the radius, 1/2) overshoots it 5e4 times;
-        # plain halving would take 16 probes to come back
+        # plain halving would take 16 probes to come back, a quadratic
+        # model through the values 9, the tangents' meeting point 4
         eta = np.diag([0.6, 0.4]).astype(complex)
         probe = optim._dual_eval(
             lambda t, off: optim._pospart_eval(eta, 1.0, t, off), 2.0, 1e-8)
@@ -782,10 +783,31 @@ class TestNewtonReweight:
             return probe(x)
         step = optim._backtrack(counted, mats, w, d, jac, value, 1.0,
                                 optim._Tracker())
-        assert step is not None and len(probes) <= 10
+        assert step is not None and len(probes) <= 4
         trial, v = step[0], step[1]
         t = float(trial[1] - w[1])
         assert v < value and v <= value + 1e-4 * t * float(jac @ d)
+
+    def test_annealed_dual_probe_count(self, monkeypatch):
+        # every surrogate probe of one annealed dual on a random qudit
+        # against the full state space: 66 with the tangent step, 100 with
+        # a quadratic model through the values
+        dual_eval, probes = optim._dual_eval, []
+
+        def counting(pospart, K, tau):
+            probe = dual_eval(pospart, K, tau)
+
+            def counted(x):
+                probes.append(tau)
+                return probe(x)
+            return probe if tau is None else counted
+        monkeypatch.setattr(optim, "_dual_eval", counting)
+        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+        eta = rand.random_density(np.random.default_rng(1), SystemShape((5,)))
+        fam = FullSpaceFamily(5, 1)
+        dual = hypothesis_dual(eta, 2.0, fam)
+        assert 0 < len(probes) <= 80
+        assert dual - hypothesis_primal(eta, 2.0, fam) <= 1e-12
 
     @pytest.mark.parametrize("duplicate", (False, True))
     def test_meets_hull_gap(self, duplicate):
@@ -1455,9 +1477,9 @@ class TestResourceMeasures:
         assert abs(res.value - binary_entropy(0.8)) < 1e-7
 
     def test_relent_certifies_at_last_iterate(self, monkeypatch):
-        # E_R of coherence on three qubit copies is 3 h(0.8); the best probe
-        # leaves a Frank-Wolfe gap above tol, so a second bound is taken, at
-        # the stage's last iterate, and that one certifies
+        # E_R of coherence 0.9 on three qubit copies is 3 h(0.9); the best
+        # probe leaves a Frank-Wolfe gap above tol, so a second bound is
+        # taken, at the stage's last iterate, and that one certifies
         bounds = []
         fw_bound = optim._fw_bound
 
@@ -1465,12 +1487,12 @@ class TestResourceMeasures:
             bounds.append(fw_bound(*args, **kwargs))
             return bounds[-1]
         monkeypatch.setattr(optim, "_fw_bound", spy)
-        res = rel_ent_of_resource(opalg.Power(coherence_qubit(), 3),
+        res = rel_ent_of_resource(opalg.Power(coherence_qubit(0.9), 3),
                                   DiagonalFamily(2, 3),
-                                  SolverSettings(max_iters=200, tol=1e-8))
+                                  SolverSettings(max_iters=200, tol=1e-9))
         assert len(bounds) == 2
         assert res.converged
-        assert abs(res.value / 3 - binary_entropy(0.8)) < 1e-8
+        assert abs(res.value / 3 - binary_entropy(0.9)) < 1e-8
 
     @pytest.mark.parametrize("copies,F", [(1, 1.0), (2, 1.0), (1, 0.9)],
                              ids=["bell-x1", "bell-x2", "isotropic-0.9"])

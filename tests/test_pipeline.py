@@ -338,18 +338,18 @@ class TestSupportRule:
 # certificates.csv of the mixed qubit below at N = 5, y = 0.1: the rows of
 # the purified route, which no pure-base pipeline runs
 MIXED_N5_ROWS = [
-    ("dominated-state construction", 6.72423656748e-06, 1e-09),
-    ("step1 operator dominance", 6.72423656748e-06, 1e-08),
-    ("step1 fidelity floor", 0.243024836951, 1e-08),
-    ("purification overlap floor", 0.243024836951, 1e-08),
-    ("conditioned-state dominance", -1.11674007405e-17, 1e-09),
-    ("tail-truncation distance bound", 2.08571558737, 1e-08),
-    ("conditioned-to-truncated dominance", -1.09192992224e-16, 1e-08),
-    ("power-state tail bound", -1.21891065721e-14, 1e-08),
-    ("assembled power-state dominance", 1973.16443352, 1e-08),
-    ("mixing-weight decay", 0.556739790332, 1e-12),
-    ("relative-entropy budget", 12.3358936612, 1e-08),
-    ("near-free distance", 1.87831029805, 1e-06),
+    ("dominated-state construction", 6.72092537159e-06, 1e-09),
+    ("step1 operator dominance", 6.72092537159e-06, 1e-08),
+    ("step1 fidelity floor", 0.243024819254, 1e-08),
+    ("purification overlap floor", 0.243024819254, 1e-08),
+    ("conditioned-state dominance", -9.44252458874e-18, 1e-09),
+    ("tail-truncation distance bound", 2.08571558548, 1e-08),
+    ("conditioned-to-truncated dominance", -1.8057764772e-18, 1e-08),
+    ("power-state tail bound", 6.66893778623e-15, 1e-08),
+    ("assembled power-state dominance", 1973.16425617, 1e-08),
+    ("mixing-weight decay", 0.556739793564, 1e-12),
+    ("relative-entropy budget", 12.3358937209, 1e-08),
+    ("near-free distance", 1.87831020271, 1e-06),
 ]
 
 
