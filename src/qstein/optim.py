@@ -41,7 +41,8 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
       rank-one target       none: the closed form, then the exit bound
     hypothesis_dual         ANNEAL_TAUS       max(20, m//3)  tol/4
       one-member family     none: tangent and secant steps in b, exact probes
-    hypothesis_primal       reads stage 2's end, and its atoms, of the dual
+    hypothesis_primal       reads stage 2's end, and its atoms, of the dual;
+                            cuts solved by lp.maximize_packing
       one-member family     reads the search's end; one cut, closed form
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
@@ -56,10 +57,11 @@ vanishes.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
 dual's second stage with a cutting-plane linear program, whose first cuts
-are that iterate's atoms; a program of one cut is a fractional knapsack,
-solved in closed form (``_one_row_optimum``).  Both ends of the bracket
-share one solve: the last dual solve is memoized, so a primal and a dual
-call on the same inputs, in either order, solve once.
+are that iterate's atoms.  The program is solved by the small simplex of
+``lp.maximize_packing``, which starts at e = 0; a program of one cut is a
+fractional knapsack, solved in closed form (``_one_row_optimum``).  Both
+ends of the bracket share one solve: the last dual solve is memoized, so a
+primal and a dual call on the same inputs, in either order, solve once.
 Oracles and iterates are plain matrices, and a solver returns its minimizer
 unvalidated, as a ``HermitianOperator`` built on first read
 (``OptResult.minimizer``): a ``DensityMatrix`` is built where a state
@@ -96,7 +98,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import opalg, symmetry
+from . import lp, opalg, symmetry
 from .entropy import (_log_first_differences, _log_second_differences,
                       _tr_x_log_x)
 from .errors import Infeasible, NoFullRankMember
@@ -1075,27 +1077,24 @@ def hypothesis_primal(eta: HermitianOperator | opalg.Power, K: float,
     cutting planes sum_j e_j <v_j|s|v_j> <= budget, s free.  The first
     round has no rows, so its optimum is e_j = 1 where <v_j|eta|v_j> > 0
     and 0 elsewhere, with no linear program; a round with one row is a
-    fractional knapsack, solved without one too (``_one_row_optimum``).
-    If the oracle's answer to -E breaks the budget, the rows become its cut
-    and one cut per nonzero atom K s of X*, cut with s: by complementary
+    fractional knapsack, solved without one too (``_one_row_optimum``), and
+    later rounds solve theirs with ``lp.maximize_packing``.  If the
+    oracle's answer to -E breaks the budget, the rows become its cut and
+    one cut per nonzero atom K s of X*, cut with s: by complementary
     slackness an optimal test makes those tight, so one program usually
     suffices.  Each later round adds the cut of its answer, until that
     answer exceeds the budget by at most a relative 1e-9, for at most
     ``max_iters`` rounds; any free s gives a valid cut, so feasibility
-    rests on the oracle alone.  The rows are divided by the budget and
-    solved to HiGHS' tightest feasibility tolerance, 1e-10: at its default
-    of 1e-7 a cut the LP already holds can stay violated by more than the
-    1e-9, and the same cut is added round after round.  The weights are
-    clipped to [0, 1] (the LP meets its bounds only to about 1e-9), and the
-    value Tr[E eta] is scaled by min(1, budget / Tr[E s]) at the last
-    answer s.
+    rests on the oracle alone.  The rows are divided by the budget, so
+    every right-hand side is 1 and the simplex's first basis, e = 0, is
+    feasible; every basis after it is too, so the rows hold to rounding.
+    The weights are clipped to [0, 1], and the value Tr[E eta] is scaled by
+    min(1, budget / Tr[E s]) at the last answer s.
 
     On a one-member family {s}, X* = b s with no atoms: the test is the
     Neyman-Pearson test {eta - b s > 0} plus a fraction on the kernel, from
     the one row of the second round, and the third round passes.
     """
-    from scipy.optimize import linprog
-
     if not 0.0 < K < math.inf:
         raise ValueError(f"K must be positive and finite, got {K}")
     family.check_dim(eta)
@@ -1114,11 +1113,7 @@ def hypothesis_primal(eta: HermitianOperator | opalg.Power, K: float,
         if len(cuts) == 1:
             e = _one_row_optimum(gain, cuts[0] / budget)
         elif cuts:
-            res = linprog(-gain, A_ub=np.array(cuts) / budget,
-                          b_ub=np.ones(len(cuts)), bounds=(0.0, 1.0),
-                          method="highs",
-                          options={"primal_feasibility_tolerance": 1e-10})
-            e = np.clip(res.x, 0.0, 1.0)
+            e = lp.maximize_packing(gain, np.array(cuts) / budget)
         cost = diag_in_basis(family.lmo(-(V * e) @ V.conj().T, settings.seed))
         if cost @ e <= budget * (1.0 + 1e-9):
             break

@@ -1,6 +1,7 @@
 """Static checks on the package source: every import is used, every
-private module-level function or class is referenced somewhere in it, and
-no module is long enough to double the parser's token array."""
+private module-level function or class is referenced somewhere in it, no
+module imports scipy, and no module is long enough to double the parser's
+token array."""
 
 import ast
 import io
@@ -64,6 +65,18 @@ def test_no_unreferenced_private_definition():
                and node.name.startswith("_") and not node.name.startswith("__")
                and node.name not in referenced]
     assert not orphans, f"private definitions nothing references: {orphans}"
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_scipy_import(name):
+    """scipy is a test-only dependency: the package runs on numpy alone."""
+    imported = set()
+    for node in ast.walk(TREES[name]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert not {m for m in imported if m.split(".")[0] == "scipy"}
 
 
 SPECTRAL = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}

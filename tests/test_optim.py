@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qstein import opalg, optim, rand, symmetry, verify
+from qstein import lp, opalg, optim, rand, symmetry, verify
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
@@ -728,7 +728,7 @@ class TestStructureFromType:
         assert (res.value, res.fw_gap) == (0.2035685073015513,
                                            0.05411632006378192)
         assert (hypothesis_primal(power, 4.0, fam),
-                hypothesis_dual(power, 4.0, fam)) == (0.5107323210771566,
+                hypothesis_dual(power, 4.0, fam)) == (0.5107323210773137,
                                                       0.5107323288255563)
         res = rel_ent_of_resource(power, fam)
         assert (res.value, res.fw_gap) == (0.37904454386369446,
@@ -1199,13 +1199,13 @@ class TestHypothesisTesting:
             assert p <= du + 1e-12
 
     @staticmethod
-    def _count_linprog(monkeypatch):
-        """The list of the arguments of every ``linprog`` call from here."""
-        import scipy.optimize
+    def _count_lps(monkeypatch):
+        """The list of the arguments of every ``lp.maximize_packing`` call
+        from here."""
         calls = []
-        linprog = scipy.optimize.linprog
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            lambda *a, **k: calls.append(a) or linprog(*a, **k))
+        solve = lp.maximize_packing
+        monkeypatch.setattr(lp, "maximize_packing",
+                            lambda *a: calls.append(a) or solve(*a))
         return calls
 
     @staticmethod
@@ -1280,7 +1280,7 @@ class TestHypothesisTesting:
     def test_primal_first_round_needs_no_lp(self, monkeypatch):
         # with no cuts the LP's optimum is e = 1 where the gain is positive;
         # on disjoint supports that test already meets the budget
-        calls = self._count_linprog(monkeypatch)
+        calls = self._count_lps(monkeypatch)
         fam = SingletonIIDFamily(3, 1, sigma0=np.diag([0.0, 0.0, 1.0]))
         eta = opalg.density(np.diag([0.6, 0.4, 0.0]))
         assert abs(hypothesis_primal(eta, 4.0, fam, FAST) - 1.0) <= 1e-12
@@ -1289,7 +1289,7 @@ class TestHypothesisTesting:
     def test_primal_one_lp_per_bracket(self, monkeypatch):
         # the dual's atoms are the cuts an optimal test makes tight, so the
         # first linear program already meets the budget
-        calls = self._count_linprog(monkeypatch)
+        calls = self._count_lps(monkeypatch)
         rng = np.random.default_rng(29)
         for d in range(2, 7):
             for K in (2.0, 4.0, 8.0):
@@ -1331,7 +1331,7 @@ class TestHypothesisTesting:
                                                            monkeypatch):
         # on {s} the dual is a 1-D problem in b and the primal's one cut
         # has a closed form, so both ends meet and no LP is solved
-        calls = self._count_linprog(monkeypatch)
+        calls = self._count_lps(monkeypatch)
 
         def bracket(eta, K, fam):
             ends = (hypothesis_primal(eta, K, fam, FAST),
