@@ -4,8 +4,8 @@ families with linear oracles, Frank-Wolfe solvers, symmetric-subspace
 constructions, and a certificate pipeline for the finite-size direct-part
 inequalities."""
 
-from . import (entropy, freesets, lp, opalg, optim, pipeline, rand, symmetry,
-               verify)
+from . import (entropy, freesets, fw, lp, opalg, optim, pipeline, rand,
+               symmetry, typeclass, verify)
 from .certificates import Certificate
 from .opalg import (DensityMatrix, HermitianOperator, PureState, SystemShape,
                     density, operator, pure)
@@ -19,6 +19,7 @@ __all__ = [
     "density",
     "entropy",
     "freesets",
+    "fw",
     "lp",
     "opalg",
     "operator",
@@ -27,6 +28,7 @@ __all__ = [
     "pure",
     "rand",
     "symmetry",
+    "typeclass",
     "verify",
 ]
 

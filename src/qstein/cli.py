@@ -23,8 +23,8 @@ from .errors import (CertificateFailed, DimensionCap, PremiseOutOfInterval,
                      QSteinError)
 from .freesets import parse_family_spec
 from .opalg import DensityMatrix, SystemShape
-from .optim import (SolverSettings, _threshold, hypothesis_dual,
-                    hypothesis_primal, min_positive_part)
+from .optim import (SolverSettings, hypothesis_dual, hypothesis_primal,
+                    min_positive_part, rate_threshold)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -120,8 +120,8 @@ def _exponent_row(power, fam_spec, y_grid, settings):
     family = parse_family_spec(fam_spec, power.base.total_dim, n)
     rows, res = [], None
     for y in sorted(y_grid):
-        res = min_positive_part(power, _threshold(y, n), family, settings,
-                                start=res)
+        res = min_positive_part(power, rate_threshold(y, n), family,
+                                settings, start=res)
         rows.append((n, y, res.value, res.fw_gap))
     return rows
 
@@ -238,7 +238,7 @@ def cmd_pn(args) -> int:
     if "k" in cfg:
         K = float(cfg["k"])
     elif "y" in cfg:
-        K = _threshold(float(cfg["y"]), n)
+        K = rate_threshold(float(cfg["y"]), n)
     else:
         raise ConfigError("pn needs either 'k' or 'y' (with 'n') in the config")
     settings = _settings_from(cfg, args)

@@ -35,7 +35,7 @@ def binary_entropy(p: float) -> float:
     return out
 
 
-def _tr_x_log_x(mat: np.ndarray) -> float:
+def tr_x_log_x(mat: np.ndarray) -> float:
     """Tr[x log2 x] = sum lambda log2 lambda over the positive spectrum of
     the Hermitian matrix x."""
     w = eigh(mat)[0]
@@ -43,42 +43,9 @@ def _tr_x_log_x(mat: np.ndarray) -> float:
     return float((w * np.log2(w)).sum())
 
 
-def _log_first_differences(lam: np.ndarray) -> np.ndarray:
-    """F1[i, j] = f[lam_i, lam_j], the divided difference of the natural log
-    at a positive spectrum (1 / lam_i where the two coincide): log1p(x) /
-    (x lo), with lo the smaller eigenvalue and x = |lam_i - lam_j| / lo,
-    accurate for close and far eigenvalues alike."""
-    lo = np.minimum.outer(lam, lam)
-    x = np.abs(lam[:, None] - lam[None, :]) / lo
-    return np.where(x > 0.0, np.log1p(x) / np.where(x > 0.0, x, 1.0),
-                    1.0) / lo
-
-
-def _log_second_differences(lam: np.ndarray, F1: np.ndarray,
-                            js: slice) -> np.ndarray:
-    """F2[i, j, m] = f[lam_i, lam_j, lam_m] of the natural log at a positive
-    spectrum for the j in ``js``, from its first differences F1.
-
-    Over the sorted triple x >= y >= z it is (f[x, y] - f[y, z]) / (x - z);
-    f[., .] decreases in each argument, so f[x, y] and f[y, z] are the least
-    and the largest of the triple's three first differences.  Where x - z <=
-    1e-5 z it is -1 / (2 m^2) at the mean m instead.  Either way its relative
-    error is about 1e-10.
-    """
-    li, lj, lm = lam[:, None, None], lam[None, js, None], lam[None, None, :]
-    pairs = (F1[:, js, None], F1[None, js, :], F1[:, None, :])
-    low = np.minimum(np.minimum(li, lj), lm)
-    spread = np.maximum(np.maximum(li, lj), lm) - low
-    near = spread <= 1e-5 * low
-    num = (np.minimum(np.minimum(*pairs[:2]), pairs[2])
-           - np.maximum(np.maximum(*pairs[:2]), pairs[2]))
-    return np.where(near, -4.5 / (li + lj + lm) ** 2,
-                    num / np.where(near, 1.0, spread))
-
-
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum lambda log2 lambda over the nonzero spectrum."""
-    return -_tr_x_log_x(rho.mat)
+    return -tr_x_log_x(rho.mat)
 
 
 def relative_entropy(rho: HermitianOperator,
@@ -87,12 +54,12 @@ def relative_entropy(rho: HermitianOperator,
     support.
 
     The support test projects rho onto the null space of sigma
-    (``opalg._support_split``) and compares the leaked weight against
+    (``opalg.support_split``) and compares the leaked weight against
     ``SUPPORT_LEAK_TOL``.
     """
     if rho.shape.dims != sigma.shape.dims:
         raise opalg.ShapeMismatch("relative entropy needs matching shapes")
-    w, V, on = opalg._support_split(sigma.mat)
+    w, V, on = opalg.support_split(sigma.mat)
     null_cols = V[:, ~on]
     leak = 0.0
     if null_cols.shape[1]:
@@ -102,7 +69,7 @@ def relative_entropy(rho: HermitianOperator,
         return math.inf
     log_sigma = (V[:, on] * np.log2(w[on])) @ V[:, on].conj().T
     tr_rho_log_sigma = float(np.trace(rho.mat @ log_sigma).real)
-    return _tr_x_log_x(rho.mat) - tr_rho_log_sigma
+    return tr_x_log_x(rho.mat) - tr_rho_log_sigma
 
 
 def entropy_continuity_bound(d: int, eps: float) -> float:
@@ -125,7 +92,7 @@ def relent_continuity_bound(m_tilde: float, eps: float) -> float:
 
 def relent_upper_bound(sigma: DensityMatrix) -> float:
     """log2(1/lambda_min(sigma)); dominates D(rho||sigma) for every rho."""
-    w, _, on = opalg._support_split(sigma.mat)
+    w, _, on = opalg.support_split(sigma.mat)
     if not on[0]:
         raise SingularSigma(f"lambda_min {w[0]:.3e} is below the support cutoff")
     return float(-np.log2(w[0]))

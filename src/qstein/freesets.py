@@ -334,8 +334,9 @@ class SeparableHullFamily(FreeFamily):
     seesaw_tol = 1e-10
 
     def __post_init__(self):
-        if self.dim_a * self.dim_b != self.base_dim:
-            raise ShapeMismatch("base_dim must equal dim_a * dim_b")
+        if (min(self.dim_a, self.dim_b) < 1
+                or self.dim_a * self.dim_b != self.base_dim):
+            raise ShapeMismatch("need dim_a, dim_b >= 1 with product base_dim")
 
     @property
     def membership_check_tol(self) -> float:
@@ -480,6 +481,8 @@ def parse_family_spec(spec: str, base_dim: int, copies: int) -> FreeFamily:
             da, db = (int(x) for x in s[len("sep:"):].split("x"))
         except ValueError as exc:
             raise ValueError(f"bad separable descriptor {spec!r}") from exc
+        if min(da, db) < 1:
+            raise ValueError(f"{spec!r}: each factor dimension must be >= 1")
         if da * db != base_dim:
             raise ShapeMismatch(
                 f"sep:{da}x{db} does not match state dimension {base_dim}")

@@ -406,7 +406,7 @@ def trace_norm_mat(mat: np.ndarray) -> float:
     return 0.5 * float(np.abs(w).sum())
 
 
-def _support_split(mat: np.ndarray):
+def support_split(mat: np.ndarray):
     """Eigenpairs of a Hermitian matrix and the mask of its support: the
     eigenvalues above ``SUPPORT_CUTOFF`` times the largest (above 0 when none
     is positive).  The rest are numerical zeros."""
@@ -416,14 +416,14 @@ def _support_split(mat: np.ndarray):
 
 def support_ray(mat: np.ndarray) -> np.ndarray | None:
     """The unit vector spanning a PSD matrix's support when
-    :func:`_support_split` finds one eigenvalue on it, else None: the one
+    :func:`support_split` finds one eigenvalue on it, else None: the one
     test of whether a state read from input is pure."""
-    _, V, on = _support_split(mat)
+    _, V, on = support_split(mat)
     return V[:, -1] if on.sum() == 1 else None
 
 
 def _checked_psd(split, tol: float):
-    """A ``_support_split`` whose least eigenvalue is not below -tol."""
+    """A ``support_split`` whose least eigenvalue is not below -tol."""
     w = split[0]
     if w[0] < -tol:
         raise NegativeEigenvalue(f"eigenvalue {w[0]:.3e} below -{tol:.0e}")
@@ -439,16 +439,16 @@ def _sqrt_of_split(w: np.ndarray, V: np.ndarray,
 def sqrt_psd(mat: np.ndarray, tol: float = PSD_TOL) -> np.ndarray:
     """PSD square root; eigenvalues in (-tol, 0) are clamped to zero.
 
-    Eigenvalues off the support (:func:`_support_split`) are chopped before
+    Eigenvalues off the support (:func:`support_split`) are chopped before
     the root, which would otherwise amplify them to sqrt-of-noise size in
     arbitrary directions.
     """
-    return _sqrt_of_split(*_checked_psd(_support_split(mat), tol))
+    return _sqrt_of_split(*_checked_psd(support_split(mat), tol))
 
 
 def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
     """Pseudo-inverse square root of a PSD matrix (zero off the support)."""
-    w, V, on = _support_split(mat)
+    w, V, on = support_split(mat)
     inv = np.where(on, 1.0 / np.sqrt(np.clip(w, 1e-300, None)), 0.0)
     return (V * inv) @ V.conj().T
 
@@ -456,12 +456,12 @@ def pinv_sqrt_psd(mat: np.ndarray) -> np.ndarray:
 def fidelity(p: HermitianOperator, q: HermitianOperator) -> float:
     """Trace norm of sqrt(p) sqrt(q) for PSD operators p, q.
 
-    When q's support (:func:`_support_split`) is one eigenvector v, with
+    When q's support (:func:`support_split`) is one eigenvector v, with
     eigenvalue lam, this is sqrt(lam <v|p|v>): one eigendecomposition of q,
     in place of two square roots and the 2n-wide dilation of
     :func:`trace_norm_mat`.  That route checks p only through <v|p|v>.
     """
-    w, V, on = _checked_psd(_support_split(q.mat), PSD_TOL)
+    w, V, on = _checked_psd(support_split(q.mat), PSD_TOL)
     if on.sum() == 1:
         v = V[:, -1]
         quad = float(np.vdot(v, p.mat @ v).real)
@@ -475,11 +475,11 @@ def fidelity(p: HermitianOperator, q: HermitianOperator) -> float:
 def log2_on_support(a: HermitianOperator) -> HermitianOperator:
     """Base-2 matrix logarithm restricted to the support.
 
-    Eigenvalues off the support (:func:`_support_split`) map to 0 in the
+    Eigenvalues off the support (:func:`support_split`) map to 0 in the
     result, so the output acts as log2 on the support and annihilates the
     null space; an operator with no positive eigenvalue maps to 0.
     """
-    w, V, on = _support_split(a.mat)
+    w, V, on = support_split(a.mat)
     if not on[-1]:
         return HermitianOperator(a.shape, np.zeros_like(a.mat))
     lw = np.where(on, np.log2(np.clip(w, 1e-300, None)), 0.0)

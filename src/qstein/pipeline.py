@@ -25,9 +25,9 @@ from .errors import (CertificateFailed, ConstructionFailed, DimensionCap,
                      PremiseFailed, PremiseOutOfInterval)
 from .freesets import FreeFamily
 from .opalg import DensityMatrix, HermitianOperator, eigh
-from .optim import (OptResult, SolverSettings, _threshold, _TypeClassCoords,
-                    distance_to_family, min_positive_part,
-                    rel_ent_of_resource)
+from .optim import (OptResult, SolverSettings, distance_to_family,
+                    min_positive_part, rate_threshold, rel_ent_of_resource)
+from .typeclass import TypeClassCoords
 
 PREMISE_WINDOW = 1e-4
 CERT_TOL = 1e-8
@@ -70,7 +70,7 @@ def mr_schedule(N: int) -> Schedule:
     return Schedule(N, M, R)
 
 
-def _conditioning_weight(N: int, M: int, R: int, x: float) -> float:
+def conditioning_weight(N: int, M: int, R: int, x: float) -> float:
     """2 sqrt(2)/x e^{-MR/(2N)}, the conditioning weight at fidelity x."""
     return 2.0 * math.sqrt(2.0) / x * math.exp(-M * R / (2.0 * N))
 
@@ -79,9 +79,9 @@ def _epsilon_terms(N: int, M: int, R: int, y: float,
                    mu: float) -> tuple[float, float, float]:
     """Mixing weight eps and the weights a (conditioning) and b (tail
     truncation) of its two approximation steps."""
-    a = _conditioning_weight(N, M, R, mu)
+    a = conditioning_weight(N, M, R, mu)
     b = symmetry.truncation_weight(N, R)
-    return 2.0 * mu ** 3 / _threshold(y, N) * (a + b), a, b
+    return 2.0 * mu ** 3 / rate_threshold(y, N) * (a + b), a, b
 
 
 def epsilon_schedule(N: int, M: int, R: int, y: float, mu: float) -> float:
@@ -133,7 +133,7 @@ def dominated_state(rho: HermitianOperator | opalg.Power,
     vanish, so there the margins are the values of ``rest``, which are also
     diagonal entries of X's block: the largest eigenvalues of X and
     X + Delta, which set the support cutoffs of T's roots
-    (``opalg._support_split``), are their blocks'.
+    (``opalg.support_split``), are their blocks'.
     """
     floor = float(np.min(rest, initial=math.inf))
     s_mat = X.mat + Delta.mat
@@ -161,32 +161,27 @@ def dominated_state(rho: HermitianOperator | opalg.Power,
 
 
 def _lemma_operands(power: opalg.Power, b: float, res: OptResult,
-                    coords: _TypeClassCoords | None):
+                    coords: TypeClassCoords | None):
     """sigma_N, the lemma's rho, X = b sigma_N and complement values, and
     the map of its witness to the dense rho_N.
 
     Where the threshold solve ran on the power's class block
     (``coords.small``, a pure base), each is the T x T block on the class
-    vectors D: rho = u u^dag, X = diag(v) with v = b w / |T|, and X's
-    complement values v_t (multiplicity |T_t| - 1), with rho_N = D rho~ D^T;
-    sigma_N is checked as the state diag(w), a check at least as strict as
-    one of its d^N eigenvalues w_t / |T_t|.  Else they are the dense power
-    and b times the twirled minimizer, checked d^N wide."""
+    vectors (``TypeClassCoords.threshold_operands``), and rho_N is lifted
+    from it (``TypeClassCoords.lift``); sigma_N is checked as the state
+    diag(w), a check at least as strict as one of its d^N eigenvalues
+    w_t / |T_t|.  Else they are the dense power and b times the twirled
+    minimizer, checked d^N wide."""
     if coords is None or coords.small is None:
         sigma_N = DensityMatrix(res.minimizer.shape,
                                 symmetry.twirl(res.minimizer).mat)
         X = HermitianOperator(sigma_N.shape, b * sigma_N.mat)
         return sigma_N, power, X, (), lambda m: m
-    sizes, labels = coords.sizes, coords.labels
     opalg.density(res.weights)  # sigma_N's state check
     sigma_N = HermitianOperator(power.shape, coords.dense(res.weights))
-    v = b * np.diag(res.weights).real / sizes
-    scale = 1.0 / np.sqrt(sizes)
-
-    def to_dense(block: np.ndarray) -> np.ndarray:
-        return (scale[:, None] * block * scale)[np.ix_(labels, labels)]
-    return (sigma_N, opalg.operator(coords.small), opalg.operator(np.diag(v)),
-            v[sizes > 1], to_dense)
+    small, v, rest = coords.threshold_operands(b, res.weights)
+    return (sigma_N, opalg.operator(small), opalg.operator(np.diag(v)), rest,
+            coords.lift)
 
 
 def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
@@ -199,7 +194,7 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     fidelity at least mu_N to the power state.  mu_N = 1 - Tr Delta for
     Delta = (rho^{x N} - 2^{yN} sigma_N)_+, so one check of the lemma
     (:func:`dominated_state`) fills all three step-1 rows.  A solve in
-    type-class coordinates on a pure base (``_TypeClassCoords.of``) runs it,
+    type-class coordinates on a pure base (``TypeClassCoords.of``) runs it,
     and the state checks, on the class block (:func:`_lemma_operands`);
     sigma_N and rho_N are then built d^N wide, and not decomposed.
     """
@@ -208,11 +203,11 @@ def step1(rho: DensityMatrix, y: float, N: int, family: FreeFamily,
     opalg.check_dense_power(rho.total_dim, N, opalg.SOLVE_DIM_CAP)
     trace = PipelineTrace(rho, y, N, family)
     power = opalg.Power(rho, N)
-    b = _threshold(y, N)
+    b = rate_threshold(y, N)
     family_N = family.at_copies(N)
     res = min_positive_part(power, b, family_N, settings)
     sigma_N, target, X, rest, to_dense = _lemma_operands(
-        power, b, res, _TypeClassCoords.of(family_N, power))
+        power, b, res, TypeClassCoords.of(family_N, power))
     Delta = opalg.positive_part(HermitianOperator(X.shape,
                                                   target.mat - X.mat))
     value = Delta.trace()
@@ -317,7 +312,7 @@ def _assemble_sigma_tilde(trace: PipelineTrace, schedule: Schedule,
     mu, y = trace.mu_N, trace.y
     eps, a, b = _epsilon_terms(N, M, R, y, mu)
     trace.eps_N = eps
-    threshold = _threshold(y, N)
+    threshold = rate_threshold(y, N)
     trace.c_N = eps * threshold / (2.0 * mu)
     blended = (a * delta_nm.mat + b * delta_nmr.mat) / (a + b)
     shape = delta_nm.shape
@@ -350,10 +345,10 @@ def _truncation_certificates(trace: PipelineTrace, schedule: Schedule,
     N, M, R = schedule.N, schedule.M, schedule.R
     mu = trace.mu_N
     trace.add(Certificate("tail-truncation distance bound",
-                          _conditioning_weight(N, M, R, overlap) - dist,
+                          conditioning_weight(N, M, R, overlap) - dist,
                           CERT_TOL))
     delta = opalg.normalized_positive_part(after - before, after)
-    gap = reduced / mu ** 2 + _conditioning_weight(N, M, R, mu) * delta - after
+    gap = reduced / mu ** 2 + conditioning_weight(N, M, R, mu) * delta - after
     trace.add(Certificate("conditioned-to-truncated dominance",
                           float(eigh(gap)[0][0]), CERT_TOL))
     return delta

@@ -44,7 +44,7 @@ def sym_dim(n: int, d: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def type_classes(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Type-class label of every basis string of n digits base d, and the
     size of each class."""
     digits = np.indices((d,) * n).reshape(n, -1)
@@ -70,7 +70,7 @@ def _compositions(n: int, d: int):
 @lru_cache(maxsize=None)
 def _class_counts(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The digit counts c_t of every type class of n digits base d, one row
-    per class in ``_type_classes``' order (ascending counts), and each
+    per class in ``type_classes``' order (ascending counts), and each
     class's size n! / prod_i c_{t,i}!; nothing d^n long is built."""
     counts = np.array(list(_compositions(n, d)))
     sizes = np.array([math.factorial(n) // math.prod(map(math.factorial, c))
@@ -94,8 +94,8 @@ def power_coefficients(ray: np.ndarray,
 
 def sym_isometry(n: int, d: int) -> np.ndarray:
     """Orthonormal basis of the symmetric subspace of (C^d)^{x n}: column t
-    is the normalized indicator of type class t of ``_type_classes``."""
-    labels, sizes = _type_classes(d, n)
+    is the normalized indicator of type class t of ``type_classes``."""
+    labels, sizes = type_classes(d, n)
     iso = np.zeros((labels.size, sizes.size))
     iso[np.arange(labels.size), labels] = 1.0 / np.sqrt(sizes[labels])
     return iso

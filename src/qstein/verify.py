@@ -305,7 +305,7 @@ def check_conditioning_chain(rng, i, seed):
         return []
     cond, _, cert = symmetry.conditioned_state(pair, 1)
     _, dist = symmetry.truncate_to_almost_power(cond, pair.rho_pur, 1)
-    bound = pipeline._conditioning_weight(3, 1, 1, pair.overlap)
+    bound = pipeline.conditioning_weight(3, 1, 1, pair.overlap)
     return [cert.margin, bound - dist]
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qstein import opalg, optim, rand, symmetry
+from qstein import opalg, rand, symmetry, typeclass
 from qstein.errors import NoFullRankMember, ShapeMismatch
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily,
@@ -309,20 +309,29 @@ class TestParse:
         with pytest.raises(ShapeMismatch):
             parse_family_spec("sep:2x3", 4, 1)
 
+    @pytest.mark.parametrize("spec", ["sep:-2x-2", "sep:-1x-4", "sep:0x4"])
+    def test_sep_nonpositive_factor(self, spec):
+        with pytest.raises(ValueError, match=spec):
+            parse_family_spec(spec, 4, 1)
+        da, db = (int(x) for x in spec[4:].split("x"))
+        with pytest.raises(ShapeMismatch):
+            SeparableHullFamily(4, 1, dim_a=da, dim_b=db)
+
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_family_spec("magic", 2, 1)
 
 
 class TestTypeClassOracle:
-    """``optim._TypeClassCoords.lmo``, the linear oracle over the invariant
-    members, asked with the class averages of a dense gradient and read
-    back as a dense matrix."""
+    """``typeclass.TypeClassCoords.lmo``, the linear oracle over the
+    invariant members, asked with the class averages of a dense gradient
+    and read back as a dense matrix."""
 
     @staticmethod
     def _answer(fam, g):
         base = opalg.maximally_mixed(SystemShape((fam.base_dim,)))
-        coords = optim._TypeClassCoords.of(fam, opalg.Power(base, fam.copies))
+        coords = typeclass.TypeClassCoords.of(fam,
+                                              opalg.Power(base, fam.copies))
         return coords.dense(coords.lmo(coords.weights(g) / coords.sizes))
 
     def test_output_is_member(self):

@@ -1,7 +1,7 @@
 """Static checks on the package source: every import is used, every
 private module-level function or class is referenced somewhere in it, no
-module imports scipy, and no module is long enough to double the parser's
-token array."""
+module reads another's private names, no module imports scipy, and no
+module is long enough to double the parser's token array."""
 
 import ast
 import io
@@ -67,6 +67,32 @@ def test_no_unreferenced_private_definition():
     assert not orphans, f"private definitions nothing references: {orphans}"
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_name_crosses_modules():
+    """A name another module uses is public where it lives: no module
+    imports ``from .m import _x`` or reads ``m._x`` of a module bound by
+    ``from . import m``."""
+    crossing = []
+    for name, tree in TREES.items():
+        modules = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.level == 1
+                    and node.module is not None):
+                crossing += [f"{name}:{node.lineno} {node.module}.{a.name}"
+                             for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                crossing.append(f"{name}:{node.lineno} "
+                                f"{node.value.id}.{node.attr}")
+    assert not crossing, f"private names read across modules: {crossing}"
+
+
 @pytest.mark.parametrize("name", sorted(TREES))
 def test_no_scipy_import(name):
     """scipy is a test-only dependency: the package runs on numpy alone."""
@@ -103,11 +129,12 @@ def test_one_spectral_backend():
 
 
 def test_optim_guesses_no_structure():
-    """Type-class coordinates come from an ``opalg.Power`` alone: ``optim``
-    runs no invariance scan, symmetric-subspace support test or rank-one
-    test on a dense operator."""
+    """Type-class coordinates come from an ``opalg.Power`` alone: the
+    solvers (``optim``, ``fw``, ``typeclass``) run no invariance scan,
+    symmetric-subspace support test or rank-one test on a dense operator."""
     guesses = {"is_perm_invariant", "sym_isometry", "rank_one_factor"}
-    assert not guesses & _referenced(TREES["optim.py"])
+    for name in ("fw.py", "optim.py", "typeclass.py"):
+        assert not guesses & _referenced(TREES[name]), name
 
 
 # CPython's parser holds a module's tokens in an array it doubles when

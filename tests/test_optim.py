@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qstein import lp, opalg, optim, rand, symmetry, verify
+from qstein import fw, lp, opalg, optim, rand, symmetry, typeclass, verify
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
@@ -17,7 +17,7 @@ from qstein.optim import (SolverSettings, distance_to_family,
                           generalized_robustness, hypothesis_dual,
                           hypothesis_primal, min_positive_part,
                           regularized_sequence, rel_ent_of_resource)
-from qstein.symmetry import _type_classes
+from qstein.symmetry import type_classes
 
 from oracles import (classical_neyman_pearson, classical_threshold_value,
                      coherence_power_state, diagonal_dual_optimum,
@@ -37,14 +37,14 @@ def coherence_qubit(p=0.8):
 def _anneal_only(monkeypatch):
     """Make every threshold solve anneal, as for a target that is not rank
     one: the closed form for rank-one targets is patched out."""
-    monkeypatch.setattr(optim, "_rank_one_optimum", lambda coords, b: None)
+    monkeypatch.setattr(optim, "rank_one_optimum", lambda coords, b: None)
 
 
 def _count_anneals(monkeypatch):
-    """The list of the arguments of every ``_anneal`` call from here."""
+    """The list of the arguments of every ``anneal`` call from here."""
     calls = []
-    anneal = optim._anneal
-    monkeypatch.setattr(optim, "_anneal",
+    anneal = optim.anneal
+    monkeypatch.setattr(optim, "anneal",
                         lambda *a: calls.append(a) or anneal(*a))
     return calls
 
@@ -75,7 +75,7 @@ class TestFrankWolfe:
             results.append((fam, distance_to_family(rho, fam, FAST)))
         fam = DiagonalFamily(2, 4)
         power = opalg.Power(coherence_qubit(), 4)
-        assert optim._TypeClassCoords.of(fam, power) is not None
+        assert typeclass.TypeClassCoords.of(fam, power) is not None
         results.append((fam, min_positive_part(power, 6.0, fam, FAST)))
         for fam, res in results:
             sigma = res.minimizer
@@ -171,13 +171,13 @@ class TestMinPositivePart:
     def test_type_class_search_makes_no_dense_eigh(self, monkeypatch):
         # a pure power searches and certifies in type-class coordinates, and
         # no state is validated on the way: every eigendecomposition the
-        # solve makes, in optim and in opalg, is (N+1) x (N+1).  The base's
-        # purity is decided on the base, once, before the solve
+        # solve makes, in optim, typeclass and opalg, is (N+1) x (N+1).  The
+        # base's purity is decided on the base, once, before the solve
         power = opalg.Power(coherence_qubit(), 8)
         assert power.ray is not None
         shapes = []
         eigh = opalg.eigh
-        for module in (optim, opalg):
+        for module in (optim, typeclass, opalg):
             monkeypatch.setattr(module, "eigh",
                                 lambda m: shapes.append(m.shape) or eigh(m))
         min_positive_part(power, 2.0 ** (binary_entropy(0.8) * 8),
@@ -196,8 +196,8 @@ class TestMinPositivePart:
         p[1] = 3.0  # the string 00000001
         start = opalg.density(np.diag(p / p.sum()), (2,) * n)
         calls = []
-        pospart = optim._TypeClassCoords.pospart_eval
-        monkeypatch.setattr(optim._TypeClassCoords, "pospart_eval",
+        pospart = typeclass.TypeClassCoords.pospart_eval
+        monkeypatch.setattr(typeclass.TypeClassCoords, "pospart_eval",
                             lambda self, *a: calls.append(a)
                             or pospart(self, *a))
         power = opalg.Power(coherence_qubit(), n)
@@ -216,7 +216,7 @@ class TestMinPositivePart:
         # from this start stops at 0.4626 with gap 0.095).  That search and
         # the relative entropy of a pure power hold (N+1) x (N+1) atoms only
         shapes = set()
-        fcfw = optim._fcfw_minimize
+        fcfw = fw._fcfw_minimize
 
         def spied(probe, lmo, atoms, *rest):
             def answer(grad):
@@ -225,7 +225,7 @@ class TestMinPositivePart:
                 return s
             shapes.update(m.shape for m, _ in atoms)
             return fcfw(probe, answer, atoms, *rest)
-        monkeypatch.setattr(optim, "_fcfw_minimize", spied)
+        monkeypatch.setattr(fw, "_fcfw_minimize", spied)
         n, y, p = 8, -0.1, 0.7
         weights = np.ones(2 ** n)
         weights[1] = 3.0  # the string 00000001
@@ -297,8 +297,8 @@ def _pure_power(vec: np.ndarray, n: int) -> opalg.Power:
 def _dense_only(monkeypatch):
     """Make every type-class search read the dense objective at the dense
     member, as for the power of a mixed base."""
-    of = optim._TypeClassCoords.of
-    monkeypatch.setattr(optim._TypeClassCoords, "of", classmethod(
+    of = typeclass.TypeClassCoords.of
+    monkeypatch.setattr(typeclass.TypeClassCoords, "of", classmethod(
         lambda cls, family, power: replace(of(family, power), small=None,
                                            target=power.mat)))
 
@@ -308,7 +308,7 @@ class TestTypeClassCoordinates:
     against the dense evaluator, both in type-class coordinates."""
 
     def _both(self, monkeypatch, power, b, fam):
-        assert optim._TypeClassCoords.of(fam, power) is not None
+        assert typeclass.TypeClassCoords.of(fam, power) is not None
         reduced = min_positive_part(power, b, fam)
         with monkeypatch.context() as m:
             _dense_only(m)
@@ -350,13 +350,13 @@ class TestTypeClassCoordinates:
         rng = np.random.default_rng(43)
         n = 5
         power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
-        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n),
+        coords = typeclass.TypeClassCoords.of(DiagonalFamily(2, n),
                                            opalg.Power(coherence_qubit(), n))
-        labels, sizes = _type_classes(2, n)
+        labels, sizes = type_classes(2, n)
         w = np.diag(rng.dirichlet(np.ones(sizes.size)))
         b = 2.0 ** (binary_entropy(0.8) * n)
         for tau in (1e-3, 1e-6, 1e-8):
-            s_d, e_d, g_d, _ = optim._pospart_eval(power, b, tau, offset)(
+            s_d, e_d, g_d, _ = typeclass.pospart_eval(power, b, tau, offset)(
                 coords.dense(w))
             s_r, e_r, g_r, _ = coords.pospart_eval(b, tau, offset)(w)
             class_avg = np.bincount(labels,
@@ -373,7 +373,7 @@ class TestTypeClassCoordinates:
         fam = DiagonalFamily(2, n)
         eta = opalg.density(np.diag([p, 1.0 - p]), (2,))
         power = opalg.Power(eta, n)
-        assert optim._TypeClassCoords.of(fam, power).small is None
+        assert typeclass.TypeClassCoords.of(fam, power).small is None
         for y in (-0.25, -0.1, 0.1):
             res = min_positive_part(power, 2.0 ** (y * n), fam, FAST)
             assert abs(res.value - classical_threshold_value(n, y, p, p)) \
@@ -402,11 +402,11 @@ class TestNonCommutingMixedPower:
         rho = opalg.density(np.array([[0.7, 0.2], [0.2, 0.3]]))
         power = opalg.Power(rho, n)
         fam, vertex = DiagonalFamily(2, n), _VertexDiagonal(2, n)
-        assert optim._TypeClassCoords.of(fam, power) is not None
-        assert optim._TypeClassCoords.of(vertex, power) is None
+        assert typeclass.TypeClassCoords.of(fam, power) is not None
+        assert typeclass.TypeClassCoords.of(vertex, power) is None
         prev = math.inf
         for y in (0.0, 0.1, 0.2, 0.3):
-            b = optim._threshold(y, n)
+            b = optim.rate_threshold(y, n)
             red = min_positive_part(power, b, fam)
             dense = min_positive_part(power, b, vertex)
             assert abs(red.value - dense.value) <= 1e-10
@@ -418,8 +418,8 @@ class TestNonCommutingMixedPower:
 
 class TestClosedForm:
     """The threshold minimum of a rank-one target on the symmetric subspace
-    in closed form (``_rank_one_optimum``), read by the exact probe and
-    certified by the unchanged exit bound."""
+    in closed form (``typeclass.rank_one_optimum``), read by the exact probe
+    and certified by the unchanged exit bound."""
 
     @staticmethod
     def _bracket(monkeypatch, power, b, fam):
@@ -549,7 +549,7 @@ class TestPowerTarget:
         invariant, and gets no type-class coordinates."""
         fam = DiagonalFamily(base.total_dim, n)
         power, dense = opalg.Power(base, n), opalg.tensor_power(base, n)
-        assert optim._TypeClassCoords.of(fam, dense) is None
+        assert typeclass.TypeClassCoords.of(fam, dense) is None
         worst = 0.0
         for dy in rates:
             b = 2.0 ** ((R + dy) * n)
@@ -641,7 +641,7 @@ class TestPowerTarget:
         power = opalg.Power(coherence_qubit(), n)
         with monkeypatch.context() as m:
             m.setattr(opalg, "kron_power", refuse)
-            m.setattr(optim, "_type_classes", refuse)
+            m.setattr(symmetry, "type_classes", refuse)
             res = min_positive_part(power, b, DiagonalFamily(2, n))
         assert "mat" not in vars(power) and "minimizer" not in vars(res)
         sigma = res.minimizer.mat
@@ -658,7 +658,7 @@ class TestPowerTarget:
         n, p = 3, 0.7
         power = opalg.Power(opalg.density(np.diag([p, 1.0 - p])), n)
         fam = DiagonalFamily(2, n)
-        assert optim._TypeClassCoords.of(fam, power).small is None
+        assert typeclass.TypeClassCoords.of(fam, power).small is None
         res = min_positive_part(power, 1.5, fam, FAST)
         assert "mat" in vars(power)
         assert abs(res.value - classical_threshold_value(
@@ -666,7 +666,7 @@ class TestPowerTarget:
         vec = rand.random_pure(np.random.default_rng(7), SystemShape((4,))).vec
         base = opalg.density(np.outer(vec, vec.conj()))
         fam, power = DiagonalFamily(2, 4), opalg.Power(base, 2)
-        assert optim._TypeClassCoords.of(fam, power) is None
+        assert typeclass.TypeClassCoords.of(fam, power) is None
         res = min_positive_part(power, 1.5, fam, FAST)
         want = min_positive_part(opalg.tensor_power(base, 2), 1.5, fam, FAST)
         assert "mat" in vars(power)
@@ -698,7 +698,7 @@ class TestStructureFromType:
         power = opalg.Power(coherence_qubit(), n)
         dense = opalg.HermitianOperator(power.shape, power.mat)
         assert symmetry.is_perm_invariant(dense)
-        assert optim._TypeClassCoords.of(fam, dense) is None
+        assert typeclass.TypeClassCoords.of(fam, dense) is None
 
         def refuse(*args):
             raise AssertionError("type-class oracle asked")
@@ -706,7 +706,7 @@ class TestStructureFromType:
             b = 2.0 ** ((R + dy) * n)
             got = min_positive_part(power, b, fam)
             with monkeypatch.context() as m:
-                m.setattr(optim._TypeClassCoords, "lmo", refuse)
+                m.setattr(typeclass.TypeClassCoords, "lmo", refuse)
                 ref = min_positive_part(dense, b, fam)
             assert ref.value - ref.fw_gap - 1e-12 <= got.value \
                 <= ref.value + 1e-12
@@ -724,7 +724,7 @@ class TestStructureFromType:
         fam = DiagonalFamily(2, n)
         power = opalg.Power(opalg.density(np.array([[0.7, 0.2],
                                                     [0.2, 0.3]])), n)
-        res = min_positive_part(power, optim._threshold(0.1, n), fam)
+        res = min_positive_part(power, optim.rate_threshold(0.1, n), fam)
         assert (res.value, res.fw_gap) == (0.2035685073015513,
                                            0.05411632006378192)
         assert (hypothesis_primal(power, 4.0, fam),
@@ -754,7 +754,8 @@ class TestNewtonReweight:
         if duplicate:
             mats.append(mats[1].copy())
         probe = optim._dual_eval(
-            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), self.K, tau)
+            lambda t, off: typeclass.pospart_eval(eta, 1.0, t, off), self.K,
+            tau)
         return probe, [[m, 1.0 / len(mats)] for m in mats]
 
     def _hull_gap(self, probe, atoms):
@@ -771,7 +772,7 @@ class TestNewtonReweight:
         # model through the values 9, the tangents' meeting point 4
         eta = np.diag([0.6, 0.4]).astype(complex)
         probe = optim._dual_eval(
-            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), 2.0, 1e-8)
+            lambda t, off: typeclass.pospart_eval(eta, 1.0, t, off), 2.0, 1e-8)
         mats = np.array([np.zeros_like(eta), 2.0 * eta])
         w, d = np.array([0.5 + 1e-5, 0.5 - 1e-5]), np.array([-1.0, 1.0])
         value, _, _, local = probe(np.tensordot(w, mats, 1))
@@ -781,8 +782,8 @@ class TestNewtonReweight:
         def counted(x):
             probes.append(x)
             return probe(x)
-        step = optim._backtrack(counted, mats, w, d, jac, value, 1.0,
-                                optim._Tracker())
+        step = fw._backtrack(counted, mats, w, d, jac, value, 1.0,
+                                fw.Tracker())
         assert step is not None and len(probes) <= 4
         trial, v = step[0], step[1]
         t = float(trial[1] - w[1])
@@ -818,7 +819,7 @@ class TestNewtonReweight:
             reference = hull_minimum_slsqp(probe, atoms)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                optim._newton_reweight(atoms, probe, optim._Tracker(), 1e-10)
+                fw._newton_reweight(atoms, probe, fw.Tracker(), 1e-10)
             value, gap, w = self._hull_gap(probe, atoms)
             assert np.isfinite(w).all() and w.min() >= 0.0
             assert abs(w.sum() - 1.0) <= 1e-12
@@ -829,13 +830,13 @@ class TestNewtonReweight:
         # a zero Hessian and a constant gradient: the ridge is zero and the
         # KKT system singular, which must not produce NaN
         w = np.array([0.5, 0.5, 0.0])
-        d = optim._newton_direction(w, np.zeros(3), np.zeros((3, 3)))
+        d = fw._newton_direction(w, np.zeros(3), np.zeros((3, 3)))
         assert d is None or (np.isfinite(d).all() and not d.any())
 
     def test_tracker_sees_the_exact_values(self):
         probe, atoms = self._instance(64, 1e-6)
-        tracker = optim._Tracker()
-        optim._newton_reweight(atoms, probe, tracker, 1e-10)
+        tracker = fw.Tracker()
+        fw._newton_reweight(atoms, probe, tracker, 1e-10)
         mats = np.array([m for m, _ in atoms])
         w = np.array([v for _, v in atoms])
         assert tracker.best_value <= probe(np.tensordot(w, mats, 1))[1] \
@@ -911,11 +912,12 @@ class TestProbe:
     def test_dense_positive_part(self):
         rng = np.random.default_rng(81)
         rho = rand.random_density(rng, SystemShape((4,))).mat
-        self._check(optim._pospart_eval(rho, 1.5, 1e-3), self._states(rng, 4))
+        self._check(typeclass.pospart_eval(rho, 1.5, 1e-3),
+                    self._states(rng, 4))
 
     def test_type_class_coordinates(self):
         n = 5
-        coords = optim._TypeClassCoords.of(DiagonalFamily(2, n),
+        coords = typeclass.TypeClassCoords.of(DiagonalFamily(2, n),
                                            opalg.Power(coherence_qubit(), n))
         rng = np.random.default_rng(83)
         mats = np.array([np.diag(rng.dirichlet(np.ones(n + 1)))
@@ -927,7 +929,7 @@ class TestProbe:
         rng = np.random.default_rng(85)
         eta = rand.random_density(rng, SystemShape((3,))).mat
         probe = optim._dual_eval(
-            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), 4.0, 1e-3)
+            lambda t, off: typeclass.pospart_eval(eta, 1.0, t, off), 4.0, 1e-3)
         self._check(probe, 4.0 * self._states(rng, 3))
 
     def test_relative_entropy(self):
@@ -942,7 +944,7 @@ class TestProbe:
         rho = rand.random_density(rng, SystemShape((4,))).mat
         sigma = rand.random_density(rng, SystemShape((4,))).mat
         b = 1.5
-        smooth, exact, grad, _ = optim._pospart_eval(rho, b, None)(sigma)
+        smooth, exact, grad, _ = typeclass.pospart_eval(rho, b, None)(sigma)
         want = opalg.positive_part_trace(rho - b * sigma)
         assert smooth == exact == want
         w, V = np.linalg.eigh(rho - b * sigma)
@@ -957,7 +959,7 @@ class TestProbe:
         x = rho.copy()
         x[0, 0] -= 5e-16
         x[7, 7] += 5e-16
-        bound = optim._fw_bound(optim._pospart_eval(rho, 1.0, None), x,
+        bound = fw.fw_bound(typeclass.pospart_eval(rho, 1.0, None), x,
                                 DiagonalFamily(2, 3).lmo)
         assert bound >= -1e-12
 
@@ -968,15 +970,15 @@ class TestProbe:
         n = 6
         power = opalg.operator(coherence_power_state(0.8, n), (2,) * n).mat
         fam = DiagonalFamily(2, n)
-        coords = optim._TypeClassCoords.of(fam,
+        coords = typeclass.TypeClassCoords.of(fam,
                                            opalg.Power(coherence_qubit(), n))
-        labels, sizes = _type_classes(2, n)
+        labels, sizes = type_classes(2, n)
         rng = np.random.default_rng(91)
         for dy in (-0.1, 0.0, 0.1):
             b = 2.0 ** ((binary_entropy(0.8) + dy) * n)
             w = np.diag(rng.dirichlet(np.ones(sizes.size)))
             x = coords.dense(w)
-            dense = optim._pospart_eval(power, b, None)
+            dense = typeclass.pospart_eval(power, b, None)
             reduced = coords.pospart_eval(b, None)
             _, e_d, g_d, _ = dense(x)
             s_r, e_r, g_r, local = reduced(w)
@@ -985,8 +987,8 @@ class TestProbe:
             assert s_r == e_r and local is None
             assert abs(e_r - e_d) <= 1e-12
             assert np.abs(np.diag(g_r()) - class_avg).max() <= 1e-12
-            vertex = optim._fw_bound(dense, x, lambda g: fam.lmo(g, 0))
-            assert optim._fw_bound(reduced, w, coords.lmo) >= vertex - 1e-12
+            vertex = fw.fw_bound(dense, x, lambda g: fam.lmo(g, 0))
+            assert fw.fw_bound(reduced, w, coords.lmo) >= vertex - 1e-12
 
 
 class TestAtomStack:
@@ -996,7 +998,7 @@ class TestAtomStack:
 
     @staticmethod
     def _per_call_in_eigenbasis(V, stack):
-        """``_in_eigenbasis`` with its realness and diagonal tests made on
+        """``in_eigenbasis`` with its realness and diagonal tests made on
         every call."""
         dirs = stack.mats
         if not V.imag.any() and not dirs.imag.any():
@@ -1016,10 +1018,11 @@ class TestAtomStack:
         points = [(probe, np.tensordot(rng.dirichlet(np.ones(len(mats))),
                                        mats, 1))
                   for probe in probes for _ in range(3)]
-        stack = optim._AtomStack(mats)
+        stack = fw.AtomStack(mats)
         shared = [probe(x)[3](stack) for probe, x in points]
-        monkeypatch.setattr(optim, "_in_eigenbasis",
-                            self._per_call_in_eigenbasis)
+        for module in (optim, typeclass):
+            monkeypatch.setattr(module, "in_eigenbasis",
+                                self._per_call_in_eigenbasis)
         for (probe, x), derivs in zip(points, shared):
             for got, want in zip(derivs, probe(x)[3](mats.copy())):
                 assert got.dtype == want.dtype
@@ -1028,7 +1031,7 @@ class TestAtomStack:
     @staticmethod
     def _dual(eta, K=4.0, tau=1e-3):
         return optim._dual_eval(
-            lambda t, off: optim._pospart_eval(eta, 1.0, t, off), K, tau)
+            lambda t, off: typeclass.pospart_eval(eta, 1.0, t, off), K, tau)
 
     def test_dense_stacks(self, monkeypatch):
         # a complex and a real stack, each read by a probe with a complex
@@ -1053,7 +1056,7 @@ class TestAtomStack:
                          for _ in range(4)])
         mats[0] = 0.0  # the dual's atom 0
         self._check(monkeypatch, [self._dual(eta), self._dual(eta.real),
-                                  optim._pospart_eval(eta, 1.5, 1e-6)],
+                                  typeclass.pospart_eval(eta, 1.5, 1e-6)],
                     mats)
 
     def test_type_class_coordinates(self, monkeypatch):
@@ -1070,7 +1073,7 @@ class TestAtomStack:
                          for _ in range(4)])
         b = 2.0 ** (binary_entropy(0.8) * n)
         for target in (mixed, pure):
-            coords = optim._TypeClassCoords.of(fam, target)
+            coords = typeclass.TypeClassCoords.of(fam, target)
             assert (coords.small is None) == (target is mixed)
             self._check(monkeypatch, [
                 coords.pospart_eval(b, 1e-3),
@@ -1175,8 +1178,8 @@ class TestHypothesisTesting:
         # stand in for the solve the spy watches
         primal = hypothesis_primal(eta, K, DiagonalFamily(2, 7), FAST)
         calls = []
-        pospart = optim._TypeClassCoords.pospart_eval
-        monkeypatch.setattr(optim._TypeClassCoords, "pospart_eval",
+        pospart = typeclass.TypeClassCoords.pospart_eval
+        monkeypatch.setattr(typeclass.TypeClassCoords, "pospart_eval",
                             lambda self, *a: calls.append(a)
                             or pospart(self, *a))
         val = hypothesis_dual(eta, K, DiagonalFamily(2, 7), FAST)
@@ -1310,13 +1313,13 @@ class TestHypothesisTesting:
         # re-solve, instead of asking the oracle again up to its cap; the
         # full family's value is 1/K
         stages = []
-        fcfw = optim._fcfw_minimize
+        fcfw = fw._fcfw_minimize
 
         def recorded(probe, lmo, atoms, max_outer, *rest):
             out = fcfw(probe, lmo, atoms, max_outer, *rest)
             stages.append((out[2], max_outer))
             return out
-        monkeypatch.setattr(optim, "_fcfw_minimize", recorded)
+        monkeypatch.setattr(fw, "_fcfw_minimize", recorded)
         rng = np.random.default_rng(29)
         settings = SolverSettings(120, 1e-8)
         for d in range(2, 7):
@@ -1371,9 +1374,9 @@ class TestHypothesisTesting:
     @staticmethod
     def _count_probes(monkeypatch):
         """Exact probes per one-member solve: one entry per solve, which
-        makes one ``_pospart_eval``."""
+        makes one ``pospart_eval``."""
         counts = []
-        pospart = optim._pospart_eval
+        pospart = optim.pospart_eval
 
         def counted(*args):
             probe = pospart(*args)
@@ -1383,7 +1386,7 @@ class TestHypothesisTesting:
                 counts[-1] += 1
                 return probe(x)
             return run
-        monkeypatch.setattr(optim, "_pospart_eval", counted)
+        monkeypatch.setattr(optim, "pospart_eval", counted)
         return counts
 
     def test_one_member_search_is_cheap_and_exact(self, monkeypatch):
@@ -1481,12 +1484,12 @@ class TestResourceMeasures:
         # probe leaves a Frank-Wolfe gap above tol, so a second bound is
         # taken, at the stage's last iterate, and that one certifies
         bounds = []
-        fw_bound = optim._fw_bound
+        fw_bound = optim.fw_bound
 
         def spy(*args, **kwargs):
             bounds.append(fw_bound(*args, **kwargs))
             return bounds[-1]
-        monkeypatch.setattr(optim, "_fw_bound", spy)
+        monkeypatch.setattr(optim, "fw_bound", spy)
         res = rel_ent_of_resource(opalg.Power(coherence_qubit(0.9), 3),
                                   DiagonalFamily(2, 3),
                                   SolverSettings(max_iters=200, tol=1e-9))

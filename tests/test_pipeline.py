@@ -12,7 +12,7 @@ from qstein.errors import (CertificateFailed, ConstructionFailed,
                            PremiseOutOfInterval)
 from qstein.freesets import DiagonalFamily, SingletonIIDFamily
 from qstein.opalg import DensityMatrix, HermitianOperator, SystemShape
-from qstein.optim import SolverSettings, _threshold, min_positive_part
+from qstein.optim import SolverSettings, min_positive_part, rate_threshold
 
 from oracles import ray_step2_reference
 
@@ -143,7 +143,7 @@ class TestStep1ClassBlock:
         family = DiagonalFamily(rho.total_dim, 1)
         trace = pipeline.step1(rho, y, N, family, SET)
         power = opalg.Power(rho, N)
-        b = _threshold(y, N)
+        b = rate_threshold(y, N)
         res = min_positive_part(power, b, family.at_copies(N), SET)
         twirled = symmetry.twirl(res.minimizer).mat
         assert np.abs(trace.sigma_N.mat - twirled).max() <= 1e-12
@@ -162,7 +162,7 @@ class TestStep1ClassBlock:
         # rho~ vanishes: the operator margin is 0 by structure
         trace = pipeline.step1(coherence_qubit(), H08, 6,
                                DiagonalFamily(2, 1), SET)
-        labels, sizes = symmetry._type_classes(2, 6)
+        labels, sizes = symmetry.type_classes(2, 6)
         w = np.bincount(labels, weights=np.diag(trace.sigma_N.mat).real)
         assert ((w == 0.0) & (sizes > 1)).any()
         rows = {c.name: c.margin for c in trace.certificates}
@@ -187,7 +187,7 @@ class TestStep1ClassBlock:
         # sigma_N's state check on its class weights: a weight of -1e-6 on
         # a singleton class, trace kept at 1, is a d^N eigenvalue of -1e-6
         solve = pipeline.min_positive_part
-        sizes = symmetry._type_classes(2, 6)[1]
+        sizes = symmetry.type_classes(2, 6)[1]
         t = int(np.flatnonzero(sizes == 1)[-1])
 
         def planted(*args):

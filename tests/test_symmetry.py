@@ -16,13 +16,13 @@ def test_sym_dim(n, d, want):
 
 
 class TestClassCounts:
-    """``_class_counts`` lists the type classes in ``_type_classes``'
+    """``_class_counts`` lists the type classes in ``type_classes``'
     order without the d^n labels, and ``power_coefficients`` is D^T a^{x n}
     from those counts."""
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 7), (3, 4), (4, 3), (1, 3)])
     def test_matches_type_classes(self, d, n):
-        labels, sizes = symmetry._type_classes(d, n)
+        labels, sizes = symmetry.type_classes(d, n)
         counts, count_sizes = symmetry._class_counts(d, n)
         digits = np.indices((d,) * n).reshape(n, -1)
         first = [int(np.flatnonzero(labels == t)[0])
@@ -38,7 +38,7 @@ class TestClassCounts:
         u, sizes = symmetry.power_coefficients(vec, n)
         want = symmetry.sym_isometry(n, d).T @ opalg.kron_power(vec, n)
         assert np.abs(u - want).max() <= 1e-14
-        assert np.array_equal(sizes, symmetry._type_classes(d, n)[1])
+        assert np.array_equal(sizes, symmetry.type_classes(d, n)[1])
 
 
 class TestSymProjector:
