@@ -1,10 +1,11 @@
 """Command-line harness: exponent sweeps, verification suites, pipeline runs.
 
 Subcommands: ``exponent``, ``verify``, ``pipeline``, ``pn``.  Exit codes:
-0 pass, 1 verification failure, 2 usage, 3 premise out of interval,
-4 certificate failure, 5 dimension cap.  All CSV output is UTF-8 with a
-header row and 12 significant digits, and is byte-identical across runs
-with the same config and seed.
+0 pass, 1 verification failure, 2 usage (also a path that cannot be read or
+written, or a family that does not fit the state), 3 premise out of
+interval, 4 certificate failure, 5 dimension cap.  All CSV output is UTF-8
+with a header row and 12 significant digits, and is byte-identical across
+runs with the same config and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import opalg, pipeline, verify
 from .errors import (CertificateFailed, DimensionCap, PremiseOutOfInterval,
-                     QSteinError)
+                     QSteinError, ShapeMismatch)
 from .freesets import parse_family_spec
 from .opalg import DensityMatrix, SystemShape
 from .optim import (SolverSettings, hypothesis_dual, hypothesis_primal,
@@ -45,18 +46,15 @@ class ConfigError(QSteinError):
 def parse_config(path: str) -> dict[str, str]:
     """Plain-text ``key = value`` lines; ``#`` starts a comment."""
     out: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, val = line.split("=", 1)
-                out[key.strip()] = val.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+            key, val = line.split("=", 1)
+            out[key.strip()] = val.strip()
     return out
 
 
@@ -308,7 +306,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, KeyError) as exc:
+    except (ConfigError, ShapeMismatch, ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except PremiseOutOfInterval as exc:

@@ -61,10 +61,8 @@ def relative_entropy(rho: HermitianOperator,
         raise opalg.ShapeMismatch("relative entropy needs matching shapes")
     w, V, on = opalg.support_split(sigma.mat)
     null_cols = V[:, ~on]
-    leak = 0.0
-    if null_cols.shape[1]:
-        leak = float(np.einsum("ij,jk,ki->", null_cols.conj().T, rho.mat,
-                               null_cols).real)
+    leak = float(np.einsum("ij,jk,ki->", null_cols.conj().T, rho.mat,
+                           null_cols).real)
     if leak > SUPPORT_LEAK_TOL:
         return math.inf
     log_sigma = (V[:, on] * np.log2(w[on])) @ V[:, on].conj().T

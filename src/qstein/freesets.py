@@ -188,16 +188,6 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[:, :, None] * y[:, None, :]).reshape(len(x), -1)
 
 
-def _complement(v: np.ndarray) -> np.ndarray:
-    """An orthonormal basis of the complement of each unit row of v: the
-    last columns of the Householder reflection taking v to a multiple of
-    e_0."""
-    w = v.copy()
-    w[:, 0] += np.exp(1j * np.angle(v[:, 0]))
-    w /= np.sqrt(1.0 + np.abs(v[:, :1]))
-    return np.eye(v.shape[1])[:, 1:] - w[:, :, None] * w[:, None, 1:].conj()
-
-
 def _put_real(out: np.ndarray, m: np.ndarray) -> None:
     """Write a stack of complex p x p matrices as they act on (Re z, Im z)."""
     p = m.shape[-1]
@@ -245,7 +235,7 @@ class _PairForm:
         and those at most 1e-12 times the largest are dropped.
         """
         da, db = self.da, self.db
-        qa, qb = _complement(a), _complement(b)
+        qa, qb = opalg.complement(a), opalg.complement(b)
         qah, qbh = qa.conj().mT, qb.conj().mT
         m_b = self.on_a(b)
         k = (_outer(b.conj(), a) @ self.g_x).reshape(-1, da, db)

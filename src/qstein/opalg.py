@@ -422,6 +422,18 @@ def support_ray(mat: np.ndarray) -> np.ndarray | None:
     return V[:, -1] if on.sum() == 1 else None
 
 
+def complement(v: np.ndarray) -> np.ndarray:
+    """An orthonormal basis, as the d - 1 columns of a d x (d - 1) matrix,
+    of the complement of a unit vector, or of each row of a stack
+    (..., d): the last columns of the Householder reflection taking v to
+    a multiple of e_0, so that [v, complement(v)] is unitary."""
+    w = v.astype(complex)
+    w[..., 0] += np.exp(1j * np.angle(v[..., 0]))
+    w /= np.sqrt(1.0 + np.abs(v[..., :1]))
+    return (np.eye(v.shape[-1])[:, 1:]
+            - w[..., :, None] * w[..., None, 1:].conj())
+
+
 def _checked_psd(split, tol: float):
     """A ``support_split`` whose least eigenvalue is not below -tol."""
     w = split[0]
@@ -480,8 +492,6 @@ def log2_on_support(a: HermitianOperator) -> HermitianOperator:
     null space; an operator with no positive eigenvalue maps to 0.
     """
     w, V, on = support_split(a.mat)
-    if not on[-1]:
-        return HermitianOperator(a.shape, np.zeros_like(a.mat))
     lw = np.where(on, np.log2(np.clip(w, 1e-300, None)), 0.0)
     return HermitianOperator(a.shape, (V * lw) @ V.conj().T)
 

@@ -204,14 +204,15 @@ def min_positive_part(rho: HermitianOperator | opalg.Power, b: float,
     gap come from the same exact probe and exit bound at the closed-form
     weights, so a rounding slip can widen the gap but never pass as
     certified.
+
+    b = 0 takes the same search: the closed form puts all weight on the
+    top class, and an annealed solve stops at its first oracle call, where
+    the gradient -b P is 0; either way the value is the exact probe's
+    Tr[rho_+].
     """
     if not 0.0 <= b < math.inf:
         raise ValueError(f"the threshold b must be in [0, inf), got {b}")
     family.check_dim(rho)
-    if b == 0.0:
-        return OptResult(opalg.positive_part_trace(rho.mat),
-                         _feasible_start(family, settings.seed), 0.0, 0, True,
-                         partial(HermitianOperator, family.shape))
     search = pick_search(family, settings.seed, rho)
     weights = rank_one_optimum(search.coords, b)
     exact = search.pospart(b, None)

@@ -165,23 +165,6 @@ def is_perm_invariant(a: HermitianOperator, tol: float = 1e-8) -> bool:
 # almost power states
 # ---------------------------------------------------------------------------
 
-def _unitary_with_first_column(b: np.ndarray) -> np.ndarray:
-    """Complete a unit vector to a unitary whose first column is the vector."""
-    d = b.size
-    cols = [b.astype(complex)]
-    for k in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[k] = 1.0
-        for c in cols:
-            v = v - c * np.vdot(c, v)
-        n = np.linalg.norm(v)
-        if n > 1e-10:
-            cols.append(v / n)
-        if len(cols) == d:
-            break
-    return np.column_stack(cols)
-
-
 def _rotate_factors(t: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Apply U to every tensor factor (every axis) of t."""
     for ax in range(t.ndim):
@@ -190,11 +173,12 @@ def _rotate_factors(t: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def _defect_frame(base: PureState, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The base ray's frame on n factors: a unitary U whose first column is
-    the base vector, and the defect count (digits other than 0) of each of
-    the d^n basis strings of U^{x n}; U^dag on every factor enters it."""
+    """The base ray's frame on n factors: the unitary U = [a,
+    opalg.complement(a)] whose first column is the base vector a, and the
+    defect count (digits other than 0) of each of the d^n basis strings of
+    U^{x n}; U^dag on every factor enters it."""
     d = base.shape.total_dim
-    U = _unitary_with_first_column(base.vec)
+    U = np.column_stack([base.vec, opalg.complement(base.vec)])
     digits = np.array(np.unravel_index(np.arange(d ** n), (d,) * n))
     return U, (digits != 0).sum(axis=0)
 
@@ -407,7 +391,7 @@ def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
     delta = beta_truncation_delta(v, base, N)
     c = truncation_weight(N, R)
     inner = HermitianOperator(v.shape, proj_v + c * delta)
-    reduced = opalg.partial_trace(inner, range(R)) if R > 0 else inner
+    reduced = opalg.partial_trace(inner, range(R))
     factor = 2.0 ** (N * binary_entropy(R / (N - M))) * N ** 2
     lhs = opalg.pure_power(base, N - M - R).projector()
     gap = factor * reduced.mat - lhs.mat

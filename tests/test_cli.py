@@ -173,11 +173,16 @@ n_grid = 1
         assert f"rate y={y}" in capsys.readouterr().err
 
 
-    def test_pure_row_allocates_no_wide_object(self):
+    def test_pure_row_allocates_no_wide_object(self, monkeypatch):
         # one N = 12 row of a pure base: a dense 4096 x 4096 complex matrix
-        # is 256 MiB, and the row's solves peak below 1 MiB
+        # is 256 MiB, and the row's solves peak below 1 MiB and build no
+        # Kronecker power, at y = -100 too, where 2^{yN} underflows to 0
+        def refuse(*args):
+            raise AssertionError("dense power built")
+
+        monkeypatch.setattr(opalg, "kron_power", refuse)
         rho = cli.state_from_spec("coherence:0.8")
-        ys = [0.5, 0.6, 0.7, 0.8, 0.9]
+        ys = [-100.0, 0.5, 0.6, 0.7, 0.8, 0.9]
         tracemalloc.start()
         try:
             rows = cli._exponent_row(opalg.Power(rho, 12), "diagonal", ys,
@@ -616,6 +621,84 @@ n_grid = 2
 
     def test_missing_config(self):
         assert cli.main(["exponent", "--config", "/nonexistent/x.cfg"]) == 2
+
+    @staticmethod
+    def _exits_naming(argv, path, capsys):
+        # a path that cannot be read or written is a usage error that names
+        # it, not a traceback
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+
+    def test_exponent_out_in_missing_directory(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "e.cfg", """
+state = coherence:0.8
+family = diagonal
+y_grid = 0.1
+n_grid = 2
+""")
+        out = tmp_path / "missing" / "e.csv"
+        self._exits_naming(["exponent", "--config", cfg, "--out", str(out),
+                            "--threads", "1"], out, capsys)
+
+    def test_exponent_state_is_a_directory(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "e.cfg", f"""
+state = {tmp_path}
+family = diagonal
+y_grid = 0.1
+n_grid = 2
+""")
+        self._exits_naming(["exponent", "--config", cfg, "--out",
+                            str(tmp_path / "e.csv")], tmp_path, capsys)
+
+    def test_pn_missing_sigma0(self, tmp_path, capsys):
+        sigma0 = tmp_path / "missing.op"
+        cfg = write_cfg(tmp_path, "pn.cfg", f"""
+state = coherence:0.8
+family = iid:{sigma0}
+n = 2
+y = 0.2
+""")
+        self._exits_naming(["pn", "--config", cfg], sigma0, capsys)
+
+    def test_pipeline_out_below_a_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "p.cfg", """
+state = coherence:0.8
+family = diagonal
+y = 0.7219280948873623
+n = 4
+max_iters = 192
+""")
+        out = tmp_path / "p.cfg" / "trace"
+        self._exits_naming(["pipeline", "--config", cfg, "--out", str(out)],
+                           out, capsys)
+
+    def test_verify_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "v.csv"
+        self._exits_naming(["verify", "--suite", "opalg", "--trials", "1",
+                            "--out", str(out)], out, capsys)
+
+    @pytest.mark.parametrize("command", ["exponent", "pn", "pipeline"])
+    def test_family_not_fitting_the_state(self, tmp_path, capsys, command):
+        # a sep:2x2 cut or a qudit sigma0 on a qubit state is a usage error,
+        # not the verification failure of exit 1
+        sigma0 = tmp_path / "sigma0.op"
+        opalg.save_operator(opalg.maximally_mixed(SystemShape((4,))),
+                            str(sigma0))
+        family = f"iid:{sigma0}" if command == "pn" else "sep:2x2"
+        cfg = write_cfg(tmp_path, "f.cfg", f"""
+state = coherence:0.8
+family = {family}
+y_grid = 0.1
+n_grid = 2
+y = 0.7219280948873623
+n = 4
+""")
+        argv = [command, "--config", cfg]
+        if command != "pn":
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert "state dimension 2" in capsys.readouterr().err
 
     def test_solver_flags_override_config(self, tmp_path, sigma0_file):
         cfg = write_cfg(tmp_path, "f.cfg", f"""

@@ -409,6 +409,23 @@ class TestPower:
             opalg.Power(coherence, 13)
 
 
+class TestComplement:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_completes_to_unitary(self, d):
+        # [v, complement(v)] is unitary with first column v, for one vector
+        # and for each row of a stack
+        rng = np.random.default_rng(d)
+        vs = rng.standard_normal((5, d)) + 1j * rng.standard_normal((5, d))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        stacked = opalg.complement(vs)
+        assert stacked.shape == (5, d, d - 1)
+        for v, q in zip(vs, stacked):
+            for basis in (q, opalg.complement(v)):
+                u = np.column_stack([v, basis])
+                assert np.array_equal(u[:, 0], v)
+                assert np.abs(u.conj().T @ u - np.eye(d)).max() <= 1e-14
+
+
 class TestPairRegrouping:
     # two (a, b) pairs with da = 2, db = 3: pair order a1 b1 a2 b2
     DA, DB, N = 2, 3, 2
