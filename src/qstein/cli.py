@@ -137,20 +137,21 @@ def cmd_exponent(args) -> int:
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     threads = args.threads or os.cpu_count() or 1
     powers = [opalg.Power(rho, n) for n in n_grid]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(_exponent_row, power, cfg["family"], y_grid,
-                               settings) for power in powers]
-        per_n = [f.result() for f in futures]
-    lines = ["N,y,e,gap"]
-    for rows in per_n:
-        prev = None
-        for n, y, e, gap in rows:
-            if prev is not None and e > prev + 1e-12:
-                raise QSteinError(
-                    f"monotonicity violated at N={n}, y={y}: {e} > {prev}")
-            prev = e
-            lines.append(",".join([str(n), _fmt(y), _fmt(e), _fmt(gap)]))
+    # opened before the first solve, so an unwritable path costs none
     with open(out_path, "w", encoding="utf-8") as fh:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_exponent_row, power, cfg["family"],
+                                   y_grid, settings) for power in powers]
+            per_n = [f.result() for f in futures]
+        lines = ["N,y,e,gap"]
+        for rows in per_n:
+            prev = None
+            for n, y, e, gap in rows:
+                if prev is not None and e > prev + 1e-12:
+                    raise QSteinError(f"monotonicity violated at N={n}, "
+                                      f"y={y}: {e} > {prev}")
+                prev = e
+                lines.append(",".join([str(n), _fmt(y), _fmt(e), _fmt(gap)]))
         fh.write("\n".join(lines) + "\n")
     if args.gnuplot:
         _write_gnuplot(out_path)
@@ -175,21 +176,21 @@ def _write_gnuplot(csv_path: str) -> None:
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials must be at least 1")
-    results = verify.run_suite(args.suite, args.trials, args.seed)
-    lines = ["suite,check,trial,margin,tolerance"]
-    failed = None
-    for res in results:
-        for i, m in enumerate(res.margins):
-            lines.append(",".join([args.suite, res.name, str(i),
-                                   _fmt(float(m)), _fmt(res.tolerance)]))
-        status = "ok" if res.passed else "VIOLATION"
-        print(f"{res.name}: worst margin {res.worst:.3e} "
-              f"(tol {res.tolerance:.1e}) {status}")
-        if not res.passed and failed is None:
-            failed = res
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    # opened before the first check, so an unwritable path costs none
+    with open(args.out or os.devnull, "w", encoding="utf-8") as fh:
+        results = verify.run_suite(args.suite, args.trials, args.seed)
+        lines = ["suite,check,trial,margin,tolerance"]
+        failed = None
+        for res in results:
+            for i, m in enumerate(res.margins):
+                lines.append(",".join([args.suite, res.name, str(i),
+                                       _fmt(float(m)), _fmt(res.tolerance)]))
+            status = "ok" if res.passed else "VIOLATION"
+            print(f"{res.name}: worst margin {res.worst:.3e} "
+                  f"(tol {res.tolerance:.1e}) {status}")
+            if not res.passed and failed is None:
+                failed = res
+        fh.write("\n".join(lines) + "\n")
     if failed is not None:
         print(f"first failure: {failed.name} worst={failed.worst:.6e}")
         return EXIT_VERIFY_FAIL
@@ -208,6 +209,8 @@ def cmd_pipeline(args) -> int:
     settings = _settings_from(cfg, args)
     family = parse_family_spec(cfg["family"], rho.total_dim, n)
     outdir = args.out or cfg.get("out", "trace")
+    # made before the first solve, so an unwritable path costs none
+    os.makedirs(outdir, exist_ok=True)
     try:
         trace = pipeline.run_direct_part(rho, y, n, family, settings)
     except PremiseOutOfInterval as exc:

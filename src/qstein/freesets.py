@@ -5,10 +5,10 @@ needs: a membership test, a linear-minimization oracle (``lmo``), and a
 full-rank witness; it may declare ``type_classes``, that its invariant
 members are the mixtures of uniform states on type classes, or
 ``one_member``, that it holds one state, which every oracle answer is.
-Oracles return plain complex matrices, and the witness and
-``random_member`` unvalidated ``HermitianOperator``s: solvers call them
-thousands of times, and validation belongs where a state enters the
-program.  Families are
+Oracles return plain matrices, as real as the family's data and the
+gradient, and the witness and ``random_member`` unvalidated
+``HermitianOperator``s: solvers call them thousands of times, and
+validation belongs where a state enters the program.  Families are
 immutable descriptors; oracles are pure given an explicit seed, so
 concurrent use is safe.
 
@@ -121,7 +121,7 @@ class DiagonalFamily(FreeFamily):
 
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         i = int(np.argmin(np.diag(grad).real))
-        m = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        m = np.zeros((self.total_dim, self.total_dim))
         m[i, i] = 1.0
         return m
 
@@ -140,11 +140,9 @@ class SingletonIIDFamily(FreeFamily):
     one_member = True
 
     def __post_init__(self):
-        m = 0.5 * (np.asarray(self.sigma0, complex)
-                   + np.asarray(self.sigma0, complex).conj().T)
+        m = opalg.operator(self.sigma0).mat
         if m.shape[0] != self.base_dim:
             raise ShapeMismatch("sigma0 dimension does not match base_dim")
-        m.setflags(write=False)
         object.__setattr__(self, "sigma0", m)
 
     def membership_defect(self, sigma: HermitianOperator) -> float:

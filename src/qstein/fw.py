@@ -62,8 +62,8 @@ class AtomStack:
     ``_newton_reweight`` holds one stack for its whole loop, so what a
     ``local`` reads off it is worked out once per re-solve, not once per
     call: the traces, the stack ``in_eigenbasis`` transforms (the diagonals
-    of diagonal matrices) and its real part, and the stacks a reader derives
-    from it (``derived``).  A ``local`` takes a stack or a plain array of
+    of diagonal matrices), and the stacks a reader derives from it
+    (``derived``).  A ``local`` takes a stack or a plain array of
     matrices (``of``)."""
 
     def __init__(self, mats: np.ndarray):
@@ -83,15 +83,15 @@ class AtomStack:
         return np.diagonal(self.mats, axis1=1, axis2=2).real
 
     @cached_property
-    def dirs(self) -> tuple[np.ndarray, np.ndarray | None]:
+    def dirs(self) -> np.ndarray:
         """The matrices, or the diagonals of diagonal ones (a 2-D stack is
-        read as diagonals), and their real part if it is all of them."""
+        read as diagonals), in the matrices' dtype."""
         dirs = self.mats
         if dirs.ndim == 3:
             diag = np.diagonal(dirs, axis1=1, axis2=2)
             if np.count_nonzero(dirs) == np.count_nonzero(diag):
                 dirs = diag
-        return dirs, None if dirs.imag.any() else dirs.real
+        return dirs
 
     def derived(self, key, make: Callable) -> "AtomStack":
         """The stack of ``make(self)``, made once per ``key``."""
@@ -338,11 +338,10 @@ def fw_bound(probe, x: np.ndarray, lmo) -> float:
 
 def in_eigenbasis(V: np.ndarray, stack: AtomStack) -> np.ndarray:
     """The stack V^dag A_k V over the atoms A_k of ``stack``, real when V
-    and the atoms are.  One matrix product per atom when every atom is
-    diagonal, two otherwise."""
-    dirs, real = stack.dirs
-    if real is not None and not V.imag.any():
-        V, dirs = V.real, real
+    and the atoms are real arrays and complex otherwise (numpy's type
+    promotion).  One matrix product per atom when every atom is diagonal,
+    two otherwise."""
+    dirs = stack.dirs
     if dirs.ndim == 3:
         return V.conj().T @ dirs @ V
     return (V.conj().T * dirs[:, None, :]) @ V

@@ -11,6 +11,12 @@ A :class:`DensityMatrix` is a :class:`HermitianOperator` that passed the
 state check, so every operation here takes a state where it takes an
 operator.
 
+A matrix is as real as its data: real input stays real through every
+operation, and complex input stays complex.  Two functions decide whether
+a matrix is real: :func:`eigh`, which sends numerically real complex input
+to the real LAPACK path, and :func:`load_operator`, which reads a file
+whose imaginary parts are all 0 as a real matrix.
+
 Values are immutable after construction and every operation is a pure
 function, so concurrent use from several threads is safe.
 """
@@ -69,27 +75,24 @@ def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape (..., n, n); the single spectral backend.
 
     The input is symmetrized before the call so that tiny anti-Hermitian
-    noise cannot leak into eigenvalues.  Real symmetric inputs take the
-    real LAPACK path, which is several times faster at larger sizes.  The
-    real-path test (every imaginary part below 1e-14) is taken over the
-    whole stack: a stack goes real only if all its matrices do.  Returns
+    noise cannot leak into eigenvalues.  Real input, and complex input whose
+    every imaginary part is below 1e-14, takes the real LAPACK path, which
+    is several times faster at larger sizes; the test is taken over the
+    whole stack, so a stack goes real only if all its matrices do.  Returns
     ascending eigenvalues and matching orthonormal eigenvectors (as
-    columns), stacked like the input.
+    columns), stacked like the input: real eigenvectors on the real path,
+    complex ones otherwise.  This is the one test of whether a computed
+    matrix is real.
     """
     m = np.asarray(mat)
-    if np.iscomplexobj(m):
-        if m.size and float(np.abs(m.imag).max()) < 1e-14:
-            m = m.real
-        else:
-            m = 0.5 * (m + m.conj().mT)
-            return np.linalg.eigh(m)
-    m = 0.5 * (m + m.mT)
-    w, v = np.linalg.eigh(m)
-    return w, v.astype(complex)
+    if np.iscomplexobj(m) and m.size and float(np.abs(m.imag).max()) < 1e-14:
+        m = m.real
+    return np.linalg.eigh(0.5 * (m + m.conj().mT))
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:
-    m = np.asarray(mat, dtype=complex)
+    m = np.asarray(mat)
+    m = m.astype(np.result_type(m, np.float64), copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return 0.5 * (m + m.conj().T)
@@ -100,7 +103,8 @@ class HermitianOperator:
     """Dense Hermitian matrix over a multi-subsystem shape.
 
     The matrix is symmetrized at construction, enforcing Hermiticity to
-    machine precision regardless of the input.
+    machine precision regardless of the input.  It is as real as its input:
+    a real matrix is stored real (at least float64), a complex one complex.
     """
 
     shape: SystemShape
@@ -203,14 +207,14 @@ def _require_same_shape(a, b) -> None:
 
 def operator(mat: np.ndarray, dims: Sequence[int] | None = None) -> HermitianOperator:
     """Wrap a square array as a HermitianOperator (single subsystem by default)."""
-    m = np.asarray(mat, dtype=complex)
+    m = np.asarray(mat)
     shape = SystemShape(tuple(dims) if dims is not None else (m.shape[0],))
     return HermitianOperator(shape, m)
 
 
 def density(mat: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
     """Validate a square array as a state (single subsystem by default)."""
-    m = np.asarray(mat, dtype=complex)
+    m = np.asarray(mat)
     shape = SystemShape(tuple(dims) if dims is not None else (m.shape[0],))
     return DensityMatrix(shape, m)
 
@@ -397,9 +401,9 @@ def trace_norm_mat(mat: np.ndarray) -> float:
     singular values of X with both signs; this keeps full absolute accuracy
     where a Gram-matrix route would square the condition number.
     """
-    m = np.asarray(mat, dtype=complex)
+    m = np.asarray(mat)
     n = m.shape[0]
-    dil = np.zeros((2 * n, 2 * n), dtype=complex)
+    dil = np.zeros((2 * n, 2 * n), dtype=np.result_type(m, np.float64))
     dil[:n, n:] = m
     dil[n:, :n] = m.conj().T
     w, _ = eigh(dil)
@@ -574,9 +578,10 @@ def save_operator(a: HermitianOperator, path: str) -> None:
 
 
 def load_operator(path: str) -> HermitianOperator:
-    """Read an operator written by :func:`save_operator`.  Every entry line
-    must hold four numeric fields, with both indices in [0, n); a header or
-    entry line that breaks this raises ValueError naming ``path:line``."""
+    """Read an operator written by :func:`save_operator`, as a real matrix
+    when every imaginary part read is 0.  Every entry line must hold four
+    numeric fields, with both indices in [0, n); a header or entry line that
+    breaks this raises ValueError naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.startswith("#")]
@@ -600,7 +605,7 @@ def load_operator(path: str) -> HermitianOperator:
     except ValueError:
         raise ValueError(f"{path}:{k}: {ln!r} is not {want}") from None
     # the mirrored matrix is exactly Hermitian, so symmetrization is bit-exact
-    return HermitianOperator(shape, m)
+    return HermitianOperator(shape, m if m.imag.any() else m.real)
 
 
 def load_density(path: str) -> DensityMatrix:

@@ -147,7 +147,7 @@ def _feasible_start(family: FreeFamily, seed: int) -> np.ndarray:
         return family.full_rank_witness().mat
     except NoFullRankMember:
         d = family.total_dim
-        return family.lmo(np.zeros((d, d), dtype=complex), seed)
+        return family.lmo(np.zeros((d, d)), seed)
 
 
 def _certified(tracker: Tracker, iters: int, bound, family: FreeFamily,
@@ -560,7 +560,7 @@ def _relent_eval(rho_mat: np.ndarray, witness: np.ndarray):
             stack = AtomStack.of(mats)
             B = in_eigenbasis(V, stack)
             F1 = _log_first_differences(w)
-            rho_T = rho_t.T if rho_t.imag.any() else rho_t.T.real
+            rho_T = rho_t.T
             jac = -c * np.einsum("ij,kij->k", F1 * rho_T, B).real
             S = np.zeros((len(B), len(B)))
             # slabs of j with at most about 2^20 triples bound the memory

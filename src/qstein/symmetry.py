@@ -328,16 +328,13 @@ def conditioned_state(pair: PurificationPair, m_condition: int
     m = int(m_condition)
     if m < 0 or m > n:
         raise ValueError("conditioning count out of range")
-    if m == 0:
-        cond = rho_N_pur
-    else:
-        bra = opalg.kron_power(rho_pur.vec, m)
-        mat = rho_N_pur.vec.reshape(D ** m, D ** (n - m))
-        w = bra.conj() @ mat
-        nrm = float(np.linalg.norm(w))
-        if nrm < 1e-12:
-            raise ZeroOverlap("conditioning annihilated the state")
-        cond = PureState(SystemShape((D,) * (n - m)), w / nrm)
+    bra = opalg.kron_power(rho_pur.vec, m)
+    mat = rho_N_pur.vec.reshape(D ** m, D ** (n - m))
+    w = bra.conj() @ mat
+    nrm = float(np.linalg.norm(w))
+    if nrm < 1e-12:
+        raise ZeroOverlap("conditioning annihilated the state")
+    cond = PureState(SystemShape((D,) * (n - m)), w / nrm)
     if pair.overlap < 1e-12:
         raise ZeroOverlap("zero overlap with the IID purification")
     reduced = partial_trace_pure(rho_N_pur, range(m))

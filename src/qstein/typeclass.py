@@ -170,7 +170,7 @@ class TypeClassCoords:
     def dense(self, w_mat: np.ndarray) -> np.ndarray:
         """The dense diagonal matrix with coordinates ``w_mat``."""
         w = np.diag(w_mat) / self.sizes
-        return np.diag(w[self.labels]).astype(complex)
+        return np.diag(w[self.labels])
 
     def lmo(self, grad: np.ndarray) -> np.ndarray:
         """The linear oracle over the invariant members: the uniform state

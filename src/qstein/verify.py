@@ -21,9 +21,8 @@ from .freesets import DiagonalFamily, FullSpaceFamily, SingletonIIDFamily
 from .opalg import DensityMatrix, HermitianOperator, SystemShape, eigh
 from .optim import (SolverSettings, generalized_robustness, hypothesis_dual,
                     hypothesis_primal, min_positive_part, rel_ent_of_resource)
-from .rand import (ginibre, random_density, random_hermitian,
-                   random_kraus_channel, random_perm_invariant_density,
-                   random_pure)
+from .rand import (random_density, random_hermitian, random_kraus_channel,
+                   random_perm_invariant_density, random_psd, random_pure)
 
 
 def _rand_shape(rng) -> SystemShape:
@@ -46,22 +45,18 @@ def check_partial_trace_monotone(rng, i, seed):
     d = int(rng.integers(2, 4))
     shape = SystemShape((d, d))
     b = random_hermitian(rng, shape)
-    a = b + opalg.HermitianOperator(shape, pos_mat(rng, d * d))
+    a = b + random_psd(rng, shape)
     ga = opalg.partial_trace(a, [0])
     gb = opalg.partial_trace(b, [0])
     return [float(eigh(ga.mat - gb.mat)[0][0])]
 
 
-def pos_mat(rng, n: int) -> np.ndarray:
-    g = ginibre(rng, n)
-    return (g @ g.conj().T) / n
-
-
 @randomized_check("log-monotone", 1e-8)
 def check_log_monotone(rng, i, seed):
     n = int(rng.integers(2, 7))
-    q = pos_mat(rng, n) + 0.05 * np.eye(n)
-    p = q + pos_mat(rng, n)
+    shape = SystemShape((n,))
+    q = random_psd(rng, shape).mat + 0.05 * np.eye(n)
+    p = q + random_psd(rng, shape).mat
     lp = opalg.log2_on_support(opalg.operator(p)).mat
     lq = opalg.log2_on_support(opalg.operator(q)).mat
     return [float(eigh(lp - lq)[0][0])]
@@ -90,7 +85,7 @@ def check_dominated_state(rng, i, seed):
     n = shape.total_dim
     rho = random_density(rng, shape)
     t = float(rng.uniform(0.05, 0.9))
-    delta_raw = pos_mat(rng, n)
+    delta_raw = random_psd(rng, shape).mat
     delta = HermitianOperator(shape, t * delta_raw / np.trace(delta_raw).real)
     x = opalg.positive_part(rho - delta)
     _, m_op, m_fid = pipeline.dominated_state(rho, x, delta)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qstein import cli, opalg, verify
+from qstein import cli, opalg, pipeline, verify
 from qstein.opalg import SystemShape
 from qstein.optim import SolverSettings
 
@@ -677,6 +677,46 @@ max_iters = 192
         out = tmp_path / "missing" / "v.csv"
         self._exits_naming(["verify", "--suite", "opalg", "--trials", "1",
                             "--out", str(out)], out, capsys)
+
+    @staticmethod
+    def _refuse(monkeypatch, owner, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the --out check")
+        monkeypatch.setattr(owner, name, refuse)
+
+    def test_exponent_checks_out_before_solving(self, tmp_path, capsys,
+                                                monkeypatch):
+        self._refuse(monkeypatch, cli, "min_positive_part")
+        cfg = write_cfg(tmp_path, "e.cfg", """
+state = coherence:0.8
+family = diagonal
+y_grid = 0.1
+n_grid = 2
+""")
+        out = tmp_path / "missing" / "e.csv"
+        self._exits_naming(["exponent", "--config", cfg, "--out", str(out),
+                            "--threads", "1"], out, capsys)
+
+    def test_verify_checks_out_before_checking(self, tmp_path, capsys,
+                                               monkeypatch):
+        self._refuse(monkeypatch, verify, "run_suite")
+        out = tmp_path / "missing" / "v.csv"
+        self._exits_naming(["verify", "--suite", "opalg", "--trials", "1",
+                            "--out", str(out)], out, capsys)
+
+    def test_pipeline_checks_out_before_solving(self, tmp_path, capsys,
+                                                monkeypatch):
+        # below a regular file: os.makedirs creates missing parents
+        self._refuse(monkeypatch, pipeline, "run_direct_part")
+        cfg = write_cfg(tmp_path, "p.cfg", """
+state = coherence:0.8
+family = diagonal
+y = 0.7219280948873623
+n = 4
+""")
+        out = tmp_path / "p.cfg" / "trace"
+        self._exits_naming(["pipeline", "--config", cfg, "--out", str(out)],
+                           out, capsys)
 
     @pytest.mark.parametrize("command", ["exponent", "pn", "pipeline"])
     def test_family_not_fitting_the_state(self, tmp_path, capsys, command):

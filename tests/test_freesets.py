@@ -261,6 +261,32 @@ class TestWitness:
             fam.full_rank_witness()
 
 
+class TestDtypeFollowsData:
+    """Oracle answers and family data are as real as their data."""
+
+    def test_diagonal_vertex_is_real(self):
+        fam = DiagonalFamily(2, 2)
+        g = rand.random_hermitian(np.random.default_rng(7), fam.shape).mat
+        for grad in (g.real, g):
+            assert fam.lmo(grad).dtype == np.float64
+
+    def test_singleton_sigma0(self):
+        for sigma0, dtype in ((np.diag([0.6, 0.4]), np.float64),
+                              (np.array([[0.6, 0.1j], [-0.1j, 0.4]]),
+                               np.complex128)):
+            fam = SingletonIIDFamily(2, 2, sigma0=sigma0)
+            assert fam.sigma0.dtype == dtype
+            assert not fam.sigma0.flags.writeable
+
+    def test_type_class_dense(self):
+        fam = DiagonalFamily(2, 3)
+        base = opalg.maximally_mixed(SystemShape((2,)))
+        coords = typeclass.TypeClassCoords.of(fam, opalg.Power(base, 3))
+        w = np.diag([0.1, 0.2, 0.3, 0.4])
+        assert coords.dense(w).dtype == np.float64
+        assert coords.dense(w + 0j).dtype == np.complex128
+
+
 class TestProperties:
     @pytest.mark.parametrize("prop", [1, 2, 3, 4, 5])
     def test_diagonal_all_properties(self, prop):

@@ -1,7 +1,8 @@
 """Static checks on the package source: every import is used, every
 private module-level function or class is referenced somewhere in it, no
-module reads another's private names, no module imports scipy, and no
-module is long enough to double the parser's token array."""
+module reads another's private names, no module imports scipy, the
+solvers cast no real data to complex, and no module is long enough to
+double the parser's token array."""
 
 import ast
 import io
@@ -135,6 +136,31 @@ def test_optim_guesses_no_structure():
     guesses = {"is_perm_invariant", "sym_isometry", "rank_one_factor"}
     for name in ("fw.py", "optim.py", "typeclass.py"):
         assert not guesses & _referenced(TREES[name]), name
+
+
+def _is_complex(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "complex"
+
+
+def test_solvers_keep_real_data_real():
+    """A matrix is as real as its data, and ``opalg.eigh`` alone decides
+    whether a computed one is real: the solvers cast nothing to complex
+    (no ``astype(complex)``, no ``dtype=complex``) and read no imaginary
+    part."""
+    found = []
+    for name in ("fw.py", "optim.py", "typeclass.py"):
+        for node in ast.walk(TREES[name]):
+            if isinstance(node, ast.Attribute) and node.attr == "imag":
+                found.append(f"{name}:{node.lineno} .imag")
+            elif isinstance(node, ast.Call):
+                if (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "astype"
+                        and any(map(_is_complex, node.args))):
+                    found.append(f"{name}:{node.lineno} astype(complex)")
+                if any(k.arg == "dtype" and _is_complex(k.value)
+                       for k in node.keywords):
+                    found.append(f"{name}:{node.lineno} dtype=complex")
+    assert not found, f"complex casts or realness tests: {found}"
 
 
 # CPython's parser holds a module's tokens in an array it doubles when

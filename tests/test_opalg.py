@@ -409,6 +409,29 @@ class TestPower:
             opalg.Power(coherence, 13)
 
 
+class TestDtypeFollowsData:
+    """A matrix is as real as its data: real input gives real matrices,
+    complex input complex ones."""
+
+    REAL = np.array([[0.7, 0.2], [0.2, 0.3]])
+    COMPLEX = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+
+    @pytest.mark.parametrize("make", [opalg.operator, opalg.density])
+    def test_operator_and_density(self, make):
+        assert make(self.REAL).mat.dtype == np.float64
+        assert make(self.COMPLEX).mat.dtype == np.complex128
+
+    def test_promoted_to_float64(self):
+        for dtype in (int, np.float32):
+            op = opalg.operator(np.eye(2, dtype=dtype))
+            assert op.mat.dtype == np.float64
+
+    def test_power(self):
+        for data, dtype in ((self.REAL, np.float64),
+                            (self.COMPLEX, np.complex128)):
+            assert opalg.Power(opalg.density(data), 3).mat.dtype == dtype
+
+
 class TestComplement:
     @pytest.mark.parametrize("d", range(2, 7))
     def test_completes_to_unitary(self, d):
@@ -467,11 +490,13 @@ def _projectors(v):
 class TestEighStacks:
     K, N = 7, 4
 
-    def _check(self, stack):
+    def _check(self, stack, real):
+        # real eigenvectors for a real or numerically real stack, complex
+        # ones for a complex stack
         w, v = opalg.eigh(stack)
         assert w.shape == (self.K, self.N)
         assert v.shape == (self.K, self.N, self.N)
-        assert np.iscomplexobj(v)
+        assert np.iscomplexobj(v) != real
         for m, wk, vk in zip(stack, w, v):
             w1, v1 = opalg.eigh(m)
             assert_allclose(wk, w1, rtol=0, atol=1e-14)
@@ -483,15 +508,16 @@ class TestEighStacks:
         return 0.25 * (g + g.mT)
 
     def test_real_stack(self):
-        self._check(self._real_sym())
+        self._check(self._real_sym(), real=True)
 
     def test_complex_stack(self):
-        self._check(np.stack([rand_herm(self.N) for _ in range(self.K)]))
+        self._check(np.stack([rand_herm(self.N) for _ in range(self.K)]),
+                    real=False)
 
     def test_nearly_real_stack_takes_the_real_path(self):
         noise = 1e-15 * RNG.standard_normal((self.K, self.N, self.N))
         stack = self._real_sym() + 1j * (noise - noise.mT)
-        self._check(stack)
+        self._check(stack, real=True)
         w, _ = opalg.eigh(stack)
         assert_allclose(w, opalg.eigh(stack.real)[0], rtol=0, atol=0)
 
@@ -501,7 +527,7 @@ class TestEighStacks:
         noise = 1e-15 * RNG.standard_normal((self.K, self.N, self.N))
         stack = self._real_sym() + 1j * (noise - noise.mT)
         stack[3] = rand_herm(self.N)
-        self._check(stack)
+        self._check(stack, real=False)
 
 
 class TestNormalizedPositivePart:
@@ -544,6 +570,19 @@ class TestSerialization:
         assert path.read_text() == (
             "dims: 1,3\n0 0 0.5 0.0\n0 2 -0.25 0.125\n1 1 -1.5 0.0\n"
             "1 2 0.0 0.3\n2 2 0.1 0.0\n")
+
+    def test_real_file_loads_real(self, tmp_path):
+        # a file whose imaginary column is all 0 loads as a real matrix, one
+        # nonzero imaginary part keeps it complex; either saves back the
+        # bytes it was read from
+        path, back = tmp_path / "op.txt", tmp_path / "back.txt"
+        for im, dtype in (("0.0", np.float64), ("0.125", np.complex128)):
+            path.write_text(f"dims: 2\n0 0 0.7 0.0\n0 1 0.2 {im}\n"
+                            "1 1 0.3 0.0\n")
+            op = opalg.load_operator(str(path))
+            assert op.mat.dtype == dtype
+            opalg.save_operator(op, str(back))
+            assert back.read_bytes() == path.read_bytes()
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"

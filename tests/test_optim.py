@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from functools import partial
@@ -7,7 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qstein import fw, lp, opalg, optim, rand, symmetry, typeclass, verify
+from qstein import (fw, lp, opalg, optim, pipeline, rand, symmetry,
+                    typeclass, verify)
 from qstein.entropy import binary_entropy, relative_entropy, von_neumann_entropy
 from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
                              SeparableHullFamily, SingletonIIDFamily)
@@ -755,7 +757,7 @@ class TestStructureFromType:
         assert (res.value, res.fw_gap) == (0.2035685073015513,
                                            0.05411632006378192)
         assert (hypothesis_primal(power, 4.0, fam),
-                hypothesis_dual(power, 4.0, fam)) == (0.5107323210773137,
+                hypothesis_dual(power, 4.0, fam)) == (0.5107323210773136,
                                                       0.5107323288255563)
         res = rel_ent_of_resource(power, fam)
         assert (res.value, res.fw_gap) == (0.37904454386369446,
@@ -1026,11 +1028,8 @@ class TestAtomStack:
 
     @staticmethod
     def _per_call_in_eigenbasis(V, stack):
-        """``in_eigenbasis`` with its realness and diagonal tests made on
-        every call."""
+        """``in_eigenbasis`` with its diagonal test made on every call."""
         dirs = stack.mats
-        if not V.imag.any() and not dirs.imag.any():
-            V, dirs = V.real, dirs.real
         if dirs.ndim == 3:
             diag = np.diagonal(dirs, axis1=1, axis2=2)
             if np.count_nonzero(dirs) != np.count_nonzero(diag):
@@ -1110,6 +1109,63 @@ class TestAtomStack:
                 coords.read(optim._relent_eval(target.mat,
                                                np.eye(2 ** n) / 2 ** n))],
                 mats)
+
+
+class TestRealDataStaysReal:
+    """On real instances no eigendecomposition receives a complex matrix:
+    ``opalg.eigh`` is rebound in every module that holds it and records
+    the kind of each matrix it is given."""
+
+    MIXED = np.array([[0.7, 0.2], [0.2, 0.3]])
+    ETA = np.diag([0.5, 0.3, 0.2])
+    SIGMA0 = np.diag([0.2, 0.3, 0.5])
+
+    @staticmethod
+    def _spy(monkeypatch):
+        kinds, eigh = [], opalg.eigh
+
+        def spy(mat):
+            kinds.append(np.iscomplexobj(mat))
+            return eigh(mat)
+        for name, module in list(sys.modules.items()):
+            if name == "qstein" or name.startswith("qstein."):
+                for attr, value in list(vars(module).items()):
+                    if value is eigh:
+                        monkeypatch.setattr(module, attr, spy)
+        return kinds
+
+    @pytest.mark.parametrize("case", [
+        "pure power", "mixed power", "primal full", "dual full",
+        "primal iid", "dual iid", "relent", "step1", "robustness"])
+    def test_no_complex_eigh(self, monkeypatch, case):
+        mixed = opalg.density(self.MIXED)
+        eta = opalg.density(self.ETA)
+        iid = SingletonIIDFamily(3, 1, sigma0=self.SIGMA0)
+        run = {
+            "pure power": lambda: min_positive_part(
+                opalg.Power(coherence_qubit(), 6),
+                optim.rate_threshold(0.3, 6), DiagonalFamily(2, 6)),
+            "mixed power": lambda: min_positive_part(
+                opalg.Power(mixed, 4), optim.rate_threshold(0.1, 4),
+                DiagonalFamily(2, 4)),
+            "primal full": lambda: hypothesis_primal(
+                eta, 2.0, FullSpaceFamily(3, 1)),
+            "dual full": lambda: hypothesis_dual(
+                eta, 2.0, FullSpaceFamily(3, 1)),
+            "primal iid": lambda: hypothesis_primal(eta, 2.0, iid),
+            "dual iid": lambda: hypothesis_dual(eta, 2.0, iid),
+            "relent": lambda: rel_ent_of_resource(
+                opalg.Power(coherence_qubit(), 3), DiagonalFamily(2, 3)),
+            "step1": lambda: pipeline.step1(
+                coherence_qubit(), binary_entropy(0.8), 5,
+                DiagonalFamily(2, 5)),
+            "robustness": lambda: generalized_robustness(
+                mixed, DiagonalFamily(2, 1)),
+        }[case]
+        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+        kinds = self._spy(monkeypatch)
+        run()
+        assert kinds and not any(kinds)
 
 
 class TestHypothesisTesting:
