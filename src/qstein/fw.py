@@ -9,7 +9,10 @@ Each stage starts from the atoms and weights the stage before ended with,
 and ends when its oracle certifies the gap target, at its call cap, or when
 an oracle answer earns no weight in the re-solve (the atom set is left as
 it was): fully-corrective Frank-Wolfe gains only from an answer that earns
-weight.
+weight.  A schedule may open with a warm-up: a stage at a high temperature
+with a small call cap, which collects atoms on a smooth surrogate so that
+the sharp stages after it start near their optimum (continuation in the
+smoothing parameter).
 
 Every objective is one probe, ``probe(x) -> (surrogate, exact, grad,
 local)``: one eigendecomposition at x gives the surrogate and exact values,
@@ -43,12 +46,13 @@ def tr_prod(a: np.ndarray, b: np.ndarray) -> float:
 
 class Tracker:
     """Remembers the best exact objective value seen at any probed member,
-    and the iterate and its atoms at the end of each annealing stage."""
+    and the temperature, the iterate and its atoms at the end of each
+    annealing stage."""
 
     def __init__(self):
         self.best_value = math.inf
         self.best_mat = None
-        self.stage_ends: list[tuple[np.ndarray, list]] = []
+        self.stage_ends: list[tuple[float | None, np.ndarray, list]] = []
 
     def offer(self, mat: np.ndarray, exact: float) -> None:
         if exact < self.best_value:
@@ -303,25 +307,31 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
 
 
 def anneal(make_probe, taus, lmo, start: np.ndarray, stage_atoms: int,
-           gap_tol: float) -> tuple[Tracker, int]:
+           gap_tol: float, warmup: int = 0) -> tuple[Tracker, int]:
     """The one Frank-Wolfe routine: a fully-corrective solve per temperature.
 
     ``make_probe(tau)`` is the probe at temperature tau (``None`` for the
     exact objective).  Each stage makes at most ``stage_atoms`` oracle calls
     and starts from the atoms and weights the one before ended with; the
     schedule stops after a stage whose first oracle call certifies its
-    start.  Returns the tracker of exact values, whose ``stage_ends`` are
-    the iterates at the end of the stages run with their atoms of positive
-    weight, and the oracle calls summed over the stages.
+    start.  A positive ``warmup`` makes the first stage a warm-up: it makes
+    at most ``warmup`` oracle calls and never stops the schedule, so it
+    only hands its atoms to the stages after it.  Returns the tracker of
+    exact values, whose ``stage_ends`` are (tau, iterate, atoms of positive
+    weight) at the end of each stage run, and the oracle calls summed over
+    the stages.
     """
     tracker = Tracker()
     atoms, total = [[start.copy(), 1.0]], 0
-    for tau in taus:
-        x, atoms, it, settled = _fcfw_minimize(make_probe(tau), lmo, atoms,
-                                               stage_atoms, gap_tol, tracker)
-        tracker.stage_ends.append((x, [m for m, v in atoms if v > 0.0]))
+    for k, tau in enumerate(taus):
+        warm = k == 0 and warmup > 0
+        x, atoms, it, settled = _fcfw_minimize(
+            make_probe(tau), lmo, atoms, warmup if warm else stage_atoms,
+            gap_tol, tracker)
+        tracker.stage_ends.append(
+            (tau, x, [m for m, v in atoms if v > 0.0]))
         total += it
-        if settled:
+        if settled and not warm:
             break  # the oracle certifies the start point already
     return tracker, total
 

@@ -42,6 +42,8 @@ TRACE_TOL = 1e-10
 DENSE_DIM_CAP = 4096
 # widest power a solve runs on (pipeline step 1, ``regularized_sequence``)
 SOLVE_DIM_CAP = 1024
+# the most matrix entries ``save_operator`` formats into one string
+SAVE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -563,18 +565,22 @@ def save_operator(a: HermitianOperator, path: str) -> None:
     """Write the operator in the plain-text exchange format.
 
     Header ``dims: d1,d2,...`` then one ``row col re im`` line per nonzero
-    upper-triangle entry.  Floats are printed with full precision (repr), so
-    readers reconstruct the matrix bit-exactly.
+    upper-triangle entry, row by row.  Floats are printed with full
+    precision (repr), so readers reconstruct the matrix bit-exactly.  The
+    lines are formatted and written a band of rows at a time, of at most
+    ``SAVE_BLOCK`` entries (one row where a row is wider).
     """
     m = a.mat
+    band = max(1, SAVE_BLOCK // m.shape[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("dims: " + ",".join(str(d) for d in a.shape.dims) + "\n")
-        for i in range(m.shape[0]):  # a row at a time: never the whole text
-            row = m[i, i:]
-            cols = np.flatnonzero(row)
-            fh.writelines(f"{i} {j} {re!r} {im!r}\n" for j, re, im in zip(
-                (cols + i).tolist(), row[cols].real.tolist(),
-                row[cols].imag.tolist()))
+        for top in range(0, m.shape[0], band):
+            upper = np.triu(m[top:top + band], top)
+            i, j = np.nonzero(upper)
+            z = upper[i, j]
+            fh.write("".join(map("{} {} {!r} {!r}\n".format,
+                                 (i + top).tolist(), j.tolist(),
+                                 z.real.tolist(), z.imag.tolist())))
 
 
 def load_operator(path: str) -> HermitianOperator:

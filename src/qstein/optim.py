@@ -22,11 +22,23 @@ most "calls/stage" oracle calls and ends at the oracle's "gap" target):
     rel_ent_of_resource     exact             max(12, m//8)  tol
     min_positive_part       ANNEAL_TAUS       max(12, m//24) tol/4
       rank-one target       none: the closed form, then the exit bound
-    hypothesis_dual         ANNEAL_TAUS       max(20, m//3)  tol/4
+    hypothesis_dual         DUAL_TAUS:        max(20, m//3)  tol/4
+                            1 (a warm-up of at most DUAL_WARMUP calls),
+                            then ANNEAL_TAUS
       one-member family     none: tangent and secant steps in b, exact probes
-    hypothesis_primal       reads stage 2's end, and its atoms, of the dual;
-                            cuts solved by lp.maximize_packing
+    hypothesis_primal       reads the tau = 1e-6 stage's end, and its atoms,
+                            of the dual; cuts solved by lp.maximize_packing
       one-member family     reads the search's end; one cut, closed form
+
+The dual's warm-up is continuation in the smoothing parameter: at tau = 1
+the surrogate is smooth, and with ``_dual_eval``'s offset its minimizer is
+X = eta at every tau whenever eta lies in the search's hull, so a few cheap
+oracle calls collect atoms near the optimum and the sharp tau = 1e-3 stage
+starts there instead of cold at K times a member.  The warm-up never ends the
+schedule (``fw.anneal``), and its cap keeps an expensive oracle from
+collecting atoms the sharp stages drop.  The threshold searches take no
+warm-up: they are warm-started along rate sweeps, and their optimum moves
+with tau.
 
 Each solver reports as ``fw_gap`` its value minus the best Frank-Wolfe
 lower bound f(x) - gap(x) over its best probe and its stage ends
@@ -39,8 +51,8 @@ unit-trace states, and (1+s) sigma >= rho iff Tr[(rho - (1+s) sigma)_+]
 vanishes.
 
 ``hypothesis_primal`` reads its test off the iterate at the end of the
-dual's second stage with a cutting-plane linear program, whose first cuts
-are that iterate's atoms.  The program is solved by the small simplex of
+dual's tau = 1e-6 stage with a cutting-plane linear program, whose first
+cuts are that iterate's atoms.  The program is solved by the small simplex of
 ``lp.maximize_packing``, which starts at e = 0; a program of one cut is a
 fractional knapsack, solved in closed form (``_one_row_optimum``).  Both
 ends of the bracket share one solve: the last dual solve is memoized, so a
@@ -74,8 +86,13 @@ from .typeclass import pick_search, pospart_eval, rank_one_optimum
 
 # weight of the full-rank witness mixed into every relative-entropy probe
 RELENT_FLOOR = 1e-9
-# the temperatures of the annealed threshold and dual searches
+# the temperatures of the annealed threshold searches
 ANNEAL_TAUS = (1e-3, 1e-6, 1e-8)
+# the dual's: a warm-up at tau = 1 of at most DUAL_WARMUP oracle calls, then
+# ANNEAL_TAUS; the primal reads its test off the end of the PRIMAL_TAU stage
+DUAL_TAUS = (1.0,) + ANNEAL_TAUS
+DUAL_WARMUP = 16
+PRIMAL_TAU = 1e-6
 # the one-member search's ends: a gap below TANGENT_GAP between the value at
 # hi and the tangents' bound puts hi at the minimum to rounding; a slope jump
 # above SLOPE_JUMP across the bracket is a kink, and below it the minimum is
@@ -162,7 +179,7 @@ def _certified(tracker: Tracker, iters: int, bound, family: FreeFamily,
     """
     value = tracker.best_value
     gap = value - bound(tracker.best_mat)
-    for x, _ in reversed(tracker.stage_ends):
+    for _, x, _ in reversed(tracker.stage_ends):
         if gap <= settings.tol:
             break
         gap = min(gap, value - bound(x))
@@ -268,12 +285,14 @@ _DUAL_MEMO = None
 def _dual_search(eta: HermitianOperator | opalg.Power, K: float,
                  family: FreeFamily,
                  settings: SolverSettings) -> tuple[float, np.ndarray, list]:
-    """Annealed solve of the dual over X = b sigma: the exact value at its
-    best probe, and the dense iterate at the end of its second temperature
-    (of its first, if the schedule stops there) and its atoms of positive
-    weight, from which the primal reads its test and its first cuts.
-    Below K = 1 it starts at the optimum X = 0 (value >= 1 - b + b/K >= 1),
-    as the oracle's zero atom would absorb a start K sigma near 0.
+    """Annealed solve of the dual over X = b sigma on ``DUAL_TAUS``: the
+    exact value at its best probe, and the dense iterate at the end of its
+    ``PRIMAL_TAU`` stage (of the last stage run, if the schedule stops
+    before it) and its atoms of positive weight, from which the primal
+    reads its test and its first cuts.  The schedule opens with a warm-up
+    at tau = 1 of at most ``DUAL_WARMUP`` oracle calls, which never ends
+    it.  Below K = 1 it starts at the optimum X = 0 (value >= 1 - b + b/K
+    >= 1), as the oracle's zero atom would absorb a start K sigma near 0.
 
     The last solve is kept in a one-entry memo, so that a primal and a dual
     call on the same inputs share it, in either order.  A call reuses it
@@ -302,9 +321,11 @@ def _dual_search(eta: HermitianOperator | opalg.Power, K: float,
         member = search.enter(_feasible_start(family, settings.seed))
         tracker, _ = anneal(
             partial(_dual_eval, partial(search.pospart, 1.0), K),
-            ANNEAL_TAUS, lmo, (K >= 1.0) * member,
-            max(20, settings.max_iters // 3), settings.tol / 4.0)
-        x, held = tracker.stage_ends[:2][-1]
+            DUAL_TAUS, lmo, (K >= 1.0) * member,
+            max(20, settings.max_iters // 3), settings.tol / 4.0,
+            DUAL_WARMUP)
+        ends = tracker.stage_ends
+        _, x, held = next((e for e in ends if e[0] == PRIMAL_TAU), ends[-1])
         out = (tracker.best_value, search.to_dense(x),
                [search.to_dense(m) for m in held])
     _DUAL_MEMO = (eta_mat.copy(), K, family, settings) + out
@@ -438,7 +459,7 @@ def hypothesis_primal(eta: HermitianOperator | opalg.Power, K: float,
     on the same inputs just before or after shares (``_dual_search`` keeps
     the last solve in a one-entry memo).  So a caller that asks for the
     primal alone pays for the dual's whole schedule.  At the dual's smoothed
-    minimizer X* (the iterate at the end of its second temperature) the
+    minimizer X* (the iterate at the end of its tau = 1e-6 stage) the
     surrogate's gradient is a nearly feasible, nearly optimal test, and an
     optimal test is diagonal in the eigenbasis v_j of eta - X* by
     complementary slackness.  (The best exact probe is no substitute: its

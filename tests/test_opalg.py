@@ -584,6 +584,35 @@ class TestSerialization:
             opalg.save_operator(op, str(back))
             assert back.read_bytes() == path.read_bytes()
 
+    @staticmethod
+    def _per_row_text(op) -> str:
+        """The exchange format written one row at a time."""
+        m = op.mat
+        lines = ["dims: " + ",".join(map(str, op.shape.dims)) + "\n"]
+        for i in range(m.shape[0]):
+            for j in range(i, m.shape[0]):
+                z = complex(m[i, j])
+                if z != 0:
+                    lines.append(f"{i} {j} {z.real!r} {z.imag!r}\n")
+        return "".join(lines)
+
+    @pytest.mark.parametrize("block", (1, 5, 13, opalg.SAVE_BLOCK))
+    def test_blocks_write_the_per_row_bytes(self, tmp_path, monkeypatch,
+                                            block):
+        # bands of rows narrower and wider than a row, and the default
+        # one, write the bytes of a row-by-row writer, zero entries skipped
+        monkeypatch.setattr(opalg, "SAVE_BLOCK", block)
+        rng = np.random.default_rng(7)
+        op = rand.random_hermitian(rng, SystemShape((2, 3)))
+        mat = op.mat.copy()
+        mat[0, 4] = mat[4, 0] = mat[2, 2] = 0.0
+        path = tmp_path / "op.txt"
+        for m in (mat, mat.real):
+            operator = opalg.operator(m, (2, 3))
+            opalg.save_operator(operator, str(path))
+            assert path.read_bytes() == self._per_row_text(
+                operator).encode()
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 0 1.0 0.0\n")
