@@ -561,6 +561,15 @@ def permute_pure(v: PureState, perm: Sequence[int]) -> PureState:
 # plain-text serialization
 # ---------------------------------------------------------------------------
 
+def _reprs(x: np.ndarray, end: str) -> np.ndarray:
+    """``repr(v) + end`` for each float ``v`` of ``x``, as an object array.
+    Each distinct bit pattern is formatted once; keying on bits rather than
+    values keeps 0.0 and -0.0 apart."""
+    bits, inv = np.unique(x.view(np.uint64), return_inverse=True)
+    text = [repr(v) + end for v in bits.view(np.float64).tolist()]
+    return np.array(text, dtype=object)[inv]
+
+
 def save_operator(a: HermitianOperator, path: str) -> None:
     """Write the operator in the plain-text exchange format.
 
@@ -568,9 +577,13 @@ def save_operator(a: HermitianOperator, path: str) -> None:
     upper-triangle entry, row by row.  Floats are printed with full
     precision (repr), so readers reconstruct the matrix bit-exactly.  The
     lines are formatted and written a band of rows at a time, of at most
-    ``SAVE_BLOCK`` entries (one row where a row is wider).
+    ``SAVE_BLOCK`` entries (one row where a row is wider).  Within a band
+    each distinct bit pattern of the real and of the imaginary parts is
+    formatted once, and each line is joined from those strings; the bytes
+    are those of formatting every entry on its own.
     """
     m = a.mat
+    heads = np.array([f"{k} " for k in range(m.shape[0])], dtype=object)
     band = max(1, SAVE_BLOCK // m.shape[0])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("dims: " + ",".join(str(d) for d in a.shape.dims) + "\n")
@@ -578,16 +591,17 @@ def save_operator(a: HermitianOperator, path: str) -> None:
             upper = np.triu(m[top:top + band], top)
             i, j = np.nonzero(upper)
             z = upper[i, j]
-            fh.write("".join(map("{} {} {!r} {!r}\n".format,
-                                 (i + top).tolist(), j.tolist(),
-                                 z.real.tolist(), z.imag.tolist())))
+            fields = (heads[i + top], heads[j],
+                      _reprs(z.real, " "), _reprs(z.imag, "\n"))
+            fh.write("".join(np.stack(fields, axis=1).ravel().tolist()))
 
 
 def load_operator(path: str) -> HermitianOperator:
     """Read an operator written by :func:`save_operator`, as a real matrix
     when every imaginary part read is 0.  Every entry line must hold four
-    numeric fields, with both indices in [0, n); a header or entry line that
-    breaks this raises ValueError naming ``path:line``."""
+    numeric fields, with both indices in [0, n), and name an entry that no
+    earlier line named, itself or as its mirror; a header or entry line
+    that breaks this raises ValueError naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
                  if ln.strip() and not ln.startswith("#")]
@@ -599,12 +613,16 @@ def load_operator(path: str) -> HermitianOperator:
                                   ln.removeprefix("dims:").split(",")))
         n = shape.total_dim
         m = np.zeros((n, n), dtype=complex)
-        want = f"'row col re im' with row and col in [0, {n})"
+        want = (f"'row col re im' with row and col in [0, {n}),"
+                " for an entry not read before")
+        seen = set()
         for k, ln in lines[1:]:
             row, col, re, im = ln.split()
             i, j, z = int(row), int(col), complex(float(re), float(im))
-            if not (0 <= i < n and 0 <= j < n):
+            entry = (min(i, j), max(i, j))
+            if not (0 <= i < n and 0 <= j < n) or entry in seen:
                 raise ValueError
+            seen.add(entry)
             m[i, j] = z
             if i != j:
                 m[j, i] = z.conjugate()

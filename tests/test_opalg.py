@@ -600,15 +600,25 @@ class TestSerialization:
     def test_blocks_write_the_per_row_bytes(self, tmp_path, monkeypatch,
                                             block):
         # bands of rows narrower and wider than a row, and the default
-        # one, write the bytes of a row-by-row writer, zero entries skipped
+        # one, write the bytes of a row-by-row writer, zero entries skipped;
+        # 0.0 and -0.0 in one band print apart, and a rank-one power's few
+        # distinct values print at every entry that holds them
         monkeypatch.setattr(opalg, "SAVE_BLOCK", block)
         rng = np.random.default_rng(7)
         op = rand.random_hermitian(rng, SystemShape((2, 3)))
         mat = op.mat.copy()
         mat[0, 4] = mat[4, 0] = mat[2, 2] = 0.0
+        signed = np.array([[0.25, complex(-0.0, 0.5), complex(0.0, 0.5)],
+                           [complex(-0.0, -0.5), 0.5, 0.25],
+                           [complex(0.0, -0.5), 0.25, 0.25]])
+        ray = opalg.kron_power(np.sqrt([0.8, 0.2]), 7)
+        operators = [opalg.operator(mat, (2, 3)),
+                     opalg.operator(mat.real, (2, 3)),
+                     opalg.operator(signed, (3,)),
+                     opalg.operator(np.outer(ray, ray), (2,) * 7)]
+        assert np.signbit(operators[2].mat[0, 1].real)
         path = tmp_path / "op.txt"
-        for m in (mat, mat.real):
-            operator = opalg.operator(m, (2, 3))
+        for operator in operators:
             opalg.save_operator(operator, str(path))
             assert path.read_bytes() == self._per_row_text(
                 operator).encode()
@@ -634,6 +644,16 @@ class TestSerialization:
                 else "dims: 2\n# comment\n0 0 0.75 0.0\n")
         path.write_text(f"{head}{line}\n")
         with pytest.raises(ValueError, match=r"bad\.txt:4"):
+            opalg.load_operator(str(path))
+
+    @pytest.mark.parametrize("first,again", [("0 0 0.5 0.0", "0 0 0.25 0.0"),
+                                             ("0 1 0.5 0.0", "1 0 0.25 0.0")])
+    def test_rejects_repeated_entry(self, tmp_path, first, again):
+        # a second line for an entry read before, or for its mirror, would
+        # silently overwrite the first
+        path = tmp_path / "bad.txt"
+        path.write_text(f"dims: 2\n{first}\n{again}\n1 1 0.5 0.0\n")
+        with pytest.raises(ValueError, match=r"bad\.txt:3: .* not read before"):
             opalg.load_operator(str(path))
 
     def test_nan_entry_loads_no_state(self, tmp_path):

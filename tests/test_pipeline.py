@@ -452,15 +452,23 @@ class TestSandwich:
 
 class TestTraceSerialization:
     def test_save_trace(self, tmp_path):
-        trace = pipeline.run_direct_part(coherence_qubit(), H08, 4,
-                                         DiagonalFamily(2, 1), SET)
-        out = tmp_path / "trace"
-        pipeline.save_trace(trace, str(out))
-        assert (out / "sigma_N.op").exists()
-        assert (out / "sigma_tilde.op").exists()
-        back = opalg.load_density(str(out / "sigma_N.op"))
-        assert np.array_equal(back.mat, trace.sigma_N.mat)
-        with open(out / "certificates.csv", newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == len(trace.certificates)
-        assert all(r["pass"] == "true" for r in rows)
+        # a pure base, the mixed base of MIXED_N5_ROWS and its phased twin,
+        # whose rho_N, sigma~ and delta~ are complex: every state file
+        # reads back bit-exactly
+        mixed = np.array([[0.7, 0.2], [0.2, 0.3]])
+        phased = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+        cases = ((coherence_qubit(), H08, 4), (opalg.density(mixed), 0.1, 5),
+                 (opalg.density(phased), 0.1, 5))
+        for k, (rho, y, N) in enumerate(cases):
+            trace = pipeline.run_direct_part(rho, y, N, DiagonalFamily(2, 1),
+                                             SET)
+            out = tmp_path / f"trace{k}"
+            pipeline.save_trace(trace, str(out))
+            for name in ("sigma_N", "rho_N", "sigma_tilde", "delta_tilde"):
+                back = opalg.load_density(str(out / f"{name}.op"))
+                assert np.array_equal(back.mat, getattr(trace, name).mat), name
+            with open(out / "certificates.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == len(trace.certificates)
+            assert all(r["pass"] == "true" for r in rows)
+        assert np.iscomplexobj(trace.rho_N.mat)
