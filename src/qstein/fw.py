@@ -16,7 +16,9 @@ smoothing parameter).
 
 Every objective is one probe, ``probe(x) -> (surrogate, exact, grad,
 local)``: one eigendecomposition at x gives the surrogate and exact values,
-and two lazy derivatives share it.  ``grad()`` is the gradient matrix the
+and two lazy derivatives share it.  A stage probes each distinct point once:
+a point that recurs bit for bit, such as a mixture equal to the trial just
+accepted, reuses the stage's probe of it (``_fcfw_minimize``).  ``grad()`` is the gradient matrix the
 linear oracle and the exit bound read; ``local(mats)`` is the gradient and
 exact Hessian in the coordinates of a stack of atoms, which the corrective
 step reads, passing the stack as an ``AtomStack`` prepared once per
@@ -33,10 +35,16 @@ oracle's answer to g.  Oracles and iterates are plain matrices.
 from __future__ import annotations
 
 import math
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+# the probes a Frank-Wolfe stage keeps, oldest dropped first: a point recurs
+# soon (a mixture equal to the trial just accepted, or to the mixture before
+# a re-solve whose trials all failed), and the cap keeps a long stage on
+# large matrices from holding every eigendecomposition it made
+PROBE_MEMO = 32
 
 
 def tr_prod(a: np.ndarray, b: np.ndarray) -> float:
@@ -119,29 +127,31 @@ def _newton_direction(w: np.ndarray, jac: np.ndarray,
     held = w > 0.0
     free = held | (jac < jac[held].min())
     while True:
-        idx = np.flatnonzero(free)
-        n = idx.size
+        every = free.all()
+        h, g = (hess, jac) if every else (hess[free][:, free], jac[free])
+        n = g.size
         kkt = np.ones((n + 1, n + 1))
         kkt[n, n] = 0.0
-        kkt[:n, :n] = hess if n == w.size else hess[np.ix_(idx, idx)]
+        kkt[:n, :n] = h
         rhs = np.zeros(n + 1)
-        rhs[:n] = -jac[idx]
-        diag = slice(0, n * (n + 2), n + 2)  # kkt.flat of the Hessian block
-        kkt.flat[diag] += 1e-12 * max(float(np.abs(kkt.flat[diag]).max()),
-                                      float(np.abs(rhs).max()))
-        with np.errstate(all="ignore"):
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                return None
+        np.negative(g, out=rhs[:n])
+        kkt.reshape(-1)[:n * (n + 2):n + 2] += 1e-12 * max(
+            float(np.abs(h.diagonal()).max()), float(np.abs(g).max()))
+        try:  # solve raises on a singular system and warns of nothing
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
         if not np.isfinite(sol).all():
             return None
-        d = np.zeros_like(w)
-        d[idx] = sol[:n]
-        blocked = free & ~held & (d < 0.0)
+        if every:
+            d = sol[:n]
+        else:
+            d = np.zeros_like(w)
+            d[free] = sol[:n]
+        blocked = (d < 0.0) & ~held
         if not blocked.any():
             return d
-        free &= ~blocked
+        free ^= blocked
 
 
 def _pairwise_direction(w: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -175,7 +185,8 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray,
     descends, and near a hull optimum of a sharply curved surrogate the
     decrease is below what the value resolves while the slope still shows
     it.  That slope is Tr[grad D], D = sum_k d_k A_k the step in the
-    iterate, with ``grad()`` from the trial's own probe, so it costs no
+    iterate (formed once, at the first trial that fails the Armijo test),
+    with ``grad()`` from the trial's own probe, so it costs no
     eigendecomposition and no Hessian.  A rejected step t is followed by
     the point where the tangents at 0 and t meet (``tangents_meet``), kept
     in [t/100, 0.9 t], or by t/2 if the slope at t is not above the slope at
@@ -187,37 +198,43 @@ def _backtrack(probe, mats: np.ndarray, w: np.ndarray,
     shrink.
     """
     slope = float(jac @ d)
-    shrink = np.flatnonzero(d < 0.0)
+    shrink = (d < 0.0).nonzero()[0]
     if slope >= 0.0 or not shrink.size:
         return None
     ratios = w[shrink] / -d[shrink]
-    hit = float(ratios.min())
+    first = int(ratios.argmin())
+    hit = float(ratios[first])
     size = float(np.abs(d).sum())
     flat = mats.reshape(len(w), -1)
-    step_dir = (d @ flat).reshape(mats.shape[1:])
+    step_dir = None
     t = min(1.0, hit, radius / size)
     for tries in range(60):
         if t * size <= 1e-15:
-            break
+            return None
         trial = np.maximum(w + t * d, 0.0)
         if t == hit:
-            trial[shrink[np.argmin(ratios)]] = 0.0
+            trial[shrink[first]] = 0.0
         trial /= trial.sum()
         x = (trial @ flat).reshape(mats.shape[1:])
         v, exact, grad, local = probe(x)
         tracker.offer(x, exact)
-        grown = max(radius, 4.0 * t * size) if tries == 0 else 2.0 * t * size
         if v < value and v <= value + 1e-4 * t * slope:
-            return trial, v, local, grown
+            break
+        if step_dir is None:
+            step_dir = (d @ flat).reshape(mats.shape[1:])
         slope_t = tr_prod(grad(), step_dir)
         if v <= value + 1e-15 * abs(value) and slope_t <= 0.0:
-            return trial, v, local, grown
+            break
         if slope_t > slope:
             meet = tangents_meet((0.0, value, slope), (t, v, slope_t))
             t = min(0.9 * t, max(0.01 * t, meet))
         else:
             t *= 0.5
-    return None
+    else:
+        return None
+    moved = t * size
+    return trial, v, local, (max(radius, 4.0 * moved) if tries == 0
+                             else 2.0 * moved)
 
 
 def _newton_reweight(atoms: list[list], probe, tracker: Tracker,
@@ -243,15 +260,15 @@ def _newton_reweight(atoms: list[list], probe, tracker: Tracker,
         jac, hess = local(stack)
         if jac @ w - jac.min() <= hull_tol:
             break
-        for direction in (partial(_newton_direction, w, jac, hess),
-                          partial(_pairwise_direction, w, jac)):
-            d = direction()  # the pairwise step only if Newton's fails
-            step = None if d is None else _backtrack(
-                probe, stack.mats, w, d, jac, value, radius, tracker)
-            if step is not None:
-                break
-        else:
-            break  # no step descends
+        d = _newton_direction(w, jac, hess)
+        step = None if d is None else _backtrack(
+            probe, stack.mats, w, d, jac, value, radius, tracker)
+        if step is None:  # the pairwise step only if Newton's fails
+            step = _backtrack(probe, stack.mats, w,
+                              _pairwise_direction(w, jac), jac, value,
+                              radius, tracker)
+            if step is None:
+                break  # no step descends
         w, value, local, radius = step
         moved = True
     if moved:
@@ -268,7 +285,10 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
 
     One ``probe(mat)`` per point serves both: the oracle reads its
     ``grad()``, the corrective step its ``local(mats)`` (a new atom enters
-    at weight 0, so the re-solve starts from that probe).  Exact values of
+    at weight 0, so the re-solve starts from that probe).  The stage probes
+    each distinct point once: its probes are kept, keyed on the point's
+    dtype and bytes, and a point probed again gets the kept probe (the last
+    ``PROBE_MEMO`` are kept, and none outlives the stage).  Exact values of
     every probe go to the tracker.  The solve ends when the oracle
     certifies the gap target, after ``max_outer`` oracle calls, or when an
     iteration leaves the atom set as it was: the answer was already held, or
@@ -278,10 +298,21 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
     atoms, the oracle calls made and whether the first call certified the
     start.
     """
+    memo = {}
+
+    def probe_once(x: np.ndarray):
+        key = (x.dtype, x.tobytes())
+        here = memo.get(key)
+        if here is None:
+            here = memo[key] = probe(x)
+            if len(memo) > PROBE_MEMO:
+                del memo[next(iter(memo))]
+        return here
+
     def probe_mixture():
         total = sum(e[1] for e in atoms)
         x = sum(e[0] * (e[1] / total) for e in atoms)
-        here = probe(x)
+        here = probe_once(x)
         tracker.offer(x, here[1])
         return x, here
 
@@ -292,12 +323,9 @@ def _fcfw_minimize(probe, lmo, atoms: list[list], max_outer: int,
         if tr_prod(g, sigma - s) <= gap_tol:
             return sigma, atoms, k + 1, k == 0
         held = [m for m, _ in atoms]
-        for entry in atoms:
-            if (np.abs(entry[0] - s) <= 1e-13).all():
-                break
-        else:
+        if not (np.abs(np.array(held) - s) <= 1e-13).all(axis=(1, 2)).any():
             atoms.append([s, 0.0])
-        _newton_reweight(atoms, probe, tracker, gap_tol / 2.0, here)
+        _newton_reweight(atoms, probe_once, tracker, gap_tol / 2.0, here)
         atoms = [e for e in atoms if e[1] > 1e-14] or atoms[:1]
         sigma, here = probe_mixture()
         if len(atoms) == len(held) and all(

@@ -77,19 +77,27 @@ def eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shape (..., n, n); the single spectral backend.
 
     The input is symmetrized before the call so that tiny anti-Hermitian
-    noise cannot leak into eigenvalues.  Real input, and complex input whose
-    every imaginary part is below 1e-14, takes the real LAPACK path, which
-    is several times faster at larger sizes; the test is taken over the
-    whole stack, so a stack goes real only if all its matrices do.  Returns
-    ascending eigenvalues and matching orthonormal eigenvectors (as
-    columns), stacked like the input: real eigenvectors on the real path,
-    complex ones otherwise.  This is the one test of whether a computed
-    matrix is real.
+    noise cannot leak into eigenvalues: (m + m^dag) / 2, halved in place in
+    the new array the sum makes (integer input is taken as float64).  Real
+    input, and complex input whose every imaginary part is below 1e-14,
+    takes the real LAPACK path, which is several times faster at larger
+    sizes; the test is taken over the whole stack, so a stack goes real
+    only if all its matrices do.  Returns ascending eigenvalues and
+    matching orthonormal eigenvectors (as columns), stacked like the input:
+    real eigenvectors on the real path, complex ones otherwise.  This is
+    the one test of whether a computed matrix is real.
     """
     m = np.asarray(mat)
-    if np.iscomplexobj(m) and m.size and float(np.abs(m.imag).max()) < 1e-14:
-        m = m.real
-    return np.linalg.eigh(0.5 * (m + m.conj().mT))
+    if m.dtype.kind not in "fc":
+        m = m.astype(np.float64)
+    if m.dtype.kind == "f":
+        h = m + m.mT
+    elif m.size and float(np.abs(m.imag).max()) < 1e-14:
+        h = m.real + m.real.mT
+    else:
+        h = m + m.conj().mT
+    h *= 0.5
+    return np.linalg.eigh(h)
 
 
 def _hermitize(mat: np.ndarray) -> np.ndarray:

@@ -263,17 +263,22 @@ def _dual_eval(pospart, K: float, tau: float):
     cone when eta has eigenvalues below tau."""
     offset = -math.log(K - 1.0) if K > 1.0 else 0.0
     pospart = pospart(tau, offset)
+    eye_over_k = None
 
     def probe(x: np.ndarray):
+        nonlocal eye_over_k
         smooth, exact, grad, local = pospart(x)
         mass = float(x.trace().real) / K
+        if eye_over_k is None or len(eye_over_k) != len(x):
+            eye_over_k = np.eye(len(x)) / K
+        mass_grad = eye_over_k
 
         def with_mass(mats):
             stack = AtomStack.of(mats)
             jac, hess = local(stack)
             return jac + stack.traces / K, hess
-        return (smooth + mass, exact + mass,
-                lambda: grad() + np.eye(len(x)) / K, with_mass)
+        return (smooth + mass, exact + mass, lambda: grad() + mass_grad,
+                with_mass)
     return probe
 
 

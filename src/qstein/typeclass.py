@@ -57,7 +57,7 @@ def _softplus(w: np.ndarray, tau: float, offset: float,
     if mult is not None:
         terms *= mult
     # the sigmoid 1 / (1 + exp(-x)), x clipped to [-500, 500], in place
-    sig = np.minimum(np.maximum(x, -500.0, out=x), 500.0, out=x)
+    sig = x.clip(-500.0, 500.0, out=x)
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)
     sig += 1.0
@@ -77,11 +77,11 @@ def _softplus_derivatives(lam: np.ndarray, V: np.ndarray, sig: np.ndarray,
     B = in_eigenbasis(V, stack)
     slope = sig * (1.0 - sig) / tau
     gaps = lam[:, None] - lam[None, :]
-    near = np.abs(gaps) <= 1e-6 * tau
-    G = np.where(near, 0.5 * (slope[:, None] + slope[None, :]),
-                 (sig[:, None] - sig[None, :]) / np.where(near, 1.0, gaps))
+    G = 0.5 * (slope[:, None] + slope[None, :])
+    np.divide(sig[:, None] - sig[None, :], gaps, out=G,
+              where=np.abs(gaps) > 1e-6 * tau)
     flat = B.reshape(len(B), -1)
-    first = np.diagonal(B, axis1=1, axis2=2).real @ sig
+    first = B.diagonal(0, 1, 2).real @ sig
     return first, ((flat * G.ravel()) @ flat.conj().T).real
 
 

@@ -821,9 +821,11 @@ class TestNewtonReweight:
 
     def test_annealed_dual_probe_count(self, monkeypatch):
         # every surrogate probe of one annealed dual on a random qudit
-        # against the full state space: 18 with the capped tau = 1 warm-up,
-        # 66 if the tau = 1e-3 stage starts cold at K times the member (53
-        # to 78 over seeds 1 to 8, against 17 to 23 with the warm-up)
+        # against the full state space: 17 with the capped tau = 1 warm-up
+        # and one probe per distinct point of a stage (16 to 21 over seeds
+        # 1 to 8; 18 when a stage probed a point again), 66 if the tau =
+        # 1e-3 stage starts cold at K times the member (53 to 78 over seeds
+        # 1 to 8)
         dual_eval, probes = optim._dual_eval, []
 
         def counting(pospart, K, tau):
@@ -838,8 +840,36 @@ class TestNewtonReweight:
         eta = rand.random_density(np.random.default_rng(1), SystemShape((5,)))
         fam = FullSpaceFamily(5, 1)
         dual = hypothesis_dual(eta, 2.0, fam)
-        assert 0 < len(probes) <= 30
+        assert 0 < len(probes) <= 17
         assert dual - hypothesis_primal(eta, 2.0, fam) <= 1e-12
+
+    def test_no_stage_probes_a_point_twice(self, monkeypatch):
+        # the bytes of every surrogate probe, per annealing stage, of an
+        # annealed dual and of a threshold search on a mixed power: a
+        # mixture equal bit for bit to the trial just accepted was probed
+        # again before (once in the dual, three times in the search)
+        stages, anneal = [], optim.anneal
+
+        def recording(make_probe, *args):
+            def make(tau):
+                probe, seen = make_probe(tau), []
+                stages.append(seen)
+
+                def recorded(x):
+                    seen.append((x.dtype.str, x.tobytes()))
+                    return probe(x)
+                return recorded
+            return anneal(make, *args)
+        monkeypatch.setattr(optim, "anneal", recording)
+        monkeypatch.setattr(optim, "_DUAL_MEMO", None)
+        eta = rand.random_density(np.random.default_rng(1), SystemShape((5,)))
+        hypothesis_dual(eta, 2.0, FullSpaceFamily(5, 1))
+        dual_stages = len(stages)
+        base = opalg.density(np.array([[0.7, 0.2], [0.2, 0.3]]))
+        min_positive_part(opalg.Power(base, 3), 2.0, DiagonalFamily(2, 3))
+        assert 0 < dual_stages < len(stages)
+        for seen in stages:
+            assert len(set(seen)) == len(seen)
 
     @pytest.mark.parametrize("duplicate", (False, True))
     def test_meets_hull_gap(self, duplicate):
@@ -1454,6 +1484,20 @@ class TestHypothesisTesting:
         eta = opalg.density(np.kron(phi, phi), (4, 4))
         hypothesis_dual(eta, 4.0, parse_family_spec("sep:2x2", 4, 2))
         assert 0 < len(calls) <= 39
+
+    @pytest.mark.parametrize("K", (2.0, 4.0))
+    def test_bell_pair_pair_bracket(self, K):
+        # Bell x2 against the separable hull, on the seesaw oracle: the dual
+        # is the exact value at the best probe, and at K = 2 no probe lands
+        # on the vertex optimum X = 0 (bracket 3.4e-8)
+        bell = np.zeros(4)
+        bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+        phi = np.outer(bell, bell)
+        eta = opalg.density(np.kron(phi, phi), (4, 4))
+        fam = parse_family_spec("sep:2x2", 4, 2)
+        primal = hypothesis_primal(eta, K, fam)
+        dual = hypothesis_dual(eta, K, fam)
+        assert primal <= dual <= primal + 1e-7
 
     def test_one_member_brackets_are_exact_and_solve_no_lp(self,
                                                            monkeypatch):
