@@ -20,7 +20,8 @@ Supported kinds:
 * ``SeparableHullFamily`` - convex hull of product states across a fixed
   bipartition, represented through a multi-start alternating-eigenvector
   oracle over pure product states with a Newton finish (a heuristic, so
-  its gaps certify nothing).
+  its gaps certify nothing); its membership test is the exact PPT test
+  up to a 2 x 3 cut and refuses larger cuts.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .opalg import HermitianOperator, SystemShape
 from .rand import random_psd
 
 EXACT_MEMBER_TOL = 1e-8
-SEP_MEMBER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,6 @@ class FreeFamily:
     def random_member(self, rng: np.random.Generator) -> HermitianOperator:
         """A random member, unvalidated (tests pin it as a state)."""
         raise NotImplementedError
-
-    @property
-    def membership_check_tol(self) -> float:
-        return EXACT_MEMBER_TOL
 
 
 def _ray(vec: np.ndarray) -> np.ndarray:
@@ -308,9 +304,9 @@ class SeparableHullFamily(FreeFamily):
     ``membership_defect`` is exact where the global cut is at most 2 x 3:
     there a state is separable iff its partial transpose is positive
     (Horodecki 1996), and the defect is -lambda_min of that partial
-    transpose, or 0.  On larger cuts it is the trace distance to the hull
-    found by ``distance_to_family``, driven by the same seesaw: an upper
-    bound on the distance, but not a tight one.
+    transpose, or 0.  On a larger cut it raises ``NotImplementedError``:
+    no exact test is implemented there, and a heuristic distance would
+    report true members as violations.
     """
 
     dim_a: int = 2
@@ -326,10 +322,6 @@ class SeparableHullFamily(FreeFamily):
                 or self.dim_a * self.dim_b != self.base_dim):
             raise ShapeMismatch("need dim_a, dim_b >= 1 with product base_dim")
 
-    @property
-    def membership_check_tol(self) -> float:
-        return SEP_MEMBER_TOL
-
     def membership_defect(self, sigma: HermitianOperator) -> float:
         n = self.copies
         da, db = self.dim_a ** n, self.dim_b ** n
@@ -339,10 +331,9 @@ class SeparableHullFamily(FreeFamily):
                                        n).reshape(da, db, da, db)
             pt = pt.transpose(0, 3, 2, 1).reshape(da * db, da * db)
             return max(0.0, -float(opalg.eigh(pt)[0][0]))
-        from .optim import SolverSettings, distance_to_family
-        res = distance_to_family(sigma, self, SolverSettings(max_iters=300,
-                                                             tol=1e-6))
-        return res.value
+        raise NotImplementedError(
+            f"separable membership on a {da} x {db} cut: PPT decides it "
+            f"only up to 2 x 3")
 
     def lmo(self, grad: np.ndarray, seed: int = 0) -> np.ndarray:
         n = self.copies
@@ -407,15 +398,12 @@ def check_property(family: FreeFamily, property_id: int, trials: int,
     Margins for membership-style checks are (check tolerance - defect); for
     the full-rank axiom the margin is the witness's smallest eigenvalue.
     Randomized probing, not a proof.  On ``SeparableHullFamily(4, 1)``
-    axioms 4 and 5 test members on a 4 x 4 cut, where membership is the
-    seesaw-driven distance after 300 iterations, an upper bound above
-    ``SEP_MEMBER_TOL`` on true members: they report violations (least
-    margins over 5 trials -0.22 and -0.014 at seed 1, -0.14 and -0.029 at
-    seed 2).
+    axioms 4 and 5 test members on two copies, a 4 x 4 cut, where
+    ``membership_defect`` raises ``NotImplementedError``.
     """
     if property_id not in (1, 2, 3, 4, 5):
         raise ValueError("property_id must be in 1..5")
-    tol = family.membership_check_tol
+    tol = EXACT_MEMBER_TOL
     n_hi = max(2, family.copies)
     fam_hi = family.at_copies(n_hi)
 

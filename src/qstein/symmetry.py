@@ -278,10 +278,10 @@ def perm_invariant_purification(rho: DensityMatrix,
         raise NotPermutationInvariant("rho_N is not permutation invariant")
 
     rho_pow = opalg.tensor_power(rho, n)
-    fid = opalg.fidelity(rho_N, rho_pow)
-
     sqrt_N = sqrt_psd(rho_N.mat)
-    P, _, Qh = np.linalg.svd(sqrt_psd(rho_pow.mat) @ sqrt_N)
+    # the singular values of sqrt(rho^{x N}) sqrt(rho_N) sum to the fidelity
+    P, s, Qh = np.linalg.svd(sqrt_psd(rho_pow.mat) @ sqrt_N)
+    fid = float(s.sum())
     V = Qh.conj().T @ P.conj().T
 
     amps = opalg.blocks_to_pairs((sqrt_N @ V).reshape(-1), d, d, n)
@@ -371,13 +371,14 @@ def truncation_weight(N: int, R: int) -> float:
 
 
 def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
-                            R: int) -> Certificate:
+                            R: int) -> tuple[Certificate, np.ndarray]:
     """Certify the tail bound relating an almost power state to the IID state.
 
     Checks base^{x (N-M-R)} <= 2^{N h(R/(N-M))} N^2 Tr_{1..R}[vv* + c Delta]
     with c = 2 sqrt(2R)/N (:func:`truncation_weight`) and Delta the
     normalized positive part of the difference between the large-amplitude
-    truncation of v and v itself.
+    truncation of v and v itself (:func:`beta_truncation_delta`).  Returns
+    the certificate and Delta.
     """
     n = len(v.shape.dims)
     if n != N - M:
@@ -393,7 +394,7 @@ def verify_power_inequality(v: PureState, base: PureState, N: int, M: int,
     lhs = opalg.pure_power(base, N - M - R).projector()
     gap = factor * reduced.mat - lhs.mat
     margin = float(eigh(gap)[0][0])
-    return Certificate("power-state tail bound", margin, 1e-8)
+    return Certificate("power-state tail bound", margin, 1e-8), delta
 
 
 def random_almost_power(rng: np.random.Generator, base: PureState,

@@ -274,7 +274,7 @@ def test_criterion_6_symmetry_machinery():
         for _ in range(5):
             base = rand.random_pure(rng, SystemShape((2,)))
             v = symmetry.random_almost_power(rng, base, N - M, R)
-            cert = symmetry.verify_power_inequality(v, base, N, M, R)
+            cert, _ = symmetry.verify_power_inequality(v, base, N, M, R)
             if cert.margin < -1e-8:
                 failures.append(
                     f"power inequality margin {cert.margin:.2e} at "

@@ -275,6 +275,22 @@ n = 4
         assert cli.main(["pipeline", "--config", cfg,
                          "--out", str(tmp_path / "t")]) == 3
 
+    def test_step1_conclusion_failure_exit_code(self, tmp_path, capsys,
+                                                monkeypatch):
+        # a witness built with sqrt(X) replaced by the identity fails the
+        # lemma's operator conclusion: a certificate failure, exit 4
+        monkeypatch.setattr(pipeline.opalg, "sqrt_psd",
+                            lambda mat, tol=None: np.eye(len(mat)))
+        cfg = write_cfg(tmp_path, "p7.cfg", """
+state = coherence:0.8
+family = diagonal
+y = 0.7219280948873623
+n = 4
+""")
+        assert cli.main(["pipeline", "--config", cfg,
+                         "--out", str(tmp_path / "t")]) == 4
+        assert "'step1 operator dominance' failed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("expect_fail", [False, True])
     def test_schedule_checked_before_step1(self, tmp_path, capsys,
                                            expect_fail):

@@ -5,9 +5,10 @@ import pytest
 
 from qstein import opalg, rand, symmetry, typeclass
 from qstein.errors import NoFullRankMember, ShapeMismatch
-from qstein.freesets import (DiagonalFamily, FullSpaceFamily,
-                             SeparableHullFamily, SingletonIIDFamily,
-                             check_property, parse_family_spec)
+from qstein.freesets import (EXACT_MEMBER_TOL, DiagonalFamily,
+                             FullSpaceFamily, SeparableHullFamily,
+                             SingletonIIDFamily, check_property,
+                             parse_family_spec)
 from qstein.opalg import SystemShape
 from qstein.optim import (SolverSettings, distance_to_family,
                           rel_ent_of_resource)
@@ -63,6 +64,12 @@ class TestMembership:
             assert fam.membership_defect(sigma) <= 1e-12
         fam = SeparableHullFamily(6, 1, dim_a=2, dim_b=3)
         assert fam.membership_defect(fam.random_member(rng)) <= 1e-12
+
+    def test_separable_refuses_cut_past_ppt(self):
+        # PPT decides separability only up to 2 x 3; no heuristic stands in
+        fam = SeparableHullFamily(4, 2, dim_a=2, dim_b=2)
+        with pytest.raises(NotImplementedError, match="4 x 4 cut"):
+            fam.membership_defect(opalg.maximally_mixed(fam.shape))
 
     def test_shape_mismatch(self):
         fam = DiagonalFamily(2, 1)
@@ -218,7 +225,7 @@ def test_lmo_contract(kind):
         assert type(out) is np.ndarray
         assert out.shape == (fam.total_dim, fam.total_dim)
         assert fam.membership(opalg.density(out, fam.shape.dims),
-                              fam.membership_check_tol)
+                              EXACT_MEMBER_TOL)
         val = float(np.einsum("ij,ji->", g, out).real)
         for _ in range(10):
             m = fam.random_member(rng).mat
@@ -241,7 +248,7 @@ def test_random_member_is_a_state_and_a_member(fam):
         assert member.shape == fam.shape
         assert np.linalg.eigvalsh(member.mat)[0] >= -opalg.PSD_TOL
         assert abs(member.trace() - 1.0) <= opalg.TRACE_TOL
-        assert fam.membership(member, fam.membership_check_tol)
+        assert fam.membership(member, EXACT_MEMBER_TOL)
 
 
 class TestWitness:
@@ -306,6 +313,13 @@ class TestProperties:
         fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=6)
         rep = check_property(fam, 3, trials=6, seed=3)
         assert rep.passed
+
+    @pytest.mark.parametrize("prop", [4, 5])
+    def test_separable_two_copies_refused(self, prop):
+        # axioms 4 and 5 test members on two copies, a 4 x 4 cut
+        fam = SeparableHullFamily(4, 1, dim_a=2, dim_b=2, n_restarts=6)
+        with pytest.raises(NotImplementedError, match="4 x 4 cut"):
+            check_property(fam, prop, trials=2, seed=1)
 
     def test_bad_property_id(self):
         with pytest.raises(ValueError):

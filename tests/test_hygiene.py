@@ -1,7 +1,8 @@
 """Static checks on the package source: every import is used, every
 private module-level function or class is referenced somewhere in it, no
-module reads another's private names, no module imports scipy, the
-solvers cast no real data to complex, and no module is long enough to
+module reads another's private names, no module imports scipy, the data
+layer imports no solver and the solvers no driver, the solvers cast no
+real data to complex, and no module is long enough to
 double the parser's token array."""
 
 import ast
@@ -104,6 +105,43 @@ def test_no_scipy_import(name):
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
     assert not {m for m in imported if m.split(".")[0] == "scipy"}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports, inside functions too:
+    ``from . import m``, ``from .m import x`` and ``qstein.m``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:
+                out |= {alias.name for alias in node.names}
+            elif node.level == 1:
+                out.add(node.module.split(".")[0])
+            elif node.module and node.module.startswith("qstein."):
+                out.add(node.module.split(".")[1])
+            elif node.module == "qstein":
+                out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("qstein.")}
+    return out
+
+
+SOLVERS = {"fw", "typeclass", "optim"}
+DRIVERS = {"pipeline", "verify", "cli"}
+# what each module of the data layer and of the solvers may not import
+FORBIDDEN = {
+    **dict.fromkeys(("errors", "certificates", "opalg", "rand", "entropy",
+                     "lp", "symmetry", "freesets"), SOLVERS | DRIVERS),
+    **dict.fromkeys(SOLVERS, DRIVERS)}
+
+
+@pytest.mark.parametrize("name", sorted(FORBIDDEN))
+def test_layers_import_downward(name):
+    """The data layer imports no solver and no driver, and the solvers
+    import no driver."""
+    found = _package_imports(TREES[f"{name}.py"]) & FORBIDDEN[name]
+    assert not found, f"{name} imports {sorted(found)}"
 
 
 SPECTRAL = {"eigh", "eigvalsh", "eig", "eigvals", "svd"}

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qstein import opalg, pipeline, rand, symmetry
+from qstein import opalg, pipeline, rand, symmetry, verify
 from qstein.entropy import binary_entropy, relative_entropy
 from qstein.errors import (CertificateFailed, ConstructionFailed,
                            DimensionCap, NegativeEigenvalue, PremiseFailed,
@@ -50,6 +50,21 @@ class TestSchedule:
         got = pipeline.epsilon_schedule(N, M, R, y, mu)
         assert abs(got - want) < 1e-18
         assert abs(got - 2.72e-3) < 5e-6
+
+    @pytest.mark.parametrize("N", [4, 5, 8, 16])
+    @pytest.mark.parametrize("y,mu", [(0.1, 0.9), (0.72, 0.5), (1.3, 0.05)])
+    def test_mixing_weight_below_its_cap(self, N, y, mu):
+        # cap/2^{yN} - eps = (4 sqrt(2) mu^2 / 2^{yN}) (1 - e^{-MR/(2N)})
+        # >= 0 for every schedule, M R = 0 included, where it is 0
+        for M in range(N + 1):
+            for R in range((N - M) // 2 + 1):
+                b = symmetry.truncation_weight(N, R)
+                cap = 2.0 * mu ** 2 * (2.0 * math.sqrt(2.0) + b * mu)
+                got = (cap / 2.0 ** (y * N)
+                       - pipeline.epsilon_schedule(N, M, R, y, mu))
+                want = (4.0 * math.sqrt(2.0) * mu ** 2 / 2.0 ** (y * N)
+                        * -math.expm1(-M * R / (2.0 * N)))
+                assert abs(got - want) <= 1e-14 * cap / 2.0 ** (y * N)
 
 
 class TestDominatedState:
@@ -108,12 +123,46 @@ class TestStep1:
                 calls[_name] += 1
                 return _f(*args)
             monkeypatch.setattr(opalg, name, spy)
-        trace = pipeline.step1(coherence_qubit(), H08, 4,
-                               DiagonalFamily(2, 1), SET)
+        pipeline.step1(coherence_qubit(), H08, 4, DiagonalFamily(2, 1), SET)
         assert calls == {"fidelity": 1, "positive_part_trace": 0}
-        rows = {c.name: c.margin for c in trace.certificates}
-        assert rows["dominated-state construction"] == min(
-            rows["step1 operator dominance"], rows["step1 fidelity floor"])
+
+
+PLANT_CASES = pytest.mark.parametrize("rho,y,N", [
+    (coherence_qubit(), H08, 4),
+    (opalg.density(np.array([[0.7, 0.2], [0.2, 0.3]])), 0.1, 5)],
+    ids=["coherence", "mixed"])
+
+
+class TestStep1PlantedFault:
+    """Each of the lemma's conclusions fails on a corrupted operand, and
+    each check of it must say so."""
+
+    @pytest.fixture
+    def identity_root(self, monkeypatch):
+        # the witness T rho T^dag built with sqrt(X) replaced by I
+        monkeypatch.setattr(pipeline.opalg, "sqrt_psd",
+                            lambda mat, tol=None: np.eye(len(mat)))
+
+    @PLANT_CASES
+    def test_operator_dominance_fails(self, identity_root, rho, y, N):
+        with pytest.raises(CertificateFailed,
+                           match="step1 operator dominance") as exc:
+            pipeline.step1(rho, y, N, DiagonalFamily(2, 1), SET)
+        assert exc.value.certificate.margin < -0.01
+
+    @PLANT_CASES
+    def test_fidelity_floor_fails(self, monkeypatch, rho, y, N):
+        # a witness read as orthogonal to the power state
+        monkeypatch.setattr(pipeline.opalg, "fidelity", lambda p, q: 0.0)
+        with pytest.raises(CertificateFailed,
+                           match="step1 fidelity floor") as exc:
+            pipeline.step1(rho, y, N, DiagonalFamily(2, 1), SET)
+        assert exc.value.certificate.margin < -0.5
+
+    def test_verify_check_fails(self, identity_root):
+        rep = verify.check_dominated_state(20, 0)
+        assert not rep.passed
+        assert rep.worst < -0.1
 
 
 def bell_state():
@@ -338,16 +387,14 @@ class TestSupportRule:
 # certificates.csv of the mixed qubit below at N = 5, y = 0.1: the rows of
 # the purified route, which no pure-base pipeline runs
 MIXED_N5_ROWS = [
-    ("dominated-state construction", 6.72092537159e-06, 1e-09),
-    ("step1 operator dominance", 6.72092537159e-06, 1e-08),
-    ("step1 fidelity floor", 0.243024819254, 1e-08),
+    ("step1 operator dominance", 6.72092537159e-06, 1e-09),
+    ("step1 fidelity floor", 0.243024819254, 1e-09),
     ("purification overlap floor", 0.243024819254, 1e-08),
     ("conditioned-state dominance", -9.44252458874e-18, 1e-09),
     ("tail-truncation distance bound", 2.08571558548, 1e-08),
     ("conditioned-to-truncated dominance", -1.8057764772e-18, 1e-08),
     ("power-state tail bound", 6.66893778623e-15, 1e-08),
     ("assembled power-state dominance", 1973.16425617, 1e-08),
-    ("mixing-weight decay", 0.556739793564, 1e-12),
     ("relative-entropy budget", 12.3358937209, 1e-08),
     ("near-free distance", 1.87831020271, 1e-06),
 ]

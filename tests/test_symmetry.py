@@ -277,7 +277,7 @@ class TestPowerInequality:
         rng = np.random.default_rng(32)
         base = rand.random_pure(rng, SystemShape((2,)))
         v = opalg.pure_power(base, 3)
-        cert = symmetry.verify_power_inequality(v, base, 4, 1, 0)
+        cert, _ = symmetry.verify_power_inequality(v, base, 4, 1, 0)
         assert cert.passed
 
     @pytest.mark.parametrize("N,M,R", [(4, 1, 1), (6, 2, 2)])
@@ -285,7 +285,7 @@ class TestPowerInequality:
         rng = np.random.default_rng(33)
         base = rand.random_pure(rng, SystemShape((2,)))
         v = symmetry.random_almost_power(rng, base, N - M, R)
-        cert = symmetry.verify_power_inequality(v, base, N, M, R)
+        cert, _ = symmetry.verify_power_inequality(v, base, N, M, R)
         assert cert.margin >= -1e-8
 
     def test_premise(self):
